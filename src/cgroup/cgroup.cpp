@@ -163,6 +163,7 @@ std::vector<CgroupId> Tree::all_ids() const {
 void Tree::subscribe(Listener listener) { listeners_.push_back(std::move(listener)); }
 
 void Tree::notify(EventKind kind, CgroupId id, const std::string& name) {
+  ++generation_;
   const Event event{kind, id, name};
   for (const auto& listener : listeners_) {
     listener(event);

@@ -141,6 +141,11 @@ class Tree {
   /// so per-event bound refreshes don't cost O(containers) each.
   std::int64_t total_shares() const { return total_shares_; }
 
+  /// Bumped by every create, destroy and knob change, before listeners run.
+  /// Caches of tree-derived values (the scheduler's effective cpusets,
+  /// shares and bandwidth) compare it to know when to re-derive.
+  std::uint64_t generation() const { return generation_; }
+
  private:
   Cgroup& get_mutable(CgroupId id);
   void notify(EventKind kind, CgroupId id, const std::string& name);
@@ -150,6 +155,7 @@ class Tree {
   std::vector<std::unique_ptr<Cgroup>> slots_;  // index == id; null when destroyed
   std::vector<Listener> listeners_;
   std::int64_t total_shares_ = 0;  // Σ cpu.shares over live non-root cgroups
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace arv::cgroup

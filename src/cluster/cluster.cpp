@@ -114,7 +114,8 @@ int Cluster::add_host(container::HostConfig host_config) {
 }
 
 void Cluster::register_host_trace(int index) {
-  const std::string scope = "h" + std::to_string(index);
+  std::string scope = "h";  // appended: GCC 12 -Wrestrict false positive on "h" + ...
+  scope += std::to_string(index);
   trace_->add_gauge("slack_window", scope, [this, index] {
     return hosts_[static_cast<std::size_t>(index)].window_slack;
   });

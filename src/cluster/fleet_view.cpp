@@ -127,7 +127,8 @@ int FleetView::intern_service(const std::string& name) {
 std::string FleetView::render_hosts() const {
   std::string out = "generation " + std::to_string(generation) + "\n";
   for (const HostView& h : hosts) {
-    out += "h" + std::to_string(h.index);
+    out += 'h';  // appended: GCC 12 -Wrestrict false positive on "h" + ...
+    out += std::to_string(h.index);
     out += " cap=" + std::to_string(h.capacity_millicpu) + "m/" +
            std::to_string(h.capacity_memory);
     out += " req=" + std::to_string(h.requested_millicpu) + "m/" +
@@ -192,7 +193,8 @@ std::string FleetViewDiff::render() const {
            "->h" + std::to_string(move.to) + "\n";
   }
   for (const HostDelta& d : hosts) {
-    out += "h" + std::to_string(d.host);
+    out += 'h';
+    out += std::to_string(d.host);
     out += " slack=";
     append_signed(out, d.slack_delta_millicpu);
     out += "m free=";

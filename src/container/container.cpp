@@ -126,7 +126,11 @@ Container& ContainerRuntime::run(const ContainerConfig& config,
                                  const std::string& command) {
   ContainerConfig named = config;
   if (named.name.empty()) {
-    named.name = "c" + std::to_string(auto_name_counter_++);
+    // Appended, not `"c" + std::to_string(...)`: GCC 12 reports a false
+    // -Wrestrict on that form in Release builds.
+    std::string name = "c";
+    name += std::to_string(auto_name_counter_++);
+    named.name = std::move(name);
   }
   auto container = std::make_unique<Container>(host_, named);
   host_.processes().execve(container->init_pid(), command);

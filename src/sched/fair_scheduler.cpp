@@ -17,7 +17,7 @@ constexpr double kEpsilonUs = 1e-6;
 }  // namespace
 
 FairScheduler::FairScheduler(cgroup::Tree& tree, int online_cpus)
-    : tree_(tree), online_cpus_(online_cpus) {
+    : tree_(tree), online_cpus_(online_cpus), live_generation_(tree.generation()) {
   ARV_ASSERT(online_cpus > 0 && online_cpus <= CpuSet::kMaxCpus);
   ARV_ASSERT_MSG(online_cpus == tree.online_cpus(),
                  "scheduler and cgroup tree must agree on CPU count");
@@ -26,11 +26,16 @@ FairScheduler::FairScheduler(cgroup::Tree& tree, int online_cpus)
 void FairScheduler::attach(cgroup::CgroupId id, Schedulable* consumer) {
   ARV_ASSERT(tree_.exists(id));
   ARV_ASSERT(consumer != nullptr);
-  auto& entity = entities_[id];
+  auto [it, inserted] = entities_.try_emplace(id);
+  auto& entity = it->second;
   ARV_ASSERT_MSG(std::find(entity.consumers.begin(), entity.consumers.end(),
                            consumer) == entity.consumers.end(),
                  "consumer attached twice");
   entity.consumers.push_back(consumer);
+  if (inserted) {
+    live_.push_back(LiveEntity{id, &entity, {}, 0, 0.0, {}});
+    live_stale_ = true;
+  }
 }
 
 void FairScheduler::detach(cgroup::CgroupId id, Schedulable* consumer) {
@@ -49,42 +54,48 @@ bool FairScheduler::attached(cgroup::CgroupId id) const {
   return it != entities_.end() && !it->second.consumers.empty();
 }
 
-void FairScheduler::refill_quota(cgroup::CgroupId id, Entity& entity, SimTime now) {
-  // Nested cgroups inherit the tightest bandwidth cap along their path.
-  const auto bandwidth = tree_.effective_bandwidth(id);
-  if (bandwidth.quota_us == kUnlimited) {
+const std::vector<FairScheduler::LiveEntity>& FairScheduler::live_set() const {
+  if (!live_stale_ && live_generation_ == tree_.generation()) {
+    return live_;
+  }
+  // Cgroup ids are never reused: once its cgroup is destroyed, an entity
+  // leaves the live set for good.
+  std::erase_if(live_, [this](const LiveEntity& e) { return !tree_.exists(e.id); });
+  std::sort(live_.begin(), live_.end(),  // attach() appends out of order
+            [](const LiveEntity& a, const LiveEntity& b) { return a.id < b.id; });
+  for (LiveEntity& e : live_) {
+    e.mask = tree_.effective_cpuset(e.id);
+    e.cpus = e.mask.count();
+    e.weight = static_cast<double>(tree_.get(e.id).cpu().shares);
+    // Nested cgroups inherit the tightest bandwidth cap along their path.
+    e.bandwidth = tree_.effective_bandwidth(e.id);
+  }
+  live_generation_ = tree_.generation();
+  live_stale_ = false;
+  return live_;
+}
+
+void FairScheduler::refill_quota(const LiveEntity& entry, SimTime now) {
+  Entity& entity = *entry.entity;
+  if (entry.bandwidth.quota_us == kUnlimited) {
     entity.quota_remaining = kUnlimited;
     return;
   }
   if (now >= entity.next_refill) {
-    entity.quota_remaining = bandwidth.quota_us;
+    entity.quota_remaining = entry.bandwidth.quota_us;
     // Align the next refill to the period grid, skipping missed periods.
-    const SimDuration period = bandwidth.period_us;
+    const SimDuration period = entry.bandwidth.period_us;
     entity.next_refill = now + period - (now % period);
   }
 }
 
 void FairScheduler::tick(SimTime now, SimDuration dt) {
-  struct Claim {
-    cgroup::CgroupId id = -1;
-    Entity* entity = nullptr;
-    CpuSet mask;
-    double weight = 0.0;
-    double demand = 0.0;  // us of CPU time wanted this tick (post caps)
-    double alloc = 0.0;
-    double throttled = 0.0;  // demand clipped by quota
-    int runnable = 0;
-  };
-
-  std::vector<Claim> claims;
-  claims.reserve(entities_.size());
+  claims_.clear();
   int runnable_total = 0;
 
-  for (auto& [id, entity] : entities_) {
-    if (!tree_.exists(id)) {
-      continue;  // cgroup destroyed with consumers still attached
-    }
-    refill_quota(id, entity, now);
+  for (const LiveEntity& entry : live_set()) {
+    Entity& entity = *entry.entity;
+    refill_quota(entry, now);
     entity.stats.last_tick_grant = 0;
     int runnable = 0;
     for (const Schedulable* consumer : entity.consumers) {
@@ -94,44 +105,48 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
       continue;
     }
     runnable_total += runnable;
-
-    Claim claim;
-    claim.id = id;
-    claim.entity = &entity;
-    claim.mask = tree_.effective_cpuset(id);
-    ARV_ASSERT_MSG(!claim.mask.empty(), "effective cpuset must be non-empty");
-    claim.weight = static_cast<double>(tree_.get(id).cpu().shares);
-    claim.runnable = runnable;
+    ARV_ASSERT_MSG(entry.cpus > 0, "effective cpuset must be non-empty");
 
     const double thread_cap =
-        static_cast<double>(std::min(runnable, claim.mask.count())) *
-        static_cast<double>(dt);
+        static_cast<double>(std::min(runnable, entry.cpus)) * static_cast<double>(dt);
     double quota_cap = thread_cap;
     if (entity.quota_remaining != kUnlimited) {
       quota_cap = std::min(thread_cap, static_cast<double>(entity.quota_remaining));
     }
+    Claim& claim = claims_.emplace_back();
+    claim.entity = &entity;
+    claim.mask = entry.mask;
+    claim.weight = entry.weight;
     claim.demand = quota_cap;
     claim.throttled = thread_cap - quota_cap;
-    claims.push_back(claim);
+    claim.runnable = runnable;
   }
 
   nr_running_ = runnable_total;
   loadavg_.add(static_cast<double>(runnable_total));
 
   // --- per-CPU weighted water-filling --------------------------------------
-  std::vector<double> cpu_capacity(static_cast<std::size_t>(online_cpus_),
-                                   static_cast<double>(dt));
-  for (int round = 0; round < kMaxRounds; ++round) {
+  // hungry_ lists, in claim order, exactly the claims with unmet demand above
+  // epsilon. Unmet demand only shrinks, so a claim that drops out never comes
+  // back, and sums over hungry_ equal sums over all claims in the same order.
+  cpu_capacity_.assign(static_cast<std::size_t>(online_cpus_), static_cast<double>(dt));
+  hungry_.clear();
+  for (std::size_t i = 0; i < claims_.size(); ++i) {
+    if (claims_[i].demand - claims_[i].alloc > kEpsilonUs) {
+      hungry_.push_back(i);
+    }
+  }
+  for (int round = 0; round < kMaxRounds && !hungry_.empty(); ++round) {
     double progress = 0.0;
     for (int cpu = 0; cpu < online_cpus_; ++cpu) {
-      double& capacity = cpu_capacity[static_cast<std::size_t>(cpu)];
+      double& capacity = cpu_capacity_[static_cast<std::size_t>(cpu)];
       if (capacity <= kEpsilonUs) {
         continue;
       }
       double weight_sum = 0.0;
-      for (const Claim& claim : claims) {
-        if (claim.demand - claim.alloc > kEpsilonUs && claim.mask.contains(cpu)) {
-          weight_sum += claim.weight;
+      for (const std::size_t i : hungry_) {
+        if (claims_[i].mask.contains(cpu)) {
+          weight_sum += claims_[i].weight;
         }
       }
       if (weight_sum <= 0.0) {
@@ -139,16 +154,28 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
       }
       const double available = capacity;
       double used = 0.0;
-      for (Claim& claim : claims) {
-        const double unmet = claim.demand - claim.alloc;
-        if (unmet <= kEpsilonUs || !claim.mask.contains(cpu)) {
-          continue;
+      // The offer depends on the claim only through its weight, so a run of
+      // equal-weight claims shares one quotient (exact, not approximate).
+      double offer_weight = -1.0;
+      double offer = 0.0;
+      std::size_t kept = 0;
+      for (const std::size_t i : hungry_) {
+        Claim& claim = claims_[i];
+        if (claim.mask.contains(cpu)) {
+          if (claim.weight != offer_weight) {
+            offer_weight = claim.weight;
+            offer = available * claim.weight / weight_sum;
+          }
+          const double take = std::min(offer, claim.demand - claim.alloc);
+          claim.alloc += take;
+          used += take;
+          if (claim.demand - claim.alloc <= kEpsilonUs) {
+            continue;  // satisfied: leaves hungry_
+          }
         }
-        const double offer = available * claim.weight / weight_sum;
-        const double take = std::min(offer, unmet);
-        claim.alloc += take;
-        used += take;
+        hungry_[kept++] = i;
       }
+      hungry_.resize(kept);
       capacity -= used;
       progress += used;
     }
@@ -159,12 +186,12 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
 
   // --- accounting + delivery -----------------------------------------------
   CpuTime granted_total = 0;
-  for (Claim& claim : claims) {
-    const double credited = claim.alloc + claim.entity->fraction_carry;
-    const auto grant = static_cast<CpuTime>(credited);  // floor
-    claim.entity->fraction_carry = credited - static_cast<double>(grant);
-    granted_total += grant;
+  for (const Claim& claim : claims_) {
     Entity& entity = *claim.entity;
+    const double credited = claim.alloc + entity.fraction_carry;
+    const auto grant = static_cast<CpuTime>(credited);  // floor
+    entity.fraction_carry = credited - static_cast<double>(grant);
+    granted_total += grant;
     entity.stats.total_usage += grant;
     entity.stats.last_tick_grant = grant;
     entity.stats.throttled_time += static_cast<CpuTime>(std::llround(claim.throttled));
@@ -175,18 +202,18 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
     // Split the grant across consumers proportionally to runnable threads,
     // remainder to the first hungry consumer (deterministic).
     CpuTime left = grant;
-    const auto consumers = entity.consumers;  // copy: consume() may detach
-    for (std::size_t k = 0; k < consumers.size(); ++k) {
-      const int threads = consumers[k]->runnable_threads();
+    delivery_.assign(entity.consumers.begin(), entity.consumers.end());
+    for (std::size_t k = 0; k < delivery_.size(); ++k) {
+      const int threads = delivery_[k]->runnable_threads();
       if (threads <= 0) {
         continue;
       }
-      CpuTime piece = k + 1 == consumers.size()
+      CpuTime piece = k + 1 == delivery_.size()
                           ? left
                           : grant * threads / std::max(1, claim.runnable);
       piece = std::min(piece, left);
       left -= piece;
-      consumers[k]->consume(now, dt, piece);
+      delivery_[k]->consume(now, dt, piece);
     }
   }
 
@@ -195,18 +222,15 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
   // under-granted ticks, so the per-tick bound has that much slack; the
   // cumulative bound (tested separately) stays exact.
   ARV_ASSERT_MSG(granted_total <=
-                     capacity_total + static_cast<CpuTime>(claims.size()) + 1,
+                     capacity_total + static_cast<CpuTime>(claims_.size()) + 1,
                  "allocated more CPU time than physically exists");
   last_tick_slack_ = std::max<CpuTime>(0, capacity_total - granted_total);
   total_slack_ += last_tick_slack_;
 }
 
 bool FairScheduler::idle() const {
-  for (const auto& [id, entity] : entities_) {
-    if (!tree_.exists(id)) {
-      continue;  // tick() skips destroyed cgroups too
-    }
-    for (const Schedulable* consumer : entity.consumers) {
+  for (const LiveEntity& entry : live_set()) {
+    for (const Schedulable* consumer : entry.entity->consumers) {
       if (consumer->runnable_threads() > 0) {
         return false;
       }
@@ -218,11 +242,8 @@ bool FairScheduler::idle() const {
 void FairScheduler::accrue_idle(SimDuration dt, SimDuration tick_length) {
   ARV_ASSERT_MSG(idle(), "accrue_idle on a scheduler with runnable work");
   ARV_ASSERT(dt > 0 && tick_length > 0 && dt % tick_length == 0);
-  for (auto& [id, entity] : entities_) {
-    if (!tree_.exists(id)) {
-      continue;
-    }
-    entity.stats.last_tick_grant = 0;
+  for (const LiveEntity& entry : live_set()) {
+    entry.entity->stats.last_tick_grant = 0;
   }
   nr_running_ = 0;
   // Sample-by-sample, not pow(decay, n): repeated multiplication is what a

@@ -16,8 +16,25 @@
 // This reproduces exactly the observables Algorithms 1–2 of the paper read:
 // per-container usage, system-wide slack (pslack), throttling, and the
 // work-conserving "use more than your share when others are idle" behaviour.
+//
+// Cost. A tick costs work proportional to the live claims, not to every
+// cgroup ever attached. The scheduler keeps a *live set*: the attached
+// entities whose cgroup still exists, in id order, each with its
+// tree-derived claim inputs cached (effective cpuset and its size, shares
+// weight, effective bandwidth). Two triggers invalidate it: the tree's
+// generation() moving (any create, destroy or knob change) and attach()
+// adding an entity. Cgroup ids are never reused, so a destroyed entity leaves
+// the live set for good; its stats stay readable. Water-filling visits only
+// still-hungry claims.
+//
+// Bit-exactness contract: claims are formed in id order and every
+// floating-point operation (weight sums, offers, carries) runs in the same
+// sequence as the straightforward scan of every attached cgroup, so grants,
+// throttling and slack are bit-identical to it. A seeded differential test
+// (tests/sched/live_set_test.cpp) holds the two side by side.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -128,11 +145,44 @@ class FairScheduler : public sim::TickComponent {
     EntityStats stats;
   };
 
-  void refill_quota(cgroup::CgroupId id, Entity& entity, SimTime now);
+  /// An entity whose cgroup exists, with its claim's tree-derived inputs.
+  struct LiveEntity {
+    cgroup::CgroupId id = -1;
+    Entity* entity = nullptr;  // std::map nodes are stable
+    CpuSet mask;               // effective cpuset
+    int cpus = 0;              // mask.count()
+    double weight = 0.0;       // cpu.shares
+    cgroup::Tree::Bandwidth bandwidth;
+  };
+
+  /// One runnable entity's share of the current tick.
+  struct Claim {
+    Entity* entity = nullptr;
+    CpuSet mask;
+    double weight = 0.0;
+    double demand = 0.0;     // us of CPU time wanted this tick (post caps)
+    double alloc = 0.0;
+    double throttled = 0.0;  // demand clipped by quota
+    int runnable = 0;
+  };
+
+  /// The live set, re-derived first if the tree or the attached set moved.
+  const std::vector<LiveEntity>& live_set() const;
+  void refill_quota(const LiveEntity& entry, SimTime now);
 
   cgroup::Tree& tree_;
   int online_cpus_;
-  std::map<cgroup::CgroupId, Entity> entities_;  // ordered => deterministic
+  /// Every entity ever attached, so stats outlive detach and destroy.
+  std::map<cgroup::CgroupId, Entity> entities_;
+  /// Cache behind live_set(); attach() appends new entities and marks it stale.
+  mutable std::vector<LiveEntity> live_;
+  mutable std::uint64_t live_generation_ = 0;
+  mutable bool live_stale_ = false;
+  // Tick scratch, reused so a tick allocates nothing in steady state.
+  std::vector<Claim> claims_;
+  std::vector<std::size_t> hungry_;  // indices of claims with unmet demand
+  std::vector<double> cpu_capacity_;
+  std::vector<Schedulable*> delivery_;  // consumer snapshot: consume() may detach
   CpuTime total_slack_ = 0;
   CpuTime last_tick_slack_ = 0;
   int nr_running_ = 0;

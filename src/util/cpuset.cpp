@@ -9,9 +9,10 @@ namespace arv {
 CpuSet CpuSet::first_n(int n) {
   ARV_ASSERT(n >= 0 && n <= kMaxCpus);
   CpuSet s;
-  for (int i = 0; i < n; ++i) {
-    s.bits_.set(static_cast<std::size_t>(i));
-  }
+  // Word-wide fill: all ones, shifted down to the low n bits (a shift by
+  // kMaxCpus, for n == 0, clears every bit).
+  s.bits_.set();
+  s.bits_ >>= static_cast<std::size_t>(kMaxCpus - n);
   return s;
 }
 
@@ -78,13 +79,6 @@ void CpuSet::set(int cpu) {
 void CpuSet::clear(int cpu) {
   ARV_ASSERT(cpu >= 0 && cpu < kMaxCpus);
   bits_.reset(static_cast<std::size_t>(cpu));
-}
-
-bool CpuSet::contains(int cpu) const {
-  if (cpu < 0 || cpu >= kMaxCpus) {
-    return false;
-  }
-  return bits_.test(static_cast<std::size_t>(cpu));
 }
 
 int CpuSet::span() const {

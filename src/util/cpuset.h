@@ -30,7 +30,9 @@ class CpuSet {
 
   void set(int cpu);
   void clear(int cpu);
-  bool contains(int cpu) const;
+  bool contains(int cpu) const {
+    return cpu >= 0 && cpu < kMaxCpus && bits_[static_cast<std::size_t>(cpu)];
+  }
   int count() const { return static_cast<int>(bits_.count()); }
   bool empty() const { return bits_.none(); }
 

@@ -41,7 +41,9 @@ std::int64_t LatencyHistogram::bucket_upper(std::size_t index) {
   }
   const std::int64_t block = static_cast<std::int64_t>(index) / kSubBuckets;
   const int shift = static_cast<int>(block) - 1;
-  return bucket_lower(index) + (std::int64_t{1} << shift) - 1;
+  // Width minus one first: the last bucket ends at INT64_MAX, and
+  // lower + width would overflow on the way there.
+  return bucket_lower(index) + ((std::int64_t{1} << shift) - 1);
 }
 
 void LatencyHistogram::record(std::int64_t value) { record_n(value, 1); }

@@ -177,6 +177,27 @@ TEST(CgroupTree, EventsFireOnLifecycleAndKnobs) {
   EXPECT_EQ(events[3].id, a);
 }
 
+TEST(CgroupTree, GenerationMovesOnEveryEventBeforeListenersRun) {
+  Tree tree(8);
+  std::vector<std::uint64_t> seen;
+  tree.subscribe([&](const Event&) { seen.push_back(tree.generation()); });
+  const std::uint64_t start = tree.generation();
+  const CgroupId a = tree.create("a");
+  tree.set_cpu_shares(a, 256);
+  tree.set_cfs_quota(a, 50'000);
+  tree.set_cfs_period(a, 50'000);
+  tree.set_cpuset(a, CpuSet::first_n(2));
+  tree.set_mem_limit(a, 1 << 30);
+  tree.set_mem_soft_limit(a, 1 << 29);
+  tree.destroy(a);
+  ASSERT_EQ(seen.size(), 8u);
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], start + i + 1);
+  }
+  EXPECT_EQ(tree.find("missing"), -1);
+  EXPECT_EQ(tree.generation(), start + 8);  // lookups leave it alone
+}
+
 TEST(CgroupTree, DestroyEventCarriesNameAndPostRemovalState) {
   Tree tree(8);
   std::string seen_name;

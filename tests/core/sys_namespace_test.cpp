@@ -173,10 +173,17 @@ TEST(SysNamespaceCpu, UpdateCounterAdvances) {
 
 // --- Algorithm 1 invariant sweep --------------------------------------------
 
+// gtest names each instance after a byte dump of its parameter, so the
+// padding is spelled out as zeroed fields: left implicit, it would hold stack
+// garbage and the test names would change from one build to the next.
 struct CpuSweepParam {
+  CpuSweepParam(int c, std::int64_t q, int cpus)
+      : containers(c), quota_us(q), cpuset_cpus(cpus) {}
   int containers;
+  std::int32_t pad0 = 0;
   std::int64_t quota_us;
   int cpuset_cpus;  // 0 = none
+  std::int32_t pad1 = 0;
 };
 
 class Alg1Sweep : public ::testing::TestWithParam<CpuSweepParam> {};

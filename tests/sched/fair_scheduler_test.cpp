@@ -255,10 +255,16 @@ TEST(FairScheduler, DestroyedCgroupSkippedGracefully) {
 
 // --- property sweep: conservation and fairness across configurations -------
 
+// gtest names each instance after a byte dump of its parameter, so the
+// padding is spelled out as a zeroed field: left implicit, it would hold stack
+// garbage and the test names would change from one build to the next.
 struct SweepParam {
+  SweepParam(int c, int n, int t, std::int64_t q)
+      : cpus(c), containers(n), threads_each(t), quota_us(q) {}
   int cpus;
   int containers;
   int threads_each;
+  std::int32_t pad = 0;
   std::int64_t quota_us;  // kUnlimited or value
 };
 

@@ -22,6 +22,16 @@ TEST(CpuSet, FirstN) {
   EXPECT_EQ(s.span(), 4);
 }
 
+TEST(CpuSet, FirstNAcrossWordBoundaries) {
+  for (const int n : {0, 1, 63, 64, 65, 127, 128, 200, CpuSet::kMaxCpus}) {
+    const CpuSet s = CpuSet::first_n(n);
+    EXPECT_EQ(s.count(), n) << n;
+    EXPECT_EQ(s.span(), n) << n;
+    EXPECT_EQ(s.contains(n - 1), n > 0) << n;
+    EXPECT_FALSE(s.contains(n)) << n;
+  }
+}
+
 TEST(CpuSet, SetAndClear) {
   CpuSet s;
   s.set(5);
