@@ -1,21 +1,16 @@
 // Cluster engine scaling: wall-clock cost of a simulated second as the
-// fleet grows, across host-phase thread counts and with the idle-host skip
-// on/off.
+// fleet grows, with the idle-host skip off and on.
 //
 // The fleet shape is the datacenter-realistic one: work concentrates on a
-// few hosts (12 busy of up to 256) while the rest idle — exactly where the
-// serial no-skip engine burns its time stepping hosts that do nothing. Each
-// fleet size runs once on the legacy configuration (threads=1, skip off)
-// and then at threads 1/2/4/8 with the quiescence skip on; every
-// configuration must produce identical request counters (asserted), because
-// threading and skipping are performance features, never semantic ones.
+// few hosts (12 busy of up to 256) while the rest idle — exactly where an
+// engine without the skip burns its time stepping hosts that do nothing.
+// Each fleet size runs once with the skip off and once with it on; both
+// configurations must produce identical request counters (asserted),
+// because skipping is a performance feature, never a semantic one.
 //
 // The scaling curve is spliced into BENCH_cluster.json (override the path
 // with ARV_CLUSTER_OUT) next to cluster_placement's results; re-runs
-// replace a previous curve in place. `hardware_threads` records how many
-// cores actually backed the thread grid — on a 1-core runner the
-// thread-count rows measure overhead, and the skip column carries the
-// speedup.
+// replace a previous curve in place.
 #include <benchmark/benchmark.h>
 
 #include <cctype>
@@ -25,7 +20,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.h"
@@ -42,24 +36,21 @@ constexpr int kHostCpus = 4;
 constexpr int kBusyHosts = 12;  ///< hosts that actually receive pods
 constexpr SimDuration kSim = 3 * units::sec;
 const int kFleetSizes[] = {16, 64, 256};
-const int kThreadGrid[] = {1, 2, 4, 8};
 
 struct ScalingPoint {
   int hosts = 0;
-  int threads = 0;
   bool skip = false;
   double wall_ms = 0;
   double sim_s_per_wall_s = 0;
-  double speedup_vs_serial = 0;  ///< vs threads=1 + skip off, same fleet
+  double speedup_vs_no_skip = 0;  ///< vs skip off, same fleet
   std::uint64_t hosts_skipped = 0;
   std::uint64_t generated = 0;
   std::uint64_t completed = 0;
 };
 
-ScalingPoint run_point(int hosts, int threads, bool skip) {
+ScalingPoint run_point(int hosts, bool skip) {
   cluster::ClusterConfig config;
   config.seed = 42;
-  config.threads = threads;
   config.skip_idle_hosts = skip;
   harness::FleetScenario fleet(config);
   for (int i = 0; i < hosts; ++i) {
@@ -95,7 +86,6 @@ ScalingPoint run_point(int hosts, int threads, bool skip) {
 
   ScalingPoint point;
   point.hosts = hosts;
-  point.threads = fleet.cluster().threads();
   point.skip = skip;
   point.wall_ms = wall_ms;
   point.sim_s_per_wall_s =
@@ -152,16 +142,15 @@ void write_json(const std::vector<ScalingPoint>& points) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     const ScalingPoint& p = points[i];
     out << strf(
-        "    {\"hosts\": %d, \"threads\": %d, \"skip_idle\": %s, "
+        "    {\"hosts\": %d, \"skip_idle\": %s, "
         "\"wall_ms\": %.1f, \"sim_s_per_wall_s\": %.2f, "
-        "\"speedup_vs_serial\": %.2f, \"hosts_skipped\": %llu}%s\n",
-        p.hosts, p.threads, p.skip ? "true" : "false", p.wall_ms,
-        p.sim_s_per_wall_s, p.speedup_vs_serial,
+        "\"speedup_vs_no_skip\": %.2f, \"hosts_skipped\": %llu}%s\n",
+        p.hosts, p.skip ? "true" : "false", p.wall_ms,
+        p.sim_s_per_wall_s, p.speedup_vs_no_skip,
         static_cast<unsigned long long>(p.hosts_skipped),
         i + 1 < points.size() ? "," : "");
   }
-  out << strf("  ],\n  \"hardware_threads\": %u\n}\n",
-              std::thread::hardware_concurrency());
+  out << "  ]\n}\n";
   if (!out) {
     std::fprintf(stderr, "cluster_scaling: failed to write %s\n", path.c_str());
   } else {
@@ -173,43 +162,39 @@ void write_json(const std::vector<ScalingPoint>& points) {
 
 int main(int argc, char** argv) {
   print_header("Cluster engine scaling",
-               strf("%d busy of N hosts, %.0f sim-s per point; serial "
-                    "baseline = threads=1 + skip off",
+               strf("%d busy of N hosts, %.0f sim-s per point; baseline = "
+                    "skip off",
                     kBusyHosts, static_cast<double>(kSim) / units::sec));
   std::vector<ScalingPoint> points;
   for (const int hosts : kFleetSizes) {
-    ScalingPoint serial = run_point(hosts, 1, /*skip=*/false);
-    serial.speedup_vs_serial = 1.0;
-    points.push_back(serial);
-    for (const int threads : kThreadGrid) {
-      ScalingPoint point = run_point(hosts, threads, /*skip=*/true);
-      point.speedup_vs_serial = serial.wall_ms / point.wall_ms;
-      // Threading and skipping must be invisible in every simulated
-      // observable — a divergence here is an engine bug, not noise.
-      ARV_ASSERT_MSG(point.generated == serial.generated &&
-                         point.completed == serial.completed,
-                     "scaling configuration changed simulation results");
-      points.push_back(point);
-    }
+    ScalingPoint off = run_point(hosts, /*skip=*/false);
+    off.speedup_vs_no_skip = 1.0;
+    points.push_back(off);
+    ScalingPoint on = run_point(hosts, /*skip=*/true);
+    on.speedup_vs_no_skip = off.wall_ms / on.wall_ms;
+    // Skipping must be invisible in every simulated observable — a
+    // divergence here is an engine bug, not noise.
+    ARV_ASSERT_MSG(on.generated == off.generated &&
+                       on.completed == off.completed,
+                   "the idle-host skip changed simulation results");
+    points.push_back(on);
   }
 
-  Table table({"hosts", "threads", "skip", "wall(ms)", "sim-s/wall-s",
-               "speedup", "skipped"});
+  Table table({"hosts", "skip", "wall(ms)", "sim-s/wall-s", "speedup",
+               "skipped"});
   for (const ScalingPoint& p : points) {
-    table.add_row({std::to_string(p.hosts), std::to_string(p.threads),
-                   p.skip ? "on" : "off", strf("%.1f", p.wall_ms),
-                   strf("%.2f", p.sim_s_per_wall_s),
-                   strf("%.2fx", p.speedup_vs_serial),
+    table.add_row({std::to_string(p.hosts), p.skip ? "on" : "off",
+                   strf("%.1f", p.wall_ms), strf("%.2f", p.sim_s_per_wall_s),
+                   strf("%.2fx", p.speedup_vs_no_skip),
                    std::to_string(p.hosts_skipped)});
   }
   std::fputs(table.to_ascii().c_str(), stdout);
   std::printf(
       "expected: speedup grows with fleet size — idle hosts dominate large "
-      "fleets, and the skip + shards reclaim them.\n");
+      "fleets, and the skip reclaims them.\n");
   write_json(points);
 
-  arv::bench::register_case("cluster_scaling/16x4",
-                            [] { run_point(16, 4, true); });
+  arv::bench::register_case("cluster_scaling/16", [] { run_point(16, true); });
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -26,7 +26,7 @@
 // All three are ordinary cluster components: they mutate only in the serial
 // phases (the same ordering pin the FaultInjector and Rebalancer rely on),
 // draw randomness only through placement tie-breaks, and therefore preserve
-// the byte-identical-trace contract at any thread count. Decision counters
+// the byte-identical-trace contract. Decision counters
 // surface as cluster trace series (autoscale.replicas, autoscale.hosts,
 // vpa.rewrites, …) and as /sys/arv/autoscale/ + /sys/arv/vpa/ control-plane
 // files on a designated host's sysfs.

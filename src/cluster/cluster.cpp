@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 
 #include "src/cluster/profile.h"
 #include "src/util/assert.h"
@@ -24,11 +23,6 @@ Cluster::Cluster(ClusterConfig config) : config_(config), rng_(config.seed) {
   ARV_ASSERT(config_.tick > 0);
   ARV_ASSERT(config_.observe_window >= config_.tick);
   ARV_ASSERT(config_.migration_bandwidth_per_sec > 0);
-  ARV_ASSERT_MSG(config_.threads >= 0, "threads must be >= 0 (0 = auto)");
-  threads_ =
-      config_.threads > 0 ? config_.threads : sim::WorkerPool::default_threads();
-  pool_ = std::make_unique<sim::WorkerPool>(threads_);
-  shard_skips_.assign(static_cast<std::size_t>(threads_), 0);
   if (config_.enable_tracing) {
     obs::TraceConfig trace_config;
     trace_config.sample_interval = config_.trace_interval;
@@ -62,15 +56,6 @@ Cluster::Cluster(ClusterConfig config) : config_(config), rng_(config.seed) {
     trace_->add_counter("cluster.hosts_skipped", "", [this] {
       return static_cast<std::int64_t>(hosts_skipped());
     });
-    if (config_.trace_timing) {
-      // Wall-clock series: machine- and thread-count-dependent by nature,
-      // so they live behind trace_timing (see ClusterConfig).
-      trace_->add_gauge("cluster.step_ms", "",
-                        [this] { return last_step_wall_us_ / 1000; });
-      trace_->add_gauge("cluster.threads", "", [this] {
-        return static_cast<std::int64_t>(threads_);
-      });
-    }
   }
 }
 
@@ -144,8 +129,8 @@ void Cluster::step() {
   ARV_ASSERT_MSG(!hosts_.empty(), "cluster has no hosts");
   now_ += config_.tick;
   host_phase();
-  // Serial phases, on this thread, in a fixed order; every stage iterates
-  // hosts/pods in index order, so the merge is thread-count-invariant.
+  // Serial phases, in a fixed order; every stage iterates hosts/pods in
+  // index order.
   observe_slack();
   // Migrations land before components run, so a rebalancer/router round
   // never observes a pod that should already have arrived; the fleet
@@ -162,23 +147,11 @@ void Cluster::step() {
 void Cluster::host_phase() {
   const auto wall_start = std::chrono::steady_clock::now();
   in_host_phase_ = true;
-  pool_->run([this](int shard) { host_phase_shard(shard); });
-  in_host_phase_ = false;
-  last_step_wall_us_ = std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::steady_clock::now() - wall_start)
-                           .count();
-  host_phase_wall_us_ += last_step_wall_us_;
-}
-
-void Cluster::host_phase_shard(int shard) {
-  const int count = host_count();
-  std::uint64_t skipped = 0;
-  for (int i = shard; i < count; i += threads_) {
-    HostState& state = hosts_[static_cast<std::size_t>(i)];
+  for (HostState& state : hosts_) {
     if (config_.skip_idle_hosts && state.host->quiescent()) {
       // Freeze: the host's clock stays behind; observe_slack and the trace
       // account for the gap analytically, sync_host replays it on touch.
-      ++skipped;
+      ++hosts_skipped_;
       continue;
     }
     // A host can only fall behind while quiescent, and quiescence cannot
@@ -189,7 +162,10 @@ void Cluster::host_phase_shard(int shard) {
     state.host->engine().step();
     ARV_ASSERT(state.host->now() == now_);
   }
-  shard_skips_[static_cast<std::size_t>(shard)] += skipped;
+  in_host_phase_ = false;
+  host_phase_wall_us_ += std::chrono::duration_cast<std::chrono::microseconds>(
+                             std::chrono::steady_clock::now() - wall_start)
+                             .count();
 }
 
 void Cluster::sync_host(int index) {
@@ -197,11 +173,6 @@ void Cluster::sync_host(int index) {
   if (state.host->now() < now_) {
     state.host->advance_idle(now_);
   }
-}
-
-std::uint64_t Cluster::hosts_skipped() const {
-  return std::accumulate(shard_skips_.begin(), shard_skips_.end(),
-                         std::uint64_t{0});
 }
 
 CpuTime Cluster::host_slack_total(int index) const {

@@ -1,29 +1,28 @@
 // Cluster — a multi-host fleet on one deterministic clock.
 //
-// N simulated Hosts advance in lockstep. Every cluster tick runs two kinds
-// of phase (see DESIGN.md §11):
+// N simulated Hosts advance in lockstep on the calling thread. Every cluster
+// tick runs two kinds of phase (see DESIGN.md §11):
 //
-//   1. The *host phase*: each host's engine advances one tick. Hosts are
-//      independent within a tick (nothing crosses host boundaries until the
-//      serial phases), so the phase is sharded statically across a fixed
-//      worker pool — worker w steps hosts w, w+T, w+2T, ... — and closed
-//      with a barrier. Hosts that are provably quiescent (Host::quiescent)
-//      are skipped entirely: their clock freezes and the interval is
-//      replayed analytically on first touch (sync-on-touch).
-//   2. The *serial phases*, on the calling thread in a fixed order: slack
-//      window accounting, due pod migrations, the FleetView snapshot refresh
-//      (fleet_view.h — the one cluster-state object every fleet-wide
-//      consumer reads), cluster-level components (rebalancer, router, fault
-//      machinery), and the trace sample. Every serial stage iterates hosts
-//      and pods in index order.
+//   1. The *host phase*: each host's engine advances one tick, in index
+//      order. Hosts are independent within a tick (nothing crosses host
+//      boundaries until the serial phases). Hosts that are provably
+//      quiescent (Host::quiescent) are skipped entirely: their clock freezes
+//      and the interval is replayed analytically on first touch
+//      (sync-on-touch).
+//   2. The *serial phases*, in a fixed order: slack window accounting, due
+//      pod migrations, the FleetView snapshot refresh (fleet_view.h — the
+//      one cluster-state object every fleet-wide consumer reads),
+//      cluster-level components (rebalancer, router, fault machinery), and
+//      the trace sample. Every serial stage iterates hosts and pods in index
+//      order.
 //
-// Because the shard assignment never affects *what* a host computes — only
-// *which thread* computes it — and every cross-host interaction happens in
-// the index-ordered serial phases, the same configuration and seed produce
-// byte-identical cluster traces at any thread count, skip setting, or
-// machine: the same determinism contract the single-host layer pins with
-// golden traces. threads=1 runs the shard loop inline with no pool
-// machinery at all, so "the serial engine" is literally the same code path.
+// Every cross-host interaction happens in the index-ordered serial phases,
+// and the skip is exact, so the same configuration and seed produce
+// byte-identical cluster traces with the skip on or off and on any machine:
+// the same determinism contract the single-host layer pins with golden
+// traces. There is no thread pool: the paper's mechanism is per host, and
+// stepping hosts on worker threads measured slower than this loop at every
+// fleet size tried (DESIGN.md §11).
 //
 // The cluster owns the pods. A Pod couples a Kubernetes-style spec with the
 // container currently realising it and the workload object running inside;
@@ -44,7 +43,6 @@
 #include "src/obs/trace_recorder.h"
 #include "src/server/server_runtime.h"
 #include "src/sim/engine.h"
-#include "src/sim/worker_pool.h"
 #include "src/util/rng.h"
 
 namespace arv::server {
@@ -87,20 +85,11 @@ struct ClusterConfig {
   /// and routing counters). Observation-only, like host tracing.
   bool enable_tracing = false;
   SimDuration trace_interval = 100 * units::msec;
-  /// Worker threads for the host phase. 1 = step hosts inline on the
-  /// calling thread; 0 = auto (hardware concurrency, clamped to 16).
-  /// Changing the thread count never changes simulation results or traces.
-  int threads = 1;
   /// Skip hosts whose tick would provably be a no-op (Host::quiescent):
   /// their clock freezes and catches up analytically on first touch. Exact
   /// by construction — traces are identical with the skip on or off; the
   /// flag exists so tests can pin that equivalence.
   bool skip_idle_hosts = true;
-  /// Also trace wall-clock series (cluster.step_ms, cluster.threads). Off
-  /// by default: wall time is machine- and thread-count-dependent, so these
-  /// columns would break the byte-identical-trace contract. The always-on
-  /// cluster.hosts_skipped series is deterministic and stays.
-  bool trace_timing = false;
 };
 
 /// One scheduled pod. The container pointer is null while the pod is in
@@ -294,17 +283,13 @@ class Cluster {
   /// slack band, the trace) read this. Empty until the first step.
   const std::vector<HostView>& views() const { return cur_.hosts; }
 
-  // --- parallel host phase --------------------------------------------------
-  /// Resolved worker count (config threads, with 0 mapped to auto).
-  int threads() const { return threads_; }
-
+  // --- host phase -----------------------------------------------------------
   /// Cumulative count of host-ticks skipped by the quiescence fast path.
-  /// Deterministic: a host's skip decision depends only on its own state,
-  /// never on sharding, so this is identical at any thread count.
-  std::uint64_t hosts_skipped() const;
+  /// Deterministic: a host's skip decision depends only on its own state.
+  std::uint64_t hosts_skipped() const { return hosts_skipped_; }
 
-  /// Cumulative wall-clock time spent in the (possibly parallel) host
-  /// phase, and the number of cluster steps taken — the benchmark signal.
+  /// Cumulative wall-clock time spent in the host phase, and the number of
+  /// cluster steps taken — the benchmark signal.
   std::int64_t host_phase_wall_us() const { return host_phase_wall_us_; }
   std::uint64_t steps_taken() const { return steps_; }
 
@@ -367,7 +352,6 @@ class Cluster {
   };
 
   void host_phase();
-  void host_phase_shard(int shard);
   /// Catch a frozen host's clock up to cluster time (no-op when current).
   void sync_host(int index);
   void mark_host_dirty(int index) {
@@ -393,17 +377,13 @@ class Cluster {
   Rng rng_;
   SimTime now_ = 0;
   SimDuration window_elapsed_ = 0;
-  int threads_ = 1;  ///< resolved from config (0 -> auto)
-  std::unique_ptr<sim::WorkerPool> pool_;
-  /// True only while the worker pool is stepping hosts. Every topology or
+  /// True only while the host phase is stepping hosts. Every topology or
   /// fault mutator asserts it is false: mutations are legal only in the
-  /// serial phases, so a crash can never observe a half-stepped fleet.
+  /// serial phases, so a host-side callback can never reach one mid-phase
+  /// and a crash can never observe a half-stepped fleet.
   bool in_host_phase_ = false;
-  /// Skip counts, one slot per shard so workers never contend on a counter;
-  /// hosts_skipped() sums them (the sum is sharding-invariant).
-  std::vector<std::uint64_t> shard_skips_;
+  std::uint64_t hosts_skipped_ = 0;
   std::int64_t host_phase_wall_us_ = 0;
-  std::int64_t last_step_wall_us_ = 0;
   std::uint64_t steps_ = 0;
   // Fleet snapshot triple-buffer: cur_ is the live snapshot, prev_ the one
   // published at the previous tick boundary, scratch_ recycles allocations

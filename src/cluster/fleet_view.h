@@ -26,7 +26,7 @@
 // comparing whole snapshots.
 //
 // All assembly and all reads happen in the cluster's serial phases, so the
-// view preserves the byte-identical-trace contract at any thread count.
+// view preserves the byte-identical-trace contract.
 #pragma once
 
 #include <cstdint>

@@ -46,7 +46,7 @@
 // tick() and the routers' route_one() calls (driver injection and router
 // ticks are serial-phase components). All arithmetic is integer (token
 // buckets in milli-tokens with exact scaled refill), so cluster traces stay
-// byte-identical at any thread count. Telemetry surfaces as admission.* /
+// byte-identical run to run. Telemetry surfaces as admission.* /
 // overload.* trace series and /sys/arv/admission/ control files on the
 // designated control host.
 #pragma once

@@ -13,7 +13,7 @@
 // the slot's ticks exactly (sum of per-tick shares == the slot count). Costs
 // are drawn per request from a per-tenant rng stream at injection time —
 // deterministic, because injection order is fixed by (tenant registration
-// order, tick). Traces are therefore byte-identical at any thread count.
+// order, tick). Traces are therefore byte-identical run to run.
 //
 // Fast path: per tick the driver fills one pooled cost buffer per tenant and
 // hands it to RequestRouter::inject_batch — no per-request allocation, one

@@ -1,9 +1,11 @@
 #include "src/load/trace_spec.h"
 
 #include <algorithm>
+#include <charconv>
 #include <istream>
+#include <limits>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 
 #include "src/util/assert.h"
 
@@ -286,59 +288,119 @@ void save_csv(const CompiledTrace& trace, std::ostream& out) {
   }
 }
 
-CompiledTrace load_csv(std::istream& in) {
+namespace {
+
+/// Split a CSV row at commas; empty fields are kept.
+std::vector<std::string_view> split_row(std::string_view line) {
+  std::vector<std::string_view> fields;
+  std::size_t start = 0;
+  for (std::size_t comma; (comma = line.find(',', start)) != line.npos;
+       start = comma + 1) {
+    fields.push_back(line.substr(start, comma - start));
+  }
+  fields.push_back(line.substr(start));
+  return fields;
+}
+
+/// The whole field as a decimal integer of type T, or nullopt if it is
+/// empty, carries anything else, or does not fit T (so a "-1" never wraps
+/// into an unsigned T).
+template <typename T>
+std::optional<T> parse_int(std::string_view field) {
+  T value{};
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+}  // namespace
+
+std::optional<CompiledTrace> load_csv(std::istream& in) {
   CompiledTrace trace;
   std::string line;
-  ARV_ASSERT_MSG(static_cast<bool>(std::getline(in, line)),
-                 "empty trace file");
-  const std::string magic = "# arv-trace v1 slot_us=";
-  ARV_ASSERT_MSG(line.rfind(magic, 0) == 0, "not an arv-trace file");
-  trace.slot = std::stoll(line.substr(magic.size()));
-  ARV_ASSERT(trace.slot > 0);
-  // Tenant table.
-  ARV_ASSERT(static_cast<bool>(std::getline(in, line)));  // header
+  const std::string_view magic = "# arv-trace v1 slot_us=";
+  if (!std::getline(in, line) || !line.starts_with(magic)) {
+    return std::nullopt;
+  }
+  const auto slot =
+      parse_int<SimDuration>(std::string_view(line).substr(magic.size()));
+  if (!slot || *slot <= 0) {
+    return std::nullopt;
+  }
+  trace.slot = *slot;
+  // Tenant table, up to the arrival-row header.
+  if (!std::getline(in, line) ||
+      line != "tenant,cost_min_us,cost_max_us,cost_alpha_milli,slots") {
+    return std::nullopt;
+  }
+  bool arrival_header = false;
   while (std::getline(in, line)) {
     if (line == "tenant,slot,arrivals") {
+      arrival_header = true;
       break;
     }
-    std::istringstream row(line);
-    std::string name, field;
-    ARV_ASSERT(static_cast<bool>(std::getline(row, name, ',')));
+    const std::vector<std::string_view> row = split_row(line);
+    if (row.size() != 5 || row[0].empty() ||
+        trace.find(std::string(row[0])) != nullptr) {
+      return std::nullopt;
+    }
+    const auto cost_min = parse_int<CpuTime>(row[1]);
+    const auto cost_max = parse_int<CpuTime>(row[2]);
+    const auto alpha_milli = parse_int<std::int64_t>(row[3]);
+    const auto slots = parse_int<std::size_t>(row[4]);
+    // The cost bounds are what the driver's Pareto sampler requires; every
+    // tenant spans the same slot grid, and the cycle must fit SimDuration.
+    if (!cost_min || !cost_max || !alpha_milli || !slots || *cost_min <= 0 ||
+        *cost_max < *cost_min || *slots == 0 ||
+        *slots > static_cast<std::size_t>(
+                     std::numeric_limits<SimDuration>::max() / trace.slot) ||
+        (!trace.tenants.empty() &&
+         *slots != trace.tenants.front().arrivals.size())) {
+      return std::nullopt;
+    }
     TenantSchedule schedule;
-    schedule.tenant = name;
-    ARV_ASSERT(static_cast<bool>(std::getline(row, field, ',')));
-    schedule.cost_min = std::stoll(field);
-    ARV_ASSERT(static_cast<bool>(std::getline(row, field, ',')));
-    schedule.cost_max = std::stoll(field);
-    ARV_ASSERT(static_cast<bool>(std::getline(row, field, ',')));
-    schedule.cost_alpha = static_cast<double>(std::stoll(field)) / 1000.0;
-    ARV_ASSERT(static_cast<bool>(std::getline(row, field, ',')));
-    schedule.arrivals.resize(static_cast<std::size_t>(std::stoull(field)), 0);
+    schedule.tenant = std::string(row[0]);
+    schedule.cost_min = *cost_min;
+    schedule.cost_max = *cost_max;
+    schedule.cost_alpha = static_cast<double>(*alpha_milli) / 1000.0;
+    schedule.arrivals.resize(*slots, 0);
     trace.tenants.push_back(std::move(schedule));
   }
-  // Arrival rows.
+  if (!arrival_header) {
+    return std::nullopt;
+  }
+  // Arrival rows: each (tenant, slot) at most once, so total == sum(arrivals).
+  const std::size_t slots =
+      trace.tenants.empty() ? 0 : trace.tenants.front().arrivals.size();
+  std::vector<bool> seen(trace.tenants.size() * slots, false);
   while (std::getline(in, line)) {
     if (line.empty()) {
       continue;
     }
-    std::istringstream row(line);
-    std::string name, field;
-    ARV_ASSERT(static_cast<bool>(std::getline(row, name, ',')));
-    TenantSchedule* schedule = nullptr;
-    for (TenantSchedule& t : trace.tenants) {
-      if (t.tenant == name) {
-        schedule = &t;
-        break;
-      }
+    const std::vector<std::string_view> row = split_row(line);
+    if (row.size() != 3) {
+      return std::nullopt;
     }
-    ARV_ASSERT_MSG(schedule != nullptr, "arrival row for unknown tenant");
-    ARV_ASSERT(static_cast<bool>(std::getline(row, field, ',')));
-    const auto s = static_cast<std::size_t>(std::stoull(field));
-    ARV_ASSERT_MSG(s < schedule->arrivals.size(), "slot out of range");
-    ARV_ASSERT(static_cast<bool>(std::getline(row, field, ',')));
-    const auto n = std::stoull(field);
-    schedule->arrivals[s] = static_cast<std::uint32_t>(n);
-    schedule->total += n;
+    const auto tenant = std::find_if(
+        trace.tenants.begin(), trace.tenants.end(),
+        [&](const TenantSchedule& t) { return t.tenant == row[0]; });
+    const auto s = parse_int<std::size_t>(row[1]);
+    const auto n = parse_int<std::uint32_t>(row[2]);
+    if (tenant == trace.tenants.end() || !s || !n ||
+        *s >= tenant->arrivals.size()) {
+      return std::nullopt;
+    }
+    const std::size_t cell =
+        static_cast<std::size_t>(tenant - trace.tenants.begin()) * slots + *s;
+    if (seen[cell]) {
+      return std::nullopt;
+    }
+    seen[cell] = true;
+    tenant->arrivals[*s] = *n;
+    tenant->total += *n;
   }
   return trace;
 }

@@ -8,7 +8,7 @@
 // OpenLoopDriver replays tick by tick. Compilation happens once, before time
 // advances, so the per-tick fast path is pure table lookup.
 //
-// Everything here is bit-deterministic across platforms and thread counts:
+// Everything here is bit-deterministic across platforms:
 // the sinusoid is integer Bhaskara-I (no libm), the Poisson/Pareto samplers
 // draw from the repo's own xoshiro Rng through series-based exp/ln built
 // from IEEE-exact +,*,/ only, and the compiled schedule is integer counts.
@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -153,8 +154,12 @@ CompiledTrace compile(const TraceSpec& spec);
 
 /// Serialize a compiled trace as CSV (`tenant,slot,arrivals` long format
 /// with a header carrying the slot length and cost model), and read one
-/// back. load_csv(save_csv(t)) reproduces t exactly.
+/// back. load_csv(save_csv(t)) reproduces t exactly. A trace file is user
+/// input, so load_csv never asserts on it: a bad header, a non-numeric or
+/// out-of-range field, a tenant row with an invalid cost range or a slot
+/// count unlike the others, an arrival row for an unknown tenant or slot, a
+/// count above UINT32_MAX, or a repeated (tenant, slot) row yields nullopt.
 void save_csv(const CompiledTrace& trace, std::ostream& out);
-CompiledTrace load_csv(std::istream& in);
+std::optional<CompiledTrace> load_csv(std::istream& in);
 
 }  // namespace arv::load

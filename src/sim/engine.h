@@ -81,7 +81,7 @@ class Engine {
 
   /// Jump the clock to `to` (a whole number of ticks ahead) without
   /// dispatching anything — the skipped-host fast path of the cluster's
-  /// parallel engine. Only legal when every skipped tick would have been a
+  /// lockstep engine. Only legal when every skipped tick would have been a
   /// no-op: the caller (Host::advance_idle) guarantees quiescence, and this
   /// method asserts no one-shot event was due in the gap. Component dispatch
   /// entries that fell due inside the gap are re-timed as if they had fired

@@ -17,7 +17,7 @@
 //     (the same contract RunningStats::merge provides for moments).
 //
 // Everything is integer, so percentiles are bit-identical across platforms
-// and thread counts — the histogram sits inside the byte-identical-trace
+// — the histogram sits inside the byte-identical-trace
 // contract. percentile() reports the bucket's upper bound (conservative:
 // never below the true nearest-rank sample, at most 1/kSubBuckets above).
 #pragma once

@@ -28,9 +28,8 @@ class Logger {
   /// stderr output.
   void capture_to(std::string* sink) { sink_ = sink; }
 
-  /// Thread-safe: host engines step in parallel under the cluster's worker
-  /// pool, so concurrent emissions (e.g. two hosts OOM-killing in the same
-  /// tick) serialize on an internal mutex. Level checks stay lock-free.
+  /// Thread-safe: concurrent emissions serialize on an internal mutex.
+  /// Level checks stay lock-free.
   void log(LogLevel level, std::string_view subsystem, std::string_view message);
 
  private:

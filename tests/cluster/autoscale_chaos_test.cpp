@@ -49,13 +49,11 @@ constexpr int kHosts = 4;  // 3 active + 1 parked for the CA to grow into
 constexpr SimDuration kHorizon = 3 * sec;
 constexpr SimDuration kRunFor = 10 * sec;
 
-std::string run_autoscaled_chaos(std::uint64_t chaos_seed, bool verify,
-                                 int threads = 1) {
+std::string run_autoscaled_chaos(std::uint64_t chaos_seed, bool verify) {
   ClusterConfig config;
   config.seed = 42;
   config.enable_tracing = true;
   config.trace_interval = 10 * msec;
-  config.threads = threads;
   harness::FleetScenario fleet(config);
   for (int i = 0; i < kHosts; ++i) {
     fleet.add_host(small_host());
@@ -177,13 +175,10 @@ TEST(AutoscaleChaos, InvariantsHoldAndTracesAreByteIdentical) {
   for (int i = 0; i < iters; ++i) {
     const std::uint64_t seed = 0xa5ca1e00u + static_cast<std::uint64_t>(i);
     SCOPED_TRACE("autoscale chaos seed " + std::to_string(seed));
-    const std::string first =
-        run_autoscaled_chaos(seed, /*verify=*/true, /*threads=*/4);
-    const std::string second =
-        run_autoscaled_chaos(seed, /*verify=*/false, /*threads=*/1);
+    const std::string first = run_autoscaled_chaos(seed, /*verify=*/true);
+    const std::string second = run_autoscaled_chaos(seed, /*verify=*/false);
     ASSERT_EQ(first, second)
-        << "autoscaler + chaos must replay byte-identically, whatever the "
-           "thread count";
+        << "autoscaler + chaos must replay byte-identically";
     ASSERT_FALSE(first.empty());
   }
 }

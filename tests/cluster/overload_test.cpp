@@ -585,27 +585,13 @@ TEST(AdmissionController, TraceSeriesAndControlFilesExposeState) {
 
 // --- the metastable-failure scenario -----------------------------------------
 
-struct GuardedResult {
-  std::string trace;
-  std::uint64_t generated = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t routed = 0;
-  std::uint64_t degraded = 0;
-  std::int64_t crit_availability = 0;
-  std::int64_t be_availability = 0;
-};
-
 /// Flash crowd (3x offered load) colliding with a host crash at the peak —
 /// the classic metastable trigger — with every overload guard enabled. The
-/// guards must shed strictly by criticality, keep every conservation
-/// identity, and stay byte-identical at any thread count.
-GuardedResult run_metastable(int threads) {
+/// guards must shed strictly by criticality and keep every conservation
+/// identity.
+TEST(Overload, MetastableFlashCrowdIsContainedByGuards) {
   ClusterConfig config;
   config.seed = 42;
-  config.enable_tracing = true;
-  config.trace_interval = 50 * msec;
-  config.threads = threads;
   harness::FleetScenario fleet(config);
   for (int i = 0; i < 4; ++i) {
     fleet.add_host(small_host());
@@ -684,8 +670,7 @@ GuardedResult run_metastable(int threads) {
   fleet.run(6 * sec);
 
   const AdmissionController& adm = *fleet.admission();
-  GuardedResult result;
-  result.trace = fleet.cluster().trace()->to_csv();
+  std::uint64_t generated = 0;
   std::uint64_t tenant_admitted_sum = 0;
   std::uint64_t tenant_rejected_sum = 0;
   for (const std::string tenant : {"critical", "batch", "besteffort"}) {
@@ -697,16 +682,13 @@ GuardedResult run_metastable(int threads) {
                                 r.shed());
     EXPECT_EQ(r.aggregate().degraded, r.degraded());
     EXPECT_LE(r.degraded(), r.routed());
-    result.generated += r.generated();
-    result.admitted += r.admitted();
-    result.rejected += r.rejected();
-    result.routed += r.routed();
-    result.degraded += r.degraded();
+    generated += r.generated();
     tenant_admitted_sum += adm.tenant_admitted(tenant);
     tenant_rejected_sum += adm.tenant_rejected(tenant);
   }
   EXPECT_EQ(adm.admitted(), tenant_admitted_sum);
   EXPECT_EQ(adm.rejected(), tenant_rejected_sum);
+  ASSERT_GT(generated, 0u);
 
   // The guards engaged, and shed strictly by class: best-effort paid, the
   // critical tenant's reject *rate* stayed strictly below it (and tiny).
@@ -726,34 +708,17 @@ GuardedResult run_metastable(int threads) {
   EXPECT_GT(fleet.cluster().restarts() + fleet.cluster().failovers(), 0u);
   EXPECT_TRUE(fleet.injector()->done());
 
-  result.crit_availability = fleet.slo()->availability_permille("critical");
-  result.be_availability = fleet.slo()->availability_permille("besteffort");
+  const std::int64_t crit_availability =
+      fleet.slo()->availability_permille("critical");
+  const std::int64_t be_availability =
+      fleet.slo()->availability_permille("besteffort");
   // The flash crowd offers 4x capacity for over a second while a quarter of
   // the fleet is down: some damage is physics. The guards' job is to aim
   // that damage away from the critical tenant, which the relative
   // assertions above pin; the absolute floor only rules out a collapse.
-  EXPECT_GE(result.crit_availability, 600);
-  EXPECT_GT(result.crit_availability, result.be_availability)
+  EXPECT_GE(crit_availability, 600);
+  EXPECT_GT(crit_availability, be_availability)
       << "criticality ordering must show up in the attained availability";
-  return result;
-}
-
-TEST(Overload, MetastableFlashCrowdIsContainedByGuards) {
-  const GuardedResult reference = run_metastable(1);
-  ASSERT_FALSE(reference.trace.empty());
-  ASSERT_GT(reference.generated, 0u);
-  for (const int threads : {2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const GuardedResult other = run_metastable(threads);
-    EXPECT_EQ(reference.trace, other.trace);
-    EXPECT_EQ(reference.generated, other.generated);
-    EXPECT_EQ(reference.admitted, other.admitted);
-    EXPECT_EQ(reference.rejected, other.rejected);
-    EXPECT_EQ(reference.routed, other.routed);
-    EXPECT_EQ(reference.degraded, other.degraded);
-    EXPECT_EQ(reference.crit_availability, other.crit_availability);
-    EXPECT_EQ(reference.be_availability, other.be_availability);
-  }
 }
 
 }  // namespace

@@ -1,12 +1,10 @@
-// SloAccountant: per-tenant availability/budget/burn accounting, the
-// /sys/arv/slo/ control plane, and the byte-identical-trace contract for the
-// whole workload engine stacked with HPA + VPA + cluster autoscaler.
+// SloAccountant: per-tenant availability/budget/burn accounting and the
+// /sys/arv/slo/ control plane.
 #include "src/load/slo.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "src/cluster/pod_workloads.h"
 #include "src/harness/scenario.h"
@@ -133,119 +131,6 @@ TEST(SloAccountant, TraceCarriesSloSeries) {
         "slo.api.budget_remaining_permille", "slo.api.burn_rate_permille",
         "slo.api.degraded", "load.injected", "api.load.injected"}) {
     EXPECT_TRUE(trace.find(series).has_value()) << series;
-  }
-}
-
-// --- the acceptance bar: thread-invariance of the full stack ------------------
-
-struct EngineResult {
-  std::string trace;
-  std::string slo_render;
-  std::uint64_t injected = 0;
-  std::uint64_t generated = 0;
-  std::uint64_t completed = 0;
-  std::int64_t p99 = 0;
-  std::int64_t availability = 0;
-};
-
-/// The full workload engine — two driven tenants, SLOs, per-tenant HPA, VPA,
-/// cluster autoscaler — must produce byte-identical cluster traces and SLO
-/// renders at any thread count.
-EngineResult run_engine(int threads) {
-  cluster::ClusterConfig config;
-  config.seed = 42;
-  config.enable_tracing = true;
-  config.trace_interval = 50 * msec;
-  config.threads = threads;
-  harness::FleetScenario fleet(config);
-  for (int i = 0; i < 6; ++i) {
-    fleet.add_host(small_host());
-  }
-  fleet.cluster().cordon_host(4, true);  // autoscaler headroom
-  fleet.cluster().cordon_host(5, true);
-
-  TraceSpec spec;
-  spec.duration = 3 * sec;
-  spec.slot = 100 * msec;
-  spec.mean_rps = 600;
-  spec.diurnal_amplitude = 0.6;
-  FlashCrowd crowd;
-  crowd.start = 1 * sec;
-  crowd.ramp = 300 * msec;
-  crowd.hold = 500 * msec;
-  crowd.decay = 300 * msec;
-  crowd.magnitude = 2.5;
-  spec.flash_crowds.push_back(crowd);
-  spec.seed = 4242;
-  spec.tenants.push_back({"api", 3.0, 1 * msec, 12 * msec, 1.3});
-  spec.tenants.push_back({"batch", 1.0, 4 * msec, 40 * msec, 1.2});
-
-  fleet.add_tenant("api");
-  fleet.add_tenant("batch");
-  const int api_pod = fleet.place_tenant_web_pod("api", web_res());
-  EXPECT_GE(api_pod, 0);
-  EXPECT_GE(fleet.place_tenant_web_pod("batch", web_res()), 0);
-  fleet.use_trace(compile(spec));
-  fleet.declare_slo("api");
-  fleet.declare_slo("batch");
-  server::WebConfig web;
-  web.service_cpu = 4 * msec;
-  cluster::HpaConfig hpa;
-  hpa.period = 200 * msec;
-  hpa.max_replicas = 6;
-  cluster::PodSpec api_template;
-  api_template.resources = web_res();
-  fleet.enable_tenant_hpa("api", api_template, web, hpa);
-  fleet.tenant_hpa("api")->adopt(api_pod);
-  fleet.enable_vpa();
-  fleet.enable_cluster_autoscaler();
-  fleet.run(6 * sec);
-
-  EngineResult result;
-  result.trace = fleet.cluster().trace()->to_csv();
-  const vfs::PseudoFs& fs = fleet.cluster().host(0).sysfs().host_fs();
-  for (const std::string tenant : {"api", "batch"}) {
-    for (const std::string file :
-         {"objective", "availability_permille", "p99_us",
-          "budget_remaining_permille", "burn_rate_permille", "generated",
-          "good"}) {
-      const auto contents = fs.read("/sys/arv/slo/" + tenant + "/" + file);
-      EXPECT_TRUE(contents.has_value()) << tenant << "/" << file;
-      result.slo_render += tenant + "/" + file + ":" + contents.value_or("?");
-    }
-  }
-  result.injected = fleet.driver()->injected();
-  result.generated = fleet.tenant_router("api")->generated() +
-                     fleet.tenant_router("batch")->generated();
-  result.completed = fleet.tenant_router("api")->aggregate().completed +
-                     fleet.tenant_router("batch")->aggregate().completed;
-  result.p99 = fleet.slo()->p99_us("api");
-  result.availability = fleet.slo()->availability_permille("api");
-  // Conservation per tenant, in every threading configuration.
-  for (const std::string tenant : {"api", "batch"}) {
-    const cluster::RequestRouter& r = *fleet.tenant_router(tenant);
-    EXPECT_EQ(r.generated(),
-              r.routed() + r.dropped() + r.unroutable() + r.shed())
-        << tenant;
-  }
-  return result;
-}
-
-TEST(SloAccountant, EngineIsByteIdenticalAcrossThreadCounts) {
-  const EngineResult reference = run_engine(1);
-  ASSERT_FALSE(reference.trace.empty());
-  ASSERT_GT(reference.injected, 0u);
-  ASSERT_GT(reference.completed, 0u);
-  for (const int threads : {2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const EngineResult other = run_engine(threads);
-    EXPECT_EQ(reference.trace, other.trace);
-    EXPECT_EQ(reference.slo_render, other.slo_render);
-    EXPECT_EQ(reference.injected, other.injected);
-    EXPECT_EQ(reference.generated, other.generated);
-    EXPECT_EQ(reference.completed, other.completed);
-    EXPECT_EQ(reference.p99, other.p99);
-    EXPECT_EQ(reference.availability, other.availability);
   }
 }
 
