@@ -9,7 +9,6 @@
 #include "src/sched/fair_scheduler.h"
 #include "src/util/assert.h"
 #include "src/util/log.h"
-#include "src/vfs/virtual_sysfs.h"
 
 namespace arv::cluster {
 namespace {
@@ -29,12 +28,38 @@ T nearest_rank(const std::deque<T>& window, int p) {
   return sorted[std::min(index, sorted.size() - 1)];
 }
 
-/// The designated control-plane host whose sysfs serves the cluster-level
-/// /sys/arv/autoscale/ and /sys/arv/vpa/ counter files.
-constexpr int kControlHost = 0;
+/// HPA target utilization of per-replica *effective* capacity, per-mille:
+/// the controller sizes the service so demand lands at this fraction of
+/// what the replicas' resource views say they can actually use.
+constexpr std::int64_t kTargetUtilizationPermille = 700;
+/// Replicas the HPA removes in one decision round, at most.
+constexpr int kMaxScaleDown = 1;
 
-vfs::FileProvider counter_file(const std::uint64_t& counter) {
-  return [&counter] { return std::to_string(counter) + "\n"; };
+/// VPA hard limits are p95 * margin (per-mille; 1200 = +20 % headroom).
+constexpr std::int64_t kLimitMarginPermille = 1200;
+/// The VPA rewrites a knob only when the recommendation drifts at least this
+/// far (per-mille) from the last applied value — ARC-V's guard against
+/// rewrite churn.
+constexpr std::int64_t kMinChangePermille = 100;
+/// VPA recommendation floors: a briefly-idle pod never gets starved to zero.
+constexpr std::int64_t kMinMillicpu = 100;
+constexpr Bytes kMinMemory = 64 * units::MiB;
+
+/// CA drain pace (the migration path pays a freeze per pod; one per round
+/// keeps the disturbance bounded, mirroring the Rebalancer's pin).
+constexpr int kMaxDrainMigrationsPerRound = 1;
+
+/// The HPA's replica template with its defaults filled in.
+PodSpec replica_defaults(PodSpec spec) {
+  if (spec.name.empty()) {
+    spec.name = "hpa";
+  }
+  if (spec.service.empty()) {
+    // Replicas get distinct pod names (<name>-<N>); the shared service ties
+    // them together for the profile machinery and "profile" placement.
+    spec.service = spec.name;
+  }
+  return spec;
 }
 
 }  // namespace
@@ -48,64 +73,31 @@ HorizontalAutoscaler::HorizontalAutoscaler(Cluster& cluster,
                                            HpaConfig config)
     : cluster_(cluster),
       router_(router),
-      template_(std::move(replica_template)),
+      template_(replica_defaults(std::move(replica_template))),
       web_(web),
       config_(config),
-      strategy_(PlacementRegistry::instance().make(config.strategy)) {
+      strategy_(PlacementRegistry::instance().make(config.strategy)),
+      telemetry_(cluster, "autoscale/" + template_.name) {
   ARV_ASSERT(config_.period > 0);
   ARV_ASSERT(config_.min_replicas >= 0);
   ARV_ASSERT(config_.max_replicas >= config_.min_replicas);
-  ARV_ASSERT(config_.target_utilization_permille > 0);
   ARV_ASSERT(config_.request_cpu > 0);
-  ARV_ASSERT(config_.max_surge >= 1 && config_.max_scale_down >= 1);
+  ARV_ASSERT(config_.max_surge >= 1);
   ARV_ASSERT_MSG(strategy_ != nullptr, "unknown placement strategy");
-  if (template_.name.empty()) {
-    template_.name = "hpa";
-  }
-  if (template_.service.empty()) {
-    // Replicas get distinct pod names (<name>-<N>); the shared service ties
-    // them together for the profile machinery and "profile" placement.
-    template_.service = template_.name;
-  }
   // Replicas behind the router must not self-generate traffic.
   web_.arrivals_per_sec = 0;
-  register_telemetry();
-}
 
-HorizontalAutoscaler::~HorizontalAutoscaler() {
-  if (cluster_.host_count() > kControlHost) {
-    cluster_.host(kControlHost)
-        .sysfs()
-        .remove_control_subtree("/sys/arv/autoscale/" + template_.name + "/");
-  }
-}
-
-void HorizontalAutoscaler::register_telemetry() {
-  if (obs::TraceRecorder* trace = cluster_.trace()) {
-    trace->add_gauge("autoscale.replicas", template_.name,
-                     [this] { return static_cast<std::int64_t>(replicas()); });
-    trace->add_counter("autoscale.scale_ups", template_.name, [this] {
-      return static_cast<std::int64_t>(scale_ups_);
-    });
-    trace->add_counter("autoscale.scale_downs", template_.name, [this] {
-      return static_cast<std::int64_t>(scale_downs_);
-    });
-  }
-  if (cluster_.host_count() > kControlHost) {
-    vfs::VirtualSysfs& sysfs = cluster_.host(kControlHost).sysfs();
-    const std::string prefix = "/sys/arv/autoscale/" + template_.name + "/";
-    sysfs.register_control_file(prefix + "replicas", [this] {
-      return std::to_string(replicas()) + "\n";
-    });
-    sysfs.register_control_file(prefix + "desired", [this] {
-      return std::to_string(last_desired_) + "\n";
-    });
-    sysfs.register_control_file(prefix + "scale_ups", counter_file(scale_ups_));
-    sysfs.register_control_file(prefix + "scale_downs",
-                                counter_file(scale_downs_));
-    sysfs.register_control_file(prefix + "held", counter_file(held_));
-    sysfs.register_control_file(prefix + "deferred", counter_file(deferred_));
-  }
+  telemetry_.gauge("autoscale.replicas", template_.name,
+                   [this] { return replicas(); });
+  telemetry_.counter("autoscale.scale_ups", template_.name, scale_ups_);
+  telemetry_.counter("autoscale.scale_downs", template_.name, scale_downs_);
+  telemetry_.file("replicas",
+                  [this] { return std::to_string(replicas()) + "\n"; });
+  telemetry_.file("desired", last_desired_);
+  telemetry_.file("scale_ups", scale_ups_);
+  telemetry_.file("scale_downs", scale_downs_);
+  telemetry_.file("held", held_);
+  telemetry_.file("deferred", deferred_);
 }
 
 void HorizontalAutoscaler::adopt(int pod_id) {
@@ -184,9 +176,8 @@ void HorizontalAutoscaler::tick(SimTime now, SimDuration /*dt*/) {
   const int current = replicas();
   const std::int64_t per_replica_millicpu = effective_millicpu_per_replica();
   const std::int64_t capacity_us = per_replica_millicpu * config_.period / 1000;
-  const std::int64_t budget_us =
-      std::max<std::int64_t>(1, config_.target_utilization_permille *
-                                    capacity_us / 1000);
+  const std::int64_t budget_us = std::max<std::int64_t>(
+      1, kTargetUtilizationPermille * capacity_us / 1000);
   const std::int64_t demand_us = arrived * config_.request_cpu;
   int desired = static_cast<int>((demand_us + budget_us - 1) / budget_us);
   desired = std::clamp(desired, config_.min_replicas, config_.max_replicas);
@@ -238,7 +229,7 @@ void HorizontalAutoscaler::tick(SimTime now, SimDuration /*dt*/) {
     }
     return;
   }
-  int remove = std::min(current - window_max, config_.max_scale_down);
+  int remove = std::min(current - window_max, kMaxScaleDown);
   // Newest replicas go first (highest pod id in the managed list).
   for (auto it = managed_.rbegin(); it != managed_.rend() && remove > 0;
        ++it) {
@@ -257,42 +248,17 @@ void HorizontalAutoscaler::tick(SimTime now, SimDuration /*dt*/) {
 // --- VerticalRecommender ------------------------------------------------------
 
 VerticalRecommender::VerticalRecommender(Cluster& cluster, VpaConfig config)
-    : cluster_(cluster), config_(config) {
+    : cluster_(cluster), config_(config), telemetry_(cluster, "vpa") {
   ARV_ASSERT(config_.period > 0);
   ARV_ASSERT(config_.window_rounds >= 2);
   ARV_ASSERT(config_.recommend_every >= 1);
-  ARV_ASSERT(config_.limit_margin_permille >= 1000);
-  ARV_ASSERT(config_.min_change_permille >= 0);
-  register_telemetry();
-}
-
-VerticalRecommender::~VerticalRecommender() {
-  if (cluster_.host_count() > kControlHost) {
-    cluster_.host(kControlHost).sysfs().remove_control_subtree(
-        "/sys/arv/vpa/");
-  }
-}
-
-void VerticalRecommender::register_telemetry() {
-  if (obs::TraceRecorder* trace = cluster_.trace()) {
-    trace->add_counter("vpa.rewrites", "", [this] {
-      return static_cast<std::int64_t>(rewrites_);
-    });
-  }
-  if (cluster_.host_count() > kControlHost) {
-    vfs::VirtualSysfs& sysfs = cluster_.host(kControlHost).sysfs();
-    sysfs.register_control_file("/sys/arv/vpa/rewrites",
-                                counter_file(rewrites_));
-    sysfs.register_control_file("/sys/arv/vpa/cpu_raised",
-                                counter_file(cpu_raised_));
-    sysfs.register_control_file("/sys/arv/vpa/cpu_lowered",
-                                counter_file(cpu_lowered_));
-    sysfs.register_control_file("/sys/arv/vpa/mem_raised",
-                                counter_file(mem_raised_));
-    sysfs.register_control_file("/sys/arv/vpa/mem_lowered",
-                                counter_file(mem_lowered_));
-    sysfs.register_control_file("/sys/arv/vpa/held", counter_file(held_));
-  }
+  telemetry_.counter("vpa.rewrites", "", rewrites_);
+  telemetry_.file("rewrites", rewrites_);
+  telemetry_.file("cpu_raised", cpu_raised_);
+  telemetry_.file("cpu_lowered", cpu_lowered_);
+  telemetry_.file("mem_raised", mem_raised_);
+  telemetry_.file("mem_lowered", mem_lowered_);
+  telemetry_.file("held", held_);
 }
 
 void VerticalRecommender::tick(SimTime /*now*/, SimDuration dt) {
@@ -334,17 +300,17 @@ void VerticalRecommender::tick(SimTime /*now*/, SimDuration dt) {
 }
 
 void VerticalRecommender::recommend(Pod& pod, PodTrack& track) {
-  const std::int64_t p50_cpu = std::max(
-      config_.min_millicpu, nearest_rank(track.cpu_millicpu, 50));
+  const std::int64_t p50_cpu =
+      std::max(kMinMillicpu, nearest_rank(track.cpu_millicpu, 50));
   const std::int64_t p95_cpu =
       std::max(p50_cpu, nearest_rank(track.cpu_millicpu, 95));
   const Bytes p50_mem =
-      std::max(config_.min_memory, nearest_rank(track.mem_bytes, 50));
+      std::max(kMinMemory, nearest_rank(track.mem_bytes, 50));
   const Bytes p95_mem = std::max(p50_mem, nearest_rank(track.mem_bytes, 95));
 
   // Hysteresis: apply only when the recommendation drifted min_change past
   // the last applied value (0 = nothing applied yet, always apply).
-  const auto drifted = [this](std::int64_t proposed, std::int64_t applied) {
+  const auto drifted = [](std::int64_t proposed, std::int64_t applied) {
     if (applied <= 0) {
       return true;
     }
@@ -352,7 +318,7 @@ void VerticalRecommender::recommend(Pod& pod, PodTrack& track) {
         proposed > applied ? proposed - applied : applied - proposed;
     // frac_permille clamps at 1000, which still reads as "drifted" for any
     // sane min_change; it is the overflow-safe ratio at byte magnitudes.
-    return frac_permille(delta, applied) > config_.min_change_permille;
+    return frac_permille(delta, applied) > kMinChangePermille;
   };
 
   bool rewrote = false;
@@ -375,8 +341,7 @@ void VerticalRecommender::recommend(Pod& pod, PodTrack& track) {
   // pods are the point of the throttle-free mode: never give them a quota.
   if (pod.spec.cpu_mode == CpuMode::kQuotaCapped) {
     const std::int64_t quota_millicpu =
-        std::max(config_.min_millicpu,
-                 p95_cpu * config_.limit_margin_permille / 1000);
+        std::max(kMinMillicpu, p95_cpu * kLimitMarginPermille / 1000);
     if (drifted(quota_millicpu, track.applied_quota_millicpu)) {
       // MilliCPUToQuota at the default 100 ms CFS period.
       pod.container->update_cfs_quota(quota_millicpu * 100'000 / 1000);
@@ -395,7 +360,7 @@ void VerticalRecommender::recommend(Pod& pod, PodTrack& track) {
   // what the pod has committed *right now*, so a shrinking recommendation
   // can never OOM-kill the pod it is sizing (it only caps future growth).
   Bytes hard =
-      std::max<Bytes>(p95_mem * config_.limit_margin_permille / 1000, p50_mem);
+      std::max<Bytes>(p95_mem * kLimitMarginPermille / 1000, p50_mem);
   const Bytes committed =
       cluster_.host(track.host).memory().committed(track.cgroup);
   hard = std::max(hard, committed + committed / 8 + units::MiB);
@@ -433,52 +398,25 @@ void VerticalRecommender::recommend(Pod& pod, PodTrack& track) {
 ClusterAutoscaler::ClusterAutoscaler(Cluster& cluster, CaConfig config)
     : cluster_(cluster),
       config_(config),
-      strategy_(PlacementRegistry::instance().make(config.strategy)) {
+      strategy_(PlacementRegistry::instance().make(config.strategy)),
+      telemetry_(cluster, "autoscale/cluster") {
   ARV_ASSERT(config_.period > 0);
   ARV_ASSERT(config_.min_hosts >= 1);
   ARV_ASSERT(config_.add_below_permille < config_.drain_above_permille);
   ARV_ASSERT(config_.band_rounds >= 1);
-  ARV_ASSERT(config_.max_drain_migrations_per_round >= 1);
   ARV_ASSERT_MSG(strategy_ != nullptr, "unknown placement strategy");
-  register_telemetry();
-}
-
-ClusterAutoscaler::~ClusterAutoscaler() {
-  if (cluster_.host_count() > kControlHost) {
-    cluster_.host(kControlHost).sysfs().remove_control_subtree(
-        "/sys/arv/autoscale/cluster/");
-  }
-}
-
-void ClusterAutoscaler::register_telemetry() {
-  if (obs::TraceRecorder* trace = cluster_.trace()) {
-    trace->add_gauge("autoscale.hosts", "", [this] {
-      return static_cast<std::int64_t>(cluster_.active_hosts());
-    });
-    trace->add_counter("autoscale.hosts_added", "", [this] {
-      return static_cast<std::int64_t>(hosts_added_);
-    });
-    trace->add_counter("autoscale.hosts_drained", "", [this] {
-      return static_cast<std::int64_t>(hosts_drained_);
-    });
-  }
-  if (cluster_.host_count() > kControlHost) {
-    vfs::VirtualSysfs& sysfs = cluster_.host(kControlHost).sysfs();
-    const std::string prefix = "/sys/arv/autoscale/cluster/";
-    sysfs.register_control_file(prefix + "hosts", [this] {
-      return std::to_string(cluster_.active_hosts()) + "\n";
-    });
-    sysfs.register_control_file(prefix + "slack_permille", [this] {
-      return std::to_string(last_slack_permille_) + "\n";
-    });
-    sysfs.register_control_file(prefix + "hosts_added",
-                                counter_file(hosts_added_));
-    sysfs.register_control_file(prefix + "hosts_drained",
-                                counter_file(hosts_drained_));
-    sysfs.register_control_file(prefix + "drain_migrations",
-                                counter_file(drain_migrations_));
-    sysfs.register_control_file(prefix + "deferred", counter_file(deferred_));
-  }
+  telemetry_.gauge("autoscale.hosts", "",
+                   [this] { return cluster_.active_hosts(); });
+  telemetry_.counter("autoscale.hosts_added", "", hosts_added_);
+  telemetry_.counter("autoscale.hosts_drained", "", hosts_drained_);
+  telemetry_.file("hosts", [this] {
+    return std::to_string(cluster_.active_hosts()) + "\n";
+  });
+  telemetry_.file("slack_permille", last_slack_permille_);
+  telemetry_.file("hosts_added", hosts_added_);
+  telemetry_.file("hosts_drained", hosts_drained_);
+  telemetry_.file("drain_migrations", drain_migrations_);
+  telemetry_.file("deferred", deferred_);
 }
 
 void ClusterAutoscaler::continue_drain(SimTime now) {
@@ -501,7 +439,7 @@ void ClusterAutoscaler::continue_drain(SimTime now) {
   // back onto it. Failed/in-flight pods resolve through their own paths
   // first; pods_on() keeps the drain open until the ledger is empty.
   FleetView views = cluster_.fleet_view();
-  int budget = config_.max_drain_migrations_per_round;
+  int budget = kMaxDrainMigrationsPerRound;
   for (int id = 0; id < cluster_.pod_count() && budget > 0; ++id) {
     const Pod& pod = cluster_.pod(id);
     if (pod.host != draining_ || !pod.running()) {

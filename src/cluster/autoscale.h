@@ -41,6 +41,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/router.h"
+#include "src/cluster/telemetry.h"
 #include "src/server/server_runtime.h"
 #include "src/sim/engine.h"
 
@@ -53,17 +54,11 @@ struct HpaConfig {
   SimDuration period = 250 * units::msec;
   int min_replicas = 1;
   int max_replicas = 16;
-  /// Target utilization of per-replica *effective* capacity, per-mille. The
-  /// controller sizes the service so demand lands at this fraction of what
-  /// the replicas' resource views say they can actually use.
-  std::int64_t target_utilization_permille = 700;
   /// CPU cost of one request; must match the replicas' WebConfig.service_cpu
   /// (the HPA has no oracle — it converts arrivals to CPU demand with this).
   SimDuration request_cpu = 4 * units::msec;
   /// Replicas added in one decision round, at most (kube maxSurge).
   int max_surge = 4;
-  /// Replicas removed in one decision round, at most.
-  int max_scale_down = 1;
   /// Demand must exceed capacity continuously this long before scaling up
   /// (defeats single-round spikes).
   SimDuration up_stabilization = 500 * units::msec;
@@ -84,7 +79,6 @@ class HorizontalAutoscaler : public sim::TickComponent {
   HorizontalAutoscaler(Cluster& cluster, RequestRouter& router,
                        PodSpec replica_template, server::WebConfig web,
                        HpaConfig config = {});
-  ~HorizontalAutoscaler() override;
 
   /// Take ownership of an already-placed replica (seed pods created before
   /// the autoscaler existed). The pod must already be in the router rotation.
@@ -112,7 +106,6 @@ class HorizontalAutoscaler : public sim::TickComponent {
   /// Mean effective capacity of the running replicas, in milli-CPUs; falls
   /// back to the template's declared CPU when no replica has a live view.
   std::int64_t effective_millicpu_per_replica() const;
-  void register_telemetry();
 
   Cluster& cluster_;
   RequestRouter& router_;
@@ -131,6 +124,7 @@ class HorizontalAutoscaler : public sim::TickComponent {
   std::uint64_t scale_downs_ = 0;
   std::uint64_t held_ = 0;
   std::uint64_t deferred_ = 0;
+  Telemetry telemetry_;  ///< /sys/arv/autoscale/<template name>/
 };
 
 // --- VerticalRecommender ------------------------------------------------------
@@ -142,15 +136,6 @@ struct VpaConfig {
   int window_rounds = 20;
   /// Recommend (and possibly rewrite) every this many sampling rounds.
   int recommend_every = 5;
-  /// Hard limits are p95 * margin (per-mille; 1200 = +20 % headroom).
-  std::int64_t limit_margin_permille = 1200;
-  /// A knob is rewritten only when the recommendation drifts at least this
-  /// far (per-mille) from the last applied value — ARC-V's guard against
-  /// rewrite churn.
-  std::int64_t min_change_permille = 100;
-  /// Recommendation floors: a briefly-idle pod never gets starved to zero.
-  std::int64_t min_millicpu = 100;
-  Bytes min_memory = 64 * units::MiB;
 };
 
 /// Rewrites every running pod's cgroup knobs from observed usage percentiles
@@ -161,7 +146,6 @@ struct VpaConfig {
 class VerticalRecommender : public sim::TickComponent {
  public:
   explicit VerticalRecommender(Cluster& cluster, VpaConfig config = {});
-  ~VerticalRecommender() override;
 
   // --- sim::TickComponent ---------------------------------------------------
   void tick(SimTime now, SimDuration dt) override;
@@ -194,7 +178,6 @@ class VerticalRecommender : public sim::TickComponent {
   };
 
   void recommend(Pod& pod, PodTrack& track);
-  void register_telemetry();
 
   Cluster& cluster_;
   VpaConfig config_;
@@ -205,6 +188,7 @@ class VerticalRecommender : public sim::TickComponent {
   std::uint64_t mem_raised_ = 0;
   std::uint64_t mem_lowered_ = 0;
   std::uint64_t held_ = 0;
+  Telemetry telemetry_;  ///< /sys/arv/vpa/
 };
 
 // --- ClusterAutoscaler --------------------------------------------------------
@@ -226,9 +210,6 @@ struct CaConfig {
   SimDuration cooldown = 2 * units::sec;
   /// Placement strategy for drain migrations.
   std::string strategy = "effective";
-  /// Drain pace (the migration path pays a freeze per pod; one per round
-  /// keeps the disturbance bounded, mirroring the Rebalancer's pin).
-  int max_drain_migrations_per_round = 1;
 };
 
 /// Sizes the fleet. Machines are never created or destroyed mid-run (the
@@ -240,7 +221,6 @@ struct CaConfig {
 class ClusterAutoscaler : public sim::TickComponent {
  public:
   explicit ClusterAutoscaler(Cluster& cluster, CaConfig config = {});
-  ~ClusterAutoscaler() override;
 
   // --- sim::TickComponent ---------------------------------------------------
   void tick(SimTime now, SimDuration dt) override;
@@ -263,7 +243,6 @@ class ClusterAutoscaler : public sim::TickComponent {
 
  private:
   void continue_drain(SimTime now);
-  void register_telemetry();
 
   Cluster& cluster_;
   CaConfig config_;
@@ -278,6 +257,7 @@ class ClusterAutoscaler : public sim::TickComponent {
   std::uint64_t drain_migrations_ = 0;
   std::uint64_t drains_cancelled_ = 0;
   std::uint64_t deferred_ = 0;
+  Telemetry telemetry_;  ///< /sys/arv/autoscale/cluster/
 };
 
 }  // namespace arv::cluster

@@ -10,6 +10,12 @@
 namespace arv::cluster {
 namespace {
 
+/// Window over which per-host slack is accumulated for the "effective"
+/// strategy and the rebalancer (the observed-idle signal).
+constexpr SimDuration kObserveWindow = 100 * units::msec;
+/// Migration cost model: freeze = base + committed_bytes / bandwidth.
+constexpr Bytes kMigrationBandwidthPerSec = 256 * units::MiB;
+
 /// The service a pod's fleet row files under (same fallback as
 /// ProfileStore::service_of — duplicated to keep the row builder free of a
 /// profile-store dependency when none is attached).
@@ -21,8 +27,7 @@ const std::string& service_key(const Pod& pod) {
 
 Cluster::Cluster(ClusterConfig config) : config_(config), rng_(config.seed) {
   ARV_ASSERT(config_.tick > 0);
-  ARV_ASSERT(config_.observe_window >= config_.tick);
-  ARV_ASSERT(config_.migration_bandwidth_per_sec > 0);
+  ARV_ASSERT(kObserveWindow >= config_.tick);
   if (config_.enable_tracing) {
     obs::TraceConfig trace_config;
     trace_config.sample_interval = config_.trace_interval;
@@ -69,17 +74,17 @@ int Cluster::add_host(container::HostConfig host_config) {
   // An unobserved host counts as fully idle: placement on a fresh cluster
   // must not read "no completed window yet" as "saturated".
   state.window_slack =
-      static_cast<CpuTime>(host_config.cpus) * config_.observe_window;
+      static_cast<CpuTime>(host_config.cpus) * kObserveWindow;
   hosts_.push_back(std::move(state));
   const int index = static_cast<int>(hosts_.size()) - 1;
   if (trace_ != nullptr) {
     register_host_trace(index);
   }
-  if (index == 0) {
-    // The fleet snapshot publishes on host 0's sysfs (the control host, same
-    // convention as the autoscalers). Renders cache on the fleet generation:
-    // an idle fleet serves every read from the cached string.
-    vfs::VirtualSysfs& sysfs = hosts_[0].host->sysfs();
+  if (index == kControlHost) {
+    // The fleet snapshot publishes on the control host's sysfs, next to the
+    // control loops' directories. Renders cache on the fleet generation: an
+    // idle fleet serves every read from the cached string.
+    vfs::VirtualSysfs& sysfs = hosts_[kControlHost].host->sysfs();
     sysfs.register_control_file(
         "/sys/arv/fleet/hosts", [this] { return cur_.render_hosts(); },
         &fleet_gen_);
@@ -205,7 +210,7 @@ void Cluster::observe_slack() {
     state.last_total_slack = total;
   }
   window_elapsed_ += config_.tick;
-  if (window_elapsed_ >= config_.observe_window) {
+  if (window_elapsed_ >= kObserveWindow) {
     window_elapsed_ = 0;
     for (HostState& state : hosts_) {
       state.window_slack = state.accum_slack;
@@ -320,7 +325,7 @@ void Cluster::migrate_pod(int pod_id, int target_host) {
       source.host->memory().committed(pod.container->cgroup());
   const SimDuration freeze =
       config_.migration_freeze +
-      state_bytes * units::sec / config_.migration_bandwidth_per_sec;
+      state_bytes * units::sec / kMigrationBandwidthPerSec;
 
   harvest_stats(pod);
   pod.workload.reset();
@@ -518,7 +523,7 @@ HostView Cluster::host_view(int index) const {
   view.pods = state.pods;
   // window_slack is idle CPU-time over the observation window; normalize to
   // milli-CPUs (1000 = one core fully idle across the window).
-  view.slack_millicpu = state.window_slack * 1000 / config_.observe_window;
+  view.slack_millicpu = state.window_slack * 1000 / kObserveWindow;
   view.free_memory = state.host->memory().free_memory();
   view.up = state.up;
   view.cordoned = state.cordoned;

@@ -70,17 +70,17 @@ using WorkloadFactory =
     std::function<std::unique_ptr<PodWorkload>(container::Host&,
                                                container::Container&)>;
 
+/// The designated control-plane host: its sysfs serves the cluster-level
+/// /sys/arv/ files (the fleet snapshot and every control loop's directory).
+constexpr int kControlHost = 0;
+
 struct ClusterConfig {
   /// Shared tick length; every added host must be configured with the same.
   SimDuration tick = 1 * units::msec;
   /// Seeds the rng used for placement score tie-breaks.
   std::uint64_t seed = 42;
-  /// Window over which per-host slack is accumulated for the "effective"
-  /// strategy and the rebalancer (the observed-idle signal).
-  SimDuration observe_window = 100 * units::msec;
   /// Migration cost model: freeze = base + committed_bytes / bandwidth.
   SimDuration migration_freeze = 50 * units::msec;
-  Bytes migration_bandwidth_per_sec = 256 * units::MiB;
   /// Record the cluster-wide trace (per-host slack/free-mem/pods, migration
   /// and routing counters). Observation-only, like host tracing.
   bool enable_tracing = false;

@@ -65,18 +65,12 @@ FaultPlan FaultPlan::random(Rng& rng, const ChaosOptions& options,
 }
 
 FaultInjector::FaultInjector(Cluster& cluster, FaultPlan plan)
-    : cluster_(cluster), events_(std::move(plan.events)) {
+    : cluster_(cluster), events_(std::move(plan.events)), telemetry_(cluster) {
   std::stable_sort(
       events_.begin(), events_.end(),
       [](const FaultEvent& a, const FaultEvent& b) { return a.at < b.at; });
-  if (obs::TraceRecorder* trace = cluster_.trace()) {
-    trace->add_counter("faults.injected", "", [this] {
-      return static_cast<std::int64_t>(injected_);
-    });
-    trace->add_counter("faults.skipped", "", [this] {
-      return static_cast<std::int64_t>(skipped_);
-    });
-  }
+  telemetry_.counter("faults.injected", "", injected_);
+  telemetry_.counter("faults.skipped", "", skipped_);
 }
 
 bool FaultInjector::done() const {

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/cluster/cluster.h"
+#include "src/cluster/telemetry.h"
 #include "src/sim/engine.h"
 #include "src/util/rng.h"
 
@@ -114,6 +115,7 @@ class FaultInjector : public sim::TickComponent {
   std::map<int, SimTime> stall_until_;
   std::uint64_t injected_ = 0;
   std::uint64_t skipped_ = 0;
+  Telemetry telemetry_;  ///< faults.* trace series
 };
 
 }  // namespace arv::cluster

@@ -3,15 +3,11 @@
 #include <algorithm>
 
 #include "src/container/host.h"
-#include "src/obs/trace_recorder.h"
 #include "src/server/server_runtime.h"
 #include "src/util/assert.h"
 
 namespace arv::cluster {
 namespace {
-
-/// The designated control-plane host whose sysfs serves /sys/arv/admission/.
-constexpr int kControlHost = 0;
 
 /// One admitted request spends one token; buckets store tokens in
 /// milli-tokens scaled by units::sec so refill (rate_milli * elapsed_usec)
@@ -86,78 +82,35 @@ AdmissionConfig AdmissionConfig::validated() const {
 
 AdmissionController::AdmissionController(Cluster& cluster,
                                          AdmissionConfig config)
-    : cluster_(cluster), config_(config.validated()) {
+    : cluster_(cluster),
+      config_(config.validated()),
+      telemetry_(cluster, "admission") {
   // Start with a full retry reserve: the budget bounds the retry *rate*
   // relative to successes; an initial reserve just lets the first failover
   // probe immediately.
   retry_tokens_milli_ = config_.retry_budget_cap * 1000;
-  register_telemetry();
-}
-
-AdmissionController::~AdmissionController() {
-  if (cluster_.host_count() > kControlHost) {
-    cluster_.host(kControlHost)
-        .sysfs()
-        .remove_control_subtree("/sys/arv/admission/");
-  }
-}
-
-void AdmissionController::register_telemetry() {
-  if (obs::TraceRecorder* trace = cluster_.trace()) {
-    trace->add_gauge("admission.pressure_permille", "",
-                     [this] { return pressure_; });
-    trace->add_gauge("admission.shed_level", "",
-                     [this] { return static_cast<std::int64_t>(shed_level_); });
-    trace->add_counter("admission.admitted", "", [this] {
-      return static_cast<std::int64_t>(admitted_);
-    });
-    trace->add_counter("admission.rejected", "", [this] {
-      return static_cast<std::int64_t>(rejected_);
-    });
-    trace->add_gauge("overload.brownout", "", [this] {
-      return static_cast<std::int64_t>(brownout_ ? 1 : 0);
-    });
-    trace->add_gauge("overload.retry_tokens_milli", "",
-                     [this] { return retry_tokens_milli_; });
-    trace->add_counter("overload.retries_denied", "", [this] {
-      return static_cast<std::int64_t>(retries_denied_);
-    });
-    trace->add_gauge("overload.queue_limit_total", "",
-                     [this] { return queue_limit_total_; });
-    trace->add_gauge("overload.windowed_p99_us", "",
-                     [this] { return windowed_p99_; });
-  }
-  if (cluster_.host_count() > kControlHost) {
-    vfs::VirtualSysfs& sysfs = cluster_.host(kControlHost).sysfs();
-    const std::string prefix = "/sys/arv/admission/";
-    sysfs.register_control_file(
-        prefix + "pressure_permille",
-        [this] { return std::to_string(snap_.pressure) + "\n"; }, &gen_);
-    sysfs.register_control_file(
-        prefix + "shed_level",
-        [this] { return std::to_string(snap_.shed_level) + "\n"; }, &gen_);
-    sysfs.register_control_file(
-        prefix + "brownout",
-        [this] { return std::string(snap_.brownout ? "1" : "0") + "\n"; },
-        &gen_);
-    sysfs.register_control_file(
-        prefix + "admitted",
-        [this] { return std::to_string(snap_.admitted) + "\n"; }, &gen_);
-    sysfs.register_control_file(
-        prefix + "rejected",
-        [this] { return std::to_string(snap_.rejected) + "\n"; }, &gen_);
-    sysfs.register_control_file(
-        prefix + "retries_denied",
-        [this] { return std::to_string(snap_.retries_denied) + "\n"; }, &gen_);
-    sysfs.register_control_file(
-        prefix + "retry_tokens_milli",
-        [this] { return std::to_string(snap_.retry_tokens_milli) + "\n"; },
-        &gen_);
-    sysfs.register_control_file(
-        prefix + "queue_limit_total",
-        [this] { return std::to_string(snap_.queue_limit_total) + "\n"; },
-        &gen_);
-  }
+  telemetry_.gauge("admission.pressure_permille", "",
+                   [this] { return pressure_; });
+  telemetry_.gauge("admission.shed_level", "", [this] { return shed_level_; });
+  telemetry_.counter("admission.admitted", "", admitted_);
+  telemetry_.counter("admission.rejected", "", rejected_);
+  telemetry_.gauge("overload.brownout", "",
+                   [this] { return brownout_ ? 1 : 0; });
+  telemetry_.gauge("overload.retry_tokens_milli", "",
+                   [this] { return retry_tokens_milli_; });
+  telemetry_.counter("overload.retries_denied", "", retries_denied_);
+  telemetry_.gauge("overload.queue_limit_total", "",
+                   [this] { return queue_limit_total_; });
+  telemetry_.gauge("overload.windowed_p99_us", "",
+                   [this] { return windowed_p99_; });
+  telemetry_.file("pressure_permille", snap_.pressure, &gen_);
+  telemetry_.file("shed_level", snap_.shed_level, &gen_);
+  telemetry_.file("brownout", snap_.brownout, &gen_);
+  telemetry_.file("admitted", snap_.admitted, &gen_);
+  telemetry_.file("rejected", snap_.rejected, &gen_);
+  telemetry_.file("retries_denied", snap_.retries_denied, &gen_);
+  telemetry_.file("retry_tokens_milli", snap_.retry_tokens_milli, &gen_);
+  telemetry_.file("queue_limit_total", snap_.queue_limit_total, &gen_);
 }
 
 int AdmissionController::register_tenant(const std::string& name,
@@ -172,20 +125,12 @@ int AdmissionController::register_tenant(const std::string& name,
   t.router = &router;
   t.criticality = criticality;
   router.attach_admission(this, slot);
-  if (cluster_.host_count() > kControlHost) {
-    vfs::VirtualSysfs& sysfs = cluster_.host(kControlHost).sysfs();
-    const std::string prefix = "/sys/arv/admission/" + name + "/";
-    sysfs.register_control_file(
-        prefix + "criticality",
-        [&t] { return std::string(criticality_name(t.criticality)) + "\n"; },
-        &t.gen);
-    sysfs.register_control_file(
-        prefix + "admitted",
-        [&t] { return std::to_string(t.snap_admitted) + "\n"; }, &t.gen);
-    sysfs.register_control_file(
-        prefix + "rejected",
-        [&t] { return std::to_string(t.snap_rejected) + "\n"; }, &t.gen);
-  }
+  telemetry_.file(
+      name + "/criticality",
+      [&t] { return std::string(criticality_name(t.criticality)) + "\n"; },
+      &t.gen);
+  telemetry_.file(name + "/admitted", t.snap_admitted, &t.gen);
+  telemetry_.file(name + "/rejected", t.snap_rejected, &t.gen);
   return slot;
 }
 

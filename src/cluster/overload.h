@@ -59,6 +59,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/router.h"
+#include "src/cluster/telemetry.h"
 #include "src/sim/engine.h"
 #include "src/util/latency_histogram.h"
 #include "src/vfs/virtual_sysfs.h"
@@ -148,7 +149,6 @@ struct TenantRate {
 class AdmissionController : public sim::TickComponent {
  public:
   explicit AdmissionController(Cluster& cluster, AdmissionConfig config = {});
-  ~AdmissionController() override;
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
 
@@ -235,7 +235,6 @@ class AdmissionController : public sim::TickComponent {
   void update_shed_level();
   void update_brownout();
   void update_limits();
-  void register_telemetry();
 
   Cluster& cluster_;
   AdmissionConfig config_;
@@ -277,6 +276,7 @@ class AdmissionController : public sim::TickComponent {
   };
   Snapshot snap_;
   vfs::Generation gen_ = 1;
+  Telemetry telemetry_;  ///< /sys/arv/admission/ and its <tenant>/ files
 };
 
 }  // namespace arv::cluster

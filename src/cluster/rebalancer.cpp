@@ -8,6 +8,18 @@
 #include "src/util/log.h"
 
 namespace arv::cluster {
+namespace {
+
+/// "Zero slack" tolerance, in per-mille of the host's round capacity: idle
+/// time under this counts as none (scheduling crumbs are not headroom).
+/// Integer so the trigger stays in exact arithmetic.
+constexpr std::int64_t kSlackEpsilonPermille = 10;
+/// A target must show at least this much observed idle CPU...
+constexpr std::int64_t kTargetMinSlackMillicpu = 1000;  // one whole idle core
+/// ...and keep this much free memory beyond the pod's committed state.
+constexpr Bytes kTargetMinFree = 256 * units::MiB;
+
+}  // namespace
 
 Rebalancer::Rebalancer(Cluster& cluster, RebalanceConfig config)
     : cluster_(cluster), config_(config) {
@@ -35,8 +47,7 @@ void Rebalancer::tick(SimTime now, SimDuration dt) {
     const CpuTime round_capacity = static_cast<CpuTime>(
         cluster_.views()[static_cast<std::size_t>(i)].capacity_millicpu /
         1000 * dt);
-    const CpuTime epsilon =
-        round_capacity * config_.slack_epsilon_permille / 1000;
+    const CpuTime epsilon = round_capacity * kSlackEpsilonPermille / 1000;
     if (round_slack <= epsilon) {
       ++track.saturated_rounds;
     } else {
@@ -138,8 +149,8 @@ void Rebalancer::tick(SimTime now, SimDuration dt) {
       if (view.cordoned) {
         continue;  // the cluster autoscaler is parking or draining it
       }
-      if (view.slack_millicpu < config_.target_min_slack_millicpu ||
-          view.free_memory < victim_bytes + config_.target_min_free) {
+      if (view.slack_millicpu < kTargetMinSlackMillicpu ||
+          view.free_memory < victim_bytes + kTargetMinFree) {
         continue;
       }
       // frac_permille: byte-denominated free memory at Pi/Ei capacities

@@ -32,16 +32,8 @@ struct RebalanceConfig {
   /// Round length (how often host slack is judged).
   SimDuration period = 250 * units::msec;
   /// A host is a migration source after this many consecutive rounds with
-  /// slack below slack_epsilon_frac of its round capacity.
+  /// (next to) no slack — see kSlackEpsilonPermille in rebalancer.cpp.
   int saturated_rounds = 4;
-  /// "Zero slack" tolerance, in per-mille of the host's round capacity:
-  /// idle time under this counts as none (scheduling crumbs are not
-  /// headroom). Integer so the trigger stays in exact arithmetic.
-  std::int64_t slack_epsilon_permille = 10;
-  /// A target must show at least this much observed idle CPU...
-  std::int64_t target_min_slack_millicpu = 1000;  // one whole idle core
-  /// ...and keep this much free memory beyond the pod's committed state.
-  Bytes target_min_free = 256 * units::MiB;
   /// Post-migration quiet time for both the source and the target host.
   SimDuration cooldown = 2 * units::sec;
   /// A pod must have lived this long on its host before moving (again).

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/cluster/overload.h"
-#include "src/obs/trace_recorder.h"
 #include "src/server/server_runtime.h"
 #include "src/util/assert.h"
 
@@ -21,37 +20,18 @@ RouterConfig RouterConfig::validated() const {
 }
 
 RequestRouter::RequestRouter(Cluster& cluster, RouterConfig config)
-    : cluster_(cluster), config_(config.validated()) {
-  if (obs::TraceRecorder* trace = cluster_.trace()) {
-    trace->add_counter("router.generated", "", [this] {
-      return static_cast<std::int64_t>(generated_);
-    });
-    trace->add_counter("router.routed", "", [this] {
-      return static_cast<std::int64_t>(routed_);
-    });
-    trace->add_counter("router.unroutable", "", [this] {
-      return static_cast<std::int64_t>(unroutable_);
-    });
-    trace->add_counter("router.dropped", "", [this] {
-      return static_cast<std::int64_t>(dropped_);
-    });
-    trace->add_counter("router.shed", "",
-                       [this] { return static_cast<std::int64_t>(shed_); });
-    trace->add_counter("router.retries", "", [this] {
-      return static_cast<std::int64_t>(retries_);
-    });
-    trace->add_counter("router.rejected", "", [this] {
-      return static_cast<std::int64_t>(rejected_);
-    });
-    trace->add_counter("router.degraded", "", [this] {
-      return static_cast<std::int64_t>(degraded_);
-    });
-    trace->add_counter("router.breaker_trips", "", [this] {
-      return static_cast<std::int64_t>(breaker_trips_);
-    });
-    trace->add_gauge("router.open_breakers", "",
-                     [this] { return open_breakers(); });
-  }
+    : cluster_(cluster), config_(config.validated()), telemetry_(cluster) {
+  telemetry_.counter("router.generated", "", generated_);
+  telemetry_.counter("router.routed", "", routed_);
+  telemetry_.counter("router.unroutable", "", unroutable_);
+  telemetry_.counter("router.dropped", "", dropped_);
+  telemetry_.counter("router.shed", "", shed_);
+  telemetry_.counter("router.retries", "", retries_);
+  telemetry_.counter("router.rejected", "", rejected_);
+  telemetry_.counter("router.degraded", "", degraded_);
+  telemetry_.counter("router.breaker_trips", "", breaker_trips_);
+  telemetry_.gauge("router.open_breakers", "",
+                   [this] { return open_breakers(); });
 }
 
 bool RequestRouter::add_replica(int pod_id) {

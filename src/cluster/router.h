@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "src/cluster/cluster.h"
+#include "src/cluster/telemetry.h"
 #include "src/sim/engine.h"
 
 namespace arv::cluster {
@@ -180,6 +181,7 @@ class RequestRouter : public sim::TickComponent {
   std::uint64_t retries_ = 0;
   std::uint64_t breaker_trips_ = 0;
   std::uint64_t breaker_closes_ = 0;
+  Telemetry telemetry_;  ///< router.* trace series
 };
 
 }  // namespace arv::cluster

@@ -69,7 +69,6 @@ Host::Host(const HostConfig& config)
     });
     scheduler_.register_trace(*trace_);
     memory_.register_trace(*trace_);
-    monitor_.set_decision_series(config.trace_decision_series);
     monitor_.set_trace(trace_.get());
     sysfs_.attach_trace(trace_.get());
     // Registered last: samples see the tick's fully-updated state.

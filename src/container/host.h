@@ -31,10 +31,6 @@ struct HostConfig {
   /// tick. Off by default — tracing must never change behaviour either way.
   bool enable_tracing = false;
   obs::TraceConfig trace;               ///< sampling cadence when tracing
-  /// Also trace the per-container decision-reason counters
-  /// (cpu_grew/mem_reset/...). Off by default: the extra columns would
-  /// change the CSV schema pre-policy golden traces were recorded with.
-  bool trace_decision_series = false;
 };
 
 /// One container's effective view as seen from outside the host.

@@ -90,32 +90,6 @@ void NsMonitor::register_ns_trace(Tracked& tracked) {
   handles.push_back(trace_->add_counter("mem_updates", scope, [ns] {
     return static_cast<std::int64_t>(ns->mem_updates());
   }));
-  if (decision_series_) {
-    // Why the effective values moved, one counter per decision reason.
-    // Opt-in (HostConfig::trace_decision_series): the extra columns would
-    // otherwise invalidate pre-policy golden traces.
-    struct Reason {
-      const char* name;
-      std::uint64_t DecisionCounters::* field;
-    };
-    static constexpr Reason kReasons[] = {
-        {"grew", &DecisionCounters::grew},
-        {"shrank", &DecisionCounters::shrank},
-        {"clamped", &DecisionCounters::clamped},
-        {"reset", &DecisionCounters::reset},
-        {"held", &DecisionCounters::held},
-    };
-    for (const Reason& reason : kReasons) {
-      handles.push_back(trace_->add_counter(
-          std::string("cpu_") + reason.name, scope, [ns, field = reason.field] {
-            return static_cast<std::int64_t>(ns->cpu_decisions().*field);
-          }));
-      handles.push_back(trace_->add_counter(
-          std::string("mem_") + reason.name, scope, [ns, field = reason.field] {
-            return static_cast<std::int64_t>(ns->mem_decisions().*field);
-          }));
-    }
-  }
 }
 
 std::vector<std::shared_ptr<SysNamespace>> NsMonitor::views() const {

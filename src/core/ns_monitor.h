@@ -83,12 +83,6 @@ class NsMonitor : public sim::TickComponent {
   /// the owning container's name. Pass nullptr to stop registering.
   void set_trace(obs::TraceRecorder* trace);
 
-  /// Also register the per-container decision-reason counters
-  /// (cpu_grew/cpu_shrank/... and the mem_ equivalents) with the trace.
-  /// Off by default so pre-policy golden traces keep their exact column
-  /// set; call *before* set_trace — the flag applies at series registration.
-  void set_decision_series(bool enabled) { decision_series_ = enabled; }
-
   // --- sim::TickComponent ---------------------------------------------------
   void tick(SimTime now, SimDuration dt) override;
   std::string name() const override { return "core.ns_monitor"; }
@@ -116,7 +110,6 @@ class NsMonitor : public sim::TickComponent {
   SimDuration fixed_period_ = 0;
   CpuTime last_slack_ = 0;
   bool bounds_dirty_ = false;
-  bool decision_series_ = false;
   bool stalled_ = false;
   std::uint64_t update_rounds_ = 0;
   std::uint64_t stalled_rounds_ = 0;

@@ -8,7 +8,10 @@ namespace arv::load {
 
 OpenLoopDriver::OpenLoopDriver(cluster::Cluster& cluster, CompiledTrace trace,
                                DriverConfig config)
-    : cluster_(cluster), trace_(std::move(trace)), config_(config) {
+    : cluster_(cluster),
+      trace_(std::move(trace)),
+      config_(config),
+      telemetry_(cluster) {
   ARV_ASSERT_MSG(!trace_.tenants.empty(), "empty trace");
   ARV_ASSERT_MSG(trace_.slot % cluster_.config().tick == 0,
                  "trace slot must be a multiple of the cluster tick");
@@ -16,14 +19,10 @@ OpenLoopDriver::OpenLoopDriver(cluster::Cluster& cluster, CompiledTrace trace,
     ARV_ASSERT_MSG(t.arrivals.size() == trace_.tenants.front().arrivals.size(),
                    "tenant schedules must cover the same cycle");
   }
-  if (obs::TraceRecorder* rec = cluster_.trace()) {
-    rec->add_counter("load.injected", "", [this] {
-      return static_cast<std::int64_t>(injected());
-    });
-    rec->add_counter("load.cycles", "", [this] {
-      return static_cast<std::int64_t>(cycles_);
-    });
-  }
+  telemetry_.counter("load.injected", "", [this] {
+    return static_cast<std::int64_t>(injected());
+  });
+  telemetry_.counter("load.cycles", "", cycles_);
 }
 
 void OpenLoopDriver::bind(const std::string& tenant,
@@ -51,13 +50,11 @@ void OpenLoopDriver::bind(const std::string& tenant,
         u, schedule->cost_min, schedule->cost_max, schedule->cost_alpha));
   }
   bindings_.push_back(std::move(binding));
-  if (obs::TraceRecorder* rec = cluster_.trace()) {
-    // Capture by index: later bind() calls may reallocate bindings_.
-    const std::size_t index = bindings_.size() - 1;
-    rec->add_counter("load.injected", tenant, [this, index] {
-      return static_cast<std::int64_t>(bindings_[index].injected);
-    });
-  }
+  // Capture by index: later bind() calls may reallocate bindings_.
+  const std::size_t index = bindings_.size() - 1;
+  telemetry_.counter("load.injected", tenant, [this, index] {
+    return static_cast<std::int64_t>(bindings_[index].injected);
+  });
 }
 
 std::uint64_t OpenLoopDriver::injected() const {

@@ -27,6 +27,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/router.h"
+#include "src/cluster/telemetry.h"
 #include "src/load/trace_spec.h"
 #include "src/sim/engine.h"
 
@@ -96,6 +97,7 @@ class OpenLoopDriver : public sim::TickComponent {
   /// Pooled per-tick cost batch (capacity persists across ticks, so steady
   /// state injects with zero allocation).
   std::vector<CpuTime> cost_batch_;
+  cluster::Telemetry telemetry_;  ///< load.* trace series
 };
 
 }  // namespace arv::load

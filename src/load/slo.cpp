@@ -8,23 +8,15 @@
 namespace arv::load {
 namespace {
 
-/// The designated control-plane host whose sysfs serves /sys/arv/slo/.
-constexpr int kControlHost = 0;
+/// Trailing window for the burn rate.
+constexpr SimDuration kBurnWindow = 10 * units::sec;
 
 }  // namespace
 
 SloAccountant::SloAccountant(cluster::Cluster& cluster, SloConfig config)
-    : cluster_(cluster), config_(config) {
+    : cluster_(cluster), config_(config), telemetry_(cluster, "slo") {
   ARV_ASSERT(config_.period > 0);
-  ARV_ASSERT(config_.burn_window >= config_.period);
-}
-
-SloAccountant::~SloAccountant() {
-  if (cluster_.host_count() > kControlHost) {
-    cluster_.host(kControlHost)
-        .sysfs()
-        .remove_control_subtree("/sys/arv/slo/");
-  }
+  ARV_ASSERT(kBurnWindow >= config_.period);
 }
 
 void SloAccountant::declare(const std::string& tenant,
@@ -41,51 +33,33 @@ void SloAccountant::declare(const std::string& tenant,
   t.router = &router;
   t.target = target;
 
-  if (obs::TraceRecorder* rec = cluster_.trace()) {
-    const std::string scope = "slo." + tenant;
-    rec->add_gauge("p99_us", scope, [&t] { return t.p99; });
-    rec->add_gauge("availability_permille", scope,
+  const std::string scope = "slo." + tenant;
+  telemetry_.gauge("p99_us", scope, [&t] { return t.p99; });
+  telemetry_.gauge("availability_permille", scope,
                    [&t] { return t.availability; });
-    rec->add_gauge("budget_remaining_permille", scope,
+  telemetry_.gauge("budget_remaining_permille", scope,
                    [&t] { return t.budget_remaining; });
-    rec->add_gauge("burn_rate_permille", scope, [&t] { return t.burn_rate; });
-    rec->add_gauge("degraded", scope,
+  telemetry_.gauge("burn_rate_permille", scope, [&t] { return t.burn_rate; });
+  telemetry_.gauge("degraded", scope,
                    [&t] { return static_cast<std::int64_t>(t.degraded); });
-  }
-  if (cluster_.host_count() > kControlHost) {
-    vfs::VirtualSysfs& sysfs = cluster_.host(kControlHost).sysfs();
-    const std::string prefix = "/sys/arv/slo/" + tenant + "/";
-    sysfs.register_control_file(
-        prefix + "objective",
-        [&t] {
-          return "availability_permille " +
-                 std::to_string(t.target.availability_permille) +
-                 "\np99_target_us " + std::to_string(t.target.p99_target) +
-                 "\n";
-        },
-        &t.gen);
-    sysfs.register_control_file(
-        prefix + "availability_permille",
-        [&t] { return std::to_string(t.availability) + "\n"; }, &t.gen);
-    sysfs.register_control_file(
-        prefix + "p99_us", [&t] { return std::to_string(t.p99) + "\n"; },
-        &t.gen);
-    sysfs.register_control_file(
-        prefix + "budget_remaining_permille",
-        [&t] { return std::to_string(t.budget_remaining) + "\n"; }, &t.gen);
-    sysfs.register_control_file(
-        prefix + "burn_rate_permille",
-        [&t] { return std::to_string(t.burn_rate) + "\n"; }, &t.gen);
-    sysfs.register_control_file(
-        prefix + "generated",
-        [&t] { return std::to_string(t.generated) + "\n"; }, &t.gen);
-    sysfs.register_control_file(
-        prefix + "good", [&t] { return std::to_string(t.good) + "\n"; },
-        &t.gen);
-    sysfs.register_control_file(
-        prefix + "degraded",
-        [&t] { return std::to_string(t.degraded) + "\n"; }, &t.gen);
-  }
+  const std::string dir = tenant + "/";
+  telemetry_.file(
+      dir + "objective",
+      [&t] {
+        return "availability_permille " +
+               std::to_string(t.target.availability_permille) +
+               "\np99_target_us " + std::to_string(t.target.p99_target) +
+               "\n";
+      },
+      &t.gen);
+  telemetry_.file(dir + "availability_permille", t.availability, &t.gen);
+  telemetry_.file(dir + "p99_us", t.p99, &t.gen);
+  telemetry_.file(dir + "budget_remaining_permille", t.budget_remaining,
+                  &t.gen);
+  telemetry_.file(dir + "burn_rate_permille", t.burn_rate, &t.gen);
+  telemetry_.file(dir + "generated", t.generated, &t.gen);
+  telemetry_.file(dir + "good", t.good, &t.gen);
+  telemetry_.file(dir + "degraded", t.degraded, &t.gen);
 }
 
 const SloAccountant::Tenant* SloAccountant::find(
@@ -129,7 +103,7 @@ void SloAccountant::refresh(Tenant& t, SimTime now) {
 
   // Trailing burn rate: bad-vs-allowed over the window, 1000 = at pace.
   t.window.push_back({now, static_cast<std::int64_t>(generated), bad_milli});
-  while (t.window.size() > 1 && t.window.front()[0] + config_.burn_window < now) {
+  while (t.window.size() > 1 && t.window.front()[0] + kBurnWindow < now) {
     t.window.pop_front();
   }
   const std::int64_t window_generated = t.window.back()[1] - t.window.front()[1];

@@ -35,6 +35,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/router.h"
+#include "src/cluster/telemetry.h"
 #include "src/sim/engine.h"
 #include "src/vfs/virtual_sysfs.h"
 
@@ -54,14 +55,11 @@ struct SloTarget {
 struct SloConfig {
   /// Accounting-round length.
   SimDuration period = 100 * units::msec;
-  /// Trailing window for the burn rate.
-  SimDuration burn_window = 10 * units::sec;
 };
 
 class SloAccountant : public sim::TickComponent {
  public:
   explicit SloAccountant(cluster::Cluster& cluster, SloConfig config = {});
-  ~SloAccountant() override;
 
   /// Declare one tenant's objective over the router fronting its replicas.
   /// Registers the tenant's trace series and /sys/arv/slo/<tenant>/ files.
@@ -116,6 +114,7 @@ class SloAccountant : public sim::TickComponent {
   /// Deque: declare() must never move an already-registered tenant (its
   /// generation address is cached by the vfs layer).
   std::deque<Tenant> tenants_;
+  cluster::Telemetry telemetry_;  ///< /sys/arv/slo/<tenant>/
 };
 
 }  // namespace arv::load

@@ -59,10 +59,10 @@ class VirtualSysfs {
   /// cgroup-destroyed event.
   void export_cgroup_files(cgroup::CgroupId id);
 
-  /// Register a cluster-level control-plane file (read-only). The
-  /// autoscalers publish their decision counters under /sys/arv/autoscale/
-  /// and /sys/arv/vpa/ on a designated host's sysfs through this; the
-  /// cluster publishes its fleet snapshot under /sys/arv/fleet/. Path must
+  /// Register a cluster-level control-plane file (read-only). The cluster
+  /// control loops publish their state under /sys/arv/<dir>/ on the control
+  /// host's sysfs through this (via cluster::Telemetry); the cluster
+  /// publishes its fleet snapshot under /sys/arv/fleet/. Path must
   /// start with "/sys/arv/". Without `generation` the provider is consulted
   /// on every read (decision counters change every round — caching would
   /// only serve stale values); with one, renders cache on it exactly like
@@ -71,8 +71,9 @@ class VirtualSysfs {
   void register_control_file(const std::string& path, FileProvider provider,
                              const Generation* generation = nullptr);
 
-  /// Remove every control file under `prefix` (component teardown — the
-  /// providers capture their owner, so they must not outlive it).
+  /// Remove every control file under `prefix` (cluster::Telemetry's
+  /// teardown — the providers capture their owner, so they must not outlive
+  /// it).
   void remove_control_subtree(const std::string& prefix);
 
   /// Attach the observability layer: exports /sys/arv/trace/series and

@@ -100,7 +100,7 @@ TEST(Hpa, TracksDiurnalDemandUpAndBackDown) {
   const int peak = hpa.replicas();
 
   // Lull: demand collapses; after the scale-down window drains the peak
-  // recommendations, replicas walk back down (max_scale_down per round).
+  // recommendations, replicas walk back down (kMaxScaleDown per round).
   f.fleet.router()->set_rate(40);
   f.fleet.run(4 * sec);
   EXPECT_LT(hpa.replicas(), peak);
