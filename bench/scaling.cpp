@@ -10,8 +10,8 @@
 //     on every cgroup event";
 //   * wall-clock per simulated second across a ramp + steady-state phase in
 //     which cpu.shares churn and container processes read /proc/cpuinfo —
-//     the event-coalescing, total_shares-caching, and vfs render-cache hot
-//     paths.
+//     the event-coalescing, total_shares-caching, and /proc/cpuinfo memo
+//     hot paths.
 //
 // Results are written to BENCH_scaling.json (override the path with
 // ARV_SCALING_OUT). The baseline_* fields are the same measurements taken on

@@ -82,23 +82,20 @@ int Cluster::add_host(container::HostConfig host_config) {
   }
   if (index == kControlHost) {
     // The fleet snapshot publishes on the control host's sysfs, next to the
-    // control loops' directories. Renders cache on the fleet generation: an
-    // idle fleet serves every read from the cached string.
+    // control loops' directories.
     vfs::VirtualSysfs& sysfs = hosts_[kControlHost].host->sysfs();
-    sysfs.register_control_file(
-        "/sys/arv/fleet/hosts", [this] { return cur_.render_hosts(); },
-        &fleet_gen_);
-    sysfs.register_control_file(
-        "/sys/arv/fleet/pods", [this] { return cur_.render_pods(); },
-        &fleet_gen_);
-    // The diff file shows the changes that produced the current generation:
-    // current published snapshot vs the previous tick boundary's.
-    sysfs.register_control_file(
-        "/sys/arv/fleet/diff", [this] { return cur_.diff(prev_).render(); },
-        &fleet_gen_);
-    sysfs.register_control_file(
-        "/sys/arv/fleet/generation",
-        [this] { return std::to_string(fleet_gen_) + "\n"; }, &fleet_gen_);
+    sysfs.register_control_file("/sys/arv/fleet/hosts",
+                                [this] { return cur_.render_hosts(); });
+    sysfs.register_control_file("/sys/arv/fleet/pods",
+                                [this] { return cur_.render_pods(); });
+    // The diff file shows the current snapshot against the one published at
+    // the previous tick boundary; after a tick that changed nothing that is
+    // "generation N -> N" with no rows.
+    sysfs.register_control_file("/sys/arv/fleet/diff",
+                                [this] { return cur_.diff(prev_).render(); });
+    sysfs.register_control_file("/sys/arv/fleet/generation", [this] {
+      return std::to_string(fleet_gen_) + "\n";
+    });
   }
   return index;
 }

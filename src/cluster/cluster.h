@@ -259,9 +259,9 @@ class Cluster {
   /// against). Empty before the second step.
   const FleetView& previous_fleet_view() const { return prev_; }
 
-  /// The fleet snapshot's content generation (backs /sys/arv/fleet/ render
-  /// caching — an idle fleet re-renders nothing).
-  vfs::Generation fleet_generation() const { return fleet_gen_; }
+  /// The fleet snapshot's content generation: advances only when the
+  /// content changed (published as /sys/arv/fleet/generation).
+  std::uint64_t fleet_generation() const { return fleet_gen_; }
 
   /// Host/pod rows copied from the previous snapshot instead of re-observed,
   /// cumulative. Not traced: the count varies with the idle-skip setting.
@@ -387,12 +387,11 @@ class Cluster {
   std::uint64_t steps_ = 0;
   // Fleet snapshot triple-buffer: cur_ is the live snapshot, prev_ the one
   // published at the previous tick boundary, scratch_ recycles allocations
-  // for mid-tick refreshes. fleet_gen_ is address-stable — the /sys/arv/
-  // fleet/ pseudo-files cache renders on a pointer to it.
+  // for mid-tick refreshes.
   FleetView cur_;
   FleetView prev_;
   FleetView scratch_;
-  vfs::Generation fleet_gen_ = 0;
+  std::uint64_t fleet_gen_ = 0;
   bool fleet_dirty_ = true;
   bool window_rolled_ = false;
   std::uint64_t rows_reused_ = 0;

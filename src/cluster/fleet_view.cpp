@@ -1,17 +1,26 @@
 #include "src/cluster/fleet_view.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 
 #include "src/util/assert.h"
 
 namespace arv::cluster {
 namespace {
 
+/// Append a decimal integer without building a temporary string.
+void append_int(std::string& out, std::int64_t value) {
+  std::array<char, 24> buf;
+  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), value);
+  out.append(buf.data(), end);
+}
+
 void append_signed(std::string& out, std::int64_t value) {
   if (value >= 0) {
     out += '+';
   }
-  out += std::to_string(value);
+  append_int(out, value);
 }
 
 }  // namespace
@@ -126,21 +135,30 @@ int FleetView::intern_service(const std::string& name) {
 
 std::string FleetView::render_hosts() const {
   std::string out = "generation " + std::to_string(generation) + "\n";
+  // Fields are appended in place: monitoring agents poll this file, and on a
+  // large fleet per-field temporaries dominate the render.
   for (const HostView& h : hosts) {
-    out += 'h';  // appended: GCC 12 -Wrestrict false positive on "h" + ...
-    out += std::to_string(h.index);
-    out += " cap=" + std::to_string(h.capacity_millicpu) + "m/" +
-           std::to_string(h.capacity_memory);
-    out += " req=" + std::to_string(h.requested_millicpu) + "m/" +
-           std::to_string(h.requested_memory);
-    out += " slack=" + std::to_string(h.slack_millicpu) + "m";
-    out += " free=" + std::to_string(h.free_memory);
-    out += " pods=" + std::to_string(h.pods);
+    out += 'h';
+    append_int(out, h.index);
+    out += " cap=";
+    append_int(out, h.capacity_millicpu);
+    out += "m/";
+    append_int(out, h.capacity_memory);
+    out += " req=";
+    append_int(out, h.requested_millicpu);
+    out += "m/";
+    append_int(out, h.requested_memory);
+    out += " slack=";
+    append_int(out, h.slack_millicpu);
+    out += "m free=";
+    append_int(out, h.free_memory);
+    out += " pods=";
+    append_int(out, h.pods);
     out += h.up ? " up" : " down";
     if (h.cordoned) {
       out += " cordoned";
     }
-    out += "\n";
+    out += '\n';
   }
   return out;
 }

@@ -1,4 +1,4 @@
-// FleetView — one cacheable cluster-state snapshot (ant-ray's ViewBuilder /
+// FleetView — one shared cluster-state snapshot (ant-ray's ViewBuilder /
 // ResourceAssignmentView shape, SNIPPETS.md Snippet 3).
 //
 // Before this object existed, every cluster component — placement, the
@@ -17,13 +17,12 @@
 //           so per-host resident scans are O(residents) not O(pods).
 //
 // The snapshot is generation-stamped: the generation advances only when the
-// *content* changes, so pseudo-file renders of the view cache on it (the PR 2
-// pattern) and an idle fleet re-renders nothing. Rows for hosts that are
-// provably unchanged (frozen by the quiescence skip, no mutation since the
-// last refresh) are copied from the previous snapshot, not re-observed.
-// diff(prev) reports added/removed/moved pods and per-host capacity deltas —
-// the cheap "what changed since your last look" API consumers poll instead of
-// comparing whole snapshots.
+// *content* changes, so an idle fleet keeps its generation. Rows for hosts
+// that are provably unchanged (frozen by the quiescence skip, no mutation
+// since the last refresh) are copied from the previous snapshot, not
+// re-observed. diff(prev) reports added/removed/moved pods and per-host
+// capacity deltas — the cheap "what changed since your last look" API
+// consumers poll instead of comparing whole snapshots.
 //
 // All assembly and all reads happen in the cluster's serial phases, so the
 // view preserves the byte-identical-trace contract.
@@ -36,7 +35,6 @@
 #include "src/cluster/placement.h"
 #include "src/container/k8s.h"
 #include "src/util/types.h"
-#include "src/vfs/pseudo_fs.h"
 
 namespace arv::cluster {
 
@@ -95,8 +93,8 @@ struct HostDelta {
 /// What changed between two FleetView snapshots. Pod ids are ascending;
 /// host deltas are in host-index order.
 struct FleetViewDiff {
-  vfs::Generation from = 0;
-  vfs::Generation to = 0;
+  std::uint64_t from = 0;
+  std::uint64_t to = 0;
   std::vector<int> added;    ///< now placed, previously absent or stopped
   std::vector<int> removed;  ///< now stopped, previously placed
   std::vector<PodMove> moved;
@@ -113,7 +111,7 @@ struct FleetViewDiff {
 /// that place several pods in one round copy it and claim() each landing so
 /// later decisions in the round see post-landing headroom.
 struct FleetView {
-  vfs::Generation generation = 0;
+  std::uint64_t generation = 0;
   SimTime at = 0;
   std::vector<HostView> hosts;
   std::vector<PodRow> pods;  ///< indexed by pod id (rows for stopped pods stay)

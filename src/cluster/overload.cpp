@@ -103,14 +103,14 @@ AdmissionController::AdmissionController(Cluster& cluster,
                    [this] { return queue_limit_total_; });
   telemetry_.gauge("overload.windowed_p99_us", "",
                    [this] { return windowed_p99_; });
-  telemetry_.file("pressure_permille", snap_.pressure, &gen_);
-  telemetry_.file("shed_level", snap_.shed_level, &gen_);
-  telemetry_.file("brownout", snap_.brownout, &gen_);
-  telemetry_.file("admitted", snap_.admitted, &gen_);
-  telemetry_.file("rejected", snap_.rejected, &gen_);
-  telemetry_.file("retries_denied", snap_.retries_denied, &gen_);
-  telemetry_.file("retry_tokens_milli", snap_.retry_tokens_milli, &gen_);
-  telemetry_.file("queue_limit_total", snap_.queue_limit_total, &gen_);
+  telemetry_.file("pressure_permille", snap_.pressure);
+  telemetry_.file("shed_level", snap_.shed_level);
+  telemetry_.file("brownout", snap_.brownout);
+  telemetry_.file("admitted", snap_.admitted);
+  telemetry_.file("rejected", snap_.rejected);
+  telemetry_.file("retries_denied", snap_.retries_denied);
+  telemetry_.file("retry_tokens_milli", snap_.retry_tokens_milli);
+  telemetry_.file("queue_limit_total", snap_.queue_limit_total);
 }
 
 int AdmissionController::register_tenant(const std::string& name,
@@ -125,12 +125,11 @@ int AdmissionController::register_tenant(const std::string& name,
   t.router = &router;
   t.criticality = criticality;
   router.attach_admission(this, slot);
-  telemetry_.file(
-      name + "/criticality",
-      [&t] { return std::string(criticality_name(t.criticality)) + "\n"; },
-      &t.gen);
-  telemetry_.file(name + "/admitted", t.snap_admitted, &t.gen);
-  telemetry_.file(name + "/rejected", t.snap_rejected, &t.gen);
+  telemetry_.file(name + "/criticality", [&t] {
+    return std::string(criticality_name(t.criticality)) + "\n";
+  });
+  telemetry_.file(name + "/admitted", t.snap_admitted);
+  telemetry_.file(name + "/rejected", t.snap_rejected);
   return slot;
 }
 
@@ -158,10 +157,7 @@ void AdmissionController::set_criticality(const std::string& name,
                                           Criticality criticality) {
   Tenant* t = find(name);
   ARV_ASSERT_MSG(t != nullptr, "unknown tenant");
-  if (t->criticality != criticality) {
-    t->criticality = criticality;
-    ++t->gen;
-  }
+  t->criticality = criticality;
 }
 
 void AdmissionController::set_rate_limit(const std::string& name,
@@ -388,30 +384,17 @@ void AdmissionController::tick(SimTime now, SimDuration /*dt*/) {
   retry_tokens_milli_ =
       std::max(retry_tokens_milli_, config_.retry_budget_floor * 1000);
 
-  Snapshot next;
-  next.pressure = pressure_;
-  next.shed_level = shed_level_;
-  next.brownout = brownout_;
-  next.admitted = admitted_;
-  next.rejected = rejected_;
-  next.retries_denied = retries_denied_;
-  next.retry_tokens_milli = retry_tokens_milli_;
-  next.queue_limit_total = queue_limit_total_;
-  if (next.pressure != snap_.pressure || next.shed_level != snap_.shed_level ||
-      next.brownout != snap_.brownout || next.admitted != snap_.admitted ||
-      next.rejected != snap_.rejected ||
-      next.retries_denied != snap_.retries_denied ||
-      next.retry_tokens_milli != snap_.retry_tokens_milli ||
-      next.queue_limit_total != snap_.queue_limit_total) {
-    snap_ = next;
-    ++gen_;
-  }
+  snap_.pressure = pressure_;
+  snap_.shed_level = shed_level_;
+  snap_.brownout = brownout_;
+  snap_.admitted = admitted_;
+  snap_.rejected = rejected_;
+  snap_.retries_denied = retries_denied_;
+  snap_.retry_tokens_milli = retry_tokens_milli_;
+  snap_.queue_limit_total = queue_limit_total_;
   for (Tenant& t : tenants_) {
-    if (t.snap_admitted != t.admitted || t.snap_rejected != t.rejected) {
-      t.snap_admitted = t.admitted;
-      t.snap_rejected = t.rejected;
-      ++t.gen;
-    }
+    t.snap_admitted = t.admitted;
+    t.snap_rejected = t.rejected;
   }
 }
 

@@ -62,7 +62,6 @@
 #include "src/cluster/telemetry.h"
 #include "src/sim/engine.h"
 #include "src/util/latency_histogram.h"
-#include "src/vfs/virtual_sysfs.h"
 
 namespace arv::cluster {
 
@@ -219,7 +218,6 @@ class AdmissionController : public sim::TickComponent {
     // Round snapshots served by this tenant's control files.
     std::uint64_t snap_admitted = 0;
     std::uint64_t snap_rejected = 0;
-    vfs::Generation gen = 1;
   };
 
   /// AIMD state for one replica pod.
@@ -239,7 +237,7 @@ class AdmissionController : public sim::TickComponent {
   Cluster& cluster_;
   AdmissionConfig config_;
   /// Deque: register_tenant must never move an enrolled tenant (control-file
-  /// lambdas cache its address, routers cache its slot).
+  /// lambdas capture its address, routers cache its slot).
   std::deque<Tenant> tenants_;
   std::unordered_map<int, LimitState> limits_;  ///< by pod id
   util::LatencyHistogram fleet_prev_;  ///< last round's fleet-wide snapshot
@@ -262,8 +260,8 @@ class AdmissionController : public sim::TickComponent {
   std::uint64_t brownout_entries_ = 0;
   std::uint64_t shed_raises_ = 0;
 
-  /// Round snapshot served by the /sys/arv/admission/ files (control files
-  /// must not read live mid-round counters, or cached renders go stale).
+  /// Round snapshot served by the /sys/arv/admission/ files: a read between
+  /// rounds sees the last completed round, never live mid-round counters.
   struct Snapshot {
     std::int64_t pressure = 0;
     int shed_level = 0;
@@ -275,7 +273,6 @@ class AdmissionController : public sim::TickComponent {
     std::int64_t queue_limit_total = 0;
   };
   Snapshot snap_;
-  vfs::Generation gen_ = 1;
   Telemetry telemetry_;  ///< /sys/arv/admission/ and its <tenant>/ files
 };
 

@@ -56,11 +56,9 @@ void Telemetry::counter(std::string name, std::string scope,
           [&value] { return static_cast<std::int64_t>(value); });
 }
 
-void Telemetry::file(const std::string& name, vfs::FileProvider provider,
-                     const vfs::Generation* generation) {
+void Telemetry::file(const std::string& name, vfs::FileProvider provider) {
   if (vfs::VirtualSysfs* sysfs = control_sysfs()) {
-    sysfs->register_control_file(prefix_ + name, std::move(provider),
-                                 generation);
+    sysfs->register_control_file(prefix_ + name, std::move(provider));
   }
 }
 

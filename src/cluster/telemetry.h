@@ -42,14 +42,12 @@ class Telemetry {
 
   // --- control files under /sys/arv/<dir>/ on the control host ---------------
   /// `name` is relative to the directory ("rewrites", "<tenant>/admitted").
-  /// With a `generation`, renders cache on it (vfs::PseudoFs::register_file).
-  void file(const std::string& name, vfs::FileProvider provider,
-            const vfs::Generation* generation = nullptr);
+  /// The provider runs on every read.
+  void file(const std::string& name, vfs::FileProvider provider);
   /// A file rendering one integer as "<value>\n".
   template <std::integral T>
-  void file(const std::string& name, const T& value,
-            const vfs::Generation* generation = nullptr) {
-    file(name, [&value] { return std::to_string(value) + "\n"; }, generation);
+  void file(const std::string& name, const T& value) {
+    file(name, [&value] { return std::to_string(value) + "\n"; });
   }
 
  private:

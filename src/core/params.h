@@ -8,8 +8,10 @@
 // rejected with a write error, never silently accepted.
 #pragma once
 
+#include <cmath>
 #include <string>
 
+#include "src/util/cpuset.h"
 #include "src/util/types.h"
 
 namespace arv::core {
@@ -62,13 +64,16 @@ struct Params {
 
   /// All knobs inside their legal ranges. SysNamespace asserts this at
   /// construction; the vfs knob files reject writes that would break it.
+  /// cpu_step is capped at the CPU-set width so Algorithm 1's
+  /// `current + cpu_step` cannot overflow.
   bool valid() const {
     const auto unit = [](double v) { return v > 0.0 && v <= 1.0; };
-    return cpu_step >= 1 && unit(cpu_util_threshold) &&
-           unit(mem_use_threshold) && unit(mem_growth_frac) &&
-           unit(ewma_alpha) && unit(cpu_down_threshold) &&
-           unit(mem_down_threshold) && cpu_down_threshold <= cpu_util_threshold &&
-           prop_gain > 0.0;
+    return cpu_step >= 1 && cpu_step <= CpuSet::kMaxCpus &&
+           unit(cpu_util_threshold) && unit(mem_use_threshold) &&
+           unit(mem_growth_frac) && unit(ewma_alpha) &&
+           unit(cpu_down_threshold) && unit(mem_down_threshold) &&
+           cpu_down_threshold <= cpu_util_threshold &&
+           std::isfinite(prop_gain) && prop_gain > 0.0;
   }
 };
 

@@ -50,16 +50,14 @@ void SloAccountant::declare(const std::string& tenant,
                std::to_string(t.target.availability_permille) +
                "\np99_target_us " + std::to_string(t.target.p99_target) +
                "\n";
-      },
-      &t.gen);
-  telemetry_.file(dir + "availability_permille", t.availability, &t.gen);
-  telemetry_.file(dir + "p99_us", t.p99, &t.gen);
-  telemetry_.file(dir + "budget_remaining_permille", t.budget_remaining,
-                  &t.gen);
-  telemetry_.file(dir + "burn_rate_permille", t.burn_rate, &t.gen);
-  telemetry_.file(dir + "generated", t.generated, &t.gen);
-  telemetry_.file(dir + "good", t.good, &t.gen);
-  telemetry_.file(dir + "degraded", t.degraded, &t.gen);
+      });
+  telemetry_.file(dir + "availability_permille", t.availability);
+  telemetry_.file(dir + "p99_us", t.p99);
+  telemetry_.file(dir + "budget_remaining_permille", t.budget_remaining);
+  telemetry_.file(dir + "burn_rate_permille", t.burn_rate);
+  telemetry_.file(dir + "generated", t.generated);
+  telemetry_.file(dir + "good", t.good);
+  telemetry_.file(dir + "degraded", t.degraded);
 }
 
 const SloAccountant::Tenant* SloAccountant::find(
@@ -124,10 +122,6 @@ void SloAccountant::refresh(Tenant& t, SimTime now) {
   const std::int64_t p99 =
       agg.latency_hist.count() == 0 ? 0 : agg.latency_hist.percentile(99.0);
 
-  const bool changed = generated != t.generated || good != t.good ||
-                       degraded != t.degraded ||
-                       availability != t.availability || p99 != t.p99 ||
-                       remaining != t.budget_remaining || burn != t.burn_rate;
   t.generated = generated;
   t.good = good;
   t.degraded = degraded;
@@ -138,9 +132,6 @@ void SloAccountant::refresh(Tenant& t, SimTime now) {
     ++t.violations;  // one per accounting round spent over the objective
   }
   t.p99 = p99;
-  if (changed) {
-    ++t.gen;  // invalidate this tenant's cached renders, and only then
-  }
 }
 
 void SloAccountant::tick(SimTime now, SimDuration /*dt*/) {

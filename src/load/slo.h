@@ -23,8 +23,7 @@
 // contract. Results surface twice: as cluster trace series
 // (slo.<tenant>.{p99_us,availability_permille,budget_remaining_permille})
 // and as /sys/arv/slo/<tenant>/ control-plane files on the designated
-// control host, render-cached behind a generation that bumps only when a
-// tenant's numbers actually change.
+// control host, which serve the last round's numbers.
 #pragma once
 
 #include <array>
@@ -37,7 +36,6 @@
 #include "src/cluster/router.h"
 #include "src/cluster/telemetry.h"
 #include "src/sim/engine.h"
-#include "src/vfs/virtual_sysfs.h"
 
 namespace arv::load {
 
@@ -102,8 +100,6 @@ class SloAccountant : public sim::TickComponent {
     /// window; bad is in milli-failures so degraded partial weights stay
     /// integer-exact.
     std::deque<std::array<std::int64_t, 3>> window;
-    /// Render-cache generation for this tenant's files.
-    vfs::Generation gen = 1;
   };
 
   const Tenant* find(const std::string& tenant) const;
@@ -112,7 +108,7 @@ class SloAccountant : public sim::TickComponent {
   cluster::Cluster& cluster_;
   SloConfig config_;
   /// Deque: declare() must never move an already-registered tenant (its
-  /// generation address is cached by the vfs layer).
+  /// trace probes and file providers capture references to its fields).
   std::deque<Tenant> tenants_;
   cluster::Telemetry telemetry_;  ///< /sys/arv/slo/<tenant>/
 };

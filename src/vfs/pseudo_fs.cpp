@@ -4,20 +4,17 @@
 
 namespace arv::vfs {
 
-void PseudoFs::register_file(const std::string& path, FileProvider provider,
-                             const Generation* generation) {
+void PseudoFs::register_file(const std::string& path, FileProvider provider) {
   ARV_ASSERT(!path.empty() && path.front() == '/');
   ARV_ASSERT(provider != nullptr);
-  files_[path] = Entry{std::move(provider), nullptr, generation, std::nullopt, 0};
+  files_[path] = Entry{std::move(provider), nullptr};
 }
 
 void PseudoFs::register_writable(const std::string& path, FileProvider provider,
-                                 WriteHandler on_write,
-                                 const Generation* generation) {
+                                 WriteHandler on_write) {
   ARV_ASSERT(!path.empty() && path.front() == '/');
   ARV_ASSERT(provider != nullptr && on_write != nullptr);
-  files_[path] =
-      Entry{std::move(provider), std::move(on_write), generation, std::nullopt, 0};
+  files_[path] = Entry{std::move(provider), std::move(on_write)};
 }
 
 void PseudoFs::remove(const std::string& path) { files_.erase(path); }
@@ -40,20 +37,7 @@ std::optional<std::string> PseudoFs::read(const std::string& path) const {
   if (it == files_.end()) {
     return std::nullopt;
   }
-  const Entry& entry = it->second;
-  if (entry.generation == nullptr) {
-    return entry.provider();
-  }
-  if (entry.rendered.has_value() && entry.rendered_gen == *entry.generation) {
-    ++cache_hits_;
-    return entry.rendered;
-  }
-  // Snapshot the counter before rendering: a provider that bumps it mid-render
-  // (config read triggering a lazy recompute) invalidates this render.
-  const Generation gen = *entry.generation;
-  entry.rendered = entry.provider();
-  entry.rendered_gen = gen;
-  return entry.rendered;
+  return it->second.provider();
 }
 
 bool PseudoFs::write(const std::string& path, std::string_view value) {

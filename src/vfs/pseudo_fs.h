@@ -1,14 +1,8 @@
 // PseudoFs — a generic in-memory pseudo-filesystem (the sysfs/procfs
-// substrate). Files are backed by content providers evaluated at read time,
-// and optionally by write handlers (cgroup knob files write through to the
-// cgroup tree, exactly like echoing into /sys/fs/cgroup/...).
-//
-// Files whose content is a pure function of configuration (knob files,
-// cpu/online, ...) can opt into generation-based render caching: the caller
-// supplies a pointer to a generation counter it bumps whenever the
-// underlying configuration changes, and the rendered string is reused until
-// the counter moves. Files backed by runtime accounting (meminfo, cpu.stat)
-// must stay uncached — their content changes without any generation bump.
+// substrate). Files are backed by content providers evaluated on every read,
+// so a read always reflects the state behind the file, and optionally by
+// write handlers (cgroup knob files write through to the cgroup tree,
+// exactly like echoing into /sys/fs/cgroup/...).
 #pragma once
 
 #include <cstdint>
@@ -24,25 +18,15 @@ namespace arv::vfs {
 using FileProvider = std::function<std::string()>;
 /// Returns false when the written value is rejected (EINVAL analogue).
 using WriteHandler = std::function<bool(std::string_view)>;
-/// Render-cache invalidation counter; see register_file. Monotonicity is not
-/// required — any change invalidates.
-using Generation = std::uint64_t;
 
 class PseudoFs {
  public:
-  /// Register/replace a read-only file. A non-null `generation` enables
-  /// render caching: the provider is re-evaluated only when *generation
-  /// differs from the value at the last render. The counter must outlive
-  /// the entry.
-  void register_file(const std::string& path, FileProvider provider,
-                     const Generation* generation = nullptr);
+  /// Register/replace a read-only file.
+  void register_file(const std::string& path, FileProvider provider);
 
-  /// Register/replace a writable file (same caching contract; writes that
-  /// change content must bump the generation, directly or via the change
-  /// events the write handler triggers).
+  /// Register/replace a writable file.
   void register_writable(const std::string& path, FileProvider provider,
-                         WriteHandler on_write,
-                         const Generation* generation = nullptr);
+                         WriteHandler on_write);
 
   /// Remove a file or (with a trailing '/')-free prefix removal of a subtree.
   void remove(const std::string& path);
@@ -61,20 +45,16 @@ class PseudoFs {
 
   std::size_t file_count() const { return files_.size(); }
 
-  /// Provider evaluations skipped thanks to the render cache (observability
-  /// for tests and the overhead bench).
-  std::uint64_t render_cache_hits() const { return cache_hits_; }
+  /// Always 0: every read renders. Kept because the repository benchmark
+  /// (perfbench) still reports it as vfs.render_cache_hit_ratio.
+  std::uint64_t render_cache_hits() const { return 0; }
 
  private:
   struct Entry {
     FileProvider provider;
     WriteHandler on_write;  // null => read-only
-    const Generation* generation = nullptr;  // null => render every read
-    mutable std::optional<std::string> rendered;
-    mutable Generation rendered_gen = 0;
   };
   std::map<std::string, Entry> files_;
-  mutable std::uint64_t cache_hits_ = 0;
 };
 
 }  // namespace arv::vfs

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <utility>
 
 #include "src/util/assert.h"
 #include "src/util/str.h"
@@ -28,6 +29,17 @@ std::string cpuinfo_for(int cpus) {
         cpu);
   }
   return out;
+}
+
+/// The kernel's knob ranges: cpu.shares in [2, MAX_SHARES = 2^18], a CFS
+/// period of 1 ms to 1 s, and a quota of at most max_cfs_runtime (2^44 - 1
+/// us). Wider values would overflow the bounds arithmetic downstream.
+constexpr std::int64_t kMaxCpuShares = std::int64_t{1} << 18;
+
+bool valid_cfs_period(std::int64_t us) { return us >= 1000 && us <= 1'000'000; }
+
+bool valid_cfs_quota(std::int64_t us) {
+  return us > 0 && us <= (std::int64_t{1} << 44) - 1;
 }
 
 /// The adaptation-policy control plane (§ policy layer): per-container
@@ -72,9 +84,6 @@ VirtualSysfs::VirtualSysfs(proc::ProcessTable& processes, cgroup::Tree& tree,
       monitor_(monitor) {
   build_host_files();
   tree_.subscribe([this](const cgroup::Event& event) {
-    // Any cgroup event may change what a config-derived pseudo-file renders;
-    // bumping the generation invalidates every cached render at once.
-    ++config_gen_;
     if (event.kind == cgroup::EventKind::kDestroyed) {
       // Knob files of a destroyed cgroup disappear, as in the real sysfs.
       fs_.remove_subtree("/sys/fs/cgroup/cpu/" + event.name + "/");
@@ -104,16 +113,12 @@ const std::string& VirtualSysfs::cpuinfo_cached(int cpus) const {
 }
 
 void VirtualSysfs::build_host_files() {
-  // cpu topology files are pure configuration — cached under config_gen_.
-  // meminfo/loadavg report live accounting and must render on every read.
   fs_.register_file(
       kCpuOnlinePath,
-      [this] { return CpuSet::all(scheduler_.online_cpus()).to_string() + "\n"; },
-      &config_gen_);
+      [this] { return CpuSet::all(scheduler_.online_cpus()).to_string() + "\n"; });
   fs_.register_file(
       "/sys/devices/system/cpu/possible",
-      [this] { return CpuSet::all(scheduler_.online_cpus()).to_string() + "\n"; },
-      &config_gen_);
+      [this] { return CpuSet::all(scheduler_.online_cpus()).to_string() + "\n"; });
   fs_.register_file(kMeminfoPath, [this] {
     return meminfo_for(memory_.total_ram(), memory_.free_memory());
   });
@@ -123,8 +128,7 @@ void VirtualSysfs::build_host_files() {
                 scheduler_.nr_running(), processes_.live_count());
   });
   fs_.register_file(
-      kCpuinfoPath, [this] { return cpuinfo_cached(scheduler_.online_cpus()); },
-      &config_gen_);
+      kCpuinfoPath, [this] { return cpuinfo_cached(scheduler_.online_cpus()); });
   // Host-wide list of registered adaptation policies (registry keys, one per
   // line) — what the per-container policy selector files will accept.
   fs_.register_file(std::string(kPolicyPrefix) + "available", [] {
@@ -154,13 +158,8 @@ void VirtualSysfs::register_policy_files(cgroup::CgroupId id,
       },
       [this, id](std::string_view v) {
         const auto ns = monitor_.lookup(id);
-        if (ns == nullptr || !ns->set_cpu_policy(std::string(trim(v)))) {
-          return false;
-        }
-        ++config_gen_;  // no cgroup event fires for policy writes
-        return true;
-      },
-      &config_gen_);
+        return ns != nullptr && ns->set_cpu_policy(std::string(trim(v)));
+      });
   fs_.register_writable(
       dir + "mem",
       [this, id]() -> std::string {
@@ -169,13 +168,8 @@ void VirtualSysfs::register_policy_files(cgroup::CgroupId id,
       },
       [this, id](std::string_view v) {
         const auto ns = monitor_.lookup(id);
-        if (ns == nullptr || !ns->set_mem_policy(std::string(trim(v)))) {
-          return false;
-        }
-        ++config_gen_;
-        return true;
-      },
-      &config_gen_);
+        return ns != nullptr && ns->set_mem_policy(std::string(trim(v)));
+      });
 
   // One validated knob file per Params field. All writes funnel through
   // SysNamespace::set_params, so a value that fails Params::valid() (e.g.
@@ -200,13 +194,8 @@ void VirtualSysfs::register_policy_files(cgroup::CgroupId id,
           }
           core::Params params = ns->params();
           params.*field = *value;
-          if (!apply(ns, params)) {
-            return false;
-          }
-          ++config_gen_;
-          return true;
-        },
-        &config_gen_);
+          return apply(ns, params);
+        });
   };
   double_knob("cpu_util_threshold", &core::Params::cpu_util_threshold);
   double_knob("mem_use_threshold", &core::Params::mem_use_threshold);
@@ -225,18 +214,14 @@ void VirtualSysfs::register_policy_files(cgroup::CgroupId id,
       [this, id, apply](std::string_view v) {
         const auto ns = monitor_.lookup(id);
         const auto value = parse_i64(v);
-        if (ns == nullptr || !value) {
+        // Range-check before narrowing: 2^32 + 1 must not wrap to a legal 1.
+        if (ns == nullptr || !value || !std::in_range<int>(*value)) {
           return false;
         }
         core::Params params = ns->params();
         params.cpu_step = static_cast<int>(*value);
-        if (!apply(ns, params)) {
-          return false;
-        }
-        ++config_gen_;
-        return true;
-      },
-      &config_gen_);
+        return apply(ns, params);
+      });
   fs_.register_writable(
       dir + "mem_prediction_gate",
       [this, id]() -> std::string {
@@ -252,13 +237,8 @@ void VirtualSysfs::register_policy_files(cgroup::CgroupId id,
         }
         core::Params params = ns->params();
         params.mem_prediction_gate = *value == 1;
-        if (!apply(ns, params)) {
-          return false;
-        }
-        ++config_gen_;
-        return true;
-      },
-      &config_gen_);
+        return apply(ns, params);
+      });
 }
 
 void VirtualSysfs::export_cgroup_files(cgroup::CgroupId id) {
@@ -271,13 +251,12 @@ void VirtualSysfs::export_cgroup_files(cgroup::CgroupId id) {
       [this, id] { return strf("%lld\n", static_cast<long long>(tree_.get(id).cpu().shares)); },
       [this, id](std::string_view v) {
         const auto value = parse_i64(v);
-        if (!value || *value < 2) {
+        if (!value || *value < 2 || *value > kMaxCpuShares) {
           return false;
         }
         tree_.set_cpu_shares(id, *value);
         return true;
-      },
-      &config_gen_);
+      });
   fs_.register_writable(
       cpu_dir + "cpu.cfs_quota_us",
       [this, id] {
@@ -286,25 +265,23 @@ void VirtualSysfs::export_cgroup_files(cgroup::CgroupId id) {
       },
       [this, id](std::string_view v) {
         const auto value = parse_i64(v);
-        if (!value || (*value <= 0 && *value != -1)) {
+        if (!value || (*value != -1 && !valid_cfs_quota(*value))) {
           return false;
         }
         tree_.set_cfs_quota(id, *value == -1 ? kUnlimited : *value);
         return true;
-      },
-      &config_gen_);
+      });
   fs_.register_writable(
       cpu_dir + "cpu.cfs_period_us",
       [this, id] { return strf("%lld\n", static_cast<long long>(tree_.get(id).cpu().cfs_period_us)); },
       [this, id](std::string_view v) {
         const auto value = parse_i64(v);
-        if (!value || *value < 1000) {
+        if (!value || !valid_cfs_period(*value)) {
           return false;
         }
         tree_.set_cfs_period(id, *value);
         return true;
-      },
-      &config_gen_);
+      });
 
   fs_.register_writable(
       "/sys/fs/cgroup/cpuset/" + name + "/cpuset.cpus",
@@ -316,8 +293,7 @@ void VirtualSysfs::export_cgroup_files(cgroup::CgroupId id) {
         }
         tree_.set_cpuset(id, *mask);
         return true;
-      },
-      &config_gen_);
+      });
 
   const std::string mem_dir = "/sys/fs/cgroup/memory/" + name + "/";
   fs_.register_writable(
@@ -330,8 +306,7 @@ void VirtualSysfs::export_cgroup_files(cgroup::CgroupId id) {
         }
         tree_.set_mem_limit(id, *value);
         return true;
-      },
-      &config_gen_);
+      });
   fs_.register_writable(
       mem_dir + "memory.soft_limit_in_bytes",
       [this, id] {
@@ -344,8 +319,7 @@ void VirtualSysfs::export_cgroup_files(cgroup::CgroupId id) {
         }
         tree_.set_mem_soft_limit(id, *value);
         return true;
-      },
-      &config_gen_);
+      });
   fs_.register_file(mem_dir + "memory.usage_in_bytes",
                     [this, id] { return strf("%lld\n", static_cast<long long>(memory_.usage(id))); });
 
@@ -369,22 +343,21 @@ void VirtualSysfs::export_cgroup_files(cgroup::CgroupId id) {
         std::int64_t quota = kUnlimited;
         if (fields[0] != "max") {
           const auto parsed = parse_i64(fields[0]);
-          if (!parsed || *parsed <= 0) {
+          if (!parsed || !valid_cfs_quota(*parsed)) {
             return false;
           }
           quota = *parsed;
         }
         if (fields.size() == 2) {
           const auto period = parse_i64(fields[1]);
-          if (!period || *period < 1000) {
+          if (!period || !valid_cfs_period(*period)) {
             return false;
           }
           tree_.set_cfs_period(id, *period);
         }
         tree_.set_cfs_quota(id, quota);
         return true;
-      },
-      &config_gen_);
+      });
   fs_.register_writable(
       v2_dir + "cpu.weight",
       [this, id] {
@@ -401,8 +374,7 @@ void VirtualSysfs::export_cgroup_files(cgroup::CgroupId id) {
         // Inverse of the kernel mapping: shares = 2 + (weight - 1)*262142/9999.
         tree_.set_cpu_shares(id, 2 + (*weight - 1) * 262142 / 9999);
         return true;
-      },
-      &config_gen_);
+      });
   fs_.register_writable(
       v2_dir + "memory.max",
       [this, id] {
@@ -421,8 +393,7 @@ void VirtualSysfs::export_cgroup_files(cgroup::CgroupId id) {
         }
         tree_.set_mem_limit(id, *value);
         return true;
-      },
-      &config_gen_);
+      });
   fs_.register_writable(
       v2_dir + "memory.low",
       [this, id] {
@@ -437,8 +408,7 @@ void VirtualSysfs::export_cgroup_files(cgroup::CgroupId id) {
         }
         tree_.set_mem_soft_limit(id, *value);
         return true;
-      },
-      &config_gen_);
+      });
   fs_.register_file(v2_dir + "memory.current", [this, id] {
     return strf("%lld\n", static_cast<long long>(memory_.usage(id)));
   });
@@ -551,11 +521,10 @@ std::optional<std::int64_t> VirtualSysfs::trace_counter_for(
 }
 
 void VirtualSysfs::register_control_file(const std::string& path,
-                                         FileProvider provider,
-                                         const Generation* generation) {
+                                         FileProvider provider) {
   ARV_ASSERT_MSG(path.rfind("/sys/arv/", 0) == 0,
                  "control files live under /sys/arv/");
-  fs_.register_file(path, std::move(provider), generation);
+  fs_.register_file(path, std::move(provider));
 }
 
 void VirtualSysfs::remove_control_subtree(const std::string& prefix) {
@@ -567,7 +536,7 @@ void VirtualSysfs::remove_control_subtree(const std::string& prefix) {
 void VirtualSysfs::attach_trace(const obs::TraceRecorder* trace) {
   trace_ = trace;
   if (trace_ == nullptr) {
-    // Detach: the files stay registered (the vfs has no unregister), but
+    // Detach: the files stay registered, so readers keep finding them, but
     // their lambdas guard on trace_ so reads degrade to empty instead of
     // dereferencing null.
     return;

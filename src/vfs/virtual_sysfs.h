@@ -6,7 +6,9 @@
 // sys_namespace, the query is redirected to that namespace and the
 // *effective* resources are returned. The glibc sysconf() names the paper
 // cites (_SC_NPROCESSORS_ONLN, _SC_PHYS_PAGES, _SC_PAGESIZE) are shimmed on
-// top of the same redirection.
+// top of the same redirection. Every file renders from live state on each
+// read; the only memo is /proc/cpuinfo's text per CPU count, a pure function
+// of the count.
 #pragma once
 
 #include <map>
@@ -63,13 +65,8 @@ class VirtualSysfs {
   /// control loops publish their state under /sys/arv/<dir>/ on the control
   /// host's sysfs through this (via cluster::Telemetry); the cluster
   /// publishes its fleet snapshot under /sys/arv/fleet/. Path must
-  /// start with "/sys/arv/". Without `generation` the provider is consulted
-  /// on every read (decision counters change every round — caching would
-  /// only serve stale values); with one, renders cache on it exactly like
-  /// PseudoFs::register_file, so files over slow-moving state (the fleet
-  /// view) re-render only when their backing generation advances.
-  void register_control_file(const std::string& path, FileProvider provider,
-                             const Generation* generation = nullptr);
+  /// start with "/sys/arv/". The provider runs on every read.
+  void register_control_file(const std::string& path, FileProvider provider);
 
   /// Remove every control file under `prefix` (cluster::Telemetry's
   /// teardown — the providers capture their owner, so they must not outlive
@@ -104,10 +101,6 @@ class VirtualSysfs {
   core::NsMonitor& monitor_;
   const obs::TraceRecorder* trace_ = nullptr;  ///< not owned; may be null
   PseudoFs fs_;
-  /// Bumped on every cgroup event; knob files and other config-derived
-  /// pseudo-files register against it so their rendered text is cached
-  /// between configuration changes.
-  Generation config_gen_ = 1;
   mutable std::map<int, std::string> cpuinfo_cache_;
 };
 

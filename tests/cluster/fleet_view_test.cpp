@@ -3,9 +3,9 @@
 // control loops on — replayed with the incremental row-copy refresh and with
 // a forced full re-observe every round must produce byte-identical traces
 // *and* byte-identical /sys/arv/fleet/ renders; the generation must advance
-// only on content change so pseudo-file renders cache; and a serial-phase
-// probe pins that components always read a snapshot standing at cluster
-// time.
+// only on content change; the files must render from state alone, never
+// from read history; and a serial-phase probe pins that components always
+// read a snapshot standing at cluster time.
 #include "src/cluster/fleet_view.h"
 
 #include <gtest/gtest.h>
@@ -139,14 +139,14 @@ TEST(FleetViewDiff, IdenticalSnapshotsDiffEmpty) {
   EXPECT_TRUE(fleet.diff(fleet).empty());
 }
 
-// --- generation + render caching --------------------------------------------
+// --- generation + published files -------------------------------------------
 
 TEST(FleetViewGeneration, StableOnAnIdleFleet) {
   Cluster cluster;
   cluster.add_host(small_host());
   cluster.add_host(small_host());
   cluster.run_for(300 * msec);
-  const vfs::Generation settled = cluster.fleet_generation();
+  const std::uint64_t settled = cluster.fleet_generation();
   EXPECT_GT(settled, 0u);  // the first refresh did publish content
   cluster.run_for(500 * msec);
   // Nothing moved: window rolls re-observe rows but the content — and hence
@@ -158,7 +158,7 @@ TEST(FleetViewGeneration, AdvancesWhenAPodLands) {
   Cluster cluster;
   cluster.add_host(small_host());
   cluster.run_for(100 * msec);
-  const vfs::Generation before = cluster.fleet_generation();
+  const std::uint64_t before = cluster.fleet_generation();
   cluster.create_pod(0, {"web", res(500, 512 * MiB)},
                      cpu_hog_workload(1, 10 * sec));
   cluster.step();
@@ -180,7 +180,7 @@ TEST(FleetViewGeneration, RowsAreReusedForQuiescentHosts) {
   EXPECT_GT(cluster.fleet_rows_reused(), 0u);
 }
 
-TEST(FleetViewFiles, RenderAndCacheOnTheGeneration) {
+TEST(FleetViewFiles, RenderTheCurrentSnapshot) {
   harness::FleetScenario fleet;
   fleet.add_host(small_host());
   fleet.place_pod("effective", res(500, 512 * MiB),
@@ -201,18 +201,14 @@ TEST(FleetViewFiles, RenderAndCacheOnTheGeneration) {
   ASSERT_TRUE(pods.has_value());
   EXPECT_NE(pods->find("pod0"), std::string::npos);
 
-  // Re-reading without a generation change must serve the cached render.
-  const std::uint64_t hits = fs.render_cache_hits();
+  // Re-reading without a generation change renders the same text.
   EXPECT_EQ(fs.read("/sys/arv/fleet/hosts"), hosts);
   EXPECT_EQ(fs.read("/sys/arv/fleet/pods"), pods);
-  EXPECT_GE(fs.render_cache_hits(), hits + 2);
 
-  // An idle stretch: the generation holds, so renders stay cached.
+  // After an idle stretch the file still matches the live generation.
   fleet.run(300 * msec);
-  const std::uint64_t idle_hits = fs.render_cache_hits();
   EXPECT_EQ(*fs.read("/sys/arv/fleet/generation"),
             std::to_string(cluster.fleet_generation()) + "\n");
-  EXPECT_GE(fs.render_cache_hits(), idle_hits + 1);
 }
 
 TEST(FleetViewFiles, DiffFileReportsTheChangeThatMadeTheGeneration) {
@@ -232,6 +228,36 @@ TEST(FleetViewFiles, DiffFileReportsTheChangeThatMadeTheGeneration) {
   const auto diff = cluster.host(0).sysfs().host_fs().read("/sys/arv/fleet/diff");
   ASSERT_TRUE(diff.has_value());
   EXPECT_NE(diff->find("+pod" + std::to_string(pod)), std::string::npos);
+}
+
+TEST(FleetViewFiles, DiffIsAFunctionOfStateNotOfReadHistory) {
+  // Two identical clusters reach the same state; only one has its diff read
+  // along the way. An idle stretch later both must render the same diff:
+  // the current snapshot against the previous tick boundary's, which after
+  // ticks that changed nothing is "generation N -> N" with no rows.
+  Cluster read_early;
+  Cluster never_read;
+  for (Cluster* cluster : {&read_early, &never_read}) {
+    cluster->add_host(small_host());
+    cluster->add_host(small_host());
+    cluster->run_for(100 * msec);
+    cluster->cordon_host(1, true);
+    cluster->step();
+  }
+  const std::string path = "/sys/arv/fleet/diff";
+  const auto early = read_early.host(0).sysfs().host_fs().read(path);
+  ASSERT_TRUE(early.has_value());
+  EXPECT_NE(early->find("cordon-flipped"), std::string::npos);
+  for (Cluster* cluster : {&read_early, &never_read}) {
+    cluster->run_for(50 * msec);
+  }
+  ASSERT_EQ(read_early.fleet_generation(), never_read.fleet_generation());
+  const auto a = read_early.host(0).sysfs().host_fs().read(path);
+  const auto b = never_read.host(0).sysfs().host_fs().read(path);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a, b);
+  const std::string generation = std::to_string(never_read.fleet_generation());
+  EXPECT_EQ(*b, "generation " + generation + " -> " + generation + "\n");
 }
 
 // --- incremental refresh vs full re-observe ---------------------------------
@@ -256,14 +282,14 @@ class FullRebuildSpy final : public sim::TickComponent {
 
  private:
   Cluster& cluster_;
-  vfs::Generation last_generation_ = 0;
+  std::uint64_t last_generation_ = 0;
 };
 
 struct SweepResult {
   std::string trace;
   std::string hosts_render;
   std::string pods_render;
-  vfs::Generation generation = 0;
+  std::uint64_t generation = 0;
   std::uint64_t rows_reused = 0;
   std::uint64_t migrations = 0;
   std::uint64_t routed = 0;

@@ -1,9 +1,15 @@
 // The /sys/arv/policy/<container>/ control plane: runtime policy switching,
-// validated knob writes, and cleanup on container destruction.
+// validated knob writes, and cleanup on container destruction; plus a
+// seeded write-robustness property over every writable /sys/ file.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <map>
+#include <vector>
 
 #include "src/container/container.h"
 #include "src/core/policy.h"
+#include "src/util/rng.h"
 #include "src/workloads/hogs.h"
 
 namespace arv::vfs {
@@ -29,6 +35,24 @@ struct Fixture {
   container::Host host;  // default: 20 CPUs, 128 GiB
   container::ContainerRuntime runtime;
 };
+
+/// Iterations of the write-robustness property; scales with ARV_CHAOS_ITERS
+/// like the chaos suites (CI soaks hundreds, the default keeps runs fast).
+int robustness_iterations() {
+  const char* env = std::getenv("ARV_CHAOS_ITERS");
+  const int iters = env == nullptr ? 0 : std::atoi(env);
+  return iters > 0 ? iters : 3;
+}
+
+/// Every file on the host and what it reads now.
+std::map<std::string, std::optional<std::string>> snapshot(
+    const PseudoFs& fs) {
+  std::map<std::string, std::optional<std::string>> out;
+  for (const std::string& path : fs.list("/")) {
+    out[path] = fs.read(path);
+  }
+  return out;
+}
 
 TEST(PolicyFiles, AvailableListsTheRegistry) {
   Fixture f;
@@ -94,6 +118,10 @@ TEST(PolicyFiles, KnobWritesApplyAfterValidation) {
   EXPECT_DOUBLE_EQ(a.resource_view()->params().cpu_util_threshold, 0.8);
   ASSERT_TRUE(f.write("/sys/arv/policy/a/mem_prediction_gate", "0"));
   EXPECT_FALSE(a.resource_view()->params().mem_prediction_gate);
+  // The largest legal step is the CPU-set width.
+  ASSERT_TRUE(f.write("/sys/arv/policy/a/cpu_step",
+                      std::to_string(CpuSet::kMaxCpus)));
+  EXPECT_EQ(a.resource_view()->params().cpu_step, CpuSet::kMaxCpus);
 }
 
 TEST(PolicyFiles, InvalidKnobWritesAreWriteErrors) {
@@ -114,11 +142,22 @@ TEST(PolicyFiles, InvalidKnobWritesAreWriteErrors) {
   // cpu_down_threshold above cpu_util_threshold breaks the hysteresis band.
   EXPECT_FALSE(f.write("/sys/arv/policy/a/cpu_down_threshold", "0.99"));
   EXPECT_FALSE(f.write("/sys/arv/policy/a/prop_gain", "0"));
+  // Out-of-int values must not narrow into a legal step (2^32 + 1 and
+  // -(2^32 - 1) both wrap to 1), and a step past the CPU-set width would
+  // overflow Algorithm 1's `current + cpu_step`.
+  EXPECT_FALSE(f.write("/sys/arv/policy/a/cpu_step", "4294967297"));
+  EXPECT_FALSE(f.write("/sys/arv/policy/a/cpu_step", "-4294967295"));
+  EXPECT_FALSE(f.write("/sys/arv/policy/a/cpu_step", "2147483647"));
+  EXPECT_FALSE(f.write("/sys/arv/policy/a/cpu_step", "257"));
+  EXPECT_FALSE(f.write("/sys/arv/policy/a/prop_gain", "inf"));
+  EXPECT_FALSE(f.write("/sys/arv/policy/a/prop_gain", "1e999"));
   const auto& params = a.resource_view()->params();
   EXPECT_EQ(params.cpu_step, 1);
   EXPECT_DOUBLE_EQ(params.cpu_util_threshold, 0.95);
   EXPECT_DOUBLE_EQ(params.mem_growth_frac, 0.10);
   EXPECT_TRUE(params.mem_prediction_gate);
+  EXPECT_DOUBLE_EQ(params.prop_gain, 4.0);
+  EXPECT_EQ(f.read("/sys/arv/policy/a/cpu_step"), "1\n");
 }
 
 TEST(PolicyFiles, StaticMemPolicyTracksRuntimeLimitWrites) {
@@ -143,18 +182,32 @@ TEST(PolicyFiles, StaticMemPolicyTracksRuntimeLimitWrites) {
   EXPECT_NE(meminfo->find("MemTotal:       8388608 kB"), std::string::npos);
 }
 
-TEST(PolicyFiles, KnobWriteInvalidatesCachedRenders) {
-  // The knob files reuse the generation cache: a successful write must bump
-  // the generation so the next read re-renders instead of serving the old
-  // cached text.
+TEST(PolicyFiles, KnobWriteShowsOnTheNextRead) {
+  // A successful write shows on the next read; a failed one leaves the
+  // value alone.
   Fixture f;
   f.run({.name = "a"});
   ASSERT_EQ(f.read("/sys/arv/policy/a/cpu_step"), "1\n");
-  ASSERT_EQ(f.read("/sys/arv/policy/a/cpu_step"), "1\n");  // cached render
+  ASSERT_EQ(f.read("/sys/arv/policy/a/cpu_step"), "1\n");
   ASSERT_TRUE(f.write("/sys/arv/policy/a/cpu_step", "2"));
   EXPECT_EQ(f.read("/sys/arv/policy/a/cpu_step"), "2\n");
-  // A *failed* write leaves the cache (and the value) alone.
   ASSERT_FALSE(f.write("/sys/arv/policy/a/cpu_step", "0"));
+  EXPECT_EQ(f.read("/sys/arv/policy/a/cpu_step"), "2\n");
+}
+
+TEST(PolicyFiles, DirectNamespaceChangesShowOnTheNextRead) {
+  // The files render from the namespace itself, so a change made through
+  // the SysNamespace API (not the files) is visible on the next read.
+  Fixture f;
+  auto& a = f.run({.name = "a"});
+  ASSERT_EQ(f.read("/sys/arv/policy/a/cpu"), "paper\n");
+  ASSERT_EQ(f.read("/sys/arv/policy/a/cpu_step"), "1\n");
+  const auto view = a.resource_view();
+  ASSERT_TRUE(view->set_cpu_policy("static"));
+  core::Params params = view->params();
+  params.cpu_step = 2;
+  ASSERT_TRUE(view->set_params(params));
+  EXPECT_EQ(f.read("/sys/arv/policy/a/cpu"), "static\n");
   EXPECT_EQ(f.read("/sys/arv/policy/a/cpu_step"), "2\n");
 }
 
@@ -190,6 +243,46 @@ TEST(PolicyFiles, DestroyedContainerLosesItsPolicyDirectory) {
   EXPECT_FALSE(f.read("/sys/arv/policy/a/cpu").has_value());
   EXPECT_FALSE(f.read("/sys/arv/policy/a/cpu_step").has_value());
   EXPECT_FALSE(f.write("/sys/arv/policy/a/cpu", "static"));
+}
+
+TEST(PolicyFiles, RejectedWritesChangeNothing) {
+  // Property: any value written to any /sys/ file either applies or is a
+  // write error; a write error leaves every file on the host reading exactly
+  // as before, and no write aborts. The host runs briefly between batches so
+  // the policies also step under whatever the accepted writes configured.
+  const std::vector<std::string> values = {
+      "0", "-1", "1", "2", "4", "255", "256", "2147483647", "4294967297",
+      "-4294967295", "9223372036854775807", "9223372036854775808",
+      "-9223372036854775809", "0.5", "0.99", "1.5", "-0.5", "inf", "-inf",
+      "nan", "1e999", "-1e999", "1e-999", "0x1p-1", "0x1p+4", "-0x1p3", "",
+      " ", "\t\n", "garbage", "4 4", "max", "max 100000", "100000 500",
+      "0-3", "0-300", "1,", "static", "paper", "ewma", "proportional",
+      " paper\n"};
+  for (int iter = 0; iter < robustness_iterations(); ++iter) {
+    Fixture f;
+    f.run({.name = "view", .cpu_shares = 2048});
+    f.run({.name = "ewma", .view_params = {.cpu_policy = "ewma"}});
+    f.run({.name = "stock", .enable_resource_view = false});
+    const PseudoFs& fs = f.host.sysfs().host_fs();
+    Rng rng(static_cast<std::uint64_t>(iter) + 1);
+    for (int write = 0; write < 200; ++write) {
+      if (write % 40 == 39) {
+        f.host.run_for(20 * msec);
+      }
+      const std::vector<std::string> paths = fs.list("/sys/");
+      ASSERT_FALSE(paths.empty());
+      const std::string& path = paths[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(paths.size()) - 1))];
+      const std::string& value = values[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(values.size()) - 1))];
+      const auto before = snapshot(fs);
+      if (!f.write(path, value)) {
+        ASSERT_EQ(snapshot(fs), before)
+            << "iter " << iter << ": rejected write of \"" << value
+            << "\" to " << path << " changed the tree";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -96,48 +96,6 @@ TEST(PseudoFs, ListSortedByPath) {
   EXPECT_EQ(listed[1], "/d/b");
 }
 
-TEST(PseudoFs, GenerationCachedFileSkipsRender) {
-  PseudoFs fs;
-  Generation gen = 1;
-  int renders = 0;
-  fs.register_file(
-      "/cached", [&] { ++renders; return std::to_string(renders); }, &gen);
-  EXPECT_EQ(fs.read("/cached"), "1");
-  EXPECT_EQ(fs.read("/cached"), "1");  // provider not re-run
-  EXPECT_EQ(renders, 1);
-  EXPECT_EQ(fs.render_cache_hits(), 1u);
-  ++gen;  // configuration changed: next read re-renders
-  EXPECT_EQ(fs.read("/cached"), "2");
-  EXPECT_EQ(renders, 2);
-}
-
-TEST(PseudoFs, CachedWritableRereadsAfterGenerationBump) {
-  PseudoFs fs;
-  Generation gen = 1;
-  std::string value = "10";
-  fs.register_writable(
-      "/knob", [&] { return value; },
-      [&](std::string_view v) {
-        value = std::string(v);
-        ++gen;
-        return true;
-      },
-      &gen);
-  EXPECT_EQ(fs.read("/knob"), "10");
-  EXPECT_TRUE(fs.write("/knob", "20"));
-  EXPECT_EQ(fs.read("/knob"), "20");
-}
-
-TEST(PseudoFs, ReRegisterDropsStaleCachedRender) {
-  PseudoFs fs;
-  Generation gen = 7;
-  fs.register_file("/f", [] { return std::string("old"); }, &gen);
-  EXPECT_EQ(fs.read("/f"), "old");
-  // Same generation value, but re-registration must start a fresh cache.
-  fs.register_file("/f", [] { return std::string("new"); }, &gen);
-  EXPECT_EQ(fs.read("/f"), "new");
-}
-
 TEST(PseudoFsDeath, PathsMustBeAbsolute) {
   PseudoFs fs;
   EXPECT_DEATH(fs.register_file("relative", [] { return std::string(); }), "");
