@@ -25,7 +25,8 @@ const std::string& service_key(const Pod& pod) {
 
 }  // namespace
 
-Cluster::Cluster(ClusterConfig config) : config_(config), rng_(config.seed) {
+Cluster::Cluster(ClusterConfig config)
+    : config_(config), rng_(config.seed), components_(config.tick) {
   ARV_ASSERT(config_.tick > 0);
   ARV_ASSERT(kObserveWindow >= config_.tick);
   if (config_.enable_tracing) {
@@ -119,12 +120,11 @@ void Cluster::register_host_trace(int index) {
 }
 
 void Cluster::add_component(sim::TickComponent* component) {
-  ARV_ASSERT(component != nullptr);
-  Dispatch dispatch;
-  dispatch.component = component;
-  dispatch.next = now_ + config_.tick;  // first dispatch on the next tick
-  dispatch.last = now_;
-  components_.push_back(dispatch);
+  // Mid-step, before the dispatch phase, the engine still reads the previous
+  // tick and would dispatch the newcomer on this one.
+  ARV_ASSERT_MSG(components_.now() == now_,
+                 "add cluster components between steps or from a tick()");
+  components_.add_component(component);
 }
 
 void Cluster::step() {
@@ -139,7 +139,8 @@ void Cluster::step() {
   // snapshot refreshes after landing so it reflects the landed state.
   settle_migrations();
   refresh_fleet(/*boundary=*/true);
-  dispatch_components();
+  components_.step();
+  ARV_ASSERT(components_.now() == now_);
   if (trace_ != nullptr) {
     trace_->tick(now_, config_.tick);
   }
@@ -492,25 +493,11 @@ void Cluster::failover_pod(int pod_id, int target_host) {
   ARV_LOG(kInfo, "cluster", "pod %d failed over -> h%d", pod.id, target_host);
 }
 
-void Cluster::dispatch_components() {
-  for (Dispatch& dispatch : components_) {
-    if (dispatch.next > now_) {
-      continue;
-    }
-    dispatch.component->tick(now_, now_ - dispatch.last);
-    dispatch.last = now_;
-    const SimDuration period =
-        std::max(dispatch.component->tick_period(), config_.tick);
-    dispatch.next = now_ + period;
-  }
-}
-
 HostView Cluster::host_view(int index) const {
   const HostState& state = hosts_.at(static_cast<std::size_t>(index));
   HostView view;
   view.index = index;
-  // Flat subsystem reads only — Host::snapshot() builds per-container name
-  // strings, far too heavy for a per-tick arena refresh over 256 hosts.
+  // Flat subsystem reads only: this runs per tick over up to 256 hosts.
   // Every field is valid for a frozen host: free memory and the ledger do
   // not change while frozen, and window_slack is maintained analytically.
   view.capacity_millicpu = static_cast<std::int64_t>(state.host->cpus()) * 1000;

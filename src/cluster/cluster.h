@@ -153,9 +153,10 @@ class Cluster {
   }
 
   /// Register a cluster-level component (rebalancer, router), dispatched
-  /// after all hosts advanced each tick — same TickComponent contract as
-  /// sim::Engine (tick_period re-queried after each dispatch, registration
-  /// order breaks due-time ties). Not owned.
+  /// after all hosts advanced each tick by the cluster's own sim::Engine:
+  /// first due on the next tick, then per its tick_period(), components due
+  /// on the same tick in registration order. Call between steps or from a
+  /// component's tick(). Not owned.
   void add_component(sim::TickComponent* component);
 
   // --- time ----------------------------------------------------------------
@@ -255,10 +256,6 @@ class Cluster {
   /// round copy it and claim() each landing. Serial phases only.
   const FleetView& fleet_view();
 
-  /// The snapshot published at the previous tick boundary (what diff renders
-  /// against). Empty before the second step.
-  const FleetView& previous_fleet_view() const { return prev_; }
-
   /// The fleet snapshot's content generation: advances only when the
   /// content changed (published as /sys/arv/fleet/generation).
   std::uint64_t fleet_generation() const { return fleet_gen_; }
@@ -345,11 +342,6 @@ class Cluster {
     std::uint64_t seq = 0;  ///< FIFO tie-break at equal due times
     int pod = -1;
   };
-  struct Dispatch {
-    sim::TickComponent* component = nullptr;
-    SimTime next = 0;
-    SimTime last = 0;
-  };
 
   void host_phase();
   /// Catch a frozen host's clock up to cluster time (no-op when current).
@@ -367,7 +359,6 @@ class Cluster {
   /// their pods) from `old` instead of re-observing them.
   void rebuild_fleet(const FleetView& old);
   void settle_migrations();
-  void dispatch_components();
   void land_pod(Pod& pod);
   void harvest_stats(Pod& pod);
   void fail_pod(Pod& pod);
@@ -400,7 +391,8 @@ class Cluster {
   std::vector<Pod> pods_;
   std::vector<PendingMigration> pending_;
   std::uint64_t next_migration_seq_ = 0;
-  std::vector<Dispatch> components_;
+  /// Dispatches the cluster-level components; its clock follows now_.
+  sim::Engine components_;
   std::uint64_t migrations_ = 0;
   std::uint64_t pod_crashes_ = 0;
   std::uint64_t host_crashes_ = 0;

@@ -7,14 +7,6 @@
 #include "src/util/assert.h"
 
 namespace arv::cluster {
-namespace {
-
-/// One admitted request spends one token; buckets store tokens in
-/// milli-tokens scaled by units::sec so refill (rate_milli * elapsed_usec)
-/// is exact integer arithmetic with no truncation drift.
-constexpr std::int64_t kSpendScaled = 1000 * units::sec;
-
-}  // namespace
 
 const char* criticality_name(Criticality c) {
   switch (c) {
@@ -160,18 +152,6 @@ void AdmissionController::set_criticality(const std::string& name,
   t->criticality = criticality;
 }
 
-void AdmissionController::set_rate_limit(const std::string& name,
-                                         TenantRate rate) {
-  Tenant* t = find(name);
-  ARV_ASSERT_MSG(t != nullptr, "unknown tenant");
-  ARV_ASSERT(rate.tokens_per_sec >= 0 && rate.burst_tokens >= 0);
-  t->rate_milli = static_cast<std::int64_t>(rate.tokens_per_sec * 1000.0);
-  t->burst_scaled =
-      static_cast<std::int64_t>(rate.burst_tokens * 1000.0) * units::sec;
-  t->tokens_scaled = t->burst_scaled;  // a fresh limit starts with its burst
-  t->last_refill = cluster_.now();
-}
-
 Criticality AdmissionController::tenant_criticality(
     const std::string& name) const {
   const Tenant* t = find(name);
@@ -193,26 +173,13 @@ std::uint64_t AdmissionController::tenant_rejected(
   return t->rejected;
 }
 
-bool AdmissionController::admit(int slot, SimTime now) {
+bool AdmissionController::admit(int slot) {
   ARV_ASSERT(slot >= 0 && slot < static_cast<int>(tenants_.size()));
   Tenant& t = tenants_[static_cast<std::size_t>(slot)];
   if (shed_level_ > 0 && shedding(t.criticality)) {
     ++rejected_;
-    ++rejected_pressure_;
     ++t.rejected;
     return false;
-  }
-  if (t.rate_milli > 0) {
-    t.tokens_scaled = std::min(
-        t.burst_scaled, t.tokens_scaled + t.rate_milli * (now - t.last_refill));
-    t.last_refill = now;
-    if (t.tokens_scaled < kSpendScaled) {
-      ++rejected_;
-      ++rejected_rate_;
-      ++t.rejected;
-      return false;
-    }
-    t.tokens_scaled -= kSpendScaled;
   }
   ++admitted_;
   ++t.admitted;

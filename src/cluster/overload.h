@@ -9,11 +9,11 @@
 // the four guards that keep goodput flat past saturation:
 //
 //   1. AdmissionController — the front door. Every request a RequestRouter
-//      generates first passes (a) its tenant's token bucket and (b) the
-//      criticality gate: tenants map to four classes (critical / normal /
-//      batch / best-effort, derived from their SLO declarations), and when
-//      the fleet pressure signal crosses hysteresis bands the controller
-//      sheds the lowest class first, walking upward one band per step.
+//      generates first passes the criticality gate: tenants map to four
+//      classes (critical / normal / batch / best-effort, derived from their
+//      SLO declarations), and when the fleet pressure signal crosses
+//      hysteresis bands the controller sheds the lowest class first,
+//      walking upward one band per step.
 //      Pressure = max(queue depth vs a reference depth, windowed p99 vs a
 //      reference target) — both from state the serial phase already owns
 //      (replica accept queues + the cumulative util::LatencyHistogram, whose
@@ -44,9 +44,9 @@
 //
 // Determinism: the controller mutates only inside serial phases — its own
 // tick() and the routers' route_one() calls (driver injection and router
-// ticks are serial-phase components). All arithmetic is integer (token
-// buckets in milli-tokens with exact scaled refill), so cluster traces stay
-// byte-identical run to run. Telemetry surfaces as admission.* /
+// ticks are serial-phase components). All arithmetic is integer (the retry
+// budget counts milli-tokens), so cluster traces stay byte-identical run to
+// run. Telemetry surfaces as admission.* /
 // overload.* trace series and /sys/arv/admission/ control files on the
 // designated control host.
 #pragma once
@@ -139,12 +139,6 @@ struct AdmissionConfig {
   AdmissionConfig validated() const;
 };
 
-/// Per-tenant token-bucket rate limit (0 = unlimited, the default).
-struct TenantRate {
-  double tokens_per_sec = 0;
-  double burst_tokens = 0;
-};
-
 class AdmissionController : public sim::TickComponent {
  public:
   explicit AdmissionController(Cluster& cluster, AdmissionConfig config = {});
@@ -160,12 +154,10 @@ class AdmissionController : public sim::TickComponent {
 
   /// Re-classify a tenant (declare_slo upgrades criticality post-hoc).
   void set_criticality(const std::string& name, Criticality criticality);
-  /// Set / replace a tenant's token-bucket rate limit.
-  void set_rate_limit(const std::string& name, TenantRate rate);
 
   // --- router-facing gates (serial phase only) -------------------------------
-  /// Admission verdict for one request of tenant `slot` arriving `now`.
-  bool admit(int slot, SimTime now);
+  /// Admission verdict for one request of tenant `slot`.
+  bool admit(int slot);
   /// Spend one retry token; false = budget dry, give up.
   bool allow_retry();
   /// A request was routed successfully: refill the retry budget.
@@ -186,8 +178,6 @@ class AdmissionController : public sim::TickComponent {
   }
   std::uint64_t admitted() const { return admitted_; }
   std::uint64_t rejected() const { return rejected_; }
-  std::uint64_t rejected_pressure() const { return rejected_pressure_; }
-  std::uint64_t rejected_rate() const { return rejected_rate_; }
   std::uint64_t retries_allowed() const { return retries_allowed_; }
   std::uint64_t retries_denied() const { return retries_denied_; }
   std::int64_t retry_tokens_milli() const { return retry_tokens_milli_; }
@@ -206,13 +196,6 @@ class AdmissionController : public sim::TickComponent {
     std::string name;
     RequestRouter* router = nullptr;
     Criticality criticality = Criticality::kNormal;
-    // Token bucket in milli-tokens scaled by units::sec: refill adds
-    // rate_milli * elapsed_usec exactly (no truncation drift), one admit
-    // spends 1000 * units::sec. rate_milli == 0 disables the bucket.
-    std::int64_t rate_milli = 0;
-    std::int64_t burst_scaled = 0;
-    std::int64_t tokens_scaled = 0;
-    SimTime last_refill = 0;
     std::uint64_t admitted = 0;
     std::uint64_t rejected = 0;
     // Round snapshots served by this tenant's control files.
@@ -253,8 +236,6 @@ class AdmissionController : public sim::TickComponent {
 
   std::uint64_t admitted_ = 0;
   std::uint64_t rejected_ = 0;
-  std::uint64_t rejected_pressure_ = 0;
-  std::uint64_t rejected_rate_ = 0;
   std::uint64_t retries_allowed_ = 0;
   std::uint64_t retries_denied_ = 0;
   std::uint64_t brownout_entries_ = 0;

@@ -137,10 +137,10 @@ void RequestRouter::record_failure(Replica& replica, SimTime now) {
 
 void RequestRouter::route_one(SimTime now, CpuTime cost) {
   ++generated_;
-  // Front-door admission (overload.h): criticality-class shedding and the
-  // tenant's token bucket run before any replica is considered, so rejected
-  // requests cost nothing downstream.
-  if (admission_ != nullptr && !admission_->admit(admission_slot_, now)) {
+  // Front-door admission (overload.h): criticality-class shedding runs
+  // before any replica is considered, so rejected requests cost nothing
+  // downstream.
+  if (admission_ != nullptr && !admission_->admit(admission_slot_)) {
     ++rejected_;
     return;
   }

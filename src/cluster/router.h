@@ -26,7 +26,7 @@
 //
 // Overload (see overload.h and docs/FAULTS.md): with an AdmissionController
 // attached, every generated request first passes its front door (criticality
-// shedding + per-tenant token bucket → rejected), retries draw on a
+// shedding → rejected), retries draw on a
 // fleet-wide budget refilled by successes, and while the controller holds
 // brownout every routed request is served as a degraded (cheaper) response.
 #pragma once
@@ -86,10 +86,11 @@ class RequestRouter : public sim::TickComponent {
   /// arrivals — retries, breakers, shed/unroutable accounting all apply.
   void inject(SimTime now, CpuTime cost = 0) { route_one(now, cost); }
 
-  /// Batched per-tick injection: `costs[0..n)` requests all arriving `now`.
-  /// One fleet-snapshot pull serves the whole batch and the candidate
-  /// scratch is pooled, so the generator side stays O(n) with no per-request
-  /// allocation (the million-requests-per-sim-day fast path).
+  /// Batched per-tick injection: `costs[0..n)` requests all arriving `now`,
+  /// each routed exactly as inject() would (every request reads
+  /// cluster.fleet_view(), which rebuilds only if the fleet changed). The
+  /// candidate scratch is pooled, so the batch allocates nothing per request
+  /// (the million-requests-per-sim-day fast path).
   void inject_batch(SimTime now, const CpuTime* costs, std::size_t n);
 
   /// Replicas currently enrolled (live or not; rotation never shrinks).

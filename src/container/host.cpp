@@ -12,26 +12,6 @@ mem::Config with_ram(mem::Config config, Bytes ram) {
 
 }  // namespace
 
-HostSnapshot Host::snapshot() const {
-  HostSnapshot snap;
-  snap.cpus = config_.cpus;
-  snap.ram = config_.ram;
-  snap.total_slack = scheduler_.total_slack();
-  snap.last_tick_slack = scheduler_.last_tick_slack();
-  snap.free_memory = memory_.free_memory();
-  snap.nr_running = scheduler_.nr_running();
-  for (const auto& ns : monitor_.views()) {
-    ContainerViewInfo info;
-    info.cgroup = ns->cgroup();
-    info.name = tree_.exists(info.cgroup) ? tree_.get(info.cgroup).name()
-                                          : "cgroup" + std::to_string(info.cgroup);
-    info.e_cpu = ns->effective_cpus();
-    info.e_mem = ns->effective_memory();
-    snap.views.push_back(std::move(info));
-  }
-  return snap;
-}
-
 bool Host::quiescent() const {
   return engine_.pending_events() == 0 &&
          engine_.component_count() == 3 &&  // scheduler + memory + monitor only

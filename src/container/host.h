@@ -7,8 +7,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "src/cgroup/cgroup.h"
 #include "src/core/ns_monitor.h"
@@ -31,27 +29,6 @@ struct HostConfig {
   /// tick. Off by default — tracing must never change behaviour either way.
   bool enable_tracing = false;
   obs::TraceConfig trace;               ///< sampling cadence when tracing
-};
-
-/// One container's effective view as seen from outside the host.
-struct ContainerViewInfo {
-  cgroup::CgroupId cgroup = -1;
-  std::string name;
-  int e_cpu = 0;
-  Bytes e_mem = 0;
-};
-
-/// Point-in-time host load summary for cluster-level consumers (placement,
-/// rebalancing, routing): the *observed* signals — slack, free memory, the
-/// per-container effective views — rather than declared requests/limits.
-struct HostSnapshot {
-  int cpus = 0;
-  Bytes ram = 0;
-  CpuTime total_slack = 0;      ///< cumulative idle capacity (scheduler)
-  CpuTime last_tick_slack = 0;  ///< idle capacity during the latest tick
-  Bytes free_memory = 0;
-  int nr_running = 0;
-  std::vector<ContainerViewInfo> views;  ///< one per registered sys_namespace
 };
 
 class Host {
@@ -77,14 +54,11 @@ class Host {
   SimTime now() const { return engine_.now(); }
   void run_for(SimDuration duration) { engine_.run_for(duration); }
 
-  /// Observed load summary (see HostSnapshot). Read-only.
-  HostSnapshot snapshot() const;
-
   /// True when stepping this host would provably change nothing but the
   /// clock and idle-slack counters: no pending one-shot events, no
-  /// components beyond the three base subsystems (so no workloads and no
-  /// trace recorder), no registered container views, no reclaim in flight
-  /// or due, and no runnable CPU consumer. The cluster's idle-host skip
+  /// components beyond the three base subsystems (so no trace recorder),
+  /// no registered container views, no reclaim in flight or due, and no
+  /// runnable CPU consumer. The cluster's idle-host skip
   /// freezes exactly the hosts for which this holds; advance_idle() later
   /// replays the frozen interval in O(1) per subsystem.
   bool quiescent() const;

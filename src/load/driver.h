@@ -16,8 +16,8 @@
 // order, tick). Traces are therefore byte-identical run to run.
 //
 // Fast path: per tick the driver fills one pooled cost buffer per tenant and
-// hands it to RequestRouter::inject_batch — no per-request allocation, one
-// fleet-snapshot pull per batch. The driver times itself (wall clock) so
+// hands it to RequestRouter::inject_batch, which routes each request in turn
+// with no per-request allocation. The driver times itself (wall clock) so
 // benchmarks can report generator overhead against the step loop.
 #pragma once
 

@@ -12,19 +12,15 @@ Engine::Engine(SimDuration tick_length) : tick_length_(tick_length) {
 
 void Engine::add_component(TickComponent* component) {
   ARV_ASSERT(component != nullptr);
-  ARV_ASSERT_MSG(registry_.find(component) == registry_.end(),
+  ARV_ASSERT_MSG(std::none_of(components_.begin(), components_.end(),
+                              [component](const Dispatch& entry) {
+                                return entry.component == component;
+                              }),
                  "component registered twice");
-  const std::uint64_t seq = next_component_seq_++;
-  registry_.emplace(component, seq);
   // First dispatch on the tick after registration: mid-step now_ is already
   // the current tick, between steps it is the last completed one — either
   // way now_ + tick_length_ is the next tick processed.
-  dispatch_.push(Dispatch{now_ + tick_length_, seq, now_, component});
-}
-
-void Engine::remove_component(TickComponent* component) {
-  // Queue entries are invalidated lazily via the registry; see Dispatch.
-  registry_.erase(component);
+  components_.push_back(Dispatch{component, now_ + tick_length_, now_});
 }
 
 void Engine::schedule_at(SimTime when, std::function<void()> fn) {
@@ -51,23 +47,17 @@ void Engine::step() {
   now_ += tick_length_;
   ++ticks_;
   fire_due_events();
-  while (!dispatch_.empty() && dispatch_.top().when <= now_) {
-    const Dispatch due = dispatch_.top();
-    dispatch_.pop();
-    const auto it = registry_.find(due.component);
-    if (it == registry_.end() || it->second != due.seq) {
-      continue;  // removed (or removed and re-registered) — stale entry
+  // By index, not by iterator: a tick() may add a component, which appends
+  // (and may reallocate); the newcomer is due next tick, so it is skipped.
+  for (std::size_t i = 0; i < components_.size(); ++i) {
+    if (components_[i].next > now_) {
+      continue;
     }
-    due.component->tick(now_, now_ - due.last);
-    // tick() may have removed the component (even itself); only a
-    // still-live registration is re-armed. Entries added mid-tick by
-    // add_component are due next tick, so the drain terminates.
-    const auto live = registry_.find(due.component);
-    if (live != registry_.end() && live->second == due.seq) {
-      const SimDuration period = std::max(due.component->tick_period(),
-                                          tick_length_);
-      dispatch_.push(Dispatch{now_ + period, due.seq, now_, due.component});
-    }
+    TickComponent* component = components_[i].component;
+    component->tick(now_, now_ - components_[i].last);
+    const SimDuration period = std::max(component->tick_period(), tick_length_);
+    components_[i].next = now_ + period;
+    components_[i].last = now_;
   }
 }
 
@@ -82,22 +72,13 @@ void Engine::advance_clock(SimTime to) {
                  "cannot jump past a due one-shot event");
   ticks_ += static_cast<std::uint64_t>(gap / tick_length_);
   now_ = to;
-  // Re-time dispatch entries that fell due inside the gap. The queue is a
-  // handful of entries (a quiescent host has only its base components), so
-  // drain-and-rebuild is cheap and keeps the lazy-deletion invariants: seq
-  // values are untouched, dead entries stay dead.
-  std::vector<Dispatch> entries;
-  entries.reserve(dispatch_.size());
-  while (!dispatch_.empty()) {
-    entries.push_back(dispatch_.top());
-    dispatch_.pop();
-  }
-  for (Dispatch& entry : entries) {
-    if (entry.when <= now_) {
-      entry.when = now_ + tick_length_;
+  // Entries that fell due inside the gap are re-timed as if they had fired
+  // as no-ops.
+  for (Dispatch& entry : components_) {
+    if (entry.next <= now_) {
+      entry.next = now_ + tick_length_;
       entry.last = now_;
     }
-    dispatch_.push(entry);
   }
 }
 

@@ -9,21 +9,17 @@
 // (the scheduler and the memory manager genuinely move state every tick),
 // a positive period means the component only needs attention that often
 // (the Ns_Monitor fires once per scheduling period, the trace recorder once
-// per sample interval). Dispatch comes from a single due-time priority
-// queue ordered by (due time, registration order), so components that are
-// due on the same tick still run in registration order — the host registers
-// scheduler -> memory -> monitors -> recorder so that resource grants
-// precede consumption and samples see the tick's final state. The period is
-// re-queried after every dispatch, so a periodic component may stretch and
-// shrink its own cadence (the Ns_Monitor tracks the CFS scheduling period).
-//
-// With hundreds of mostly-idle components this makes a tick cost
-// O(due components) instead of O(all components).
+// per sample interval). Each step scans the components in registration
+// order and ticks the due ones, so components due on the same tick run in
+// that order — the host registers scheduler -> memory -> monitors -> recorder
+// so that resource grants precede consumption and samples see the tick's
+// final state. The period is re-queried after every dispatch, so a
+// periodic component may stretch and shrink its own cadence (the Ns_Monitor
+// tracks the CFS scheduling period).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <queue>
 #include <string>
 #include <vector>
@@ -62,13 +58,9 @@ class Engine {
 
   /// Register a component; first dispatched on the tick after registration,
   /// then per its tick_period(). Components due on the same tick run in
-  /// registration order.
+  /// registration order. Safe to call from inside a tick(): the new
+  /// component is first due on the next tick.
   void add_component(TickComponent* component);
-
-  /// Deregister a component. Safe to call from inside any tick() — even the
-  /// component's own — and from event callbacks: a component removed
-  /// mid-tick is not dispatched again, including later in the same tick.
-  void remove_component(TickComponent* component);
 
   /// Schedule a one-shot callback at absolute simulated time `when` (>= now).
   /// Events due within a tick fire at that tick's start, in (time, FIFO)
@@ -99,7 +91,7 @@ class Engine {
 
   std::uint64_t ticks_executed() const { return ticks_; }
   std::size_t pending_events() const { return events_.size(); }
-  std::size_t component_count() const { return registry_.size(); }
+  std::size_t component_count() const { return components_.size(); }
 
  private:
   struct Event {
@@ -116,23 +108,11 @@ class Engine {
     }
   };
 
-  /// A component's next due dispatch. Removal is lazy: an entry whose
-  /// (component, seq) no longer matches the registry is dead and skipped,
-  /// so remove_component never touches the queue (and a stale entry can
-  /// never dispatch a re-registered component twice).
+  /// A registered component and its dispatch schedule.
   struct Dispatch {
-    SimTime when;
-    std::uint64_t seq;  // registration order; ties at equal due times
-    SimTime last;       // previous dispatch time (for dt)
     TickComponent* component;
-  };
-  struct DispatchLater {
-    bool operator()(const Dispatch& a, const Dispatch& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
+    SimTime next;  // next due dispatch
+    SimTime last;  // previous dispatch time (for dt)
   };
 
   void fire_due_events();
@@ -141,11 +121,7 @@ class Engine {
   SimDuration tick_length_;
   std::uint64_t ticks_ = 0;
   std::uint64_t next_seq_ = 0;
-  /// Live components -> registration seq (the liveness check for lazy
-  /// queue deletion). Never iterated, so pointer keying stays deterministic.
-  std::map<TickComponent*, std::uint64_t> registry_;
-  std::uint64_t next_component_seq_ = 0;
-  std::priority_queue<Dispatch, std::vector<Dispatch>, DispatchLater> dispatch_;
+  std::vector<Dispatch> components_;  ///< registration order
   std::priority_queue<Event, std::vector<Event>, EventLater> events_;
 };
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/cluster/pod_workloads.h"
 #include "src/cluster/scheduler.h"
@@ -95,6 +96,46 @@ TEST(Cluster, MigrationPaysFreezeThenLands) {
   EXPECT_EQ(cluster.pod(pod).migrations, 1);
   EXPECT_EQ(cluster.pods_on(1), 1);
   EXPECT_EQ(cluster.pods_on(0), 0);
+}
+
+// Logs every dispatch. On its first tick it registers `child` with the
+// cluster, so a registration lands while the cluster is dispatching.
+class Spawner : public sim::TickComponent {
+ public:
+  Spawner(Cluster& cluster, sim::TickComponent* child)
+      : cluster_(cluster), child_(child) {}
+  void tick(SimTime now, SimDuration dt) override {
+    times.push_back(now);
+    dts.push_back(dt);
+    if (child_ != nullptr) {
+      cluster_.add_component(child_);
+      child_ = nullptr;
+    }
+  }
+  std::string name() const override { return "spawner"; }
+
+  std::vector<SimTime> times;
+  std::vector<SimDuration> dts;
+
+ private:
+  Cluster& cluster_;
+  sim::TickComponent* child_;
+};
+
+TEST(Cluster, ComponentAddedMidTickFirstTicksOnTheNextTick) {
+  Cluster cluster;
+  cluster.add_host(small_host(2, 4 * GiB));
+  Spawner child(cluster, nullptr);
+  Spawner parent(cluster, &child);
+  cluster.add_component(&parent);
+  cluster.run_for(5 * msec);
+  const SimDuration tick = cluster.config().tick;
+  EXPECT_EQ(parent.times, (std::vector<SimTime>{1 * msec, 2 * msec, 3 * msec,
+                                                4 * msec, 5 * msec}));
+  EXPECT_EQ(parent.dts, std::vector<SimDuration>(5, tick));
+  EXPECT_EQ(child.times,
+            (std::vector<SimTime>{2 * msec, 3 * msec, 4 * msec, 5 * msec}));
+  EXPECT_EQ(child.dts, std::vector<SimDuration>(4, tick));
 }
 
 // The acceptance-criteria determinism pin: an entire fleet — placement with

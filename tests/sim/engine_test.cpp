@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <functional>
+#include <memory>
+#include <queue>
+#include <tuple>
 #include <vector>
+
+#include "src/util/rng.h"
 
 namespace arv::sim {
 namespace {
@@ -51,17 +59,6 @@ TEST(Engine, ComponentsTickInRegistrationOrder) {
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0], "a@1000");
   EXPECT_EQ(log[1], "b@1000");
-}
-
-TEST(Engine, RemoveComponentStopsTicks) {
-  Engine engine(1000);
-  std::vector<std::string> log;
-  Recorder a("a", &log);
-  engine.add_component(&a);
-  engine.step();
-  engine.remove_component(&a);
-  engine.step();
-  EXPECT_EQ(a.ticks(), 1);
 }
 
 TEST(Engine, EventsFireAtDueTick) {
@@ -131,25 +128,6 @@ TEST(Engine, PendingEventsCount) {
   EXPECT_EQ(engine.pending_events(), 1u);
 }
 
-// Runs an action on its Nth tick — for removal-during-dispatch tests.
-class Trigger : public TickComponent {
- public:
-  Trigger(int fire_on, std::function<void()> action)
-      : fire_on_(fire_on), action_(std::move(action)) {}
-  void tick(SimTime, SimDuration) override {
-    if (++ticks_ == fire_on_) {
-      action_();
-    }
-  }
-  std::string name() const override { return "trigger"; }
-  int ticks() const { return ticks_; }
-
- private:
-  int fire_on_;
-  std::function<void()> action_;
-  int ticks_ = 0;
-};
-
 class Periodic : public TickComponent {
  public:
   explicit Periodic(SimDuration period) : period_(period) {}
@@ -168,42 +146,6 @@ class Periodic : public TickComponent {
   std::vector<SimTime> times_;
   std::vector<SimDuration> dts_;
 };
-
-TEST(Engine, ComponentMayRemoveItselfDuringTick) {
-  Engine engine(1000);
-  Trigger* self = nullptr;
-  Trigger suicidal(2, [&] { engine.remove_component(self); });
-  self = &suicidal;
-  engine.add_component(&suicidal);
-  engine.run_for(5000);  // must not crash or double-dispatch
-  EXPECT_EQ(suicidal.ticks(), 2);
-  EXPECT_EQ(engine.component_count(), 0u);
-}
-
-TEST(Engine, ComponentMayRemoveLaterComponentDuringTick) {
-  Engine engine(1000);
-  std::vector<std::string> log;
-  Recorder victim("victim", &log);
-  // Registered first, so it runs before `victim` in the same tick; the
-  // removal must keep `victim` from being dispatched later that tick.
-  Trigger assassin(1, [&] { engine.remove_component(&victim); });
-  engine.add_component(&assassin);
-  engine.add_component(&victim);
-  engine.run_for(3000);
-  EXPECT_EQ(victim.ticks(), 0);
-}
-
-TEST(Engine, ReAddedComponentTicksAgain) {
-  Engine engine(1000);
-  std::vector<std::string> log;
-  Recorder a("a", &log);
-  engine.add_component(&a);
-  engine.step();
-  engine.remove_component(&a);
-  engine.add_component(&a);
-  engine.step();
-  EXPECT_EQ(a.ticks(), 2);
-}
 
 TEST(Engine, PeriodicComponentFiresAtItsPeriod) {
   Engine engine(1000);
@@ -277,6 +219,258 @@ TEST(Engine, AdvanceClockRefusesToSkipDueEvents) {
   engine.advance_clock(2000);  // up to (not past) the event is fine
   EXPECT_EQ(engine.now(), 2000);
   EXPECT_DEATH(engine.advance_clock(4000), "due one-shot event");
+}
+
+TEST(Engine, AddingAComponentTwiceAborts) {
+  Engine engine(1000);
+  std::vector<std::string> log;
+  Recorder a("a", &log);
+  engine.add_component(&a);
+  EXPECT_DEATH(engine.add_component(&a), "registered twice");
+}
+
+// --- dispatch equivalence with the former priority-queue dispatcher ---------
+
+/// One dispatch as a component saw it: (now, component id, dt).
+using DispatchLog = std::vector<std::tuple<SimTime, int, SimDuration>>;
+
+/// Reference implementation: the due-time priority queue the engine used to
+/// dispatch components with, ordered by (due time, registration order).
+/// Events are left out; the schedules below schedule none.
+class QueueDispatcher {
+ public:
+  explicit QueueDispatcher(SimDuration tick) : tick_(tick) {}
+
+  SimTime now() const { return now_; }
+
+  void add_component(TickComponent* component) {
+    queue_.push(Entry{now_ + tick_, next_seq_++, now_, component});
+  }
+
+  void step() {
+    now_ += tick_;
+    while (!queue_.empty() && queue_.top().when <= now_) {
+      const Entry due = queue_.top();
+      queue_.pop();
+      due.component->tick(now_, now_ - due.last);
+      const SimDuration period = std::max(due.component->tick_period(), tick_);
+      queue_.push(Entry{now_ + period, due.seq, now_, due.component});
+    }
+  }
+
+  void advance_clock(SimTime to) {
+    now_ = to;
+    std::vector<Entry> entries;
+    while (!queue_.empty()) {
+      entries.push_back(queue_.top());
+      queue_.pop();
+    }
+    for (Entry& entry : entries) {
+      if (entry.when <= now_) {
+        entry.when = now_ + tick_;
+        entry.last = now_;
+      }
+      queue_.push(entry);
+    }
+  }
+
+ private:
+  struct Entry {
+    SimTime when;
+    std::uint64_t seq;
+    SimTime last;
+    TickComponent* component;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+  };
+
+  SimDuration tick_;
+  SimTime now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+};
+
+/// Logs each dispatch, then takes the next period from its script, so the
+/// period changes after every dispatch. On its `spawn_on`-th dispatch it
+/// calls `spawn`, which registers another component mid-tick.
+class Probe : public TickComponent {
+ public:
+  Probe(int id, std::vector<SimDuration> periods, int spawn_on,
+        DispatchLog* log, std::function<void()> spawn)
+      : id_(id),
+        periods_(std::move(periods)),
+        spawn_on_(spawn_on),
+        log_(log),
+        spawn_(std::move(spawn)) {}
+  void tick(SimTime now, SimDuration dt) override {
+    log_->emplace_back(now, id_, dt);
+    if (++dispatches_ == spawn_on_) {
+      spawn_();
+    }
+  }
+  SimDuration tick_period() const override {
+    return periods_[static_cast<std::size_t>(dispatches_) % periods_.size()];
+  }
+  std::string name() const override { return "probe" + std::to_string(id_); }
+
+ private:
+  int id_;
+  std::vector<SimDuration> periods_;
+  int spawn_on_;
+  DispatchLog* log_;
+  std::function<void()> spawn_;
+  int dispatches_ = 0;
+};
+
+constexpr SimDuration kTick = 1000;
+
+/// A seeded random schedule, replayable against any dispatcher.
+struct Schedule {
+  struct Component {
+    std::vector<SimDuration> periods;
+    int spawn_on = 0;  ///< 0 = never spawns
+  };
+  enum class Op { kStep, kJump, kAdd };
+  std::vector<Component> components;  ///< registered in this order
+  int registered_up_front = 1;
+  std::vector<std::pair<Op, SimDuration>> ops;  ///< (op, jump gap)
+};
+
+/// Periods of 0, sub-tick, or a whole number of ticks.
+SimDuration random_period(Rng& rng) {
+  switch (rng.uniform_int(0, 2)) {
+    case 0:
+      return 0;
+    case 1:
+      return rng.uniform_int(1, kTick - 1);
+    default:
+      return rng.uniform_int(1, 6) * kTick;
+  }
+}
+
+Schedule random_schedule(std::uint64_t seed) {
+  Rng rng(seed);
+  Schedule schedule;
+  const auto count = rng.uniform_int(1, 12);
+  for (std::int64_t i = 0; i < count; ++i) {
+    Schedule::Component component;
+    const auto periods = rng.uniform_int(1, 4);
+    for (std::int64_t p = 0; p < periods; ++p) {
+      component.periods.push_back(random_period(rng));
+    }
+    component.spawn_on =
+        rng.chance(0.5) ? static_cast<int>(rng.uniform_int(1, 5)) : 0;
+    schedule.components.push_back(std::move(component));
+  }
+  schedule.registered_up_front = static_cast<int>(rng.uniform_int(1, count));
+  const auto ops = rng.uniform_int(20, 200);
+  for (std::int64_t i = 0; i < ops; ++i) {
+    const double roll = rng.uniform();
+    if (roll < 0.1) {
+      schedule.ops.emplace_back(Schedule::Op::kJump,
+                                rng.uniform_int(1, 20) * kTick);
+    } else if (roll < 0.15) {
+      schedule.ops.emplace_back(Schedule::Op::kAdd, 0);
+    } else {
+      schedule.ops.emplace_back(Schedule::Op::kStep, 0);
+    }
+  }
+  return schedule;
+}
+
+template <typename Dispatcher>
+DispatchLog replay(const Schedule& schedule) {
+  Dispatcher dispatcher(kTick);
+  DispatchLog log;
+  std::vector<std::unique_ptr<Probe>> probes;
+  std::size_t registered = 0;
+  const auto register_next = [&] {
+    if (registered < probes.size()) {
+      dispatcher.add_component(probes[registered++].get());
+    }
+  };
+  for (std::size_t i = 0; i < schedule.components.size(); ++i) {
+    const Schedule::Component& c = schedule.components[i];
+    probes.push_back(std::make_unique<Probe>(static_cast<int>(i), c.periods,
+                                             c.spawn_on, &log, register_next));
+  }
+  for (int i = 0; i < schedule.registered_up_front; ++i) {
+    register_next();
+  }
+  for (const auto& [op, gap] : schedule.ops) {
+    switch (op) {
+      case Schedule::Op::kStep:
+        dispatcher.step();
+        break;
+      case Schedule::Op::kJump:
+        dispatcher.advance_clock(dispatcher.now() + gap);
+        break;
+      case Schedule::Op::kAdd:
+        register_next();
+        break;
+    }
+  }
+  return log;
+}
+
+int differential_iterations() {
+  const char* env = std::getenv("ARV_CHAOS_ITERS");
+  const int iters = env != nullptr ? std::atoi(env) : 0;
+  return iters > 0 ? iters : 20;
+}
+
+// The registration-order scan dispatches exactly what the priority queue
+// did. The periods are 0, sub-tick or whole ticks, so every due time is a
+// tick boundary and "due now" entries share one due time, which makes the
+// queue's (due time, registration) order the registration order.
+TEST(Engine, DispatchMatchesThePriorityQueueReference) {
+  const int iters = differential_iterations();
+  std::size_t dispatches = 0;
+  for (int seed = 1; seed <= iters; ++seed) {
+    const Schedule schedule = random_schedule(static_cast<std::uint64_t>(seed));
+    const DispatchLog expected = replay<QueueDispatcher>(schedule);
+    const DispatchLog actual = replay<Engine>(schedule);
+    ASSERT_EQ(actual, expected) << "seed " << seed;
+    dispatches += actual.size();
+  }
+  EXPECT_GT(dispatches, 0u);
+}
+
+// A period that is not a whole number of ticks leaves a component due between
+// two ticks. It still runs in registration order on the tick that serves it:
+// the host relies on scheduler -> memory -> monitor -> recorder order.
+TEST(Engine, DueComponentsRunInRegistrationOrderWhateverTheirDueTime) {
+  Engine engine(kTick);
+  DispatchLog log;
+  Probe every(0, {0}, 0, &log, [] {});
+  Probe offbeat(1, {1500}, 0, &log, [] {});
+  engine.add_component(&every);
+  engine.add_component(&offbeat);
+  engine.run_for(3 * kTick);
+  // offbeat: 1000, then due at 2500 and served at 3000 after `every`.
+  EXPECT_EQ(log, (DispatchLog{{1000, 0, 1000},
+                              {1000, 1, 1000},
+                              {2000, 0, 1000},
+                              {3000, 0, 1000},
+                              {3000, 1, 2000}}));
+}
+
+TEST(Engine, ComponentAddedDuringTickFirstTicksOnTheNextTick) {
+  Engine engine(kTick);
+  DispatchLog log;
+  Probe child(1, {0}, 0, &log, [] {});
+  Probe parent(0, {0}, 1, &log, [&] { engine.add_component(&child); });
+  engine.add_component(&parent);
+  engine.run_for(3 * kTick);
+  EXPECT_EQ(log, (DispatchLog{{1000, 0, 1000},
+                              {2000, 0, 1000},
+                              {2000, 1, 1000},
+                              {3000, 0, 1000},
+                              {3000, 1, 1000}}));
+  EXPECT_EQ(engine.component_count(), 2u);
 }
 
 TEST(Engine, SelfReschedulingTimerPattern) {
