@@ -10,10 +10,13 @@
 //     all complete *late*: classic congestion collapse, where throughput
 //     holds but goodput (completions inside the tenant's latency deadline)
 //     falls off a cliff.
-//   guards on  — the admission controller arms every guard: criticality
-//     shedding rejects the best-effort excess at the front door, AIMD
-//     concurrency limits keep per-replica queues shallow, the retry budget
-//     bounds amplification, and brownout cheapens responses under pressure.
+//   guards on  — the admission controller arms its guards. What the run
+//     shows doing the work: the AIMD concurrency limits keep per-replica
+//     queues shallow, so the excess is refused fast at the replica
+//     (`dropped`) instead of completing late, and the retry budget stops
+//     those refusals from multiplying into retries (`retries_denied`).
+//     Criticality shedding stays armed but never engages at these loads:
+//     fleet pressure stays below its first band, so `rejected` is 0.
 //
 // Expected, and checked by the summary verdicts: with guards off, goodput
 // past saturation collapses more than 50% below its peak; with guards on,
@@ -84,7 +87,6 @@ struct TenantPoint {
   std::uint64_t generated = 0;
   std::uint64_t completed = 0;
   std::uint64_t timely = 0;  // completed inside the tenant's p99 target
-  std::uint64_t degraded = 0;
   std::uint64_t rejected = 0;
   std::int64_t availability_permille = 0;
   std::int64_t p99_us = 0;
@@ -99,6 +101,7 @@ struct SweepPoint {
   std::uint64_t shed_total = 0;
   std::uint64_t rejected_total = 0;
   std::uint64_t dropped_total = 0;
+  std::uint64_t retries_denied = 0;  // retry-budget refusals; 0 guards off
   std::vector<TenantPoint> tenants;
 };
 
@@ -141,8 +144,8 @@ SweepPoint run_point(int total_rps, bool guards) {
   if (guards) {
     cluster::AdmissionConfig ac;
     // The default references are sized for interactive fleets; this sweep's
-    // best-effort deadline is a full second, so let queues run deeper before
-    // the shed bands engage.
+    // best-effort deadline is a full second, so a deeper queue counts as
+    // normal. Pressure then stays below the first shed band at every point.
     ac.queue_ref_depth = 128;
     ac.p99_ref = 500 * units::msec;
     fleet.enable_admission(ac);
@@ -154,11 +157,6 @@ SweepPoint run_point(int total_rps, bool guards) {
   load::SloTarget crit_slo;
   crit_slo.availability_permille = 999;
   crit_slo.p99_target = 250 * units::msec;
-  // The critical tier's brownout response is essential-only but contractually
-  // complete (recommendations off, page still served): degraded replies spend
-  // none of its error budget. The best-effort flood books them at the
-  // default half-failure weight.
-  crit_slo.degraded_weight_permille = 0;
   load::SloTarget be_slo;
   be_slo.availability_permille = 900;
   be_slo.p99_target = 1 * units::sec;
@@ -170,6 +168,9 @@ SweepPoint run_point(int total_rps, bool guards) {
   SweepPoint point;
   point.offered_rps = total_rps;
   point.guards = guards;
+  if (guards) {
+    point.retries_denied = fleet.admission()->retries_denied();
+  }
   const double window_s =
       static_cast<double>(kTraceLen) / static_cast<double>(units::sec);
   const struct {
@@ -186,7 +187,6 @@ SweepPoint run_point(int total_rps, bool guards) {
     out.completed = agg.completed;
     const std::uint64_t late = agg.latency_hist.count_above(t.deadline);
     out.timely = agg.completed - std::min<std::uint64_t>(agg.completed, late);
-    out.degraded = r.degraded();
     out.rejected = r.rejected();
     out.availability_permille = fleet.slo()->availability_permille(t.name);
     out.p99_us = fleet.slo()->p99_us(t.name);
@@ -284,24 +284,24 @@ void write_json(const std::vector<SweepPoint>& points, const Summary& s) {
     out << strf(
         "    {\"offered_rps\": %d, \"guards\": %s, "
         "\"total_goodput_rps\": %.1f, \"shed\": %llu, \"rejected\": %llu, "
-        "\"dropped\": %llu,\n"
+        "\"dropped\": %llu, \"retries_denied\": %llu,\n"
         "     \"tenants\": [\n",
         p.offered_rps, p.guards ? "true" : "false", p.total_goodput_rps,
         static_cast<unsigned long long>(p.shed_total),
         static_cast<unsigned long long>(p.rejected_total),
-        static_cast<unsigned long long>(p.dropped_total));
+        static_cast<unsigned long long>(p.dropped_total),
+        static_cast<unsigned long long>(p.retries_denied));
     for (std::size_t t = 0; t < p.tenants.size(); ++t) {
       const TenantPoint& o = p.tenants[t];
       out << strf(
           "      {\"tenant\": \"%s\", \"generated\": %llu, "
-          "\"completed\": %llu, \"timely\": %llu, \"degraded\": %llu, "
+          "\"completed\": %llu, \"timely\": %llu, "
           "\"rejected\": %llu, \"goodput_rps\": %.1f, "
           "\"availability_permille\": %lld, \"p99_us\": %lld, "
           "\"attaining\": %s}%s\n",
           o.tenant.c_str(), static_cast<unsigned long long>(o.generated),
           static_cast<unsigned long long>(o.completed),
           static_cast<unsigned long long>(o.timely),
-          static_cast<unsigned long long>(o.degraded),
           static_cast<unsigned long long>(o.rejected), o.goodput_rps,
           static_cast<long long>(o.availability_permille),
           static_cast<long long>(o.p99_us), o.attaining ? "true" : "false",
@@ -350,7 +350,7 @@ int main(int argc, char** argv) {
   const Summary s = summarize(points);
 
   Table table({"offered", "guards", "goodput", "crit good", "crit avail(‰)",
-               "crit SLO", "be good", "refused"});
+               "crit SLO", "be good", "refused", "retry denied"});
   for (const SweepPoint& p : points) {
     const TenantPoint& crit = tenant_of(p, "critical");
     const TenantPoint& be = tenant_of(p, "besteffort");
@@ -361,7 +361,8 @@ int main(int argc, char** argv) {
                    crit.attaining ? "attained" : "VIOLATED",
                    strf("%.0f", be.goodput_rps),
                    std::to_string(p.shed_total + p.rejected_total +
-                                  p.dropped_total)});
+                                  p.dropped_total),
+                   std::to_string(p.retries_denied)});
   }
   std::fputs(table.to_ascii().c_str(), stdout);
 

@@ -50,12 +50,6 @@ AdmissionConfig AdmissionConfig::validated() const {
   v.shed_exit_margin_permille =
       std::max<std::int64_t>(0, v.shed_exit_margin_permille);
   v.release_rounds = std::max(1, v.release_rounds);
-  // brownout_enter == 0 is legal (brownout always armed — test hook).
-  v.brownout_enter_permille =
-      std::max<std::int64_t>(0, v.brownout_enter_permille);
-  v.brownout_exit_permille = std::clamp<std::int64_t>(
-      v.brownout_exit_permille, 0, v.brownout_enter_permille);
-  v.brownout_rounds = std::max(1, v.brownout_rounds);
   v.retry_budget_permille = std::max<std::int64_t>(0, v.retry_budget_permille);
   v.retry_budget_floor = std::max<std::int64_t>(0, v.retry_budget_floor);
   v.retry_budget_cap =
@@ -86,8 +80,6 @@ AdmissionController::AdmissionController(Cluster& cluster,
   telemetry_.gauge("admission.shed_level", "", [this] { return shed_level_; });
   telemetry_.counter("admission.admitted", "", admitted_);
   telemetry_.counter("admission.rejected", "", rejected_);
-  telemetry_.gauge("overload.brownout", "",
-                   [this] { return brownout_ ? 1 : 0; });
   telemetry_.gauge("overload.retry_tokens_milli", "",
                    [this] { return retry_tokens_milli_; });
   telemetry_.counter("overload.retries_denied", "", retries_denied_);
@@ -97,7 +89,6 @@ AdmissionController::AdmissionController(Cluster& cluster,
                    [this] { return windowed_p99_; });
   telemetry_.file("pressure_permille", snap_.pressure);
   telemetry_.file("shed_level", snap_.shed_level);
-  telemetry_.file("brownout", snap_.brownout);
   telemetry_.file("admitted", snap_.admitted);
   telemetry_.file("rejected", snap_.rejected);
   telemetry_.file("retries_denied", snap_.retries_denied);
@@ -263,34 +254,8 @@ void AdmissionController::update_shed_level() {
   }
 }
 
-void AdmissionController::update_brownout() {
-  if (!brownout_) {
-    if (pressure_ >= config_.brownout_enter_permille) {
-      if (++brownout_streak_ >= config_.brownout_rounds) {
-        brownout_ = true;
-        ++brownout_entries_;
-        brownout_streak_ = 0;
-      }
-    } else {
-      brownout_streak_ = 0;
-    }
-  } else {
-    if (pressure_ < config_.brownout_exit_permille) {
-      if (++brownout_streak_ >= config_.brownout_rounds) {
-        brownout_ = false;
-        brownout_streak_ = 0;
-      }
-    } else {
-      brownout_streak_ = 0;
-    }
-  }
-}
-
 void AdmissionController::update_limits() {
   queue_limit_total_ = 0;
-  if (!config_.adaptive_limits) {
-    return;
-  }
   for (Tenant& t : tenants_) {
     for (int i = 0; i < t.router->replica_count(); ++i) {
       const int pod_id = t.router->replica_pod(i);
@@ -344,7 +309,6 @@ void AdmissionController::update_limits() {
 void AdmissionController::tick(SimTime now, SimDuration /*dt*/) {
   update_pressure(now);
   update_shed_level();
-  update_brownout();
   update_limits();
   // Per-round floor: even with zero successes the fleet keeps a trickle of
   // retry capacity, so it never stops probing for recovery.
@@ -353,7 +317,6 @@ void AdmissionController::tick(SimTime now, SimDuration /*dt*/) {
 
   snap_.pressure = pressure_;
   snap_.shed_level = shed_level_;
-  snap_.brownout = brownout_;
   snap_.admitted = admitted_;
   snap_.rejected = rejected_;
   snap_.retries_denied = retries_denied_;

@@ -6,7 +6,7 @@
 // a failover still produces the classic metastable collapse: queues bloat,
 // latency explodes past every deadline, retries multiply offered load, and
 // goodput stays collapsed even after the trigger passes. This subsystem is
-// the four guards that keep goodput flat past saturation:
+// the three guards that keep goodput flat past saturation:
 //
 //   1. AdmissionController — the front door. Every request a RequestRouter
 //      generates first passes the criticality gate: tenants map to four
@@ -35,12 +35,6 @@
 //      actually serve. The bounded queue is what turns overload into the
 //      fast, local refusals that JSQ and the breakers react to — instead of
 //      a 10k-deep queue silently absorbing minutes of doomed work.
-//
-//   4. Brownout — under sustained pressure the controller flips the fleet
-//      into degraded mode: routed requests are served at a fraction of their
-//      CPU cost (WebConfig::degraded_cost_permille) and counted as
-//      `degraded`, a disposition the SloAccountant books at a configurable
-//      partial budget weight.
 //
 // Determinism: the controller mutates only inside serial phases — its own
 // tick() and the routers' route_one() calls (driver injection and router
@@ -82,7 +76,7 @@ const char* criticality_name(Criticality c);
 Criticality criticality_for_slo(std::int64_t availability_permille);
 
 struct AdmissionConfig {
-  /// Control-loop round length (pressure, shed level, brownout, AIMD).
+  /// Control-loop round length (pressure, shed level, AIMD).
   SimDuration period = 100 * units::msec;
 
   // --- fleet pressure signal -------------------------------------------------
@@ -103,13 +97,6 @@ struct AdmissionConfig {
   /// Consecutive calm rounds before a level steps down (slow release).
   int release_rounds = 3;
 
-  // --- brownout --------------------------------------------------------------
-  /// Pressure that arms brownout (after `brownout_rounds` sustained rounds).
-  std::int64_t brownout_enter_permille = 700;
-  /// Pressure below which brownout disarms (again sustained).
-  std::int64_t brownout_exit_permille = 400;
-  int brownout_rounds = 3;
-
   // --- fleet-wide retry budget -----------------------------------------------
   /// Milli-tokens deposited per successful request (100 = 10% of successes
   /// may be retries).
@@ -121,7 +108,6 @@ struct AdmissionConfig {
   std::int64_t retry_budget_floor = 2;
 
   // --- adaptive per-replica concurrency limits -------------------------------
-  bool adaptive_limits = true;
   /// First limit applied to a replica (then AIMD takes over).
   int initial_limit = 64;
   int min_limit = 4;
@@ -162,7 +148,6 @@ class AdmissionController : public sim::TickComponent {
   bool allow_retry();
   /// A request was routed successfully: refill the retry budget.
   void on_success();
-  bool brownout() const { return brownout_; }
 
   // --- sim::TickComponent ----------------------------------------------------
   void tick(SimTime now, SimDuration dt) override;
@@ -181,7 +166,9 @@ class AdmissionController : public sim::TickComponent {
   std::uint64_t retries_allowed() const { return retries_allowed_; }
   std::uint64_t retries_denied() const { return retries_denied_; }
   std::int64_t retry_tokens_milli() const { return retry_tokens_milli_; }
-  std::uint64_t brownout_entries() const { return brownout_entries_; }
+  /// Always 0: the controller has no brownout mode. Kept because the
+  /// repository benchmark reports it as cluster.overload.brownout_entries.
+  std::uint64_t brownout_entries() const { return 0; }
   /// Sum of the AIMD queue limits applied to live replicas last round.
   std::int64_t queue_limit_total() const { return queue_limit_total_; }
   int tenant_count() const { return static_cast<int>(tenants_.size()); }
@@ -214,7 +201,6 @@ class AdmissionController : public sim::TickComponent {
   const Tenant* find(const std::string& name) const;
   void update_pressure(SimTime now);
   void update_shed_level();
-  void update_brownout();
   void update_limits();
 
   Cluster& cluster_;
@@ -229,8 +215,6 @@ class AdmissionController : public sim::TickComponent {
   std::int64_t windowed_p99_ = 0;
   int shed_level_ = 0;
   int calm_rounds_ = 0;
-  bool brownout_ = false;
-  int brownout_streak_ = 0;
   std::int64_t retry_tokens_milli_ = 0;
   std::int64_t queue_limit_total_ = 0;
 
@@ -238,7 +222,6 @@ class AdmissionController : public sim::TickComponent {
   std::uint64_t rejected_ = 0;
   std::uint64_t retries_allowed_ = 0;
   std::uint64_t retries_denied_ = 0;
-  std::uint64_t brownout_entries_ = 0;
   std::uint64_t shed_raises_ = 0;
 
   /// Round snapshot served by the /sys/arv/admission/ files: a read between
@@ -246,7 +229,6 @@ class AdmissionController : public sim::TickComponent {
   struct Snapshot {
     std::int64_t pressure = 0;
     int shed_level = 0;
-    bool brownout = false;
     std::uint64_t admitted = 0;
     std::uint64_t rejected = 0;
     std::uint64_t retries_denied = 0;

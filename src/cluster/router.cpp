@@ -28,7 +28,6 @@ RequestRouter::RequestRouter(Cluster& cluster, RouterConfig config)
   telemetry_.counter("router.shed", "", shed_);
   telemetry_.counter("router.retries", "", retries_);
   telemetry_.counter("router.rejected", "", rejected_);
-  telemetry_.counter("router.degraded", "", degraded_);
   telemetry_.counter("router.breaker_trips", "", breaker_trips_);
   telemetry_.gauge("router.open_breakers", "",
                    [this] { return open_breakers(); });
@@ -174,9 +173,6 @@ void RequestRouter::route_one(SimTime now, CpuTime cost) {
     ++shed_;  // replicas exist but every breaker is open: protect them
     return;
   }
-  // Brownout is sampled once per request: the whole request is served
-  // degraded or not, however many attempts it takes.
-  const bool degraded = admission_ != nullptr && admission_->brownout();
   // Bounded retry: attempt the JSQ-best candidate, then the next-best on a
   // refused injection, never re-trying a replica within one request. Every
   // retry beyond the first attempt draws on the fleet-wide retry budget, so
@@ -201,12 +197,9 @@ void RequestRouter::route_one(SimTime now, CpuTime cost) {
     if (attempt > 0) {
       ++retries_;
     }
-    if (sink(replica.pod)->inject_request(now, cost, degraded)) {
+    if (sink(replica.pod)->inject_request(now, cost)) {
       record_success(replica);
       ++routed_;
-      if (degraded) {
-        ++degraded_;
-      }
       if (admission_ != nullptr) {
         admission_->on_success();
       }

@@ -26,9 +26,8 @@
 //
 // Overload (see overload.h and docs/FAULTS.md): with an AdmissionController
 // attached, every generated request first passes its front door (criticality
-// shedding → rejected), retries draw on a
-// fleet-wide budget refilled by successes, and while the controller holds
-// brownout every routed request is served as a degraded (cheaper) response.
+// shedding → rejected) and retries draw on a fleet-wide budget refilled by
+// successes.
 #pragma once
 
 #include <cstdint>
@@ -104,9 +103,9 @@ class RequestRouter : public sim::TickComponent {
   int live_replicas() const;
 
   /// Bind the front-door overload controller (see overload.h): every
-  /// generated request passes its admission gate, retries draw on its
-  /// fleet-wide budget, and routed requests are served degraded while it
-  /// holds brownout. `slot` is this router's tenant slot in the controller.
+  /// generated request passes its admission gate and retries draw on its
+  /// fleet-wide budget. `slot` is this router's tenant slot in the
+  /// controller.
   void attach_admission(AdmissionController* admission, int slot);
 
   const RouterConfig& config() const { return config_; }
@@ -127,8 +126,6 @@ class RequestRouter : public sim::TickComponent {
   std::uint64_t unroutable() const { return unroutable_; }
   std::uint64_t dropped() const { return dropped_; }
   std::uint64_t shed() const { return shed_; }
-  /// Routed requests served as brownout (degraded) responses; <= routed().
-  std::uint64_t degraded() const { return degraded_; }
   // --- attempt-level accounting ---------------------------------------------
   std::uint64_t attempts() const { return attempts_; }
   std::uint64_t retries() const { return retries_; }
@@ -173,7 +170,6 @@ class RequestRouter : public sim::TickComponent {
   std::uint64_t generated_ = 0;
   std::uint64_t admitted_ = 0;
   std::uint64_t rejected_ = 0;
-  std::uint64_t degraded_ = 0;
   std::uint64_t routed_ = 0;
   std::uint64_t unroutable_ = 0;
   std::uint64_t dropped_ = 0;

@@ -226,7 +226,7 @@ class FleetScenario {
   /// Arm the overload control plane (see overload.h): the plain router and
   /// every tenant declared so far (and later) enroll under one
   /// AdmissionController — front-door shedding, the fleet-wide retry
-  /// budget, adaptive per-replica concurrency limits, and brownout.
+  /// budget and adaptive per-replica concurrency limits.
   void enable_admission(cluster::AdmissionConfig config = {});
 
   /// Per-tenant HPA over the tenant's router. The template's service (and

@@ -25,8 +25,6 @@ void SloAccountant::declare(const std::string& tenant,
   ARV_ASSERT(target.availability_permille > 0 &&
              target.availability_permille <= 1000);
   ARV_ASSERT(target.p99_target > 0);
-  ARV_ASSERT(target.degraded_weight_permille >= 0 &&
-             target.degraded_weight_permille <= 1000);
   tenants_.push_back(Tenant{});
   Tenant& t = tenants_.back();
   t.name = tenant;
@@ -40,8 +38,6 @@ void SloAccountant::declare(const std::string& tenant,
   telemetry_.gauge("budget_remaining_permille", scope,
                    [&t] { return t.budget_remaining; });
   telemetry_.gauge("burn_rate_permille", scope, [&t] { return t.burn_rate; });
-  telemetry_.gauge("degraded", scope,
-                   [&t] { return static_cast<std::int64_t>(t.degraded); });
   const std::string dir = tenant + "/";
   telemetry_.file(
       dir + "objective",
@@ -57,7 +53,6 @@ void SloAccountant::declare(const std::string& tenant,
   telemetry_.file(dir + "burn_rate_permille", t.burn_rate);
   telemetry_.file(dir + "generated", t.generated);
   telemetry_.file(dir + "good", t.good);
-  telemetry_.file(dir + "degraded", t.degraded);
 }
 
 const SloAccountant::Tenant* SloAccountant::find(
@@ -73,18 +68,15 @@ const SloAccountant::Tenant* SloAccountant::find(
 void SloAccountant::refresh(Tenant& t, SimTime now) {
   const std::uint64_t generated = t.router->generated();
   const std::uint64_t good = t.router->routed();
-  const std::uint64_t degraded = t.router->degraded();
-  // Failure mass in milli-failures: a hard failure (dropped, rejected,
-  // unroutable, shed) costs 1000, a degraded (brownout) reply costs its
-  // configured partial weight. Exactly the old books when degraded == 0.
+  // Failure mass in milli-failures: every request that was not routed
+  // (dropped, rejected, unroutable, shed) costs one whole failure.
   const std::int64_t bad_milli =
-      static_cast<std::int64_t>(generated - good) * 1000 +
-      static_cast<std::int64_t>(degraded) * t.target.degraded_weight_permille;
+      static_cast<std::int64_t>(generated - good) * 1000;
 
   const std::int64_t availability =
       generated == 0
           ? 1000
-          : (static_cast<std::int64_t>(generated) * 1000 - bad_milli) /
+          : static_cast<std::int64_t>(good) * 1000 /
                 static_cast<std::int64_t>(generated);
 
   // Lifetime error budget: how much of the allowed failure mass is left.
@@ -124,7 +116,6 @@ void SloAccountant::refresh(Tenant& t, SimTime now) {
 
   t.generated = generated;
   t.good = good;
-  t.degraded = degraded;
   t.availability = availability;
   t.budget_remaining = remaining;
   t.burn_rate = burn;
@@ -138,12 +129,6 @@ void SloAccountant::tick(SimTime now, SimDuration /*dt*/) {
   for (Tenant& t : tenants_) {
     refresh(t, now);
   }
-}
-
-std::uint64_t SloAccountant::degraded(const std::string& tenant) const {
-  const Tenant* t = find(tenant);
-  ARV_ASSERT_MSG(t != nullptr, "unknown tenant");
-  return t->degraded;
 }
 
 std::int64_t SloAccountant::availability_permille(

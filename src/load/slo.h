@@ -6,8 +6,7 @@
 //
 //   availability   good/generated, in permille (good = routed; everything
 //                  else — dropped, rejected, unroutable, shed — burns
-//                  budget, and a degraded (brownout) reply burns a
-//                  configurable partial weight of one failure).
+//                  budget as one whole failure).
 //   error budget   allowed bad = (1000 - target) * generated (milli-
 //                  failures); remaining = 1 - bad/allowed, clamped to
 //                  [0, 1000] permille.
@@ -44,10 +43,6 @@ struct SloTarget {
   std::int64_t availability_permille = 999;
   /// Latency objective: the tenant's p99 should stay under this.
   SimDuration p99_target = 250 * units::msec;
-  /// Budget weight of a degraded (brownout) response, in permille of a full
-  /// failure: 0 = degraded replies are as good as full ones, 1000 = as bad
-  /// as a drop. The default books a browned-out reply as half a failure.
-  std::int64_t degraded_weight_permille = 500;
 };
 
 struct SloConfig {
@@ -71,8 +66,6 @@ class SloAccountant : public sim::TickComponent {
 
   // --- per-tenant queries (last completed round) ----------------------------
   int tenant_count() const { return static_cast<int>(tenants_.size()); }
-  /// Routed requests served degraded (brownout), as of the last round.
-  std::uint64_t degraded(const std::string& tenant) const;
   std::int64_t availability_permille(const std::string& tenant) const;
   std::int64_t p99_us(const std::string& tenant) const;
   std::int64_t budget_remaining_permille(const std::string& tenant) const;
@@ -90,15 +83,13 @@ class SloAccountant : public sim::TickComponent {
     // Last-round snapshot (what queries, series, and files serve).
     std::uint64_t generated = 0;
     std::uint64_t good = 0;
-    std::uint64_t degraded = 0;
     std::int64_t availability = 1000;  ///< permille
     std::int64_t p99 = 0;              ///< microseconds
     std::int64_t budget_remaining = 1000;
     std::int64_t burn_rate = 0;
     std::uint64_t violations = 0;
     /// Trailing (time, generated, bad_milli) checkpoints for the burn
-    /// window; bad is in milli-failures so degraded partial weights stay
-    /// integer-exact.
+    /// window; bad is in milli-failures, the unit of the allowed budget.
     std::deque<std::array<std::int64_t, 3>> window;
   };
 

@@ -33,7 +33,6 @@ void RequestStats::merge(const RequestStats& other) {
   completed += other.completed;
   arrived += other.arrived;
   dropped += other.dropped;
-  degraded += other.degraded;
   latency_us.merge(other.latency_us);
   latency_hist.merge(other.latency_hist);
 }
@@ -59,8 +58,6 @@ WorkerPoolServer::WorkerPoolServer(container::Host& host,
   ARV_ASSERT(config_.arrivals_per_sec >= 0);  // 0 = router-driven arrivals
   ARV_ASSERT(config_.service_cpu > 0);
   ARV_ASSERT(config_.max_queue >= 1);
-  ARV_ASSERT(config_.degraded_cost_permille >= 1 &&
-             config_.degraded_cost_permille <= 1000);
   worker_trace_.push_back(workers_);
   if (config_.resize_interval > 0) {
     next_resize_ = host_.now() + config_.resize_interval;
@@ -107,19 +104,13 @@ void WorkerPoolServer::admit_arrivals(SimTime now, SimDuration dt) {
   }
 }
 
-bool WorkerPoolServer::inject_request(SimTime now, CpuTime cost, bool degraded) {
+bool WorkerPoolServer::inject_request(SimTime now, CpuTime cost) {
   ++stats_.arrived;
   if (queue_.size() >= queue_limit_) {
     ++stats_.dropped;
     return false;
   }
-  CpuTime resolved = cost > 0 ? cost : config_.service_cpu;
-  if (degraded) {
-    resolved = std::max<CpuTime>(
-        1, resolved * config_.degraded_cost_permille / 1000);
-    ++stats_.degraded;
-  }
-  queue_.push_back({now, resolved});
+  queue_.push_back({now, cost > 0 ? cost : config_.service_cpu});
   return true;
 }
 

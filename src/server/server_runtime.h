@@ -41,10 +41,6 @@ struct RequestStats {
   /// bare server counter) so drops survive the archive/merge pipeline that
   /// carries a replica's history across migrations and crashes.
   std::uint64_t dropped = 0;
-  /// Accepted arrivals served in brownout mode (a cheaper, degraded
-  /// response). A subset of arrived/completed, tracked here so the split
-  /// survives archive/merge like drops do.
-  std::uint64_t degraded = 0;
   RunningStats latency_us;
   /// Per-request latency distribution. A bounded log-bucket sketch (<= 6.25%
   /// relative error, exact merge) instead of a raw sample vector: at the
@@ -76,10 +72,6 @@ struct WebConfig {
   /// reload); 0 disables re-sizing (size once at startup, like stock httpd).
   SimDuration resize_interval = 0;
   std::size_t max_queue = 10000;  ///< accept queue bound; beyond = drops
-  /// CPU cost of a degraded (brownout) response, as a permille fraction of
-  /// the request's full cost — the cheaper reply a replica serves when the
-  /// overload controller has turned brownout on.
-  std::int64_t degraded_cost_permille = 400;
 };
 
 class WorkerPoolServer : public sched::Schedulable {
@@ -98,9 +90,7 @@ class WorkerPoolServer : public sched::Schedulable {
   /// arrived `now`. Honors the accept-queue bound; false when dropped.
   /// `cost` is the request's CPU demand; 0 means the config's service_cpu
   /// (the open-loop workload engine injects heavy-tailed per-request costs).
-  /// `degraded` serves the brownout response instead: the resolved cost is
-  /// scaled by degraded_cost_permille and the request counts as degraded.
-  bool inject_request(SimTime now, CpuTime cost = 0, bool degraded = false);
+  bool inject_request(SimTime now, CpuTime cost = 0);
 
   /// Adaptive accept-queue bound (the overload controller's AIMD knob).
   /// Clamped to [1, config.max_queue]; starts at max_queue, so without a

@@ -37,7 +37,6 @@ void Logger::log(LogLevel level, std::string_view subsystem, std::string_view me
   std::string line = strf("[%s] %.*s: %.*s\n", level_name(level),
                           static_cast<int>(subsystem.size()), subsystem.data(),
                           static_cast<int>(message.size()), message.data());
-  const std::lock_guard<std::mutex> lock(emit_mu_);
   if (sink_ != nullptr) {
     sink_->append(line);
   } else {

@@ -5,7 +5,6 @@
 // level checks happen before message formatting.
 #pragma once
 
-#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -28,14 +27,11 @@ class Logger {
   /// stderr output.
   void capture_to(std::string* sink) { sink_ = sink; }
 
-  /// Thread-safe: concurrent emissions serialize on an internal mutex.
-  /// Level checks stay lock-free.
   void log(LogLevel level, std::string_view subsystem, std::string_view message);
 
  private:
   LogLevel level_ = LogLevel::kWarn;
   std::string* sink_ = nullptr;
-  std::mutex emit_mu_;  ///< guards sink_ appends / stderr writes
 };
 
 /// Printf-style logging; the level check precedes formatting.

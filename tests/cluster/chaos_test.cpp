@@ -1,9 +1,9 @@
 // Chaos suite: randomized fault plans replayed against a full fleet (router,
 // detector, restart manager, and the whole overload control plane —
-// admission, retry budget, adaptive limits, brownout) must (a) be
-// byte-identical under the same seed, (b) conserve every request through the
-// extended front-door identities, (c) keep the pod ledger consistent, and
-// (d) converge back to a fully-running fleet once the plan drains. Iteration
+// admission, retry budget, adaptive limits) must (a) be byte-identical under
+// the same seed, (b) conserve every request through the extended front-door
+// identities, (c) keep the pod ledger consistent, and (d) converge back to a
+// fully-running fleet once the plan drains. Iteration
 // count scales with ARV_CHAOS_ITERS (CI runs hundreds; the default keeps
 // local runs fast).
 #include <gtest/gtest.h>
@@ -62,7 +62,7 @@ std::string run_chaos(std::uint64_t chaos_seed, bool verify) {
     fleet.add_host(small_host());
   }
   RouterConfig router;
-  // Overloads the fleet only in degraded mode: three replicas absorb the
+  // Overloads the fleet only while replicas are down: three absorb the
   // stream, a lone survivor cannot — that is what exercises refusal, retry,
   // breaker, and shed paths under chaos.
   router.arrivals_per_sec = 900;
@@ -71,8 +71,8 @@ std::string run_chaos(std::uint64_t chaos_seed, bool verify) {
   router.breaker_open = 300 * msec;
   fleet.enable_router(router);
   // Every overload guard armed: the conservation identities below must hold
-  // with admission shedding, the retry budget, AIMD limits, and brownout all
-  // active under fault chaos.
+  // with admission shedding, the retry budget and AIMD limits all active
+  // under fault chaos.
   fleet.enable_admission();
   DetectorConfig detector;
   detector.period = 100 * msec;
@@ -121,10 +121,6 @@ std::string run_chaos(std::uint64_t chaos_seed, bool verify) {
     const server::RequestStats agg = r.aggregate();
     EXPECT_EQ(agg.arrived, r.attempts());
     EXPECT_EQ(agg.dropped, r.attempts() - r.routed());
-    // --- brownout accounting: every degraded service matches a degraded
-    // routing decision, through any number of harvests.
-    EXPECT_EQ(agg.degraded, r.degraded());
-    EXPECT_LE(r.degraded(), r.routed());
     // --- routed requests either completed, are still queued, or died with
     // a torn-down sink (migration/crash/stop) — none vanish.
     std::uint64_t lost = 0;

@@ -1,9 +1,7 @@
-// Overload control plane: admission shedding by criticality, per-tenant
-// token buckets, the fleet-wide retry budget, adaptive AIMD concurrency
-// limits, brownout degradation (and its SLO partial-weight booking), the
-// config-clamping regressions, the half-open-breaker single-probe pin, and
-// the metastable flash-crowd scenario with byte-identical traces at every
-// thread count.
+// Overload control plane: admission shedding by criticality, the fleet-wide
+// retry budget, adaptive AIMD concurrency limits, the config-clamping
+// regressions, the half-open-breaker single-probe pin, the trace series and
+// control files, and the metastable flash-crowd scenario.
 #include "src/cluster/overload.h"
 
 #include <gtest/gtest.h>
@@ -77,9 +75,6 @@ TEST(AdmissionConfigValidation, ClampsInvalidKnobs) {
   bad.shed_step_permille = 0;
   bad.shed_exit_margin_permille = -1;
   bad.release_rounds = 0;
-  bad.brownout_enter_permille = -7;
-  bad.brownout_exit_permille = 900;  // above enter: clamped down to it
-  bad.brownout_rounds = -2;
   bad.retry_budget_permille = -100;
   bad.retry_budget_cap = 0;
   bad.retry_budget_floor = -4;
@@ -99,9 +94,6 @@ TEST(AdmissionConfigValidation, ClampsInvalidKnobs) {
   EXPECT_EQ(v.shed_step_permille, 1);
   EXPECT_EQ(v.shed_exit_margin_permille, 0);
   EXPECT_EQ(v.release_rounds, 1);
-  EXPECT_EQ(v.brownout_enter_permille, 0);
-  EXPECT_EQ(v.brownout_exit_permille, 0);  // clamped into [0, enter]
-  EXPECT_EQ(v.brownout_rounds, 1);
   EXPECT_EQ(v.retry_budget_permille, 0);
   EXPECT_EQ(v.retry_budget_cap, 1);
   EXPECT_EQ(v.retry_budget_floor, 0);
@@ -149,7 +141,10 @@ TEST(AdmissionController, ShedsLowestCriticalityFirstAndReleasesSlowly) {
   AdmissionConfig ac;
   ac.queue_ref_depth = 8;
   ac.p99_ref = 100 * sec;  // isolate the queue term of the pressure signal
-  ac.adaptive_limits = false;
+  // Pin every replica's AIMD limit at max_queue (set_queue_limit clamps to
+  // it), so the queue bound stays static and only shedding is exercised.
+  ac.initial_limit = 100;
+  ac.min_limit = 100;
   AdmissionController admission(cluster, ac);
   cluster.add_component(&admission);
   admission.register_tenant("crit", crit_router, Criticality::kCritical);
@@ -359,8 +354,7 @@ TEST(AdmissionController, AdaptiveLimitCapsQueueAndRecovers) {
   rc.breaker_threshold = 1000000;  // isolate AIMD from breaker shedding
   fleet.enable_router(rc);
   AdmissionConfig ac;
-  ac.shed_enter_permille = 1000000;     // no front-door shedding
-  ac.brownout_enter_permille = 1000000;  // no brownout: pure AIMD
+  ac.shed_enter_permille = 1000000;  // no front-door shedding: pure AIMD
   fleet.enable_admission(ac);
   server::WebConfig web;
   web.service_cpu = 20 * msec;
@@ -389,7 +383,7 @@ TEST(AdmissionController, AdaptiveLimitCapsQueueAndRecovers) {
   EXPECT_GT(static_cast<int>(sink->queue_limit()), 64);
 }
 
-// --- brownout + SLO partial weight -------------------------------------------
+// --- trace-driven fixtures ---------------------------------------------------
 
 load::DriverConfig one_pass() {
   load::DriverConfig config;
@@ -406,76 +400,6 @@ load::TraceSpec gentle_spec() {
   spec.seed = 11;
   spec.tenants.push_back({"api", 1.0, 1 * msec, 8 * msec, 1.3});
   return spec;
-}
-
-TEST(AdmissionController, BrownoutDegradesAndSloBooksPartialWeight) {
-  harness::FleetScenario fleet;
-  fleet.add_host(small_host());
-  AdmissionConfig ac;
-  ac.brownout_enter_permille = 0;  // test hook: brownout always armed
-  ac.brownout_rounds = 1;
-  fleet.enable_admission(ac);
-  fleet.add_tenant("api");
-  ASSERT_GE(fleet.place_tenant_web_pod("api", res(1000, 1 * GiB)), 0);
-  fleet.use_trace(load::compile(gentle_spec()), one_pass());
-  load::SloTarget target;
-  target.availability_permille = 999;
-  target.p99_target = 500 * msec;
-  target.degraded_weight_permille = 500;
-  fleet.declare_slo("api", target);
-  fleet.run(4 * sec);
-
-  const RequestRouter& r = *fleet.tenant_router("api");
-  ASSERT_GT(r.generated(), 0u);
-  EXPECT_TRUE(fleet.admission()->brownout());
-  EXPECT_GT(fleet.admission()->brownout_entries(), 0u);
-  // Every request routed under brownout was served degraded; the sink-side
-  // count (surviving harvest) matches the router's disposition exactly.
-  EXPECT_GT(r.degraded(), 0u);
-  EXPECT_LE(r.degraded(), r.routed());
-  EXPECT_EQ(r.aggregate().degraded, r.degraded());
-  // declare_slo derived the criticality class from the 99.9% objective.
-  EXPECT_EQ(fleet.admission()->tenant_criticality("api"),
-            Criticality::kCritical);
-
-  // The accountant books each degraded reply at half a failure.
-  EXPECT_EQ(fleet.slo()->degraded("api"), r.degraded());
-  const std::int64_t generated = static_cast<std::int64_t>(r.generated());
-  const std::int64_t bad_milli =
-      static_cast<std::int64_t>(r.generated() - r.routed()) * 1000 +
-      static_cast<std::int64_t>(r.degraded()) * 500;
-  EXPECT_EQ(fleet.slo()->availability_permille("api"),
-            (generated * 1000 - bad_milli) / generated);
-  EXPECT_LT(fleet.slo()->availability_permille("api"), 1000);
-  EXPECT_LT(fleet.slo()->budget_remaining_permille("api"), 1000);
-  EXPECT_FALSE(fleet.slo()->attaining("api"));
-}
-
-TEST(AdmissionController, ZeroDegradedWeightKeepsBrownoutFree) {
-  // Same brownout run with weight 0: degraded replies are as good as full
-  // ones, so the healthy tenant keeps its whole budget.
-  harness::FleetScenario fleet;
-  fleet.add_host(small_host());
-  AdmissionConfig ac;
-  ac.brownout_enter_permille = 0;
-  ac.brownout_rounds = 1;
-  fleet.enable_admission(ac);
-  fleet.add_tenant("api");
-  ASSERT_GE(fleet.place_tenant_web_pod("api", res(1000, 1 * GiB)), 0);
-  fleet.use_trace(load::compile(gentle_spec()), one_pass());
-  load::SloTarget target;
-  target.availability_permille = 999;
-  target.p99_target = 500 * msec;
-  target.degraded_weight_permille = 0;
-  fleet.declare_slo("api", target);
-  fleet.run(4 * sec);
-
-  const RequestRouter& r = *fleet.tenant_router("api");
-  ASSERT_GT(r.degraded(), 0u);
-  ASSERT_EQ(r.routed(), r.generated());  // gentle load: nothing refused
-  EXPECT_EQ(fleet.slo()->availability_permille("api"), 1000);
-  EXPECT_EQ(fleet.slo()->budget_remaining_permille("api"), 1000);
-  EXPECT_TRUE(fleet.slo()->attaining("api"));
 }
 
 // --- observability -----------------------------------------------------------
@@ -498,7 +422,7 @@ TEST(AdmissionController, TraceSeriesAndControlFilesExposeState) {
   const obs::TraceRecorder& trace = *fleet.cluster().trace();
   for (const std::string series :
        {"admission.pressure_permille", "admission.shed_level",
-        "admission.admitted", "admission.rejected", "overload.brownout",
+        "admission.admitted", "admission.rejected",
         "overload.retry_tokens_milli", "overload.retries_denied",
         "overload.queue_limit_total", "overload.windowed_p99_us"}) {
     EXPECT_TRUE(trace.find(series).has_value()) << series;
@@ -628,8 +552,6 @@ TEST(Overload, MetastableFlashCrowdIsContainedByGuards) {
     EXPECT_EQ(r.generated(), r.admitted() + r.rejected());
     EXPECT_EQ(r.admitted(), r.routed() + r.dropped() + r.unroutable() +
                                 r.shed());
-    EXPECT_EQ(r.aggregate().degraded, r.degraded());
-    EXPECT_LE(r.degraded(), r.routed());
     generated += r.generated();
     tenant_admitted_sum += adm.tenant_admitted(tenant);
     tenant_rejected_sum += adm.tenant_rejected(tenant);

@@ -107,8 +107,6 @@ TEST(SloAccountant, ControlFilesMatchAccountantState) {
             static_cast<std::int64_t>(fleet.tenant_router("api")->generated()));
   EXPECT_EQ(read_int("/sys/arv/slo/api/good"),
             static_cast<std::int64_t>(fleet.tenant_router("api")->routed()));
-  // No admission controller in this fleet: nothing is ever degraded.
-  EXPECT_EQ(read_int("/sys/arv/slo/api/degraded"), 0);
   const auto objective = fs.read("/sys/arv/slo/api/objective");
   ASSERT_TRUE(objective.has_value());
   EXPECT_NE(objective->find("availability_permille 999"), std::string::npos);
@@ -129,7 +127,7 @@ TEST(SloAccountant, TraceCarriesSloSeries) {
   for (const std::string series :
        {"slo.api.p99_us", "slo.api.availability_permille",
         "slo.api.budget_remaining_permille", "slo.api.burn_rate_permille",
-        "slo.api.degraded", "load.injected", "api.load.injected"}) {
+        "load.injected", "api.load.injected"}) {
     EXPECT_TRUE(trace.find(series).has_value()) << series;
   }
 }
