@@ -9,24 +9,10 @@
 #include "src/sched/fair_scheduler.h"
 #include "src/util/assert.h"
 #include "src/util/log.h"
+#include "src/util/stats.h"
 
 namespace arv::cluster {
 namespace {
-
-/// Nearest-rank percentile over an integer sample window: exact integer
-/// ordering, no floating point, so recommendations are bit-identical on
-/// every platform (the autoscalers sit inside the byte-identical-trace
-/// contract).
-template <typename T>
-T nearest_rank(const std::deque<T>& window, int p) {
-  ARV_ASSERT(!window.empty());
-  std::vector<T> sorted(window.begin(), window.end());
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t rank =
-      (sorted.size() * static_cast<std::size_t>(p) + 99) / 100;  // 1-based
-  const std::size_t index = rank == 0 ? 0 : rank - 1;
-  return sorted[std::min(index, sorted.size() - 1)];
-}
 
 /// HPA target utilization of per-replica *effective* capacity, per-mille:
 /// the controller sizes the service so demand lands at this fraction of

@@ -16,13 +16,6 @@ constexpr SimDuration kObserveWindow = 100 * units::msec;
 /// Migration cost model: freeze = base + committed_bytes / bandwidth.
 constexpr Bytes kMigrationBandwidthPerSec = 256 * units::MiB;
 
-/// The service a pod's fleet row files under (same fallback as
-/// ProfileStore::service_of — duplicated to keep the row builder free of a
-/// profile-store dependency when none is attached).
-const std::string& service_key(const Pod& pod) {
-  return pod.spec.service.empty() ? pod.spec.name : pod.spec.service;
-}
-
 }  // namespace
 
 Cluster::Cluster(ClusterConfig config)
@@ -89,14 +82,6 @@ int Cluster::add_host(container::HostConfig host_config) {
                                 [this] { return cur_.render_hosts(); });
     sysfs.register_control_file("/sys/arv/fleet/pods",
                                 [this] { return cur_.render_pods(); });
-    // The diff file shows the current snapshot against the one published at
-    // the previous tick boundary; after a tick that changed nothing that is
-    // "generation N -> N" with no rows.
-    sysfs.register_control_file("/sys/arv/fleet/diff",
-                                [this] { return cur_.diff(prev_).render(); });
-    sysfs.register_control_file("/sys/arv/fleet/generation", [this] {
-      return std::to_string(fleet_gen_) + "\n";
-    });
   }
   return index;
 }
@@ -138,7 +123,7 @@ void Cluster::step() {
   // never observes a pod that should already have arrived; the fleet
   // snapshot refreshes after landing so it reflects the landed state.
   settle_migrations();
-  refresh_fleet(/*boundary=*/true);
+  refresh_fleet();
   components_.step();
   ARV_ASSERT(components_.now() == now_);
   if (trace_ != nullptr) {
@@ -517,7 +502,7 @@ HostView Cluster::host_view(int index) const {
 const FleetView& Cluster::fleet_view() {
   ARV_ASSERT_MSG(!in_host_phase_, "fleet reads are serial-phase only");
   if (fleet_dirty_) {
-    refresh_fleet(/*boundary=*/false);
+    refresh_fleet();
   }
   return cur_;
 }
@@ -525,7 +510,7 @@ const FleetView& Cluster::fleet_view() {
 void Cluster::invalidate_fleet_view() {
   fleet_dirty_ = true;
   for (HostState& state : hosts_) {
-    ++state.view_gen;
+    state.row_stale = true;
   }
 }
 
@@ -534,70 +519,55 @@ void Cluster::attach_profiles(const ProfileStore* profiles) {
   invalidate_fleet_view();
 }
 
-void Cluster::refresh_fleet(bool boundary) {
-  // Rotate buffers so `old` holds the last published content and cur_ holds
-  // recycled allocations to overwrite. Boundary refreshes publish into the
-  // prev_/cur_ pair (diff's per-tick baseline); lazy mid-tick refreshes
-  // recycle scratch_ and leave prev_ untouched.
-  FleetView& old = boundary ? prev_ : scratch_;
-  std::swap(old, cur_);
-  rebuild_fleet(old);
-  if (!cur_.same_content(old)) {
-    ++fleet_gen_;
-  }
-  cur_.generation = fleet_gen_;
+void Cluster::refresh_fleet() {
+  rebuild_fleet();
   cur_.at = now_;
   cur_.profiles = profiles_;
   fleet_dirty_ = false;
   window_rolled_ = false;
   for (HostState& state : hosts_) {
-    state.refreshed_gen = state.view_gen;
+    state.row_stale = false;
   }
 }
 
-void Cluster::rebuild_fleet(const FleetView& old) {
+void Cluster::rebuild_fleet() {
   const std::size_t host_count_sz = hosts_.size();
+  const std::size_t old_host_count = cur_.hosts.size();
   cur_.hosts.resize(host_count_sz);
   // A host row is re-observed only when something could have changed it:
   // the host stepped this tick, a mutator (or conservative non-const
   // accessor) touched it, or the slack window rolled for everyone. A frozen,
   // untouched host's observables are constant by the quiescence invariant,
-  // so its row — and its pods' rows — are copied from the old snapshot.
+  // so its row — and its pods' rows — are left as they are.
   std::vector<char> rebuilt(host_count_sz, 0);
   for (std::size_t i = 0; i < host_count_sz; ++i) {
     const HostState& state = hosts_[i];
     const bool stepped = state.host->now() == now_;
-    const bool touched = state.view_gen != state.refreshed_gen;
-    if (!stepped && !touched && !window_rolled_ &&
-        i < old.hosts.size()) {
-      cur_.hosts[i] = old.hosts[i];
+    if (!stepped && !state.row_stale && !window_rolled_ && i < old_host_count) {
       ++rows_reused_;
     } else {
       cur_.hosts[i] = host_view(static_cast<int>(i));
       rebuilt[i] = 1;
     }
   }
-  cur_.services = old.services;  // keeps copied rows' service indices valid
+  const std::size_t old_pod_count = cur_.pods.size();
   cur_.pods.resize(pods_.size());
   for (std::size_t p = 0; p < pods_.size(); ++p) {
     const Pod& pod = pods_[p];
-    const PodRow* before = p < old.pods.size() ? &old.pods[p] : nullptr;
-    const bool new_host_rebuilt =
+    PodRow& row = cur_.pods[p];
+    // The row still holds the previous refresh's content: compare its host
+    // before it is overwritten. A pod that stayed put keeps its row unless
+    // its host was re-observed.
+    const bool host_rebuilt =
         pod.host >= 0 && rebuilt[static_cast<std::size_t>(pod.host)] != 0;
-    const bool old_host_rebuilt =
-        before != nullptr && before->host >= 0 &&
-        before->host < static_cast<int>(host_count_sz) &&
-        rebuilt[static_cast<std::size_t>(before->host)] != 0;
-    if (before != nullptr && before->host == pod.host && !new_host_rebuilt &&
-        !old_host_rebuilt) {
-      cur_.pods[p] = *before;
+    if (p < old_pod_count && row.host == pod.host && !host_rebuilt) {
       ++rows_reused_;
       continue;
     }
-    PodRow row;
+    row = PodRow{};
     row.id = pod.id;
     row.host = pod.host;
-    row.service = cur_.intern_service(service_key(pod));
+    row.service = cur_.intern_service(pod.spec.service_name());
     row.request_millicpu = pod.spec.resources.request_millicpu;
     row.request_memory = pod.spec.resources.request_memory;
     row.running = pod.running();
@@ -619,7 +589,6 @@ void Cluster::rebuild_fleet(const FleetView& old) {
       row.burst_permille = profile.burst_permille;
       row.samples = profile.samples;
     }
-    cur_.pods[p] = row;
   }
   cur_.rebuild_pod_index();
 }

@@ -140,7 +140,7 @@ class Cluster {
   /// the single serialization point the fault machinery relies on. The
   /// non-const overloads conservatively mark the host's fleet row stale
   /// (the caller may mutate anything behind the reference); over-marking
-  /// costs a row rebuild, never a generation bump — see fleet_view().
+  /// costs only a row re-observe — see fleet_view().
   container::Host& host(int index) {
     sync_host(index);
     mark_host_dirty(index);
@@ -246,26 +246,21 @@ class Cluster {
   HostView host_view(int index) const;
 
   /// The shared cluster snapshot (DESIGN.md §13): per-host effective views
-  /// plus flattened per-pod rows, assembled in the serial phase and
-  /// generation-stamped. Lazily refreshed — if anything mutated the fleet
-  /// since the last refresh, the snapshot is rebuilt first (reusing rows of
-  /// provably-unchanged hosts from the previous snapshot), so the returned
-  /// view is always current. The generation advances only when the *content*
-  /// changed. This is what every fleet-wide consumer (placement, detector,
+  /// plus flattened per-pod rows, assembled in the serial phase. Lazily
+  /// refreshed — if anything mutated the fleet since the last refresh, the
+  /// stale rows are re-observed in place first (rows of provably-unchanged
+  /// hosts are left as they are), so the returned view is always current.
+  /// This is what every fleet-wide consumer (placement, detector,
   /// autoscalers, router) reads; consumers that place several pods in one
   /// round copy it and claim() each landing. Serial phases only.
   const FleetView& fleet_view();
 
-  /// The fleet snapshot's content generation: advances only when the
-  /// content changed (published as /sys/arv/fleet/generation).
-  std::uint64_t fleet_generation() const { return fleet_gen_; }
-
-  /// Host/pod rows copied from the previous snapshot instead of re-observed,
+  /// Host/pod rows a refresh left in place instead of re-observing,
   /// cumulative. Not traced: the count varies with the idle-skip setting.
   std::uint64_t fleet_rows_reused() const { return rows_reused_; }
 
   /// Force the next fleet_view() to re-observe every row (profile updates,
-  /// tests). Never bumps the generation unless content actually changed.
+  /// tests).
   void invalidate_fleet_view();
 
   /// Attach (or detach, with nullptr) a ProfileStore whose percentiles the
@@ -273,7 +268,7 @@ class Cluster {
   void attach_profiles(const ProfileStore* profiles);
   const ProfileStore* profiles() const { return profiles_; }
 
-  /// The published per-host arena — cur snapshot's host rows, refreshed at
+  /// The published per-host arena — the snapshot's host rows, refreshed at
   /// the tick boundary (and whenever a consumer pulled a fresh fleet_view()
   /// mid-round). Per-round readers that want the boundary view without
   /// forcing a refresh (the rebalancer's capacity scan, the autoscaler's
@@ -329,13 +324,11 @@ class Cluster {
     CpuTime window_slack = 0;
     CpuTime accum_slack = 0;
     CpuTime last_total_slack = 0;
-    /// Fleet-row staleness: view_gen bumps on every (potential) mutation of
-    /// this host, refreshed_gen records view_gen at the last row rebuild.
-    /// Unequal (or a host that stepped this tick, or a rolled slack window)
-    /// => the refresh re-observes the row; equal => the row is copied from
-    /// the previous snapshot. Starts unequal so the first refresh builds.
-    std::uint64_t view_gen = 1;
-    std::uint64_t refreshed_gen = 0;
+    /// Set by every (potential) mutation of this host, cleared by the fleet
+    /// refresh. Set (or a host that stepped this tick, or a rolled slack
+    /// window) => the refresh re-observes the row; clear => the row is left
+    /// as it is. Starts set so the first refresh builds.
+    bool row_stale = true;
   };
   struct PendingMigration {
     SimTime due = 0;
@@ -348,16 +341,15 @@ class Cluster {
   void sync_host(int index);
   void mark_host_dirty(int index) {
     fleet_dirty_ = true;
-    ++hosts_.at(static_cast<std::size_t>(index)).view_gen;
+    hosts_.at(static_cast<std::size_t>(index)).row_stale = true;
   }
   void observe_slack();
-  /// Rebuild the fleet snapshot. `boundary` refreshes publish: prev_/cur_
-  /// swap so diff() has a stable per-tick baseline. Mid-tick (lazy)
-  /// refreshes recycle scratch_ and leave prev_ untouched.
-  void refresh_fleet(bool boundary);
-  /// Assemble cur_ from live state, copying rows of unchanged hosts (and
-  /// their pods) from `old` instead of re-observing them.
-  void rebuild_fleet(const FleetView& old);
+  /// Bring the fleet snapshot up to cluster time (rebuild_fleet, then the
+  /// stamp and the staleness reset).
+  void refresh_fleet();
+  /// Re-observe the stale rows of cur_ in place; rows of unchanged hosts
+  /// (and their pods) stay as they are.
+  void rebuild_fleet();
   void settle_migrations();
   void land_pod(Pod& pod);
   void harvest_stats(Pod& pod);
@@ -376,13 +368,8 @@ class Cluster {
   std::uint64_t hosts_skipped_ = 0;
   std::int64_t host_phase_wall_us_ = 0;
   std::uint64_t steps_ = 0;
-  // Fleet snapshot triple-buffer: cur_ is the live snapshot, prev_ the one
-  // published at the previous tick boundary, scratch_ recycles allocations
-  // for mid-tick refreshes.
+  /// The fleet snapshot, refreshed in place.
   FleetView cur_;
-  FleetView prev_;
-  FleetView scratch_;
-  std::uint64_t fleet_gen_ = 0;
   bool fleet_dirty_ = true;
   bool window_rolled_ = false;
   std::uint64_t rows_reused_ = 0;

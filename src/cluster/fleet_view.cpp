@@ -16,13 +16,6 @@ void append_int(std::string& out, std::int64_t value) {
   out.append(buf.data(), end);
 }
 
-void append_signed(std::string& out, std::int64_t value) {
-  if (value >= 0) {
-    out += '+';
-  }
-  append_int(out, value);
-}
-
 }  // namespace
 
 void FleetView::claim(int host, const PodSpec& spec) {
@@ -39,7 +32,7 @@ void FleetView::claim(int host, const PodSpec& spec) {
   // score the host as if its siblings were not coming.
   PodRow row;
   row.host = host;
-  row.service = intern_service(spec.service.empty() ? spec.name : spec.service);
+  row.service = intern_service(spec.service_name());
   row.request_millicpu = r.request_millicpu;
   row.request_memory = r.request_memory;
   row.running = true;
@@ -52,55 +45,6 @@ void FleetView::reserve(int host, const container::K8sResources& resources) {
       0, view.slack_millicpu - resources.request_millicpu);
   view.free_memory =
       std::max<Bytes>(0, view.free_memory - resources.request_memory);
-}
-
-bool FleetView::same_content(const FleetView& other) const {
-  return hosts == other.hosts && pods == other.pods &&
-         services == other.services;
-}
-
-FleetViewDiff FleetView::diff(const FleetView& prev) const {
-  FleetViewDiff out;
-  out.from = prev.generation;
-  out.to = generation;
-  for (const PodRow& row : pods) {
-    if (row.id < 0) {
-      continue;  // synthetic claim rows never appear in a published snapshot
-    }
-    const PodRow* before =
-        row.id < prev.pod_count() ? &prev.pods[static_cast<std::size_t>(row.id)]
-                                  : nullptr;
-    const int old_host = before == nullptr ? -1 : before->host;
-    if (row.host >= 0 && old_host < 0) {
-      out.added.push_back(row.id);
-    } else if (row.host < 0 && old_host >= 0) {
-      out.removed.push_back(row.id);
-    } else if (row.host >= 0 && old_host >= 0 && row.host != old_host) {
-      out.moved.push_back({row.id, old_host, row.host});
-    }
-  }
-  const int shared =
-      std::min(host_count(), prev.host_count());
-  for (int i = 0; i < shared; ++i) {
-    const HostView& now = hosts[static_cast<std::size_t>(i)];
-    const HostView& before = prev.hosts[static_cast<std::size_t>(i)];
-    HostDelta delta;
-    delta.host = i;
-    delta.slack_delta_millicpu = now.slack_millicpu - before.slack_millicpu;
-    delta.free_delta_bytes = static_cast<std::int64_t>(now.free_memory) -
-                             static_cast<std::int64_t>(before.free_memory);
-    delta.requested_delta_millicpu =
-        now.requested_millicpu - before.requested_millicpu;
-    delta.pods_delta = now.pods - before.pods;
-    delta.up_changed = now.up != before.up;
-    delta.cordon_changed = now.cordoned != before.cordoned;
-    if (delta.slack_delta_millicpu != 0 || delta.free_delta_bytes != 0 ||
-        delta.requested_delta_millicpu != 0 || delta.pods_delta != 0 ||
-        delta.up_changed || delta.cordon_changed) {
-      out.hosts.push_back(delta);
-    }
-  }
-  return out;
 }
 
 void FleetView::rebuild_pod_index() {
@@ -134,7 +78,7 @@ int FleetView::intern_service(const std::string& name) {
 }
 
 std::string FleetView::render_hosts() const {
-  std::string out = "generation " + std::to_string(generation) + "\n";
+  std::string out;
   // Fields are appended in place: monitoring agents poll this file, and on a
   // large fleet per-field temporaries dominate the render.
   for (const HostView& h : hosts) {
@@ -164,7 +108,7 @@ std::string FleetView::render_hosts() const {
 }
 
 std::string FleetView::render_pods() const {
-  std::string out = "generation " + std::to_string(generation) + "\n";
+  std::string out;
   for (const PodRow& p : pods) {
     if (p.id < 0) {
       continue;
@@ -191,41 +135,6 @@ std::string FleetView::render_pods() const {
       out += " failed";
     } else {
       out += " stopped";
-    }
-    out += "\n";
-  }
-  return out;
-}
-
-std::string FleetViewDiff::render() const {
-  std::string out = "generation " + std::to_string(from) + " -> " +
-                    std::to_string(to) + "\n";
-  for (const int id : added) {
-    out += "+pod" + std::to_string(id) + "\n";
-  }
-  for (const int id : removed) {
-    out += "-pod" + std::to_string(id) + "\n";
-  }
-  for (const PodMove& move : moved) {
-    out += "pod" + std::to_string(move.pod) + " h" + std::to_string(move.from) +
-           "->h" + std::to_string(move.to) + "\n";
-  }
-  for (const HostDelta& d : hosts) {
-    out += 'h';
-    out += std::to_string(d.host);
-    out += " slack=";
-    append_signed(out, d.slack_delta_millicpu);
-    out += "m free=";
-    append_signed(out, d.free_delta_bytes);
-    out += " req=";
-    append_signed(out, d.requested_delta_millicpu);
-    out += "m pods=";
-    append_signed(out, static_cast<std::int64_t>(d.pods_delta));
-    if (d.up_changed) {
-      out += " up-flipped";
-    }
-    if (d.cordon_changed) {
-      out += " cordon-flipped";
     }
     out += "\n";
   }

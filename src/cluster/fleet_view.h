@@ -16,13 +16,11 @@
 //   CSR     host_pod_offsets/host_pod_ids, pods grouped by host in id order,
 //           so per-host resident scans are O(residents) not O(pods).
 //
-// The snapshot is generation-stamped: the generation advances only when the
-// *content* changes, so an idle fleet keeps its generation. Rows for hosts
-// that are provably unchanged (frozen by the quiescence skip, no mutation
-// since the last refresh) are copied from the previous snapshot, not
-// re-observed. diff(prev) reports added/removed/moved pods and per-host
-// capacity deltas — the cheap "what changed since your last look" API
-// consumers poll instead of comparing whole snapshots.
+// The cluster keeps one snapshot and refreshes it in place, like the paper's
+// view: a function of current state, recomputed with no history. Rows of
+// hosts that are provably unchanged (frozen by the quiescence skip, no
+// mutation since the last refresh) are left as they are; only stale rows
+// are re-observed.
 //
 // All assembly and all reads happen in the cluster's serial phases, so the
 // view preserves the byte-identical-trace contract.
@@ -63,55 +61,12 @@ struct PodRow {
   bool in_flight = false;  ///< mid-migration toward `host`
   bool failed = false;     ///< crashed, awaiting restart or failover
   SimTime placed_at = 0;
-
-  bool operator==(const PodRow&) const = default;
-};
-
-/// One pod-level change between two snapshots.
-struct PodMove {
-  int pod = -1;
-  int from = -1;
-  int to = -1;
-
-  bool operator==(const PodMove&) const = default;
-};
-
-/// One host whose view changed between two snapshots (zero-delta hosts are
-/// omitted — the diff of an idle fleet is empty).
-struct HostDelta {
-  int host = -1;
-  std::int64_t slack_delta_millicpu = 0;
-  std::int64_t free_delta_bytes = 0;  ///< signed, hence not Bytes
-  std::int64_t requested_delta_millicpu = 0;
-  int pods_delta = 0;
-  bool up_changed = false;
-  bool cordon_changed = false;
-
-  bool operator==(const HostDelta&) const = default;
-};
-
-/// What changed between two FleetView snapshots. Pod ids are ascending;
-/// host deltas are in host-index order.
-struct FleetViewDiff {
-  std::uint64_t from = 0;
-  std::uint64_t to = 0;
-  std::vector<int> added;    ///< now placed, previously absent or stopped
-  std::vector<int> removed;  ///< now stopped, previously placed
-  std::vector<PodMove> moved;
-  std::vector<HostDelta> hosts;
-
-  bool empty() const {
-    return added.empty() && removed.empty() && moved.empty() && hosts.empty();
-  }
-  /// One line per change ("+pod3", "-pod4", "pod5 h1->h2", "h0 ...").
-  std::string render() const;
 };
 
 /// The snapshot object. Cluster::fleet_view() returns the live one; consumers
 /// that place several pods in one round copy it and claim() each landing so
 /// later decisions in the round see post-landing headroom.
 struct FleetView {
-  std::uint64_t generation = 0;
   SimTime at = 0;
   std::vector<HostView> hosts;
   std::vector<PodRow> pods;  ///< indexed by pod id (rows for stopped pods stay)
@@ -144,13 +99,6 @@ struct FleetView {
   /// ledger slot is already counted (in-flight migrations) but whose landing
   /// has not burned a cycle yet.
   void reserve(int host, const container::K8sResources& resources);
-
-  /// Content equality, generation and timestamp excluded: the refresh uses
-  /// this to decide whether the generation advances at all.
-  bool same_content(const FleetView& other) const;
-
-  /// What changed since `prev` (an older snapshot of the same cluster).
-  FleetViewDiff diff(const FleetView& prev) const;
 
   /// Rebuild the CSR index from the pod rows (after edits to `pods`).
   void rebuild_pod_index();

@@ -116,8 +116,7 @@ class ProfileStrategy final : public PlacementStrategy {
              Rng& rng) const override {
     const auto& r = pod.resources;
     const std::vector<HostView>& hosts = fleet.hosts;
-    const std::string& service =
-        pod.service.empty() ? pod.name : pod.service;
+    const std::string& service = pod.service_name();
 
     // One O(pods) pass: per-host projected p95 load and resident services.
     // A row counts while it holds capacity on its host — running, in flight,

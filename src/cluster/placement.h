@@ -70,6 +70,11 @@ struct PodSpec {
   /// every landing, so it survives migration and failover — the knob the
   /// workload benchmarks flip to compare view policies per fleet.
   std::string view_policy;
+
+  /// The service the pod files under: `service`, or the name when unset.
+  const std::string& service_name() const {
+    return service.empty() ? name : service;
+  }
 };
 
 /// What a strategy sees about one host at decision time. Declared numbers

@@ -8,22 +8,10 @@
 #include "src/mem/memory_manager.h"
 #include "src/sched/fair_scheduler.h"
 #include "src/util/assert.h"
+#include "src/util/stats.h"
 
 namespace arv::cluster {
 namespace {
-
-/// Nearest-rank percentile (same exact-integer form the autoscalers use):
-/// 1-based rank = ceil(n * p / 100), no interpolation, no floating point.
-template <typename T>
-T nearest_rank(const std::deque<T>& window, int p) {
-  ARV_ASSERT(!window.empty());
-  std::vector<T> sorted(window.begin(), window.end());
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t rank =
-      (sorted.size() * static_cast<std::size_t>(p) + 99) / 100;
-  const std::size_t index = rank == 0 ? 0 : rank - 1;
-  return sorted[std::min(index, sorted.size() - 1)];
-}
 
 __extension__ using Wide = __int128;
 __extension__ using UWide = unsigned __int128;
@@ -91,10 +79,6 @@ ProfileStore::ProfileStore(Cluster& cluster, ProfileConfig config)
 
 ProfileStore::~ProfileStore() { cluster_.attach_profiles(nullptr); }
 
-const std::string& ProfileStore::service_of(const Pod& pod) {
-  return pod.spec.service.empty() ? pod.spec.name : pod.spec.service;
-}
-
 void ProfileStore::tick(SimTime /*now*/, SimDuration dt) {
   ++rounds_;
   // Per-service round sums accumulate while pods sample; every *known*
@@ -137,7 +121,7 @@ void ProfileStore::tick(SimTime /*now*/, SimDuration dt) {
       track.mem_bytes.pop_front();
     }
     recompute(track);
-    service_round[service_of(pod)] += millicpu;
+    service_round[pod.spec.service_name()] += millicpu;
   }
   for (const auto& [service, millicpu] : service_round) {
     service_series_[service];  // learn new services before the push loop

@@ -91,10 +91,6 @@ class ProfileStore : public sim::TickComponent {
   int tracked_pods() const { return static_cast<int>(track_.size()); }
   std::uint64_t rounds() const { return rounds_; }
 
-  /// The service a pod profiles under: PodSpec::service, falling back to the
-  /// pod name when unset.
-  static const std::string& service_of(const Pod& pod);
-
  private:
   struct PodTrack {
     int host = -1;  ///< baseline invalid after migration/failover/restart

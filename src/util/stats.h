@@ -2,8 +2,12 @@
 // experiment harness (series summaries), and tests (distribution checks).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <deque>
 #include <vector>
+
+#include "src/util/assert.h"
 
 namespace arv {
 
@@ -58,7 +62,22 @@ class Ema {
   bool primed_ = false;
 };
 
-/// Percentile over a copy of the samples (p in [0, 100], nearest-rank).
+/// Percentile over a copy of the samples (p in [0, 100]), linearly
+/// interpolated between the two closest ranks.
 double percentile(std::vector<double> samples, double p);
+
+/// Nearest-rank percentile over an integer sample window: 1-based rank =
+/// ceil(n * p / 100), no interpolation, no floating point, so profiles and
+/// autoscaler recommendations are bit-identical on every platform.
+template <typename T>
+T nearest_rank(const std::deque<T>& window, int p) {
+  ARV_ASSERT(!window.empty());
+  std::vector<T> sorted(window.begin(), window.end());
+  std::sort(sorted.begin(), sorted.end());
+  const std::size_t rank =
+      (sorted.size() * static_cast<std::size_t>(p) + 99) / 100;
+  const std::size_t index = rank == 0 ? 0 : rank - 1;
+  return sorted[std::min(index, sorted.size() - 1)];
+}
 
 }  // namespace arv
