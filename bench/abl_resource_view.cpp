@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string_view>
 
 #include "bench/common.h"
 #include "src/workloads/java_suites.h"
@@ -24,18 +25,16 @@ using namespace arv::bench;
 void ablation_view_modes() {
   print_header("Ablation A", "what the per-container view exports "
                              "(5 containers, 10-core limits, same runtime; "
-                             "one column per registered policy)");
-  // The old hard-coded none/LXCFS/adaptive triple, generalized: every policy
-  // in the registry gets a column, so a newly-registered policy shows up in
-  // the ablation without touching this file.
-  const auto policies = core::PolicyRegistry::instance().cpu_names();
+                             "one column per policy)");
+  // None (stock sysfs), then one column per policy: "paper" is the adaptive
+  // view, "static" the LXCFS comparator.
   std::vector<std::string> headers = {"benchmark", "no view (host values)"};
-  for (const auto& policy : policies) {
-    headers.push_back(policy);
+  for (const std::string_view policy : core::kPolicyNames) {
+    headers.emplace_back(policy);
   }
   Table table(headers);
   for (const auto& w : workloads::dacapo_suite()) {
-    auto run_policy = [&](bool view, const std::string& policy) {
+    auto run_policy = [&](bool view, std::string_view policy) {
       // dynamic_gc_threads off: the view is the *only* thread bound, so the
       // ablation isolates what the view exports.
       jvm::JvmFlags flags{.kind = jvm::JvmKind::kAdaptive,
@@ -52,7 +51,7 @@ void ablation_view_modes() {
     };
     const double none = run_policy(false, "paper");
     std::vector<std::string> row = {w.name, "1.00"};
-    for (const auto& policy : policies) {
+    for (const std::string_view policy : core::kPolicyNames) {
       row.push_back(strf("%.2f", run_policy(true, policy) / none));
     }
     table.add_row(row);
@@ -60,7 +59,7 @@ void ablation_view_modes() {
   std::fputs(table.to_ascii().c_str(), stdout);
   std::printf(
       "expected: exporting static limits helps a little (10 < 20 threads),\n"
-      "but only the adaptive policies reflect the 4-core reality (§1's\n"
+      "but only the adaptive \"paper\" view reflects the 4-core reality (§1's\n"
       "LXCFS critique).\n");
 }
 

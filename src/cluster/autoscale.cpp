@@ -62,7 +62,7 @@ HorizontalAutoscaler::HorizontalAutoscaler(Cluster& cluster,
       template_(replica_defaults(std::move(replica_template))),
       web_(web),
       config_(config),
-      strategy_(PlacementRegistry::instance().make(config.strategy)),
+      strategy_(make_strategy(config.strategy)),
       telemetry_(cluster, "autoscale/" + template_.name) {
   ARV_ASSERT(config_.period > 0);
   ARV_ASSERT(config_.min_replicas >= 0);
@@ -384,7 +384,7 @@ void VerticalRecommender::recommend(Pod& pod, PodTrack& track) {
 ClusterAutoscaler::ClusterAutoscaler(Cluster& cluster, CaConfig config)
     : cluster_(cluster),
       config_(config),
-      strategy_(PlacementRegistry::instance().make(config.strategy)),
+      strategy_(make_strategy(config.strategy)),
       telemetry_(cluster, "autoscale/cluster") {
   ARV_ASSERT(config_.period > 0);
   ARV_ASSERT(config_.min_hosts >= 1);

@@ -4,7 +4,6 @@
 
 #include "src/cluster/fleet_view.h"
 #include "src/cluster/profile.h"
-#include "src/util/assert.h"
 
 namespace arv::cluster {
 namespace {
@@ -237,43 +236,17 @@ int pick_best(const std::vector<std::int64_t>& scores, Rng& rng) {
   return -1;  // unreachable
 }
 
-PlacementRegistry::PlacementRegistry() {
-  register_strategy("requests",
-                    [] { return std::make_unique<RequestsStrategy>(); });
-  register_strategy("effective",
-                    [] { return std::make_unique<EffectiveStrategy>(); });
-  register_strategy("profile",
-                    [] { return std::make_unique<ProfileStrategy>(); });
-}
-
-PlacementRegistry& PlacementRegistry::instance() {
-  static PlacementRegistry registry;
-  return registry;
-}
-
-void PlacementRegistry::register_strategy(const std::string& name,
-                                          Factory factory) {
-  ARV_ASSERT(factory != nullptr);
-  factories_[name] = std::move(factory);
-}
-
-bool PlacementRegistry::has(const std::string& name) const {
-  return factories_.count(name) > 0;
-}
-
-std::unique_ptr<PlacementStrategy> PlacementRegistry::make(
-    const std::string& name) const {
-  const auto it = factories_.find(name);
-  return it == factories_.end() ? nullptr : it->second();
-}
-
-std::vector<std::string> PlacementRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) {
-    out.push_back(name);
+std::unique_ptr<PlacementStrategy> make_strategy(std::string_view name) {
+  if (name == "requests") {
+    return std::make_unique<RequestsStrategy>();
   }
-  return out;
+  if (name == "effective") {
+    return std::make_unique<EffectiveStrategy>();
+  }
+  if (name == "profile") {
+    return std::make_unique<ProfileStrategy>();
+  }
+  return nullptr;
 }
 
 }  // namespace arv::cluster

@@ -4,8 +4,8 @@
 // requests and limits — exactly the static signal the paper's Algorithms 1/2
 // show diverges from what a container can actually use. ARC-V
 // (arXiv:2505.02964) and C-Balancer (arXiv:2009.08912) argue placement should
-// instead consume the observed effective capacity. This registry holds both
-// ends of that argument:
+// instead consume the observed effective capacity. Three strategies cover
+// both ends of that argument, selected per placement call by name:
 //
 //   "requests"   kube-scheduler-style bin-packing on K8sResources requests —
 //                the baseline every real cluster runs today. Feasibility and
@@ -24,15 +24,11 @@
 // Strategies decide from one shared FleetView snapshot (fleet_view.h) rather
 // than a bare host array, so a strategy may consult per-pod rows (who already
 // lives where, at what profiled load) as well as per-host headroom.
-//
-// The name-keyed registry mirrors core::PolicyRegistry: new strategies are
-// one-file additions, selected per placement call by name.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/container/k8s.h"
@@ -65,8 +61,8 @@ struct PodSpec {
   /// name (every pod its own singleton service). Last so positional
   /// aggregate initializers keep working.
   std::string service;
-  /// Adaptation policy for the pod's resource view ("paper", "static", or
-  /// any registered name); empty keeps the container default. Applied at
+  /// Adaptation policy for the pod's resource view ("paper" or "static",
+  /// core::kPolicyNames); empty keeps the container default. Applied at
   /// every landing, so it survives migration and failover — the knob the
   /// workload benchmarks flip to compare view policies per fleet.
   std::string view_policy;
@@ -114,7 +110,7 @@ class PlacementStrategy {
  public:
   virtual ~PlacementStrategy() = default;
 
-  /// Registry name this instance was created under.
+  /// The name this instance was created under (see make_strategy).
   virtual std::string name() const = 0;
 
   /// Batch-ordering rank: in place_all, pods place in ascending rank (stable
@@ -132,31 +128,9 @@ class PlacementStrategy {
                      Rng& rng) const = 0;
 };
 
-/// Name-keyed strategy factory, mirroring core::PolicyRegistry. The built-in
-/// strategies ("requests", "effective") are registered on first use.
-class PlacementRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<PlacementStrategy>()>;
-
-  /// The process-wide registry (the simulation is single-threaded).
-  static PlacementRegistry& instance();
-
-  /// Register/replace a factory under `name`.
-  void register_strategy(const std::string& name, Factory factory);
-
-  bool has(const std::string& name) const;
-
-  /// Instantiate a strategy; nullptr for unknown names.
-  std::unique_ptr<PlacementStrategy> make(const std::string& name) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> names() const;
-
- private:
-  PlacementRegistry();
-
-  std::map<std::string, Factory> factories_;
-};
+/// Instantiate the named strategy ("requests", "effective" or "profile");
+/// nullptr for any other name.
+std::unique_ptr<PlacementStrategy> make_strategy(std::string_view name);
 
 /// Pick uniformly among the feasible hosts with the highest score (ties are
 /// what kube-scheduler randomizes). `scores` uses < 0 for infeasible hosts.

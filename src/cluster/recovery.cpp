@@ -14,7 +14,7 @@ namespace arv::cluster {
 FailureDetector::FailureDetector(Cluster& cluster, DetectorConfig config)
     : cluster_(cluster),
       config_(config),
-      strategy_(PlacementRegistry::instance().make(config.strategy)) {
+      strategy_(make_strategy(config.strategy)) {
   ARV_ASSERT(config_.period > 0);
   ARV_ASSERT(config_.miss_threshold >= 1);
   ARV_ASSERT_MSG(strategy_ != nullptr, "unknown placement strategy");

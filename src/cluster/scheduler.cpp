@@ -9,7 +9,7 @@ namespace arv::cluster {
 PlacementStrategy& ClusterScheduler::strategy(const std::string& name) {
   auto it = strategies_.find(name);
   if (it == strategies_.end()) {
-    auto made = PlacementRegistry::instance().make(name);
+    auto made = make_strategy(name);
     ARV_ASSERT_MSG(made != nullptr, "unknown placement strategy");
     it = strategies_.emplace(name, std::move(made)).first;
   }

@@ -1,7 +1,7 @@
 // ClusterScheduler — places pods on a Cluster through a named
 // PlacementStrategy (kube-scheduler analogue).
 //
-// One instance caches strategy objects from the PlacementRegistry and keeps
+// One instance caches the strategy objects it has made by name and keeps
 // the unschedulable tally; the declared-request ledger lives in the Cluster
 // so the rebalancer and migrations keep it consistent.
 #pragma once

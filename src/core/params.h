@@ -1,14 +1,13 @@
 // Tunables of the adaptive resource view, with the paper's defaults.
 //
 // Params travel with the container (ContainerConfig::view_params): the
-// policy *names* select which adaptation strategy the container runs (see
-// src/core/policy.h for the registry) and the knobs parameterize whichever
-// policies are selected. Both are runtime-writable through the
-// /sys/arv/policy/<container>/ pseudo-files; writes that fail valid() are
-// rejected with a write error, never silently accepted.
+// policy *names* select which adaptation policy the container runs (see
+// src/core/policy.h) and the knobs parameterize the "paper" policy. Both are
+// runtime-writable through the /sys/arv/policy/<container>/ pseudo-files;
+// writes that fail valid() are rejected with a write error, never silently
+// accepted.
 #pragma once
 
-#include <cmath>
 #include <string>
 
 #include "src/util/cpuset.h"
@@ -17,10 +16,10 @@
 namespace arv::core {
 
 struct Params {
-  /// Registry names of the per-container adaptation policies. The paper's
-  /// Algorithms 1/2 ("paper") are the default; "static" reproduces the
-  /// LXCFS / cgroup-namespace behaviour of §1 (export the administrator-set
-  /// limits, never react to allocation).
+  /// Names of the per-container adaptation policies (core::kPolicyNames).
+  /// The paper's Algorithms 1/2 ("paper") are the default; "static"
+  /// reproduces the LXCFS / cgroup-namespace behaviour of §1 (export the
+  /// administrator-set limits, never react to allocation).
   std::string cpu_policy = "paper";
   std::string mem_policy = "paper";
 
@@ -46,22 +45,6 @@ struct Params {
   /// growth expands straight into kswapd's territory.
   bool mem_prediction_gate = true;
 
-  /// "ewma" policy: smoothing factor for the exponentially-weighted moving
-  /// average of utilization (1.0 = unsmoothed, i.e. the paper's behaviour).
-  double ewma_alpha = 0.30;
-
-  /// "ewma" policy: release CPUs when *smoothed* utilization falls below
-  /// this (the hysteresis band is [cpu_down_threshold, cpu_util_threshold]).
-  double cpu_down_threshold = 0.50;
-
-  /// "ewma" policy: shed effective memory toward the soft limit when the
-  /// smoothed usage fraction falls below this.
-  double mem_down_threshold = 0.50;
-
-  /// "proportional" policy: gain applied to the utilization error when
-  /// sizing a step (higher = more aggressive convergence).
-  double prop_gain = 4.0;
-
   /// All knobs inside their legal ranges. SysNamespace asserts this at
   /// construction; the vfs knob files reject writes that would break it.
   /// cpu_step is capped at the CPU-set width so Algorithm 1's
@@ -70,10 +53,7 @@ struct Params {
     const auto unit = [](double v) { return v > 0.0 && v <= 1.0; };
     return cpu_step >= 1 && cpu_step <= CpuSet::kMaxCpus &&
            unit(cpu_util_threshold) && unit(mem_use_threshold) &&
-           unit(mem_growth_frac) && unit(ewma_alpha) &&
-           unit(cpu_down_threshold) && unit(mem_down_threshold) &&
-           cpu_down_threshold <= cpu_util_threshold &&
-           std::isfinite(prop_gain) && prop_gain > 0.0;
+           unit(mem_growth_frac);
   }
 };
 

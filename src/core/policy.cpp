@@ -1,61 +1,10 @@
 #include "src/core/policy.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
-#include <utility>
-
-#include "src/util/assert.h"
 
 namespace arv::core {
 namespace {
-
-double utilization_of(const CpuObservation& obs, int current) {
-  const double capacity =
-      static_cast<double>(current) * static_cast<double>(obs.window);
-  return static_cast<double>(obs.usage) / capacity;
-}
-
-/// Algorithm 2 lines 8-9: the free-memory impact predictor, shared by every
-/// adaptive memory policy. Tracks the previous window's (free, usage)
-/// snapshot and scales a candidate growth delta by how much free memory
-/// moved per byte of container growth last window.
-class GrowthPredictor {
- public:
-  /// Predicted system-free-memory drop if `delta` bytes were granted now.
-  /// Degenerate windows (container shrank or free memory grew) presume 1:1.
-  Bytes predicted_drop(const MemObservation& obs, Bytes delta) const {
-    double ratio = 1.0;
-    if (prev_free_.has_value() && prev_usage_.has_value() &&
-        obs.usage > *prev_usage_ && *prev_free_ > obs.free) {
-      ratio = static_cast<double>(*prev_free_ - obs.free) /
-              static_cast<double>(obs.usage - *prev_usage_);
-    }
-    return static_cast<Bytes>(ratio * static_cast<double>(delta));
-  }
-
-  /// End-of-update snapshot. Only taken when usage actually moved: heap
-  /// growth is bursty relative to the update period, and a zero-delta window
-  /// would collapse the prediction ratio to its default, hiding the
-  /// free-memory drain that co-growing containers cause.
-  void note(const MemObservation& obs) {
-    if (!prev_usage_.has_value() || obs.usage != *prev_usage_) {
-      prev_free_ = obs.free;
-      prev_usage_ = obs.usage;
-    }
-  }
-
-  /// A shortage window resets e_mem and must also re-seed the snapshot so
-  /// the next ratio measures from the shortage window, not from before it.
-  void reseed(const MemObservation& obs) {
-    prev_free_ = obs.free;
-    prev_usage_ = obs.usage;
-  }
-
- private:
-  std::optional<Bytes> prev_free_;
-  std::optional<Bytes> prev_usage_;
-};
 
 // --- "paper": Algorithms 1/2 exactly as published ----------------------------
 
@@ -76,7 +25,10 @@ class PaperCpuPolicy final : public CpuPolicy {
     if (obs.host_has_slack) {
       // Lines 9-12: grow while the container saturates its effective CPUs
       // and the host has idle capacity it could soak up (work conservation).
-      if (utilization_of(obs, current) > params_.cpu_util_threshold) {
+      const double capacity =
+          static_cast<double>(current) * static_cast<double>(obs.window);
+      if (static_cast<double>(obs.usage) / capacity >
+          params_.cpu_util_threshold) {
         return {current + params_.cpu_step, Decision::kGrew};
       }
       return {current, Decision::kHeld};
@@ -109,8 +61,11 @@ class PaperMemPolicy final : public MemPolicy {
                      Bytes current) override {
     if (obs.free <= obs.low_mark || obs.kswapd_active) {
       // Lines 13-14: memory shortage — fall back to the reclaim target so
-      // the runtime sheds the memory kswapd is about to steal anyway.
-      predictor_.reseed(obs);
+      // the runtime sheds the memory kswapd is about to steal anyway. The
+      // prediction snapshot re-seeds too, so the next ratio measures from
+      // the shortage window, not from before it.
+      prev_free_ = obs.free;
+      prev_usage_ = obs.usage;
       return {bounds.soft, Decision::kReset};
     }
     Bytes next = current;
@@ -126,26 +81,46 @@ class PaperMemPolicy final : public MemPolicy {
       // Line 9: only grow if the predicted free memory stays above
       // HIGH_MARK, i.e. growth will not wake kswapd.
       if (!params_.mem_prediction_gate ||
-          obs.free - predictor_.predicted_drop(obs, delta) > obs.high_mark) {
+          obs.free - predicted_drop(obs, delta) > obs.high_mark) {
         next = current + delta;
         reason = Decision::kGrew;
       }
     }
-    predictor_.note(obs);
+    // End-of-update snapshot. Only taken when usage actually moved: heap
+    // growth is bursty relative to the update period, and a zero-delta
+    // window would collapse the prediction ratio to its default, hiding the
+    // free-memory drain that co-growing containers cause.
+    if (!prev_usage_.has_value() || obs.usage != *prev_usage_) {
+      prev_free_ = obs.free;
+      prev_usage_ = obs.usage;
+    }
     return {next, reason};
   }
 
  private:
+  /// Line 8: the predicted system-free-memory drop if `delta` bytes were
+  /// granted now, scaled by how much free memory moved per byte of
+  /// container growth over the previous window. Degenerate windows
+  /// (container shrank or free memory grew) presume 1:1.
+  Bytes predicted_drop(const MemObservation& obs, Bytes delta) const {
+    double ratio = 1.0;
+    if (prev_free_.has_value() && prev_usage_.has_value() &&
+        obs.usage > *prev_usage_ && *prev_free_ > obs.free) {
+      ratio = static_cast<double>(*prev_free_ - obs.free) /
+              static_cast<double>(obs.usage - *prev_usage_);
+    }
+    return static_cast<Bytes>(ratio * static_cast<double>(delta));
+  }
+
   Params params_;
-  GrowthPredictor predictor_;
+  std::optional<Bytes> prev_free_;
+  std::optional<Bytes> prev_usage_;
 };
 
 // --- "static": the LXCFS / cgroup-namespace comparator -----------------------
 
 class StaticCpuPolicy final : public CpuPolicy {
  public:
-  explicit StaticCpuPolicy(const Params&) {}
-
   std::string name() const override { return "static"; }
   bool adaptive() const override { return false; }
 
@@ -162,8 +137,6 @@ class StaticCpuPolicy final : public CpuPolicy {
 
 class StaticMemPolicy final : public MemPolicy {
  public:
-  explicit StaticMemPolicy(const Params&) {}
-
   std::string name() const override { return "static"; }
   bool adaptive() const override { return false; }
 
@@ -178,196 +151,6 @@ class StaticMemPolicy final : public MemPolicy {
                      Bytes current) override {
     return {current, Decision::kHeld};
   }
-};
-
-// --- "ewma": hysteresis on smoothed utilization ------------------------------
-
-class EwmaCpuPolicy final : public CpuPolicy {
- public:
-  explicit EwmaCpuPolicy(const Params& params) : params_(params) {}
-
-  std::string name() const override { return "ewma"; }
-
-  CpuDecision on_bounds(const CpuBounds& bounds, int current) override {
-    return {current == 0 ? bounds.lower : current, Decision::kHeld};
-  }
-
-  CpuDecision update(const CpuBounds& bounds, const CpuObservation& obs,
-                     int current) override {
-    const double util = utilization_of(obs, current);
-    smoothed_ = seeded_
-                    ? params_.ewma_alpha * util +
-                          (1.0 - params_.ewma_alpha) * smoothed_
-                    : util;
-    seeded_ = true;
-    if (!obs.host_has_slack) {
-      // Work conservation is not negotiable: a saturated host still demands
-      // the back-off toward the guaranteed share.
-      if (current > bounds.lower) {
-        return {current - params_.cpu_step, Decision::kShrank};
-      }
-      return {current, Decision::kHeld};
-    }
-    // Hysteresis band: grow only when *smoothed* utilization crosses the up
-    // threshold, release only when it falls below the down threshold. A
-    // single idle (or busy) window inside the band moves nothing — the ±1
-    // oscillation the raw threshold produces under bursty load.
-    if (smoothed_ > params_.cpu_util_threshold) {
-      return {current + params_.cpu_step, Decision::kGrew};
-    }
-    if (smoothed_ < params_.cpu_down_threshold && current > bounds.lower) {
-      return {current - params_.cpu_step, Decision::kShrank};
-    }
-    return {current, Decision::kHeld};
-  }
-
- private:
-  Params params_;
-  double smoothed_ = 0.0;
-  bool seeded_ = false;
-};
-
-class EwmaMemPolicy final : public MemPolicy {
- public:
-  explicit EwmaMemPolicy(const Params& params) : params_(params) {}
-
-  std::string name() const override { return "ewma"; }
-
-  MemDecision on_limits(const MemBounds& bounds, Bytes current) override {
-    return {current == 0 ? bounds.soft : current, Decision::kHeld};
-  }
-
-  MemDecision update(const MemBounds& bounds, const MemObservation& obs,
-                     Bytes current) override {
-    if (obs.free <= obs.low_mark || obs.kswapd_active) {
-      predictor_.reseed(obs);
-      return {bounds.soft, Decision::kReset};
-    }
-    const double frac =
-        static_cast<double>(obs.usage) / static_cast<double>(current);
-    smoothed_ = seeded_
-                    ? params_.ewma_alpha * frac +
-                          (1.0 - params_.ewma_alpha) * smoothed_
-                    : frac;
-    seeded_ = true;
-    Bytes next = current;
-    Decision reason = Decision::kHeld;
-    if (current < bounds.hard && smoothed_ > params_.mem_use_threshold) {
-      const Bytes delta = std::max<Bytes>(
-          units::page,
-          static_cast<Bytes>(static_cast<double>(bounds.hard - current) *
-                             params_.mem_growth_frac));
-      if (!params_.mem_prediction_gate ||
-          obs.free - predictor_.predicted_drop(obs, delta) > obs.high_mark) {
-        next = current + delta;
-        reason = Decision::kGrew;
-      }
-    } else if (current > bounds.soft &&
-               smoothed_ < params_.mem_down_threshold) {
-      // Unlike the paper (which only sheds on kswapd pressure), sustained
-      // low usage hands memory back gradually — same step size, downward.
-      next = current - std::max<Bytes>(
-                           units::page,
-                           static_cast<Bytes>(
-                               static_cast<double>(current - bounds.soft) *
-                               params_.mem_growth_frac));
-      reason = Decision::kShrank;
-    }
-    predictor_.note(obs);
-    return {next, reason};
-  }
-
- private:
-  Params params_;
-  GrowthPredictor predictor_;
-  double smoothed_ = 0.0;
-  bool seeded_ = false;
-};
-
-// --- "proportional": ARC-V-style error-proportional steps --------------------
-
-class ProportionalCpuPolicy final : public CpuPolicy {
- public:
-  explicit ProportionalCpuPolicy(const Params& params) : params_(params) {}
-
-  std::string name() const override { return "proportional"; }
-
-  CpuDecision on_bounds(const CpuBounds& bounds, int current) override {
-    return {current == 0 ? bounds.lower : current, Decision::kHeld};
-  }
-
-  CpuDecision update(const CpuBounds& bounds, const CpuObservation& obs,
-                     int current) override {
-    const double util = utilization_of(obs, current);
-    if (obs.host_has_slack) {
-      if (util > params_.cpu_util_threshold) {
-        // Step size scales with how far past the threshold the window ran:
-        // a container pegged at 100% on a slack host jumps several CPUs per
-        // round instead of crawling up by 1.
-        const double error = (util - params_.cpu_util_threshold) /
-                             std::max(1e-9, 1.0 - params_.cpu_util_threshold);
-        const int step = std::max(
-            1, static_cast<int>(std::lround(error * params_.prop_gain)));
-        return {current + step, Decision::kGrew};
-      }
-      return {current, Decision::kHeld};
-    }
-    if (current > bounds.lower) {
-      // Geometric back-off: halve the distance to the guaranteed share each
-      // saturated round (the error here is the overshoot above LOWER).
-      const int step = std::max(1, (current - bounds.lower + 1) / 2);
-      return {current - step, Decision::kShrank};
-    }
-    return {current, Decision::kHeld};
-  }
-
- private:
-  Params params_;
-};
-
-class ProportionalMemPolicy final : public MemPolicy {
- public:
-  explicit ProportionalMemPolicy(const Params& params) : params_(params) {}
-
-  std::string name() const override { return "proportional"; }
-
-  MemDecision on_limits(const MemBounds& bounds, Bytes current) override {
-    return {current == 0 ? bounds.soft : current, Decision::kHeld};
-  }
-
-  MemDecision update(const MemBounds& bounds, const MemObservation& obs,
-                     Bytes current) override {
-    if (obs.free <= obs.low_mark || obs.kswapd_active) {
-      predictor_.reseed(obs);
-      return {bounds.soft, Decision::kReset};
-    }
-    Bytes next = current;
-    Decision reason = Decision::kHeld;
-    const double frac =
-        static_cast<double>(obs.usage) / static_cast<double>(current);
-    if (current < bounds.hard && frac > params_.mem_use_threshold) {
-      // The headroom fraction granted scales with the usage overshoot: a
-      // container at 99% of its view gets a bigger slice than one at 91%.
-      const double error = frac - params_.mem_use_threshold;
-      const double grant = std::min(
-          1.0, params_.mem_growth_frac * (1.0 + error * params_.prop_gain));
-      const Bytes delta = std::max<Bytes>(
-          units::page,
-          static_cast<Bytes>(static_cast<double>(bounds.hard - current) *
-                             grant));
-      if (!params_.mem_prediction_gate ||
-          obs.free - predictor_.predicted_drop(obs, delta) > obs.high_mark) {
-        next = current + delta;
-        reason = Decision::kGrew;
-      }
-    }
-    predictor_.note(obs);
-    return {next, reason};
-  }
-
- private:
-  Params params_;
-  GrowthPredictor predictor_;
 };
 
 }  // namespace
@@ -408,84 +191,26 @@ void DecisionCounters::count(Decision d) {
   }
 }
 
-PolicyRegistry::PolicyRegistry() {
-  register_cpu("paper", [](const Params& p) {
-    return std::make_unique<PaperCpuPolicy>(p);
-  });
-  register_mem("paper", [](const Params& p) {
-    return std::make_unique<PaperMemPolicy>(p);
-  });
-  register_cpu("static", [](const Params& p) {
-    return std::make_unique<StaticCpuPolicy>(p);
-  });
-  register_mem("static", [](const Params& p) {
-    return std::make_unique<StaticMemPolicy>(p);
-  });
-  register_cpu("ewma", [](const Params& p) {
-    return std::make_unique<EwmaCpuPolicy>(p);
-  });
-  register_mem("ewma", [](const Params& p) {
-    return std::make_unique<EwmaMemPolicy>(p);
-  });
-  register_cpu("proportional", [](const Params& p) {
-    return std::make_unique<ProportionalCpuPolicy>(p);
-  });
-  register_mem("proportional", [](const Params& p) {
-    return std::make_unique<ProportionalMemPolicy>(p);
-  });
-}
-
-PolicyRegistry& PolicyRegistry::instance() {
-  static PolicyRegistry registry;
-  return registry;
-}
-
-void PolicyRegistry::register_cpu(const std::string& name, CpuFactory factory) {
-  ARV_ASSERT(factory != nullptr);
-  cpu_[name] = std::move(factory);
-}
-
-void PolicyRegistry::register_mem(const std::string& name, MemFactory factory) {
-  ARV_ASSERT(factory != nullptr);
-  mem_[name] = std::move(factory);
-}
-
-bool PolicyRegistry::has_cpu(const std::string& name) const {
-  return cpu_.find(name) != cpu_.end();
-}
-
-bool PolicyRegistry::has_mem(const std::string& name) const {
-  return mem_.find(name) != mem_.end();
-}
-
-std::unique_ptr<CpuPolicy> PolicyRegistry::make_cpu(const std::string& name,
-                                                    const Params& params) const {
-  const auto it = cpu_.find(name);
-  return it == cpu_.end() ? nullptr : it->second(params);
-}
-
-std::unique_ptr<MemPolicy> PolicyRegistry::make_mem(const std::string& name,
-                                                    const Params& params) const {
-  const auto it = mem_.find(name);
-  return it == mem_.end() ? nullptr : it->second(params);
-}
-
-std::vector<std::string> PolicyRegistry::cpu_names() const {
-  std::vector<std::string> names;
-  names.reserve(cpu_.size());
-  for (const auto& [name, factory] : cpu_) {
-    names.push_back(name);
+std::unique_ptr<CpuPolicy> make_cpu_policy(std::string_view name,
+                                           const Params& params) {
+  if (name == "paper") {
+    return std::make_unique<PaperCpuPolicy>(params);
   }
-  return names;
+  if (name == "static") {
+    return std::make_unique<StaticCpuPolicy>();
+  }
+  return nullptr;
 }
 
-std::vector<std::string> PolicyRegistry::mem_names() const {
-  std::vector<std::string> names;
-  names.reserve(mem_.size());
-  for (const auto& [name, factory] : mem_) {
-    names.push_back(name);
+std::unique_ptr<MemPolicy> make_mem_policy(std::string_view name,
+                                           const Params& params) {
+  if (name == "paper") {
+    return std::make_unique<PaperMemPolicy>(params);
   }
-  return names;
+  if (name == "static") {
+    return std::make_unique<StaticMemPolicy>();
+  }
+  return nullptr;
 }
 
 }  // namespace arv::core

@@ -1,34 +1,23 @@
-// The pluggable adaptation-policy layer.
+// The adaptation-policy layer.
 //
-// The paper's Algorithms 1/2 are one point in a design space that follow-up
-// work explores aggressively (ARC-V's per-workload vertical adaptivity,
-// "CPU-Limits kill Performance"'s replaceable control models). This layer
-// opens that space: a CpuPolicy decides the next effective-CPU value and a
-// MemPolicy the next effective-memory value from (bounds, observation,
-// current state); SysNamespace owns one instance of each, clamps their
-// decisions into the static bounds, and counts the decision reasons.
+// A CpuPolicy decides the next effective-CPU value and a MemPolicy the next
+// effective-memory value from (bounds, observation, current state);
+// SysNamespace owns one instance of each, clamps their decisions into the
+// static bounds, and counts the decision reasons. The interfaces keep the
+// algorithm out of SysNamespace; the policy is stateful per container (the
+// paper's memory policy carries the previous-window prediction snapshot).
 //
-// Policies are stateful per-container objects (the paper's memory policy
-// carries the previous-window prediction snapshot; the EWMA policy carries
-// its smoothed utilization), created from the name-keyed PolicyRegistry so
-// new control strategies are one-file additions instead of core surgery.
-//
-// Built-in policies:
-//   "paper"        Algorithms 1/2 exactly as published (the default).
-//   "static"       LXCFS / cgroup-namespace comparator: export the
-//                  administrator-set limits, never react to allocation.
-//   "ewma"         Hysteresis on EWMA-smoothed utilization with separate
-//                  up/down thresholds — no ±1 oscillation under bursty load.
-//   "proportional" ARC-V-style: steps proportional to the utilization error
-//                  instead of fixed ±1.
+// Two policies, selected per container by name:
+//   "paper"   Algorithms 1/2 exactly as published (the default).
+//   "static"  LXCFS / cgroup-namespace comparator: export the
+//             administrator-set limits, never react to allocation.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "src/core/params.h"
 #include "src/util/types.h"
@@ -106,7 +95,7 @@ class CpuPolicy {
  public:
   virtual ~CpuPolicy() = default;
 
-  /// Registry name this instance was created under.
+  /// The kPolicyNames entry this instance was created under.
   virtual std::string name() const = 0;
 
   /// False for comparators that export static limits and never react to
@@ -140,39 +129,15 @@ class MemPolicy {
                              Bytes current) = 0;
 };
 
-/// Name-keyed factory registry. Factories receive the container's Params so
-/// every policy shares the same ablation knobs. The built-in policies above
-/// are registered on first use; callers may add their own.
-class PolicyRegistry {
- public:
-  using CpuFactory = std::function<std::unique_ptr<CpuPolicy>(const Params&)>;
-  using MemFactory = std::function<std::unique_ptr<MemPolicy>(const Params&)>;
+/// Every policy name, in the order `/sys/arv/policy/available` lists them.
+inline constexpr std::array<std::string_view, 2> kPolicyNames = {"paper",
+                                                                 "static"};
 
-  /// The process-wide registry (the simulation is single-threaded).
-  static PolicyRegistry& instance();
-
-  /// Register/replace a factory under `name`.
-  void register_cpu(const std::string& name, CpuFactory factory);
-  void register_mem(const std::string& name, MemFactory factory);
-
-  bool has_cpu(const std::string& name) const;
-  bool has_mem(const std::string& name) const;
-
-  /// Instantiate a policy; nullptr for unknown names.
-  std::unique_ptr<CpuPolicy> make_cpu(const std::string& name,
-                                      const Params& params) const;
-  std::unique_ptr<MemPolicy> make_mem(const std::string& name,
-                                      const Params& params) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> cpu_names() const;
-  std::vector<std::string> mem_names() const;
-
- private:
-  PolicyRegistry();
-
-  std::map<std::string, CpuFactory> cpu_;
-  std::map<std::string, MemFactory> mem_;
-};
+/// Instantiate the named policy with the container's Params; nullptr for a
+/// name outside kPolicyNames.
+std::unique_ptr<CpuPolicy> make_cpu_policy(std::string_view name,
+                                           const Params& params);
+std::unique_ptr<MemPolicy> make_mem_policy(std::string_view name,
+                                           const Params& params);
 
 }  // namespace arv::core

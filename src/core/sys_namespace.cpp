@@ -10,8 +10,8 @@ namespace arv::core {
 SysNamespace::SysNamespace(cgroup::CgroupId cgroup, Params params)
     : proc::Namespace(Kind::kSys), cgroup_(cgroup), params_(std::move(params)) {
   ARV_ASSERT(params_.valid());
-  cpu_policy_ = PolicyRegistry::instance().make_cpu(params_.cpu_policy, params_);
-  mem_policy_ = PolicyRegistry::instance().make_mem(params_.mem_policy, params_);
+  cpu_policy_ = make_cpu_policy(params_.cpu_policy, params_);
+  mem_policy_ = make_mem_policy(params_.mem_policy, params_);
   ARV_ASSERT(cpu_policy_ != nullptr);
   ARV_ASSERT(mem_policy_ != nullptr);
 }
@@ -19,7 +19,7 @@ SysNamespace::SysNamespace(cgroup::CgroupId cgroup, Params params)
 SysNamespace::~SysNamespace() = default;
 
 bool SysNamespace::set_cpu_policy(const std::string& name) {
-  auto next = PolicyRegistry::instance().make_cpu(name, params_);
+  auto next = make_cpu_policy(name, params_);
   if (next == nullptr) {
     return false;
   }
@@ -32,7 +32,7 @@ bool SysNamespace::set_cpu_policy(const std::string& name) {
 }
 
 bool SysNamespace::set_mem_policy(const std::string& name) {
-  auto next = PolicyRegistry::instance().make_mem(name, params_);
+  auto next = make_mem_policy(name, params_);
   if (next == nullptr) {
     return false;
   }
@@ -48,8 +48,8 @@ bool SysNamespace::set_params(const Params& next) {
   if (!next.valid()) {
     return false;
   }
-  auto cpu = PolicyRegistry::instance().make_cpu(next.cpu_policy, next);
-  auto mem = PolicyRegistry::instance().make_mem(next.mem_policy, next);
+  auto cpu = make_cpu_policy(next.cpu_policy, next);
+  auto mem = make_mem_policy(next.mem_policy, next);
   if (cpu == nullptr || mem == nullptr) {
     return false;
   }

@@ -26,7 +26,7 @@ namespace arv::core {
 
 class SysNamespace final : public proc::Namespace {
  public:
-  /// `params` must be valid() and name registered policies.
+  /// `params` must be valid() and name policies from kPolicyNames.
   SysNamespace(cgroup::CgroupId cgroup, Params params);
   ~SysNamespace() override;
 
@@ -51,8 +51,8 @@ class SysNamespace final : public proc::Namespace {
   bool set_mem_policy(const std::string& name);
 
   /// Replace the knob set. Recreates both policies (they capture Params at
-  /// construction), so smoothing/prediction state restarts. False (and no
-  /// change) if `next` fails valid() or names an unregistered policy.
+  /// construction), so the prediction state restarts. False (and no
+  /// change) if `next` fails valid() or names an unknown policy.
   bool set_params(const Params& next);
 
   // --- configuration-change hooks (called by Ns_Monitor) -------------------

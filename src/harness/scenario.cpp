@@ -111,7 +111,7 @@ int FleetScenario::add_host(container::HostConfig host_config) {
 }
 
 void FleetScenario::use_placement(std::string strategy) {
-  ARV_ASSERT_MSG(cluster::PlacementRegistry::instance().has(strategy),
+  ARV_ASSERT_MSG(cluster::make_strategy(strategy) != nullptr,
                  "unknown placement strategy");
   default_strategy_ = std::move(strategy);
 }

@@ -129,12 +129,11 @@ void VirtualSysfs::build_host_files() {
   });
   fs_.register_file(
       kCpuinfoPath, [this] { return cpuinfo_cached(scheduler_.online_cpus()); });
-  // Host-wide list of registered adaptation policies (registry keys, one per
-  // line) — what the per-container policy selector files will accept.
+  // Host-wide list of adaptation policy names, one per line — what the
+  // per-container policy selector files will accept.
   fs_.register_file(std::string(kPolicyPrefix) + "available", [] {
     std::string out;
-    for (const std::string& name :
-         core::PolicyRegistry::instance().cpu_names()) {
+    for (const std::string_view name : core::kPolicyNames) {
       out += name;
       out += '\n';
     }
@@ -148,7 +147,7 @@ void VirtualSysfs::register_policy_files(cgroup::CgroupId id,
 
   // The two policy selectors. Reads report the live policy ("none" for a
   // container without a resource view); writes swap the policy in place and
-  // re-derive the effective value immediately. A write of an unregistered
+  // re-derive the effective value immediately. A write of an unknown
   // name is a write error, mirroring `echo bogus > .../scaling_governor`.
   fs_.register_writable(
       dir + "cpu",
@@ -200,10 +199,6 @@ void VirtualSysfs::register_policy_files(cgroup::CgroupId id,
   double_knob("cpu_util_threshold", &core::Params::cpu_util_threshold);
   double_knob("mem_use_threshold", &core::Params::mem_use_threshold);
   double_knob("mem_growth_frac", &core::Params::mem_growth_frac);
-  double_knob("ewma_alpha", &core::Params::ewma_alpha);
-  double_knob("cpu_down_threshold", &core::Params::cpu_down_threshold);
-  double_knob("mem_down_threshold", &core::Params::mem_down_threshold);
-  double_knob("prop_gain", &core::Params::prop_gain);
 
   fs_.register_writable(
       dir + "cpu_step",

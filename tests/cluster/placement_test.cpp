@@ -1,4 +1,4 @@
-// Placement strategies: registry plumbing, requests-based packing,
+// Placement strategies: name lookup, requests-based packing,
 // QoS-ordered batch placement, and the effective strategy's preference for
 // observed headroom over declared bookkeeping.
 #include "src/cluster/placement.h"
@@ -35,36 +35,14 @@ container::HostConfig small_host(int cpus, Bytes ram) {
   return config;
 }
 
-TEST(PlacementRegistry, BuiltinsRegistered) {
-  auto& registry = PlacementRegistry::instance();
-  EXPECT_TRUE(registry.has("requests"));
-  EXPECT_TRUE(registry.has("effective"));
-  EXPECT_FALSE(registry.has("nope"));
-  EXPECT_EQ(registry.make("nope"), nullptr);
-  auto requests = registry.make("requests");
-  ASSERT_NE(requests, nullptr);
-  EXPECT_EQ(requests->name(), "requests");
-}
-
-TEST(PlacementRegistry, CustomStrategyIsSelectable) {
-  // A one-off strategy that always picks host 0, registered by name the way
-  // PR 3's adaptation policies are.
-  class FirstHost final : public PlacementStrategy {
-   public:
-    std::string name() const override { return "first-host"; }
-    int select(const PodSpec&, const FleetView& fleet, Rng&) const override {
-      return fleet.hosts.empty() ? -1 : 0;
-    }
-  };
-  PlacementRegistry::instance().register_strategy(
-      "first-host", [] { return std::make_unique<FirstHost>(); });
-  Cluster cluster;
-  cluster.add_host(small_host(4, 8 * GiB));
-  cluster.add_host(small_host(4, 8 * GiB));
-  ClusterScheduler scheduler(cluster);
-  const int pod = scheduler.place("first-host", spec(100, 128 * MiB));
-  ASSERT_GE(pod, 0);
-  EXPECT_EQ(cluster.pod(pod).host, 0);
+TEST(PlacementLookup, BuiltinsRegistered) {
+  for (const char* name : {"requests", "effective", "profile"}) {
+    auto strategy = make_strategy(name);
+    ASSERT_NE(strategy, nullptr) << name;
+    EXPECT_EQ(strategy->name(), name);
+  }
+  EXPECT_EQ(make_strategy("nope"), nullptr);
+  EXPECT_EQ(make_strategy(""), nullptr);
 }
 
 TEST(PickBest, SkipsInfeasibleAndIsDeterministic) {
@@ -131,7 +109,7 @@ TEST(RequestsStrategy, BatchPlacesBestEffortLast) {
 }
 
 TEST(RequestsStrategy, QueueRanksFollowQosClasses) {
-  auto strategy = PlacementRegistry::instance().make("requests");
+  auto strategy = make_strategy("requests");
   ASSERT_NE(strategy, nullptr);
   PodSpec guaranteed;
   guaranteed.resources.limit_millicpu = 1000;
@@ -219,7 +197,7 @@ TEST(EffectiveStrategy, ScoresCorrectlyAtPetabyteCapacities) {
   // Two hand-built views whose *memory* headrooms decide the winner, at a
   // capacity where the old math overflowed. h1 has more free bytes but a
   // tighter CPU bottleneck; h0 must win on min(cpu, mem) headroom.
-  auto strategy = PlacementRegistry::instance().make("effective");
+  auto strategy = make_strategy("effective");
   ASSERT_NE(strategy, nullptr);
   HostView h0;
   h0.index = 0;

@@ -195,9 +195,7 @@ TEST(ProfileStore, MigrationResetsTheBaselineNotTheWindow) {
 // --- the "profile" placement strategy ----------------------------------------
 
 TEST(ProfileStrategy, RegisteredAndNamed) {
-  auto& registry = PlacementRegistry::instance();
-  ASSERT_TRUE(registry.has("profile"));
-  auto strategy = registry.make("profile");
+  auto strategy = make_strategy("profile");
   ASSERT_NE(strategy, nullptr);
   EXPECT_EQ(strategy->name(), "profile");
 }

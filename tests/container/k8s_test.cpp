@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdlib>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "src/util/rng.h"
+
 namespace arv::container {
 namespace {
 
@@ -206,6 +215,96 @@ TEST(K8sQuantities, MemoryParsing) {
   for (const QuantityCase& c : kCases) {
     EXPECT_EQ(parse_memory_quantity(c.text), c.expect) << "input: \"" << c.text
                                                        << "\"";
+  }
+}
+
+/// Seeds of the adversarial quantity property; scales with ARV_CHAOS_ITERS
+/// like the chaos suites (CI soaks hundreds, the default keeps runs fast).
+int quantity_seeds() {
+  const char* env = std::getenv("ARV_CHAOS_ITERS");
+  const int iters = env == nullptr ? 0 : std::atoi(env);
+  return iters > 0 ? iters : 3;
+}
+
+TEST(K8sQuantities, SeededAdversarialInput) {
+  // Every memory suffix with its scale; the empty suffix is plain bytes.
+  struct Suffix {
+    const char* text;
+    std::int64_t scale;
+  };
+  const Suffix kSuffixes[] = {
+      {"", 1},
+      {"Ki", 1LL << 10},
+      {"Mi", 1LL << 20},
+      {"Gi", 1LL << 30},
+      {"Ti", 1LL << 40},
+      {"Pi", 1LL << 50},
+      {"Ei", 1LL << 60},
+      {"k", 1000},
+      {"K", 1000},
+      {"M", 1000000},
+      {"G", 1000000000},
+      {"T", 1000000000000LL},
+      {"P", 1000000000000000LL},
+      {"E", 1000000000000000000LL},
+  };
+  // The alphabet random strings are drawn from: digits, '.', exponent
+  // markers, signs, whitespace, the milli suffix and every memory suffix.
+  std::vector<std::string> tokens = {"0", "1", "2", "3", "4", "5", "6", "7",
+                                     "8", "9", ".", "e", "E", "+", "-", " ",
+                                     "\t", "\n", "m"};
+  for (const Suffix& suffix : kSuffixes) {
+    if (suffix.text[0] != '\0') {
+      tokens.emplace_back(suffix.text);
+    }
+  }
+  const auto pick = [](Rng& rng, std::int64_t hi) {
+    return static_cast<std::size_t>(rng.uniform_int(0, hi));
+  };
+  for (int seed = 1; seed <= quantity_seeds(); ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed));
+    // Property 1: any string parses to -1 or a non-negative value, and no
+    // input aborts (the test would die instead of failing).
+    for (int i = 0; i < 2000; ++i) {
+      std::string text;
+      const std::int64_t length = rng.uniform_int(0, 12);
+      for (std::int64_t t = 0; t < length; ++t) {
+        text += tokens[pick(rng, static_cast<std::int64_t>(tokens.size()) - 1)];
+      }
+      const std::int64_t cpu = parse_cpu_quantity(text);
+      const Bytes memory = parse_memory_quantity(text);
+      EXPECT_TRUE(cpu == -1 || cpu >= 0) << "cpu input: \"" << text << "\"";
+      EXPECT_TRUE(memory == -1 || memory >= 0)
+          << "memory input: \"" << text << "\"";
+    }
+    // Property 2: canonical quantities `<n><suffix>` parse to n * scale.
+    // n stays where n * scale is exact in a double and below 2^63.
+    for (int i = 0; i < 500; ++i) {
+      const Suffix& suffix =
+          kSuffixes[pick(rng, static_cast<std::int64_t>(std::size(kSuffixes)) - 1)];
+      const auto odd = static_cast<std::uint64_t>(suffix.scale) >>
+                       std::countr_zero(static_cast<std::uint64_t>(suffix.scale));
+      const std::int64_t max_n =
+          std::min((std::int64_t{1} << 53) / static_cast<std::int64_t>(odd),
+                   std::numeric_limits<std::int64_t>::max() / suffix.scale);
+      // Spread n over magnitudes, not only near max_n.
+      const std::int64_t n =
+          rng.uniform_int(0, max_n) >> rng.uniform_int(0, 52);
+      const std::string memory = std::to_string(n) + suffix.text;
+      EXPECT_EQ(parse_memory_quantity(memory), n * suffix.scale)
+          << "input: \"" << memory << "\"";
+    }
+    for (int i = 0; i < 500; ++i) {
+      const std::int64_t milli =
+          rng.uniform_int(0, std::numeric_limits<std::int64_t>::max()) >>
+          rng.uniform_int(0, 62);
+      EXPECT_EQ(parse_cpu_quantity(std::to_string(milli) + "m"), milli);
+      const std::int64_t cores =
+          rng.uniform_int(0, (std::int64_t{1} << 52) / 1000) >>
+          rng.uniform_int(0, 42);
+      EXPECT_EQ(parse_cpu_quantity(std::to_string(cores)), cores * 1000)
+          << "input: \"" << cores << "\"";
+    }
   }
 }
 

@@ -96,13 +96,12 @@ struct RandomDriver {
 };
 
 TEST(PolicyInvariants, HoldForEveryRegisteredPolicyUnderRandomInputs) {
-  for (const auto& policy : PolicyRegistry::instance().cpu_names()) {
+  for (const std::string_view policy : kPolicyNames) {
     SCOPED_TRACE(policy);
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       RandomDriver driver(seed * 7919);
-      const auto ns = driver.make(policy);
-      driver.adaptive =
-          PolicyRegistry::instance().make_mem(policy, Params{})->adaptive();
+      const auto ns = driver.make(std::string(policy));
+      driver.adaptive = make_mem_policy(policy, Params{})->adaptive();
       for (int round = 0; round < 400; ++round) {
         driver.step(*ns);
       }
@@ -119,26 +118,24 @@ TEST(PolicyInvariants, HoldForEveryRegisteredPolicyUnderRandomInputs) {
 }
 
 TEST(PolicyInvariants, HoldAcrossMidRunPolicySwitches) {
-  const auto policies = PolicyRegistry::instance().cpu_names();
+  const auto& policies = kPolicyNames;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     RandomDriver driver(seed * 104729);
     const auto ns = driver.make("paper");
     for (int round = 0; round < 600; ++round) {
       if (round % 50 == 25) {
-        // Swap to a random registry policy, CPU and memory independently.
+        // Swap to a random policy, CPU and memory independently.
         const auto& cpu_policy = policies[static_cast<std::size_t>(
             driver.rng.uniform_int(0, static_cast<std::int64_t>(policies.size()) - 1))];
         const auto& mem_policy = policies[static_cast<std::size_t>(
             driver.rng.uniform_int(0, static_cast<std::int64_t>(policies.size()) - 1))];
-        ASSERT_TRUE(ns->set_cpu_policy(cpu_policy));
-        ASSERT_TRUE(ns->set_mem_policy(mem_policy));
+        ASSERT_TRUE(ns->set_cpu_policy(std::string(cpu_policy)));
+        ASSERT_TRUE(ns->set_mem_policy(std::string(mem_policy)));
         // The swap itself must land inside the bounds (e.g. "static" pins to
         // upper/hard immediately; adaptive resumes from the current value).
         driver.check_cpu(*ns);
         driver.check_mem(*ns);
-        driver.adaptive = PolicyRegistry::instance()
-                              .make_mem(mem_policy, Params{})
-                              ->adaptive();
+        driver.adaptive = make_mem_policy(mem_policy, Params{})->adaptive();
       }
       driver.step(*ns);
     }

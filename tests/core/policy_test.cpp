@@ -1,6 +1,6 @@
-// Unit tests for the pluggable adaptation-policy layer: the registry, the
-// decision-reason bookkeeping, and the behavioural contracts of the four
-// built-in policies as seen through SysNamespace.
+// Unit tests for the adaptation-policy layer: the name-keyed factories, the
+// decision-reason bookkeeping, and the behavioural contracts of the "paper"
+// and "static" policies as seen through SysNamespace.
 #include "src/core/policy.h"
 
 #include <gtest/gtest.h>
@@ -55,39 +55,37 @@ struct Fixture {
   cgroup::Tree tree;
 };
 
-// --- the registry -----------------------------------------------------------
+// --- the factories ----------------------------------------------------------
 
-TEST(PolicyRegistry, BuiltinsAreRegistered) {
-  auto& registry = PolicyRegistry::instance();
-  for (const char* name : {"paper", "static", "ewma", "proportional"}) {
-    EXPECT_TRUE(registry.has_cpu(name)) << name;
-    EXPECT_TRUE(registry.has_mem(name)) << name;
-  }
-  EXPECT_GE(registry.cpu_names().size(), 4u);
-  EXPECT_EQ(registry.cpu_names().size(), registry.mem_names().size());
-}
-
-TEST(PolicyRegistry, UnknownNamesMakeNullptr) {
-  auto& registry = PolicyRegistry::instance();
-  EXPECT_FALSE(registry.has_cpu("bogus"));
-  EXPECT_EQ(registry.make_cpu("bogus", Params{}), nullptr);
-  EXPECT_EQ(registry.make_mem("bogus", Params{}), nullptr);
-}
-
-TEST(PolicyRegistry, InstancesReportTheirName) {
-  auto& registry = PolicyRegistry::instance();
-  for (const auto& name : registry.cpu_names()) {
-    EXPECT_EQ(registry.make_cpu(name, Params{})->name(), name);
-    EXPECT_EQ(registry.make_mem(name, Params{})->name(), name);
+TEST(PolicyFactory, BuiltinsAreRegistered) {
+  ASSERT_EQ(kPolicyNames.size(), 2u);
+  EXPECT_EQ(kPolicyNames[0], "paper");
+  EXPECT_EQ(kPolicyNames[1], "static");
+  for (const std::string_view name : kPolicyNames) {
+    EXPECT_NE(make_cpu_policy(name, Params{}), nullptr) << name;
+    EXPECT_NE(make_mem_policy(name, Params{}), nullptr) << name;
   }
 }
 
-TEST(PolicyRegistry, OnlyStaticIsNonAdaptive) {
-  auto& registry = PolicyRegistry::instance();
-  EXPECT_FALSE(registry.make_cpu("static", Params{})->adaptive());
-  EXPECT_FALSE(registry.make_mem("static", Params{})->adaptive());
-  EXPECT_TRUE(registry.make_cpu("paper", Params{})->adaptive());
-  EXPECT_TRUE(registry.make_mem("paper", Params{})->adaptive());
+TEST(PolicyFactory, UnknownNamesMakeNullptr) {
+  for (const char* name : {"bogus", "ewma", "proportional", "", "Paper"}) {
+    EXPECT_EQ(make_cpu_policy(name, Params{}), nullptr) << name;
+    EXPECT_EQ(make_mem_policy(name, Params{}), nullptr) << name;
+  }
+}
+
+TEST(PolicyFactory, InstancesReportTheirName) {
+  for (const std::string_view name : kPolicyNames) {
+    EXPECT_EQ(make_cpu_policy(name, Params{})->name(), name);
+    EXPECT_EQ(make_mem_policy(name, Params{})->name(), name);
+  }
+}
+
+TEST(PolicyFactory, OnlyStaticIsNonAdaptive) {
+  EXPECT_FALSE(make_cpu_policy("static", Params{})->adaptive());
+  EXPECT_FALSE(make_mem_policy("static", Params{})->adaptive());
+  EXPECT_TRUE(make_cpu_policy("paper", Params{})->adaptive());
+  EXPECT_TRUE(make_mem_policy("paper", Params{})->adaptive());
 }
 
 // --- decision bookkeeping ---------------------------------------------------
@@ -252,93 +250,6 @@ TEST(StaticPolicy, UpdatesNeverMoveTheView) {
   EXPECT_EQ(ns->effective_memory(), static_cast<Bytes>(4) * GiB);
   EXPECT_EQ(ns->cpu_decisions().held, 20u);
   EXPECT_EQ(ns->mem_decisions().held, 20u);
-}
-
-// --- the "ewma" policy ------------------------------------------------------
-
-TEST(EwmaPolicy, OneBusyWindowDoesNotGrowASmoothedIdleView) {
-  Fixture f;
-  const auto a = f.tree.create("a");
-  f.tree.create("b");  // lower 10, upper 20
-  Params params;
-  params.cpu_policy = "ewma";
-  const auto ns = f.make(a, params);
-  // Long idle: the EWMA settles near zero (and e_cpu rests at lower).
-  for (int i = 0; i < 20; ++i) {
-    ns->update_cpu(cpu_obs(0.0, ns->effective_cpus(), true));
-  }
-  ASSERT_EQ(ns->effective_cpus(), 10);
-  // The paper policy would grow on this single 99% burst; the smoothed view
-  // (0.3 * 0.99 ~= 0.30 < 0.95) holds through it.
-  ns->update_cpu(cpu_obs(0.99, 10, true));
-  EXPECT_EQ(ns->effective_cpus(), 10);
-  // Sustained saturation does pull the EWMA over the threshold eventually.
-  for (int i = 0; i < 20; ++i) {
-    ns->update_cpu(cpu_obs(0.99, ns->effective_cpus(), true));
-  }
-  EXPECT_GT(ns->effective_cpus(), 10);
-}
-
-TEST(EwmaPolicy, ReleasesCpusOnSustainedIdleEvenWithSlack) {
-  Fixture f;
-  const auto a = f.tree.create("a");
-  f.tree.create("b");
-  Params params;
-  params.cpu_policy = "ewma";
-  const auto ns = f.make(a, params);
-  // Grow to the top first.
-  for (int i = 0; i < 40; ++i) {
-    ns->update_cpu(cpu_obs(0.99, ns->effective_cpus(), true));
-  }
-  ASSERT_EQ(ns->effective_cpus(), 20);
-  // The paper policy never shrinks while the host has slack; the hysteresis
-  // policy hands unused CPUs back once smoothed utilization sinks below the
-  // down threshold.
-  for (int i = 0; i < 40; ++i) {
-    ns->update_cpu(cpu_obs(0.0, ns->effective_cpus(), true));
-  }
-  EXPECT_EQ(ns->effective_cpus(), 10);
-}
-
-// --- the "proportional" policy ----------------------------------------------
-
-TEST(ProportionalPolicy, StepsScaleWithUtilizationError) {
-  Fixture f;
-  const auto a = f.tree.create("a");
-  f.tree.create("b");  // lower 10, upper 20
-  Params params;
-  params.cpu_policy = "proportional";
-  const auto ns = f.make(a, params);
-  ASSERT_EQ(ns->effective_cpus(), 10);
-  // Pegged at 100%: error = (1.0 - 0.95)/0.05 = 1.0, step = prop_gain = 4.
-  ns->update_cpu(cpu_obs(1.0, 10, true));
-  EXPECT_EQ(ns->effective_cpus(), 14);
-  // Barely over threshold: error ~ 0.2, step rounds to 1.
-  ns->update_cpu(cpu_obs(0.96, 14, true));
-  EXPECT_EQ(ns->effective_cpus(), 15);
-}
-
-TEST(ProportionalPolicy, BacksOffGeometricallyUnderSaturation) {
-  Fixture f;
-  const auto a = f.tree.create("a");
-  f.tree.create("b");  // lower 10, upper 20
-  Params params;
-  params.cpu_policy = "proportional";
-  const auto ns = f.make(a, params);
-  for (int i = 0; i < 10; ++i) {
-    ns->update_cpu(cpu_obs(1.0, ns->effective_cpus(), true));
-  }
-  ASSERT_EQ(ns->effective_cpus(), 20);
-  ns->update_cpu(cpu_obs(1.0, 20, false));
-  EXPECT_EQ(ns->effective_cpus(), 15);  // halves the overshoot above lower
-  ns->update_cpu(cpu_obs(1.0, 15, false));
-  EXPECT_EQ(ns->effective_cpus(), 12);
-  while (ns->effective_cpus() > 10) {
-    const int before = ns->effective_cpus();
-    ns->update_cpu(cpu_obs(1.0, before, false));
-    ASSERT_LT(ns->effective_cpus(), before);  // monotone convergence to lower
-  }
-  EXPECT_EQ(ns->effective_cpus(), 10);
 }
 
 }  // namespace

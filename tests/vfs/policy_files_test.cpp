@@ -58,19 +58,17 @@ TEST(PolicyFiles, AvailableListsTheRegistry) {
   Fixture f;
   const auto available = f.read("/sys/arv/policy/available");
   ASSERT_TRUE(available.has_value());
-  for (const auto& name : core::PolicyRegistry::instance().cpu_names()) {
-    EXPECT_NE(available->find(name + "\n"), std::string::npos) << name;
-  }
+  EXPECT_EQ(*available, "paper\nstatic\n");
 }
 
 TEST(PolicyFiles, SelectorsReportThePerContainerPolicy) {
   Fixture f;
   container::ContainerConfig config;
   config.name = "a";
-  config.view_params.mem_policy = "ewma";
+  config.view_params.mem_policy = "static";
   f.run(config);
   EXPECT_EQ(f.read("/sys/arv/policy/a/cpu"), "paper\n");
-  EXPECT_EQ(f.read("/sys/arv/policy/a/mem"), "ewma\n");
+  EXPECT_EQ(f.read("/sys/arv/policy/a/mem"), "static\n");
 }
 
 TEST(PolicyFiles, WriteSwitchesTheLivePolicy) {
@@ -95,6 +93,9 @@ TEST(PolicyFiles, UnknownPolicyWriteFails) {
   f.run({.name = "a"});
   EXPECT_FALSE(f.write("/sys/arv/policy/a/cpu", "bogus"));
   EXPECT_FALSE(f.write("/sys/arv/policy/a/mem", ""));
+  // Names outside /sys/arv/policy/available are rejected too.
+  EXPECT_FALSE(f.write("/sys/arv/policy/a/cpu", "ewma"));
+  EXPECT_FALSE(f.write("/sys/arv/policy/a/mem", "proportional"));
   EXPECT_EQ(f.read("/sys/arv/policy/a/cpu"), "paper\n");
 }
 
@@ -116,6 +117,8 @@ TEST(PolicyFiles, KnobWritesApplyAfterValidation) {
   EXPECT_EQ(f.read("/sys/arv/policy/a/cpu_step"), "4\n");
   ASSERT_TRUE(f.write("/sys/arv/policy/a/cpu_util_threshold", "0.8"));
   EXPECT_DOUBLE_EQ(a.resource_view()->params().cpu_util_threshold, 0.8);
+  ASSERT_TRUE(f.write("/sys/arv/policy/a/mem_use_threshold", "0.7"));
+  EXPECT_DOUBLE_EQ(a.resource_view()->params().mem_use_threshold, 0.7);
   ASSERT_TRUE(f.write("/sys/arv/policy/a/mem_prediction_gate", "0"));
   EXPECT_FALSE(a.resource_view()->params().mem_prediction_gate);
   // The largest legal step is the CPU-set width.
@@ -137,11 +140,8 @@ TEST(PolicyFiles, InvalidKnobWritesAreWriteErrors) {
   EXPECT_FALSE(f.write("/sys/arv/policy/a/cpu_util_threshold", "-0.5"));
   EXPECT_FALSE(f.write("/sys/arv/policy/a/mem_growth_frac", "nan"));
   EXPECT_FALSE(f.write("/sys/arv/policy/a/mem_growth_frac", "1.01"));
-  EXPECT_FALSE(f.write("/sys/arv/policy/a/ewma_alpha", "2"));
+  EXPECT_FALSE(f.write("/sys/arv/policy/a/mem_use_threshold", "inf"));
   EXPECT_FALSE(f.write("/sys/arv/policy/a/mem_prediction_gate", "2"));
-  // cpu_down_threshold above cpu_util_threshold breaks the hysteresis band.
-  EXPECT_FALSE(f.write("/sys/arv/policy/a/cpu_down_threshold", "0.99"));
-  EXPECT_FALSE(f.write("/sys/arv/policy/a/prop_gain", "0"));
   // Out-of-int values must not narrow into a legal step (2^32 + 1 and
   // -(2^32 - 1) both wrap to 1), and a step past the CPU-set width would
   // overflow Algorithm 1's `current + cpu_step`.
@@ -149,15 +149,25 @@ TEST(PolicyFiles, InvalidKnobWritesAreWriteErrors) {
   EXPECT_FALSE(f.write("/sys/arv/policy/a/cpu_step", "-4294967295"));
   EXPECT_FALSE(f.write("/sys/arv/policy/a/cpu_step", "2147483647"));
   EXPECT_FALSE(f.write("/sys/arv/policy/a/cpu_step", "257"));
-  EXPECT_FALSE(f.write("/sys/arv/policy/a/prop_gain", "inf"));
-  EXPECT_FALSE(f.write("/sys/arv/policy/a/prop_gain", "1e999"));
+  EXPECT_FALSE(f.write("/sys/arv/policy/a/mem_growth_frac", "1e999"));
   const auto& params = a.resource_view()->params();
   EXPECT_EQ(params.cpu_step, 1);
   EXPECT_DOUBLE_EQ(params.cpu_util_threshold, 0.95);
   EXPECT_DOUBLE_EQ(params.mem_growth_frac, 0.10);
+  EXPECT_DOUBLE_EQ(params.mem_use_threshold, 0.90);
   EXPECT_TRUE(params.mem_prediction_gate);
-  EXPECT_DOUBLE_EQ(params.prop_gain, 4.0);
   EXPECT_EQ(f.read("/sys/arv/policy/a/cpu_step"), "1\n");
+}
+
+TEST(PolicyFiles, UtilThresholdBelowOneHalfIsAccepted) {
+  // Algorithm 1's UTIL_THRSHD is legal anywhere in (0, 1]; no other knob
+  // puts a floor under it, so ablations can sweep below 0.5.
+  Fixture f;
+  auto& a = f.run({.name = "a"});
+  ASSERT_EQ(f.read("/sys/arv/policy/a/cpu"), "paper\n");
+  ASSERT_TRUE(f.write("/sys/arv/policy/a/cpu_util_threshold", "0.4"));
+  EXPECT_EQ(f.read("/sys/arv/policy/a/cpu_util_threshold"), "0.4\n");
+  EXPECT_DOUBLE_EQ(a.resource_view()->params().cpu_util_threshold, 0.4);
 }
 
 TEST(PolicyFiles, StaticMemPolicyTracksRuntimeLimitWrites) {
@@ -261,7 +271,8 @@ TEST(PolicyFiles, RejectedWritesChangeNothing) {
   for (int iter = 0; iter < robustness_iterations(); ++iter) {
     Fixture f;
     f.run({.name = "view", .cpu_shares = 2048});
-    f.run({.name = "ewma", .view_params = {.cpu_policy = "ewma"}});
+    f.run({.name = "static",
+           .view_params = {.cpu_policy = "static", .mem_policy = "static"}});
     f.run({.name = "stock", .enable_resource_view = false});
     const PseudoFs& fs = f.host.sysfs().host_fs();
     Rng rng(static_cast<std::uint64_t>(iter) + 1);
