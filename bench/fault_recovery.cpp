@@ -41,10 +41,8 @@ struct FaultResult {
   std::uint64_t generated = 0;
   double availability_pct = 0;  ///< routed / generated
   double p95_ms = 0;
-  std::uint64_t shed = 0;
   std::uint64_t dropped = 0;
   std::uint64_t unroutable = 0;
-  std::uint64_t breaker_trips = 0;
   std::uint64_t restarts = 0;
   std::uint64_t failovers = 0;
   double failover_ms = -1;  ///< crash -> serving again; -1 when n/a
@@ -72,8 +70,6 @@ std::unique_ptr<harness::FleetScenario> make_fleet() {
   cluster::RouterConfig router;
   router.arrivals_per_sec = kRate;
   router.max_retries = 2;
-  router.breaker_threshold = 5;
-  router.breaker_open = 300 * units::msec;
   fleet->enable_router(router);
   cluster::DetectorConfig detector;
   detector.period = 100 * units::msec;
@@ -111,10 +107,8 @@ FaultResult harvest(const std::string& name, harness::FleetScenario& fleet) {
           : 100.0 * static_cast<double>(router.routed()) /
                 static_cast<double>(result.generated);
   result.p95_ms = router.aggregate().p95_ms();
-  result.shed = router.shed();
   result.dropped = router.dropped();
   result.unroutable = router.unroutable();
-  result.breaker_trips = router.breaker_trips();
   result.restarts = fleet.cluster().restarts();
   result.failovers = fleet.cluster().failovers();
   return result;
@@ -182,16 +176,13 @@ void write_json(const std::vector<FaultResult>& results) {
     out << strf(
         "    {\"name\": \"%s\", \"generated\": %llu, "
         "\"availability_pct\": %.3f, \"p95_ms\": %.2f,\n"
-        "     \"shed\": %llu, \"dropped\": %llu, \"unroutable\": %llu, "
-        "\"breaker_trips\": %llu,\n"
+        "     \"dropped\": %llu, \"unroutable\": %llu,\n"
         "     \"restarts\": %llu, \"failovers\": %llu, "
         "\"failover_ms\": %.1f}%s\n",
         r.name.c_str(), static_cast<unsigned long long>(r.generated),
         r.availability_pct, r.p95_ms,
-        static_cast<unsigned long long>(r.shed),
         static_cast<unsigned long long>(r.dropped),
         static_cast<unsigned long long>(r.unroutable),
-        static_cast<unsigned long long>(r.breaker_trips),
         static_cast<unsigned long long>(r.restarts),
         static_cast<unsigned long long>(r.failovers), r.failover_ms,
         i + 1 < results.size() ? "," : "");
@@ -216,13 +207,12 @@ int main(int argc, char** argv) {
   results.push_back(run_single_crash());
   results.push_back(run_chaos());
   {
-    Table table({"run", "avail(%)", "p95(ms)", "shed", "dropped", "unroutable",
-                 "trips", "restarts", "failovers", "failover(ms)"});
+    Table table({"run", "avail(%)", "p95(ms)", "dropped", "unroutable",
+                 "restarts", "failovers", "failover(ms)"});
     for (const FaultResult& r : results) {
       table.add_row({r.name, strf("%.3f", r.availability_pct),
-                     strf("%.2f", r.p95_ms), std::to_string(r.shed),
-                     std::to_string(r.dropped), std::to_string(r.unroutable),
-                     std::to_string(r.breaker_trips),
+                     strf("%.2f", r.p95_ms), std::to_string(r.dropped),
+                     std::to_string(r.unroutable),
                      std::to_string(r.restarts), std::to_string(r.failovers),
                      r.failover_ms < 0 ? "-" : strf("%.1f", r.failover_ms)});
     }
@@ -230,7 +220,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "expected: baseline serves ~100%%; single_crash recovers in well under "
-      "a second and stays available; chaos degrades gracefully (shed, not "
+      "a second and stays available; chaos degrades gracefully (refused, not "
       "lost) and converges.\n");
 
   write_json(results);

@@ -80,7 +80,6 @@ struct WorkloadResult {
   std::string name;  // view policy
   std::uint64_t injected = 0;
   std::uint64_t completed = 0;
-  std::uint64_t shed = 0;
   std::uint64_t dropped = 0;
   int replicas_peak = 0;
   int hosts_peak = 0;
@@ -211,7 +210,6 @@ WorkloadResult run_policy(const std::string& policy) {
   for (const std::string tenant : {"api", "batch"}) {
     const cluster::RequestRouter& r = *fleet.tenant_router(tenant);
     result.completed += r.aggregate().completed;
-    result.shed += r.shed();
     result.dropped += r.dropped();
     TenantOutcome outcome;
     outcome.tenant = tenant;
@@ -241,14 +239,13 @@ void write_json(const std::vector<WorkloadResult>& results) {
     const WorkloadResult& r = results[i];
     out << strf(
         "    {\"view_policy\": \"%s\", \"injected\": %llu, "
-        "\"completed\": %llu, \"shed\": %llu, \"dropped\": %llu,\n"
+        "\"completed\": %llu, \"dropped\": %llu,\n"
         "     \"replicas_peak\": %d, \"hosts_peak\": %d,\n"
         "     \"total_wall_ms\": %.1f, \"driver_wall_ms\": %.1f, "
         "\"driver_overhead_pct\": %.2f,\n"
         "     \"tenants\": [\n",
         r.name.c_str(), static_cast<unsigned long long>(r.injected),
         static_cast<unsigned long long>(r.completed),
-        static_cast<unsigned long long>(r.shed),
         static_cast<unsigned long long>(r.dropped), r.replicas_peak,
         r.hosts_peak, r.total_wall_ms, r.driver_wall_ms,
         r.driver_overhead_pct);

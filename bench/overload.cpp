@@ -5,18 +5,16 @@
 // flood whose offered rate sweeps from well below saturation to 3x past it.
 // Each sweep point runs twice over the same compiled trace:
 //
-//   guards off — the plain router: retries, breakers, and a deep (5000)
-//     accept queue. Past saturation the queues fill with requests that will
+//   guards off — the plain router: retries and a deep (5000) accept
+//     queue. Past saturation the queues fill with requests that will
 //     all complete *late*: classic congestion collapse, where throughput
 //     holds but goodput (completions inside the tenant's latency deadline)
 //     falls off a cliff.
-//   guards on  — the admission controller arms its guards. What the run
-//     shows doing the work: the AIMD concurrency limits keep per-replica
-//     queues shallow, so the excess is refused fast at the replica
-//     (`dropped`) instead of completing late, and the retry budget stops
-//     those refusals from multiplying into retries (`retries_denied`).
-//     Criticality shedding stays armed but never engages at these loads:
-//     fleet pressure stays below its first band, so `rejected` is 0.
+//   guards on  — the admission controller arms its two guards: the AIMD
+//     concurrency limits keep per-replica queues shallow, so the excess is
+//     refused fast at the replica (`dropped`) instead of completing late,
+//     and the retry budget stops those refusals from multiplying into
+//     retries (`retries_denied`).
 //
 // Expected, and checked by the summary verdicts: with guards off, goodput
 // past saturation collapses more than 50% below its peak; with guards on,
@@ -87,7 +85,6 @@ struct TenantPoint {
   std::uint64_t generated = 0;
   std::uint64_t completed = 0;
   std::uint64_t timely = 0;  // completed inside the tenant's p99 target
-  std::uint64_t rejected = 0;
   std::int64_t availability_permille = 0;
   std::int64_t p99_us = 0;
   bool attaining = false;
@@ -98,8 +95,6 @@ struct SweepPoint {
   int offered_rps = 0;
   bool guards = false;
   double total_goodput_rps = 0;
-  std::uint64_t shed_total = 0;
-  std::uint64_t rejected_total = 0;
   std::uint64_t dropped_total = 0;
   std::uint64_t retries_denied = 0;  // retry-budget refusals; 0 guards off
   std::vector<TenantPoint> tenants;
@@ -118,11 +113,6 @@ SweepPoint run_point(int total_rps, bool guards) {
 
   cluster::RouterConfig rc;
   rc.max_retries = 2;
-  // Breakers target replica death, not queue refusals: a low threshold would
-  // blackout a healthy-but-limited replica for the whole open window every
-  // time the AIMD limit refuses a burst, idling its workers.
-  rc.breaker_threshold = 200;
-  rc.breaker_open = 100 * units::msec;
   fleet.add_tenant("critical", rc);
   fleet.add_tenant("besteffort", rc);
 
@@ -142,13 +132,7 @@ SweepPoint run_point(int total_rps, bool guards) {
   }
 
   if (guards) {
-    cluster::AdmissionConfig ac;
-    // The default references are sized for interactive fleets; this sweep's
-    // best-effort deadline is a full second, so a deeper queue counts as
-    // normal. Pressure then stays below the first shed band at every point.
-    ac.queue_ref_depth = 128;
-    ac.p99_ref = 500 * units::msec;
-    fleet.enable_admission(ac);
+    fleet.enable_admission();
   }
   load::DriverConfig one_pass;
   one_pass.repeat = false;
@@ -187,14 +171,11 @@ SweepPoint run_point(int total_rps, bool guards) {
     out.completed = agg.completed;
     const std::uint64_t late = agg.latency_hist.count_above(t.deadline);
     out.timely = agg.completed - std::min<std::uint64_t>(agg.completed, late);
-    out.rejected = r.rejected();
     out.availability_permille = fleet.slo()->availability_permille(t.name);
     out.p99_us = fleet.slo()->p99_us(t.name);
     out.attaining = fleet.slo()->attaining(t.name);
     out.goodput_rps = static_cast<double>(out.timely) / window_s;
     point.total_goodput_rps += out.goodput_rps;
-    point.rejected_total += out.rejected;
-    point.shed_total += r.shed();
     point.dropped_total += r.dropped();
     point.tenants.push_back(out);
   }
@@ -283,12 +264,10 @@ void write_json(const std::vector<SweepPoint>& points, const Summary& s) {
     const SweepPoint& p = points[i];
     out << strf(
         "    {\"offered_rps\": %d, \"guards\": %s, "
-        "\"total_goodput_rps\": %.1f, \"shed\": %llu, \"rejected\": %llu, "
+        "\"total_goodput_rps\": %.1f, "
         "\"dropped\": %llu, \"retries_denied\": %llu,\n"
         "     \"tenants\": [\n",
         p.offered_rps, p.guards ? "true" : "false", p.total_goodput_rps,
-        static_cast<unsigned long long>(p.shed_total),
-        static_cast<unsigned long long>(p.rejected_total),
         static_cast<unsigned long long>(p.dropped_total),
         static_cast<unsigned long long>(p.retries_denied));
     for (std::size_t t = 0; t < p.tenants.size(); ++t) {
@@ -296,13 +275,12 @@ void write_json(const std::vector<SweepPoint>& points, const Summary& s) {
       out << strf(
           "      {\"tenant\": \"%s\", \"generated\": %llu, "
           "\"completed\": %llu, \"timely\": %llu, "
-          "\"rejected\": %llu, \"goodput_rps\": %.1f, "
+          "\"goodput_rps\": %.1f, "
           "\"availability_permille\": %lld, \"p99_us\": %lld, "
           "\"attaining\": %s}%s\n",
           o.tenant.c_str(), static_cast<unsigned long long>(o.generated),
           static_cast<unsigned long long>(o.completed),
-          static_cast<unsigned long long>(o.timely),
-          static_cast<unsigned long long>(o.rejected), o.goodput_rps,
+          static_cast<unsigned long long>(o.timely), o.goodput_rps,
           static_cast<long long>(o.availability_permille),
           static_cast<long long>(o.p99_us), o.attaining ? "true" : "false",
           t + 1 < p.tenants.size() ? "," : "");
@@ -360,8 +338,7 @@ int main(int argc, char** argv) {
                    std::to_string(crit.availability_permille),
                    crit.attaining ? "attained" : "VIOLATED",
                    strf("%.0f", be.goodput_rps),
-                   std::to_string(p.shed_total + p.rejected_total +
-                                  p.dropped_total),
+                   std::to_string(p.dropped_total),
                    std::to_string(p.retries_denied)});
   }
   std::fputs(table.to_ascii().c_str(), stdout);

@@ -20,8 +20,7 @@
 //   migrations   how often the (profiled) rebalancer had to repair the
 //                placement reactively during the measurement phase;
 //   p50/p95/p99  request latency over the whole run (warm-up is identical,
-//                so the deltas are the measurement phase's);
-//   shed         requests refused at full replica queues.
+//                so the deltas are the measurement phase's).
 //
 // Expected: "profile" places with zero violations, needs no rebalancing,
 // and clearly beats "effective" on p95/p99 — spreading bursts across flat
@@ -78,7 +77,6 @@ struct PlacementResult {
   double p50_ms = 0;
   double p95_ms = 0;
   double p99_ms = 0;
-  std::uint64_t shed = 0;
 };
 
 /// Co-resident pod pairs whose services are the same or profile-correlated:
@@ -209,7 +207,6 @@ PlacementResult run_strategy(const std::string& strategy) {
   result.p50_ms = agg.percentile_ms(50.0);
   result.p95_ms = agg.percentile_ms(95.0);
   result.p99_ms = agg.percentile_ms(99.0);
-  result.shed = r.shed();
   return result;
 }
 
@@ -239,14 +236,11 @@ void write_json(const std::vector<PlacementResult>& results) {
         "    {\"name\": \"%s\", \"violations\": %d, "
         "\"placed_hosts\": %s, \"migrations\": %llu,\n"
         "     \"generated\": %llu, \"availability_pct\": %.3f, "
-        "\"p50_ms\": %.2f, \"p95_ms\": %.2f, \"p99_ms\": %.2f, "
-        "\"shed\": %llu}%s\n",
+        "\"p50_ms\": %.2f, \"p95_ms\": %.2f, \"p99_ms\": %.2f}%s\n",
         r.name.c_str(), r.violations, hosts_json(r.placed_hosts).c_str(),
         static_cast<unsigned long long>(r.migrations),
         static_cast<unsigned long long>(r.generated), r.availability_pct,
-        r.p50_ms, r.p95_ms, r.p99_ms,
-        static_cast<unsigned long long>(r.shed),
-        i + 1 < results.size() ? "," : "");
+        r.p50_ms, r.p95_ms, r.p99_ms, i + 1 < results.size() ? "," : "");
   }
   out << "  ]\n}\n";
   if (!out) {
@@ -271,13 +265,12 @@ int main(int argc, char** argv) {
   results.push_back(run_strategy("profile"));
   {
     Table table({"strategy", "violations", "placed_hosts", "migrations",
-                 "avail(%)", "p50(ms)", "p95(ms)", "p99(ms)", "shed"});
+                 "avail(%)", "p50(ms)", "p95(ms)", "p99(ms)"});
     for (const PlacementResult& r : results) {
       table.add_row({r.name, std::to_string(r.violations),
                      hosts_json(r.placed_hosts), std::to_string(r.migrations),
                      strf("%.3f", r.availability_pct), strf("%.2f", r.p50_ms),
-                     strf("%.2f", r.p95_ms), strf("%.2f", r.p99_ms),
-                     std::to_string(r.shed)});
+                     strf("%.2f", r.p95_ms), strf("%.2f", r.p99_ms)});
     }
     std::fputs(table.to_ascii().c_str(), stdout);
   }

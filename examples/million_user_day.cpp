@@ -4,10 +4,10 @@
 // Three tenants share the fleet behind per-tenant routers. The
 // OpenLoopDriver replays a compiled TraceSpec — diurnal curve, a lunchtime
 // flash crowd, Poisson arrivals, bounded-Pareto request costs — open-loop:
-// arrivals never wait on completions, so overload shows up as shed and
-// burned error budget instead of a silently slowing generator. The
-// SloAccountant keeps each tenant's availability / p99 / error-budget books
-// and exports them at /sys/arv/slo/<tenant>/.
+// arrivals never wait on completions, so overload shows up as dropped
+// requests and burned error budget instead of a silently slowing generator.
+// The SloAccountant keeps each tenant's availability / p99 / error-budget
+// books and exports them at /sys/arv/slo/<tenant>/.
 //
 //   build/examples/million_user_day
 #include <cstdio>

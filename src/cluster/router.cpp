@@ -1,6 +1,7 @@
 #include "src/cluster/router.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/cluster/overload.h"
 #include "src/server/server_runtime.h"
@@ -8,14 +9,21 @@
 
 namespace arv::cluster {
 
+namespace {
+
+/// A rate the tick loop can consume: +inf would never drain the arrival
+/// accumulator, and NaN or a negative rate generates nothing.
+double clamp_rate(double arrivals_per_sec) {
+  return std::isfinite(arrivals_per_sec) ? std::max(0.0, arrivals_per_sec)
+                                         : 0.0;
+}
+
+}  // namespace
+
 RouterConfig RouterConfig::validated() const {
   RouterConfig v = *this;
-  v.arrivals_per_sec = std::max(0.0, v.arrivals_per_sec);
+  v.arrivals_per_sec = clamp_rate(v.arrivals_per_sec);
   v.max_retries = std::max(0, v.max_retries);
-  v.breaker_threshold = std::max(1, v.breaker_threshold);
-  if (v.breaker_open <= 0) {
-    v.breaker_open = RouterConfig{}.breaker_open;
-  }
   return v;
 }
 
@@ -25,52 +33,29 @@ RequestRouter::RequestRouter(Cluster& cluster, RouterConfig config)
   telemetry_.counter("router.routed", "", routed_);
   telemetry_.counter("router.unroutable", "", unroutable_);
   telemetry_.counter("router.dropped", "", dropped_);
-  telemetry_.counter("router.shed", "", shed_);
   telemetry_.counter("router.retries", "", retries_);
-  telemetry_.counter("router.rejected", "", rejected_);
-  telemetry_.counter("router.breaker_trips", "", breaker_trips_);
-  telemetry_.gauge("router.open_breakers", "",
-                   [this] { return open_breakers(); });
 }
 
 bool RequestRouter::add_replica(int pod_id) {
   server::WorkerPoolServer* s = sink(pod_id);
   ARV_ASSERT_MSG(s != nullptr || cluster_.pod(pod_id).in_flight(),
                  "replica pod has no request sink");
-  const bool duplicate =
-      std::any_of(replicas_.begin(), replicas_.end(),
-                  [pod_id](const Replica& r) { return r.pod == pod_id; });
-  if (duplicate) {
+  if (std::find(replicas_.begin(), replicas_.end(), pod_id) !=
+      replicas_.end()) {
     return false;  // already in rotation; double arrivals would corrupt JSQ
   }
-  Replica replica;
-  replica.pod = pod_id;
-  replicas_.push_back(replica);
+  replicas_.push_back(pod_id);
   return true;
 }
 
 void RequestRouter::set_rate(double arrivals_per_sec) {
-  config_.arrivals_per_sec = std::max(0.0, arrivals_per_sec);
+  config_.arrivals_per_sec = clamp_rate(arrivals_per_sec);
 }
 
-void RequestRouter::attach_admission(AdmissionController* admission, int slot) {
+void RequestRouter::attach_admission(AdmissionController* admission) {
   ARV_ASSERT_MSG(admission_ == nullptr || admission == admission_,
                  "router already has an admission controller");
   admission_ = admission;
-  admission_slot_ = slot;
-}
-
-int RequestRouter::live_replicas() const {
-  const FleetView& fleet = cluster_.fleet_view();
-  int live = 0;
-  for (const Replica& replica : replicas_) {
-    if (replica.pod < fleet.pod_count() &&
-        fleet.pods[static_cast<std::size_t>(replica.pod)].running &&
-        sink(replica.pod) != nullptr) {
-      ++live;
-    }
-  }
-  return live;
 }
 
 server::WorkerPoolServer* RequestRouter::sink(int pod_id) const {
@@ -78,107 +63,31 @@ server::WorkerPoolServer* RequestRouter::sink(int pod_id) const {
   return pod.workload == nullptr ? nullptr : pod.workload->request_sink();
 }
 
-BreakerState RequestRouter::breaker(int pod_id) const {
-  for (const Replica& replica : replicas_) {
-    if (replica.pod == pod_id) {
-      return replica.state;
-    }
-  }
-  ARV_ASSERT_MSG(false, "pod is not a replica of this router");
-  return BreakerState::kClosed;
-}
-
-int RequestRouter::open_breakers() const {
-  int open = 0;
-  for (const Replica& replica : replicas_) {
-    open += replica.state == BreakerState::kOpen ? 1 : 0;
-  }
-  return open;
-}
-
-bool RequestRouter::admits(Replica& replica, SimTime now) {
-  switch (replica.state) {
-    case BreakerState::kClosed:
-      return true;
-    case BreakerState::kOpen:
-      if (now >= replica.open_until) {
-        replica.state = BreakerState::kHalfOpen;  // one probe goes through
-        return true;
-      }
-      return false;
-    case BreakerState::kHalfOpen:
-      // Injection resolves synchronously, so a half-open replica has no
-      // probe outstanding: the next request is (another) probe.
-      return true;
-  }
-  return false;
-}
-
-void RequestRouter::record_success(Replica& replica) {
-  replica.consecutive_failures = 0;
-  if (replica.state != BreakerState::kClosed) {
-    replica.state = BreakerState::kClosed;
-    ++breaker_closes_;
-  }
-}
-
-void RequestRouter::record_failure(Replica& replica, SimTime now) {
-  ++replica.consecutive_failures;
-  const bool reopen = replica.state == BreakerState::kHalfOpen;
-  const bool trip = replica.state == BreakerState::kClosed &&
-                    replica.consecutive_failures >= config_.breaker_threshold;
-  if (reopen || trip) {
-    replica.state = BreakerState::kOpen;
-    replica.open_until = now + config_.breaker_open;
-    ++breaker_trips_;
-  }
-}
-
 void RequestRouter::route_one(SimTime now, CpuTime cost) {
   ++generated_;
-  // Front-door admission (overload.h): criticality-class shedding runs
-  // before any replica is considered, so rejected requests cost nothing
-  // downstream.
-  if (admission_ != nullptr && !admission_->admit(admission_slot_)) {
-    ++rejected_;
-    return;
-  }
-  ++admitted_;
   // Live = the shared fleet snapshot shows the replica running AND its sink
-  // exists right now (not stopped, crashed, or frozen mid-migration);
-  // admitted = live and its breaker lets this attempt pass. The snapshot is
-  // lazily fresh, so a replica that stopped earlier this round is already
-  // out of rotation here — the router and the control loops act on the same
-  // view of the fleet.
+  // exists right now (not stopped, crashed, or frozen mid-migration). The
+  // snapshot is lazily fresh, so a replica that stopped earlier this round
+  // is already out of rotation here — the router and the control loops act
+  // on the same view of the fleet.
   const FleetView& fleet = cluster_.fleet_view();
-  bool any_live = false;
   candidates_.clear();
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    const int pod = replicas_[i].pod;
-    if (pod >= fleet.pod_count() ||
-        !fleet.pods[static_cast<std::size_t>(pod)].running ||
-        sink(pod) == nullptr) {
-      continue;
+  for (const int pod : replicas_) {
+    if (pod < fleet.pod_count() &&
+        fleet.pods[static_cast<std::size_t>(pod)].running &&
+        sink(pod) != nullptr) {
+      candidates_.push_back(pod);
     }
-    any_live = true;
-    if (admits(replicas_[i], now)) {
-      candidates_.push_back(i);
-    }
-  }
-  if (!any_live) {
-    ++unroutable_;  // the fleet has no replica at all
-    return;
   }
   if (candidates_.empty()) {
-    ++shed_;  // replicas exist but every breaker is open: protect them
+    ++unroutable_;  // the fleet has no replica at all
     return;
   }
   // Bounded retry: attempt the JSQ-best candidate, then the next-best on a
   // refused injection, never re-trying a replica within one request. Every
   // retry beyond the first attempt draws on the fleet-wide retry budget, so
   // a failover cannot multiply offered load into a retry storm.
-  const int max_attempts = 1 + config_.max_retries;
-  for (int attempt = 0; attempt < max_attempts && !candidates_.empty();
+  for (int attempt = 0; attempt <= config_.max_retries && !candidates_.empty();
        ++attempt) {
     if (attempt > 0 && admission_ != nullptr && !admission_->allow_retry()) {
       break;  // budget exhausted: give up instead of amplifying
@@ -186,26 +95,23 @@ void RequestRouter::route_one(SimTime now, CpuTime cost) {
     std::size_t best_pos = 0;
     std::size_t best_depth = 0;
     for (std::size_t pos = 0; pos < candidates_.size(); ++pos) {
-      const std::size_t depth = sink(replicas_[candidates_[pos]].pod)->queue_depth();
+      const std::size_t depth = sink(candidates_[pos])->queue_depth();
       if (pos == 0 || depth < best_depth) {
         best_pos = pos;
         best_depth = depth;
       }
     }
-    Replica& replica = replicas_[candidates_[best_pos]];
     ++attempts_;
     if (attempt > 0) {
       ++retries_;
     }
-    if (sink(replica.pod)->inject_request(now, cost)) {
-      record_success(replica);
+    if (sink(candidates_[best_pos])->inject_request(now, cost)) {
       ++routed_;
       if (admission_ != nullptr) {
         admission_->on_success();
       }
       return;
     }
-    record_failure(replica, now);
     candidates_.erase(candidates_.begin() +
                       static_cast<std::ptrdiff_t>(best_pos));
   }
@@ -230,9 +136,9 @@ void RequestRouter::tick(SimTime now, SimDuration dt) {
 
 server::RequestStats RequestRouter::aggregate() const {
   server::RequestStats total;
-  for (const Replica& replica : replicas_) {
-    total.merge(cluster_.pod(replica.pod).archived);
-    if (const server::WorkerPoolServer* s = sink(replica.pod)) {
+  for (const int pod : replicas_) {
+    total.merge(cluster_.pod(pod).archived);
+    if (const server::WorkerPoolServer* s = sink(pod)) {
       total.merge(s->stats());
     }
   }
@@ -241,8 +147,8 @@ server::RequestStats RequestRouter::aggregate() const {
 
 std::uint64_t RequestRouter::queued() const {
   std::uint64_t depth = 0;
-  for (const Replica& replica : replicas_) {
-    if (const server::WorkerPoolServer* s = sink(replica.pod)) {
+  for (const int pod : replicas_) {
+    if (const server::WorkerPoolServer* s = sink(pod)) {
       depth += s->queue_depth();
     }
   }

@@ -259,12 +259,6 @@ void FleetScenario::declare_slo(const std::string& tenant, load::SloTarget targe
     cluster_.add_component(slo_.get());
   }
   slo_->declare(tenant, *t->router, target);
-  if (admission_ != nullptr) {
-    // The SLO declaration is the source of truth for how critical a tenant
-    // is to the front door.
-    admission_->set_criticality(
-        tenant, cluster::criticality_for_slo(target.availability_permille));
-  }
 }
 
 void FleetScenario::enable_tenant_hpa(const std::string& tenant,

@@ -4,6 +4,8 @@
 // limits, each running this workload under this JVM/OpenMP configuration;
 // run to completion; report exec/GC time". JvmScenario and OmpScenario build
 // that arrangement on a fresh simulated Host and run it deterministically.
+// FleetScenario does the same for a multi-host cluster: hosts, pods, routers,
+// tenants with SLOs, the overload guards, faults and autoscalers.
 #pragma once
 
 #include <memory>
@@ -133,7 +135,10 @@ class OmpScenario {
 
 /// Declarative multi-host fleet: hosts + placed pods + optional router and
 /// rebalancer, on one deterministic Cluster. The cluster-layer analogue of
-/// JvmScenario — build the fleet, run it, read the aggregate stats.
+/// JvmScenario — build the fleet, run it, read the aggregate stats. Tenants
+/// and their SLOs are declared here; with enable_admission() every tenant's
+/// router shares one retry budget and gets AIMD queue limits, and no request
+/// is refused before a replica is tried.
 class FleetScenario {
  public:
   explicit FleetScenario(cluster::ClusterConfig config = {});
@@ -173,7 +178,7 @@ class FleetScenario {
   /// Route an open-loop stream at `arrivals_per_sec` across the web replicas
   /// placed so far and later. Call before placing web pods.
   void enable_router(double arrivals_per_sec);
-  /// Same, with the full retry/breaker configuration.
+  /// Same, with the full retry configuration.
   void enable_router(cluster::RouterConfig config);
 
   /// Activate corrective migration. Call after every add_host().
@@ -199,7 +204,7 @@ class FleetScenario {
 
   // --- multi-tenant workload engine (src/load, DESIGN.md §14) ---------------
   /// Declare a tenant: one service with its own RequestRouter (so the
-  /// per-request conservation identities, breakers, and HPA all stay
+  /// per-request conservation identities, retries, and HPA all stay
   /// per-tenant). The router's self-generated rate is forced to 0 — tenants
   /// are driven by the trace engine. Call before placing the tenant's pods.
   void add_tenant(const std::string& name,
@@ -217,16 +222,14 @@ class FleetScenario {
   void use_trace(load::CompiledTrace trace, load::DriverConfig config = {});
 
   /// Declare a tenant's SLO (creates the SloAccountant on first use). Call
-  /// after use_trace() so the accountant reads post-injection rounds. With
-  /// the admission controller enabled, the tenant's criticality class is
-  /// derived from the declared availability objective.
+  /// after use_trace() so the accountant reads post-injection rounds.
   void declare_slo(const std::string& tenant, load::SloTarget target = {},
                    load::SloConfig config = {});
 
   /// Arm the overload control plane (see overload.h): the plain router and
   /// every tenant declared so far (and later) enroll under one
-  /// AdmissionController — front-door shedding, the fleet-wide retry
-  /// budget and adaptive per-replica concurrency limits.
+  /// AdmissionController — the fleet-wide retry budget and adaptive
+  /// per-replica concurrency limits.
   void enable_admission(cluster::AdmissionConfig config = {});
 
   /// Per-tenant HPA over the tenant's router. The template's service (and

@@ -69,7 +69,7 @@ void SloAccountant::refresh(Tenant& t, SimTime now) {
   const std::uint64_t generated = t.router->generated();
   const std::uint64_t good = t.router->routed();
   // Failure mass in milli-failures: every request that was not routed
-  // (dropped, rejected, unroutable, shed) costs one whole failure.
+  // (dropped or unroutable) costs one whole failure.
   const std::int64_t bad_milli =
       static_cast<std::int64_t>(generated - good) * 1000;
 

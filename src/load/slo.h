@@ -5,8 +5,8 @@
 // histogram into the SRE error-budget vocabulary:
 //
 //   availability   good/generated, in permille (good = routed; everything
-//                  else — dropped, rejected, unroutable, shed — burns
-//                  budget as one whole failure).
+//                  else — dropped or unroutable — burns budget as one
+//                  whole failure).
 //   error budget   allowed bad = (1000 - target) * generated (milli-
 //                  failures); remaining = 1 - bad/allowed, clamped to
 //                  [0, 1000] permille.

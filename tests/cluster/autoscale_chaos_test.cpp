@@ -63,8 +63,6 @@ std::string run_autoscaled_chaos(std::uint64_t chaos_seed, bool verify) {
   RouterConfig router;
   router.arrivals_per_sec = 900;
   router.max_retries = 2;
-  router.breaker_threshold = 5;
-  router.breaker_open = 300 * msec;
   fleet.enable_router(router);
   DetectorConfig detector;
   detector.period = 100 * msec;
@@ -126,8 +124,7 @@ std::string run_autoscaled_chaos(std::uint64_t chaos_seed, bool verify) {
     const RequestRouter& r = *fleet.router();
     // Request conservation holds with replicas appearing (scale-up) and
     // disappearing (scale-down teardown harvests into Pod::archived).
-    EXPECT_EQ(r.generated(),
-              r.routed() + r.dropped() + r.unroutable() + r.shed());
+    EXPECT_EQ(r.generated(), r.routed() + r.dropped() + r.unroutable());
     const server::RequestStats agg = r.aggregate();
     EXPECT_EQ(agg.arrived, r.attempts());
     EXPECT_EQ(agg.dropped, r.attempts() - r.routed());

@@ -63,7 +63,6 @@ struct FleetResult {
   std::uint64_t routed = 0;
   std::uint64_t dropped = 0;
   std::uint64_t unroutable = 0;
-  std::uint64_t shed = 0;
   std::uint64_t completed = 0;
   std::vector<CpuTime> slack_totals;  ///< per host, analytic (no sync)
 };
@@ -138,12 +137,11 @@ FleetResult run_fleet(const FleetOptions& options) {
   result.routed = r.routed();
   result.dropped = r.dropped();
   result.unroutable = r.unroutable();
-  result.shed = r.shed();
   result.completed = r.aggregate().completed;
   // Request conservation must hold with the skip on and off, not only in
   // the configuration the chaos suite verifies.
   EXPECT_EQ(result.generated,
-            result.routed + result.dropped + result.unroutable + result.shed);
+            result.routed + result.dropped + result.unroutable);
   for (int i = 0; i < cluster.host_count(); ++i) {
     result.slack_totals.push_back(cluster.host_slack_total(i));
   }
@@ -207,7 +205,6 @@ void expect_skip_invariant(const FleetResult& on, const FleetResult& off) {
   EXPECT_EQ(on.routed, off.routed);
   EXPECT_EQ(on.dropped, off.dropped);
   EXPECT_EQ(on.unroutable, off.unroutable);
-  EXPECT_EQ(on.shed, off.shed);
   EXPECT_EQ(on.completed, off.completed);
   EXPECT_EQ(on.slack_totals, off.slack_totals);
 }

@@ -1,6 +1,6 @@
-// RequestRouter: join-shortest-queue balancing, unroutable accounting, and
-// request-stats continuity across a replica migration. Plus the FleetScenario
-// builder that wires all of it together.
+// RequestRouter: join-shortest-queue balancing, retry failover, unroutable
+// accounting, and request-stats continuity across a replica migration. Plus
+// the FleetScenario builder that wires all of it together.
 #include "src/cluster/router.h"
 
 #include <gtest/gtest.h>
@@ -130,47 +130,6 @@ TEST(RequestRouter, RejectsDuplicateReplica) {
   EXPECT_EQ(router.aggregate().arrived, live.arrived);
 }
 
-// An overloaded replica refuses injections once its accept queue fills; the
-// breaker opens after `breaker_threshold` consecutive refusals, sheds load
-// while open, probes half-open after `breaker_open`, and closes again once
-// the replica drains. Shed (breaker open) stays distinct from unroutable
-// (no replica exists).
-TEST(RequestRouter, BreakerTripsShedsAndRecloses) {
-  Cluster cluster;
-  cluster.add_host(small_host(4, 8 * GiB));
-  ClusterScheduler scheduler(cluster);
-  RouterConfig config;
-  config.arrivals_per_sec = 2000;  // far beyond one replica's capacity
-  config.max_retries = 0;
-  config.breaker_threshold = 5;
-  config.breaker_open = 200 * msec;
-  RequestRouter router(cluster, config);
-  cluster.add_component(&router);
-  server::WebConfig web = replica_web();
-  web.service_cpu = 20 * msec;  // ~200/s capacity
-  web.max_queue = 10;           // overflows almost immediately
-  const int pod = scheduler.place("requests", {"web", res(2000, 1 * GiB)},
-                                  web_replica(web));
-  ASSERT_GE(pod, 0);
-  ASSERT_TRUE(router.add_replica(pod));
-  cluster.run_for(5 * sec);
-
-  EXPECT_GT(router.dropped(), 0u) << "refused injections must be dropped";
-  EXPECT_GT(router.breaker_trips(), 0u);
-  EXPECT_GT(router.breaker_closes(), 0u)
-      << "the replica drains while the breaker is open; the half-open probe "
-         "must find it serving again";
-  EXPECT_GT(router.shed(), 0u) << "requests during open windows are shed";
-  EXPECT_EQ(router.unroutable(), 0u)
-      << "the replica existed throughout; nothing was unroutable";
-  // Dispositions still partition the generated stream.
-  EXPECT_EQ(router.generated(), router.routed() + router.dropped() +
-                                    router.unroutable() + router.shed());
-  // The breaker saved the replica from most of the overload: shed at the
-  // front door instead of hammering a full queue.
-  EXPECT_GT(router.shed(), router.dropped());
-}
-
 // Retries move a refused request to the next-best replica instead of
 // dropping it. The first replica's accept queue is capped at one, so it
 // keeps *looking* shortest to JSQ while actually full; the healthy second
@@ -183,7 +142,6 @@ TEST(RequestRouter, RetryFailsOverToNextBestReplica) {
   RouterConfig config;
   config.arrivals_per_sec = 1500;
   config.max_retries = 1;
-  config.breaker_threshold = 1000000;  // isolate the retry path
   RequestRouter router(cluster, config);
   cluster.add_component(&router);
   server::WebConfig slow = replica_web();
@@ -204,7 +162,8 @@ TEST(RequestRouter, RetryFailsOverToNextBestReplica) {
   EXPECT_GT(router.retries(), 0u);
   EXPECT_EQ(router.dropped(), 0u)
       << "with a healthy second replica every refusal must be retried away";
-  EXPECT_EQ(router.generated(), router.routed() + router.shed());
+  EXPECT_EQ(router.generated(),
+            router.routed() + router.dropped() + router.unroutable());
 }
 
 TEST(FleetScenario, BuildsARunningFleet) {

@@ -150,8 +150,7 @@ TEST(Telemetry, DestroyingAnOwnerRemovesExactlyItsDirectory) {
 
   ControlPlane plane;
   const std::vector<std::string> before = plane.fs().list("/sys/arv/");
-  // The admission tenant's own files live inside the owner's directory.
-  ASSERT_TRUE(plane.fs().exists("/sys/arv/admission/api/criticality"));
+  // A tenant's own files live inside the owner's directory.
   ASSERT_TRUE(plane.fs().exists("/sys/arv/slo/api/objective"));
 
   SimTime at = 0;

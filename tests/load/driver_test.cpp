@@ -92,7 +92,7 @@ TEST(OpenLoopDriver, RepeatsCyclesAndOneShotStops) {
 TEST(OpenLoopDriver, OpenLoopNeverThrottlesArrivals) {
   // One tiny replica against a heavy schedule: a closed-loop generator
   // would slow down with the server; the open-loop driver must not. The
-  // overload shows up as drops/shed instead — that is the point.
+  // overload shows up as drops instead — that is the point.
   TraceSpec spec = two_tenant_spec(ArrivalProcess::kDeterministic);
   spec.mean_rps = 3000;
   spec.tenants.resize(1);
@@ -108,12 +108,12 @@ TEST(OpenLoopDriver, OpenLoopNeverThrottlesArrivals) {
   fleet.run(trace.duration());
   const cluster::RequestRouter& r = *fleet.tenant_router("api");
   EXPECT_EQ(r.generated(), trace.tenants[0].total);  // full schedule arrived
-  EXPECT_GT(r.dropped() + r.shed(), 0u);             // and the fleet bled
+  EXPECT_GT(r.dropped(), 0u);                         // and the fleet bled
 }
 
 TEST(OpenLoopDriver, PerTenantConservationUnderChaos) {
   // The per-tenant request-conservation identity — generated ==
-  // routed + dropped + unroutable + shed — must survive crashes, restarts,
+  // routed + dropped + unroutable — must survive crashes, restarts,
   // and failovers with the driver injecting through it all.
   const CompiledTrace trace = compile(two_tenant_spec(ArrivalProcess::kMmpp));
   for (int i = 0; i < 3; ++i) {
@@ -139,8 +139,7 @@ TEST(OpenLoopDriver, PerTenantConservationUnderChaos) {
     fleet.run(4 * sec);
     for (const std::string tenant : {"api", "batch"}) {
       const cluster::RequestRouter& r = *fleet.tenant_router(tenant);
-      EXPECT_EQ(r.generated(),
-                r.routed() + r.dropped() + r.unroutable() + r.shed())
+      EXPECT_EQ(r.generated(), r.routed() + r.dropped() + r.unroutable())
           << tenant;
       EXPECT_EQ(r.generated(), fleet.driver()->injected(tenant)) << tenant;
     }
