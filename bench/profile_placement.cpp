@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "src/cluster/fleet_view.h"
+#include "src/cluster/cluster.h"
 #include "src/cluster/pod_workloads.h"
 #include "src/cluster/profile.h"
 #include "src/cluster/rebalancer.h"
@@ -81,24 +81,24 @@ struct PlacementResult {
 
 /// Co-resident pod pairs whose services are the same or profile-correlated:
 /// every such pair is a burst the strategy stacked onto one machine.
-int count_violations(const cluster::FleetView& view,
+int count_violations(const cluster::Cluster& cluster,
                      const cluster::ProfileStore& profiles) {
   int violations = 0;
-  for (int h = 0; h < view.host_count(); ++h) {
-    const int begin = view.host_pod_offsets[static_cast<std::size_t>(h)];
-    const int end = view.host_pod_offsets[static_cast<std::size_t>(h) + 1];
-    for (int i = begin; i < end; ++i) {
-      for (int j = i + 1; j < end; ++j) {
-        const cluster::PodRow& a =
-            view.pods[static_cast<std::size_t>(view.host_pod_ids[i])];
-        const cluster::PodRow& b =
-            view.pods[static_cast<std::size_t>(view.host_pod_ids[j])];
-        const std::string& sa = view.service_name(a.service);
-        const std::string& sb = view.service_name(b.service);
-        if (sa == sb ||
-            profiles.service_correlation_permille(sa, sb) > kCorrelated) {
-          ++violations;
-        }
+  for (int a = 0; a < cluster.pod_count(); ++a) {
+    const cluster::Pod& pa = cluster.pod(a);
+    if (pa.host < 0) {
+      continue;
+    }
+    for (int b = a + 1; b < cluster.pod_count(); ++b) {
+      const cluster::Pod& pb = cluster.pod(b);
+      if (pb.host != pa.host) {
+        continue;
+      }
+      const std::string& sa = pa.spec.service_name();
+      const std::string& sb = pb.spec.service_name();
+      if (sa == sb ||
+          profiles.service_correlation_permille(sa, sb) > kCorrelated) {
+        ++violations;
       }
     }
   }
@@ -191,7 +191,7 @@ PlacementResult run_strategy(const std::string& strategy) {
   // Judge the placement decision itself, before the rebalancer can paper
   // over it: every correlated co-residency here is the strategy's mistake.
   result.violations =
-      count_violations(fleet.cluster().fleet_view(), *fleet.profiles());
+      count_violations(fleet.cluster(), *fleet.profiles());
 
   cycle(kMeasureRate, kMeasureCycles);
 

@@ -62,14 +62,13 @@ HorizontalAutoscaler::HorizontalAutoscaler(Cluster& cluster,
       template_(replica_defaults(std::move(replica_template))),
       web_(web),
       config_(config),
-      strategy_(make_strategy(config.strategy)),
+      strategy_(make_strategy("effective")),
       telemetry_(cluster, "autoscale/" + template_.name) {
   ARV_ASSERT(config_.period > 0);
   ARV_ASSERT(config_.min_replicas >= 0);
   ARV_ASSERT(config_.max_replicas >= config_.min_replicas);
   ARV_ASSERT(config_.request_cpu > 0);
   ARV_ASSERT(config_.max_surge >= 1);
-  ARV_ASSERT_MSG(strategy_ != nullptr, "unknown placement strategy");
   // Replicas behind the router must not self-generate traffic.
   web_.arrivals_per_sec = 0;
 
@@ -145,7 +144,7 @@ int HorizontalAutoscaler::place_replica(FleetView& views) {
   const int pod = cluster_.create_pod(target, spec, web_replica(web_));
   managed_.push_back(pod);
   router_.add_replica(pod);
-  views.claim(target, spec);
+  views.claim(target, spec.resources);
   ARV_LOG(kInfo, "hpa", "%s scaled up: pod %d -> h%d", template_.name.c_str(),
           pod, target);
   return pod;
@@ -189,8 +188,7 @@ void HorizontalAutoscaler::tick(SimTime now, SimDuration /*dt*/) {
     }
     const int add = std::min(desired - current, config_.max_surge);
     // A surge places several replicas in one round: copy the fleet snapshot
-    // and claim() each landing so later replicas see post-landing headroom
-    // (and, under "profile", their just-placed siblings).
+    // and claim() each landing so later replicas see post-landing headroom.
     FleetView views = cluster_.fleet_view();
     for (int i = 0; i < add; ++i) {
       if (place_replica(views) < 0) {
@@ -384,13 +382,12 @@ void VerticalRecommender::recommend(Pod& pod, PodTrack& track) {
 ClusterAutoscaler::ClusterAutoscaler(Cluster& cluster, CaConfig config)
     : cluster_(cluster),
       config_(config),
-      strategy_(make_strategy(config.strategy)),
+      strategy_(make_strategy("effective")),
       telemetry_(cluster, "autoscale/cluster") {
   ARV_ASSERT(config_.period > 0);
   ARV_ASSERT(config_.min_hosts >= 1);
   ARV_ASSERT(config_.add_below_permille < config_.drain_above_permille);
   ARV_ASSERT(config_.band_rounds >= 1);
-  ARV_ASSERT_MSG(strategy_ != nullptr, "unknown placement strategy");
   telemetry_.gauge("autoscale.hosts", "",
                    [this] { return cluster_.active_hosts(); });
   telemetry_.counter("autoscale.hosts_added", "", hosts_added_);
@@ -439,7 +436,7 @@ void ClusterAutoscaler::continue_drain(SimTime now) {
     ARV_LOG(kInfo, "ca", "draining h%d: migrating pod %d -> h%d", draining_,
             id, target);
     cluster_.migrate_pod(id, target);
-    views.claim(target, pod.spec);
+    views.claim(target, pod.spec.resources);
     ++drain_migrations_;
     --budget;
   }

@@ -66,8 +66,6 @@ struct HpaConfig {
   /// trailing window (kube's stabilizationWindowSeconds), so a brief lull
   /// never sheds replicas a recovering flash crowd still needs.
   SimDuration down_stabilization = 5 * units::sec;
-  /// Placement strategy for new replicas.
-  std::string strategy = "effective";
 };
 
 /// Scales one service's replica set. New replicas are cloned from a PodSpec
@@ -112,6 +110,7 @@ class HorizontalAutoscaler : public sim::TickComponent {
   PodSpec template_;
   server::WebConfig web_;
   HpaConfig config_;
+  /// "effective": new replicas land on observed headroom.
   std::unique_ptr<PlacementStrategy> strategy_;
   std::vector<int> managed_;  ///< pod ids, in creation order
   std::uint64_t last_generated_ = 0;
@@ -208,8 +207,6 @@ struct CaConfig {
   int band_rounds = 3;
   /// Quiet period after any add/drain completes.
   SimDuration cooldown = 2 * units::sec;
-  /// Placement strategy for drain migrations.
-  std::string strategy = "effective";
 };
 
 /// Sizes the fleet. Machines are never created or destroyed mid-run (the
@@ -246,6 +243,7 @@ class ClusterAutoscaler : public sim::TickComponent {
 
   Cluster& cluster_;
   CaConfig config_;
+  /// "effective": drained pods land on observed headroom.
   std::unique_ptr<PlacementStrategy> strategy_;
   int draining_ = -1;
   int low_rounds_ = 0;

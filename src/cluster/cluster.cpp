@@ -22,6 +22,7 @@ Cluster::Cluster(ClusterConfig config)
     : config_(config), rng_(config.seed), components_(config.tick) {
   ARV_ASSERT(config_.tick > 0);
   ARV_ASSERT(kObserveWindow >= config_.tick);
+  cur_.pods = &pods_;
   if (config_.enable_tracing) {
     obs::TraceConfig trace_config;
     trace_config.sample_interval = config_.trace_interval;
@@ -81,7 +82,7 @@ int Cluster::add_host(container::HostConfig host_config) {
     sysfs.register_control_file("/sys/arv/fleet/hosts",
                                 [this] { return cur_.render_hosts(); });
     sysfs.register_control_file("/sys/arv/fleet/pods",
-                                [this] { return cur_.render_pods(); });
+                                [this] { return render_pods(); });
   }
   return index;
 }
@@ -514,15 +515,9 @@ void Cluster::invalidate_fleet_view() {
   }
 }
 
-void Cluster::attach_profiles(const ProfileStore* profiles) {
-  profiles_ = profiles;
-  invalidate_fleet_view();
-}
-
 void Cluster::refresh_fleet() {
   rebuild_fleet();
   cur_.at = now_;
-  cur_.profiles = profiles_;
   fleet_dirty_ = false;
   window_rolled_ = false;
   for (HostState& state : hosts_) {
@@ -531,66 +526,61 @@ void Cluster::refresh_fleet() {
 }
 
 void Cluster::rebuild_fleet() {
-  const std::size_t host_count_sz = hosts_.size();
   const std::size_t old_host_count = cur_.hosts.size();
-  cur_.hosts.resize(host_count_sz);
+  cur_.hosts.resize(hosts_.size());
   // A host row is re-observed only when something could have changed it:
   // the host stepped this tick, a mutator (or conservative non-const
   // accessor) touched it, or the slack window rolled for everyone. A frozen,
   // untouched host's observables are constant by the quiescence invariant,
-  // so its row — and its pods' rows — are left as they are.
-  std::vector<char> rebuilt(host_count_sz, 0);
-  for (std::size_t i = 0; i < host_count_sz; ++i) {
+  // so its row is left as it is.
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
     const HostState& state = hosts_[i];
     const bool stepped = state.host->now() == now_;
     if (!stepped && !state.row_stale && !window_rolled_ && i < old_host_count) {
       ++rows_reused_;
     } else {
       cur_.hosts[i] = host_view(static_cast<int>(i));
-      rebuilt[i] = 1;
     }
   }
-  const std::size_t old_pod_count = cur_.pods.size();
-  cur_.pods.resize(pods_.size());
-  for (std::size_t p = 0; p < pods_.size(); ++p) {
-    const Pod& pod = pods_[p];
-    PodRow& row = cur_.pods[p];
-    // The row still holds the previous refresh's content: compare its host
-    // before it is overwritten. A pod that stayed put keeps its row unless
-    // its host was re-observed.
-    const bool host_rebuilt =
-        pod.host >= 0 && rebuilt[static_cast<std::size_t>(pod.host)] != 0;
-    if (p < old_pod_count && row.host == pod.host && !host_rebuilt) {
-      ++rows_reused_;
-      continue;
+}
+
+std::string Cluster::render_pods() const {
+  std::string out;
+  for (const Pod& pod : pods_) {
+    out += "pod" + std::to_string(pod.id);
+    out += " host=" + std::to_string(pod.host);
+    out += " svc=" + pod.spec.service_name();
+    out += " req=" + std::to_string(pod.spec.resources.request_millicpu) +
+           "m/" + std::to_string(pod.spec.resources.request_memory);
+    // Safe without syncing: committed bytes are constant while frozen.
+    const Bytes committed =
+        pod.running() ? hosts_[static_cast<std::size_t>(pod.host)]
+                            .host->memory()
+                            .committed(pod.container->cgroup())
+                      : 0;
+    out += " committed=" + std::to_string(committed);
+    const PodProfile p =
+        profiles() != nullptr ? profiles()->profile(pod.id) : PodProfile{};
+    if (p.samples > 0) {
+      out += " cpu_p50=" + std::to_string(p.cpu_p50_millicpu) + "m";
+      out += " cpu_p95=" + std::to_string(p.cpu_p95_millicpu) + "m";
+      out += " mem_p50=" + std::to_string(p.mem_p50);
+      out += " mem_p95=" + std::to_string(p.mem_p95);
+      out += " burst=" + std::to_string(p.burst_permille);
+      out += " samples=" + std::to_string(p.samples);
     }
-    row = PodRow{};
-    row.id = pod.id;
-    row.host = pod.host;
-    row.service = cur_.intern_service(pod.spec.service_name());
-    row.request_millicpu = pod.spec.resources.request_millicpu;
-    row.request_memory = pod.spec.resources.request_memory;
-    row.running = pod.running();
-    row.in_flight = pod.in_flight();
-    row.failed = pod.failed;
-    row.placed_at = pod.placed_at;
     if (pod.running()) {
-      // Safe without syncing: committed bytes are constant while frozen.
-      row.committed = hosts_[static_cast<std::size_t>(pod.host)]
-                          .host->memory()
-                          .committed(pod.container->cgroup());
+      out += " running";
+    } else if (pod.in_flight()) {
+      out += " in-flight";
+    } else if (pod.failed) {
+      out += " failed";
+    } else {
+      out += " stopped";
     }
-    if (profiles_ != nullptr) {
-      const PodProfile profile = profiles_->profile(pod.id);
-      row.cpu_p50_millicpu = profile.cpu_p50_millicpu;
-      row.cpu_p95_millicpu = profile.cpu_p95_millicpu;
-      row.mem_p50 = profile.mem_p50;
-      row.mem_p95 = profile.mem_p95;
-      row.burst_permille = profile.burst_permille;
-      row.samples = profile.samples;
-    }
+    out += "\n";
   }
-  cur_.rebuild_pod_index();
+  return out;
 }
 
 }  // namespace arv::cluster

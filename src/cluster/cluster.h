@@ -11,7 +11,7 @@
 //      (sync-on-touch).
 //   2. The *serial phases*, in a fixed order: slack window accounting, due
 //      pod migrations, the FleetView snapshot refresh (fleet_view.h — the
-//      one cluster-state object every fleet-wide consumer reads),
+//      one cluster-state object placement and the control loops read),
 //      cluster-level components (rebalancer, router, fault machinery), and
 //      the trace sample. Every serial stage iterates hosts and pods in index
 //      order.
@@ -245,28 +245,29 @@ class Cluster {
   /// constant while frozen).
   HostView host_view(int index) const;
 
-  /// The shared cluster snapshot (DESIGN.md §13): per-host effective views
-  /// plus flattened per-pod rows, assembled in the serial phase. Lazily
-  /// refreshed — if anything mutated the fleet since the last refresh, the
-  /// stale rows are re-observed in place first (rows of provably-unchanged
-  /// hosts are left as they are), so the returned view is always current.
-  /// This is what every fleet-wide consumer (placement, detector,
-  /// autoscalers, router) reads; consumers that place several pods in one
-  /// round copy it and claim() each landing. Serial phases only.
+  /// The shared cluster snapshot (DESIGN.md §13): per-host effective views,
+  /// assembled in the serial phase, plus read-only references to the live
+  /// pods and the attached ProfileStore. Lazily refreshed — if anything
+  /// mutated the fleet since the last refresh, the stale host rows are
+  /// re-observed in place first (rows of provably-unchanged hosts are left
+  /// as they are), so the returned view is always current. This is what
+  /// placement, the detector, the autoscalers and the rebalancer read;
+  /// consumers that place several pods in one round copy it and claim()
+  /// each landing. Serial phases only.
   const FleetView& fleet_view();
 
-  /// Host/pod rows a refresh left in place instead of re-observing,
-  /// cumulative. Not traced: the count varies with the idle-skip setting.
+  /// Host rows a refresh left in place instead of re-observing, cumulative.
+  /// Not traced: the count varies with the idle-skip setting.
   std::uint64_t fleet_rows_reused() const { return rows_reused_; }
 
-  /// Force the next fleet_view() to re-observe every row (profile updates,
-  /// tests).
+  /// Force the next fleet_view() to re-observe every host row — the full
+  /// rebuild the incremental refresh is tested against.
   void invalidate_fleet_view();
 
-  /// Attach (or detach, with nullptr) a ProfileStore whose percentiles the
-  /// pod rows carry. Called by ProfileStore's constructor/destructor.
-  void attach_profiles(const ProfileStore* profiles);
-  const ProfileStore* profiles() const { return profiles_; }
+  /// Attach (or detach, with nullptr) the ProfileStore the snapshot points
+  /// at. Called by ProfileStore's constructor/destructor.
+  void attach_profiles(const ProfileStore* profiles) { cur_.profiles = profiles; }
+  const ProfileStore* profiles() const { return cur_.profiles; }
 
   /// The published per-host arena — the snapshot's host rows, refreshed at
   /// the tick boundary (and whenever a consumer pulled a fresh fleet_view()
@@ -348,8 +349,10 @@ class Cluster {
   /// stamp and the staleness reset).
   void refresh_fleet();
   /// Re-observe the stale rows of cur_ in place; rows of unchanged hosts
-  /// (and their pods) stay as they are.
+  /// stay as they are.
   void rebuild_fleet();
+  /// The /sys/arv/fleet/pods file body, rendered from the live pods.
+  std::string render_pods() const;
   void settle_migrations();
   void land_pod(Pod& pod);
   void harvest_stats(Pod& pod);
@@ -373,7 +376,6 @@ class Cluster {
   bool fleet_dirty_ = true;
   bool window_rolled_ = false;
   std::uint64_t rows_reused_ = 0;
-  const ProfileStore* profiles_ = nullptr;
   std::vector<HostState> hosts_;
   std::vector<Pod> pods_;
   std::vector<PendingMigration> pending_;

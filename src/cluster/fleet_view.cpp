@@ -4,8 +4,6 @@
 #include <array>
 #include <charconv>
 
-#include "src/util/assert.h"
-
 namespace arv::cluster {
 namespace {
 
@@ -18,25 +16,12 @@ void append_int(std::string& out, std::int64_t value) {
 
 }  // namespace
 
-void FleetView::claim(int host, const PodSpec& spec) {
+void FleetView::claim(int host, const container::K8sResources& resources) {
+  reserve(host, resources);
   HostView& view = hosts.at(static_cast<std::size_t>(host));
-  const container::K8sResources& r = spec.resources;
-  view.requested_millicpu += r.request_millicpu;
-  view.requested_memory += r.request_memory;
-  view.slack_millicpu =
-      std::max<std::int64_t>(0, view.slack_millicpu - r.request_millicpu);
-  view.free_memory = std::max<Bytes>(0, view.free_memory - r.request_memory);
+  view.requested_millicpu += resources.request_millicpu;
+  view.requested_memory += resources.request_memory;
   ++view.pods;
-  // Synthetic row (id -1): not a real pod yet, but profile-aware scoring must
-  // see the just-claimed resident — otherwise every replica of a surge would
-  // score the host as if its siblings were not coming.
-  PodRow row;
-  row.host = host;
-  row.service = intern_service(spec.service_name());
-  row.request_millicpu = r.request_millicpu;
-  row.request_memory = r.request_memory;
-  row.running = true;
-  pods.push_back(row);
 }
 
 void FleetView::reserve(int host, const container::K8sResources& resources) {
@@ -45,36 +30,6 @@ void FleetView::reserve(int host, const container::K8sResources& resources) {
       0, view.slack_millicpu - resources.request_millicpu);
   view.free_memory =
       std::max<Bytes>(0, view.free_memory - resources.request_memory);
-}
-
-void FleetView::rebuild_pod_index() {
-  host_pod_offsets.assign(hosts.size() + 1, 0);
-  for (const PodRow& row : pods) {
-    if (row.id >= 0 && row.host >= 0) {
-      ++host_pod_offsets[static_cast<std::size_t>(row.host) + 1];
-    }
-  }
-  for (std::size_t h = 1; h < host_pod_offsets.size(); ++h) {
-    host_pod_offsets[h] += host_pod_offsets[h - 1];
-  }
-  host_pod_ids.assign(static_cast<std::size_t>(host_pod_offsets.back()), -1);
-  std::vector<int> cursor(host_pod_offsets.begin(), host_pod_offsets.end() - 1);
-  for (const PodRow& row : pods) {  // pods are in id order, so buckets are too
-    if (row.id >= 0 && row.host >= 0) {
-      host_pod_ids[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(row.host)]++)] = row.id;
-    }
-  }
-}
-
-int FleetView::intern_service(const std::string& name) {
-  for (std::size_t i = 0; i < services.size(); ++i) {
-    if (services[i] == name) {
-      return static_cast<int>(i);
-    }
-  }
-  services.push_back(name);
-  return static_cast<int>(services.size()) - 1;
 }
 
 std::string FleetView::render_hosts() const {
@@ -107,44 +62,9 @@ std::string FleetView::render_hosts() const {
   return out;
 }
 
-std::string FleetView::render_pods() const {
-  std::string out;
-  for (const PodRow& p : pods) {
-    if (p.id < 0) {
-      continue;
-    }
-    out += "pod" + std::to_string(p.id);
-    out += " host=" + std::to_string(p.host);
-    out += " svc=" + service_name(p.service);
-    out += " req=" + std::to_string(p.request_millicpu) + "m/" +
-           std::to_string(p.request_memory);
-    out += " committed=" + std::to_string(p.committed);
-    if (p.samples > 0) {
-      out += " cpu_p50=" + std::to_string(p.cpu_p50_millicpu) + "m";
-      out += " cpu_p95=" + std::to_string(p.cpu_p95_millicpu) + "m";
-      out += " mem_p50=" + std::to_string(p.mem_p50);
-      out += " mem_p95=" + std::to_string(p.mem_p95);
-      out += " burst=" + std::to_string(p.burst_permille);
-      out += " samples=" + std::to_string(p.samples);
-    }
-    if (p.running) {
-      out += " running";
-    } else if (p.in_flight) {
-      out += " in-flight";
-    } else if (p.failed) {
-      out += " failed";
-    } else {
-      out += " stopped";
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 FleetView FleetView::from_hosts(std::vector<HostView> host_views) {
   FleetView view;
   view.hosts = std::move(host_views);
-  view.rebuild_pod_index();
   return view;
 }
 

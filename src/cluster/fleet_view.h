@@ -2,19 +2,17 @@
 // ResourceAssignmentView shape, SNIPPETS.md Snippet 3).
 //
 // Before this object existed, every cluster component — placement, the
-// rebalancer, the failure detector, the router, and all three autoscalers —
-// re-walked host_views() and re-derived its own notion of fleet state.
-// FleetView replaces those walks with one structure-of-arrays snapshot,
-// assembled in the cluster's serial phase:
+// rebalancer, the failure detector and the autoscalers — re-walked
+// host_views() and re-derived its own notion of fleet state. FleetView
+// replaces those walks with one snapshot of per-host rows, assembled in the
+// cluster's serial phase: each host's effective view (capacity, declared
+// ledger, observed slack and free memory, up/cordon state).
 //
-//   hosts   the per-host effective view (capacity, declared ledger, observed
-//           slack and free memory, up/cordon state) — the same HostView rows
-//           the arena always carried;
-//   pods    one flattened row per pod ever created: id, current host,
-//           service, declared requests, committed bytes, and — when a
-//           ProfileStore is attached — usage percentiles and burst shape;
-//   CSR     host_pod_offsets/host_pod_ids, pods grouped by host in id order,
-//           so per-host resident scans are O(residents) not O(pods).
+// Pod facts are not copied: the cluster, the ProfileStore and host memory
+// own them, and a copy goes stale (it would keep a profile the store has
+// since pruned). The snapshot carries read-only references to the cluster's
+// live pods and the attached ProfileStore instead, so a strategy that asks
+// who lives where, at what profiled load, reads the owners directly.
 //
 // The cluster keeps one snapshot and refreshes it in place, like the paper's
 // view: a function of current state, recomputed with no history. Rows of
@@ -26,7 +24,6 @@
 // view preserves the byte-identical-trace contract.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -36,32 +33,8 @@
 
 namespace arv::cluster {
 
+struct Pod;
 class ProfileStore;
-
-/// One flattened pod row. Percentile/burst fields are zero (samples == 0)
-/// until an attached ProfileStore has watched the pod long enough.
-struct PodRow {
-  int id = -1;
-  int host = -1;     ///< current (or in-flight target) host; -1 once stopped
-  int service = -1;  ///< index into FleetView::services
-  // --- declared -------------------------------------------------------------
-  std::int64_t request_millicpu = 0;
-  Bytes request_memory = 0;
-  // --- observed -------------------------------------------------------------
-  Bytes committed = 0;  ///< bytes committed by the pod's cgroup right now
-  std::int64_t cpu_p50_millicpu = 0;
-  std::int64_t cpu_p95_millicpu = 0;
-  Bytes mem_p50 = 0;
-  Bytes mem_p95 = 0;
-  /// Burstiness: cpu p95 / p50 in per-mille (1000 = flat, 3000 = spiky).
-  std::int64_t burst_permille = 0;
-  int samples = 0;  ///< profile window fill; 0 = unprofiled
-  // --- state ----------------------------------------------------------------
-  bool running = false;
-  bool in_flight = false;  ///< mid-migration toward `host`
-  bool failed = false;     ///< crashed, awaiting restart or failover
-  SimTime placed_at = 0;
-};
 
 /// The snapshot object. Cluster::fleet_view() returns the live one; consumers
 /// that place several pods in one round copy it and claim() each landing so
@@ -69,46 +42,27 @@ struct PodRow {
 struct FleetView {
   SimTime at = 0;
   std::vector<HostView> hosts;
-  std::vector<PodRow> pods;  ///< indexed by pod id (rows for stopped pods stay)
-  std::vector<std::string> services;  ///< interned service names
-  // CSR: pods grouped by host. host_pod_ids[host_pod_offsets[h] ..
-  // host_pod_offsets[h+1]) are the ids (ascending) of pods on host h
-  // (running, in flight, or failed-in-place — anything holding a ledger slot).
-  std::vector<int> host_pod_offsets;
-  std::vector<int> host_pod_ids;
-  /// Attached profile store (may be null). Strategies use it for pairwise
-  /// correlation queries the flattened rows cannot carry.
+  /// The cluster's pods, live and indexed by id (stopped pods stay); null in
+  /// from_hosts views. Residents of a host are the pods whose `host` is it.
+  const std::vector<Pod>* pods = nullptr;
+  /// Attached profile store (may be null): per-pod percentiles and the
+  /// pairwise service correlation the "profile" strategy scores on.
   const ProfileStore* profiles = nullptr;
 
   int host_count() const { return static_cast<int>(hosts.size()); }
-  int pod_count() const { return static_cast<int>(pods.size()); }
-  const std::string& service_name(int index) const {
-    static const std::string kUnknown = "?";
-    return index >= 0 && index < static_cast<int>(services.size())
-               ? services[static_cast<std::size_t>(index)]
-               : kUnknown;
-  }
 
   /// Charge a pod that just landed (or will land) on `host` against this
-  /// *working copy*: ledger, observed slack/free-memory, and the pod count —
-  /// plus a synthetic pod row so profile-aware scoring sees the new resident.
+  /// *working copy*: ledger, observed slack/free-memory, and the pod count.
   /// The shared claim the FailureDetector and autoscalers used to hand-roll.
-  void claim(int host, const PodSpec& spec);
+  void claim(int host, const container::K8sResources& resources);
 
   /// Deduct only the *observed* axes (slack, free memory) — for pods whose
   /// ledger slot is already counted (in-flight migrations) but whose landing
   /// has not burned a cycle yet.
   void reserve(int host, const container::K8sResources& resources);
 
-  /// Rebuild the CSR index from the pod rows (after edits to `pods`).
-  void rebuild_pod_index();
-
-  /// Intern a service name, returning its index.
-  int intern_service(const std::string& name);
-
-  // --- renders (the /sys/arv/fleet/ file bodies) ----------------------------
+  /// The /sys/arv/fleet/hosts file body.
   std::string render_hosts() const;
-  std::string render_pods() const;
 
   /// Test/bench constructor: wrap hand-built host views (no pods, no
   /// profiles) so strategies can be driven without a Cluster.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/cluster/cluster.h"
 #include "src/cluster/fleet_view.h"
 #include "src/cluster/profile.h"
 
@@ -117,26 +118,33 @@ class ProfileStrategy final : public PlacementStrategy {
     const std::vector<HostView>& hosts = fleet.hosts;
     const std::string& service = pod.service_name();
 
-    // One O(pods) pass: per-host projected p95 load and resident services.
-    // A row counts while it holds capacity on its host — running, in flight,
-    // or synthetically claimed by an earlier decision in the same round.
+    // One O(pods) pass over the live pods: per-host projected p95 load and
+    // resident services. A pod counts while it holds capacity on its host —
+    // running or in flight.
     std::vector<std::int64_t> projected(hosts.size(), 0);
-    std::vector<std::vector<int>> residents(hosts.size());
+    std::vector<std::vector<const std::string*>> residents(hosts.size());
     std::int64_t incoming_p95_sum = 0;
     int incoming_profiled = 0;
-    for (const PodRow& row : fleet.pods) {
-      if (row.samples > 0 && service == fleet.service_name(row.service)) {
-        incoming_p95_sum += row.cpu_p95_millicpu;
+    const std::vector<Pod> no_pods;
+    for (const Pod& resident : fleet.pods != nullptr ? *fleet.pods : no_pods) {
+      const PodProfile profile = fleet.profiles != nullptr
+                                     ? fleet.profiles->profile(resident.id)
+                                     : PodProfile{};
+      const std::string& resident_service = resident.spec.service_name();
+      if (profile.samples > 0 && service == resident_service) {
+        incoming_p95_sum += profile.cpu_p95_millicpu;
         ++incoming_profiled;
       }
-      if (row.host < 0 || row.host >= static_cast<int>(hosts.size()) ||
-          !(row.running || row.in_flight)) {
+      if (resident.host < 0 ||
+          resident.host >= static_cast<int>(hosts.size()) ||
+          !(resident.running() || resident.in_flight())) {
         continue;
       }
-      const std::size_t h = static_cast<std::size_t>(row.host);
-      projected[h] +=
-          row.samples > 0 ? row.cpu_p95_millicpu : row.request_millicpu;
-      residents[h].push_back(row.service);
+      const std::size_t h = static_cast<std::size_t>(resident.host);
+      projected[h] += profile.samples > 0
+                          ? profile.cpu_p95_millicpu
+                          : resident.spec.resources.request_millicpu;
+      residents[h].push_back(&resident_service);
     }
     // The incoming pod's expected p95: the mean over profiled replicas of
     // its own service anywhere in the fleet, else its declared request.
@@ -166,13 +174,13 @@ class ProfileStrategy final : public PlacementStrategy {
       // Anti-colocation penalty: the worst resident decides. Same service is
       // perfectly correlated by construction (shared arrival stream).
       std::int64_t penalty = 0;
-      for (const int svc : residents[i]) {
+      for (const std::string* resident_service : residents[i]) {
         std::int64_t corr = 0;
-        if (service == fleet.service_name(svc)) {
+        if (service == *resident_service) {
           corr = 1000;
         } else if (fleet.profiles != nullptr) {
           corr = fleet.profiles->service_correlation_permille(
-              service, fleet.service_name(svc));
+              service, *resident_service);
         }
         penalty = std::max(penalty, corr);
       }

@@ -22,8 +22,8 @@
 //                on a cold fleet.
 //
 // Strategies decide from one shared FleetView snapshot (fleet_view.h) rather
-// than a bare host array, so a strategy may consult per-pod rows (who already
-// lives where, at what profiled load) as well as per-host headroom.
+// than a bare host array, so a strategy may consult the live pods (who
+// already lives where) and their profiles as well as per-host headroom.
 #pragma once
 
 #include <memory>

@@ -134,9 +134,6 @@ void ProfileStore::tick(SimTime /*now*/, SimDuration dt) {
       series.pop_front();
     }
   }
-  // New percentiles are now visible; the next FleetView refresh must re-read
-  // the rows even if nothing else in the fleet moved.
-  cluster_.invalidate_fleet_view();
 }
 
 void ProfileStore::recompute(PodTrack& track) {

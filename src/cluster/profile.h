@@ -20,10 +20,10 @@
 // usage shape is a property of the workload, not the host). Profiles for
 // stopped pods are pruned.
 //
-// The Cluster copies the cached percentiles into FleetView pod rows at every
-// refresh; the "profile" placement strategy and the Rebalancer's victim
-// selection consume them from there, and reach back here only for the
-// pairwise correlation queries flattened rows cannot carry.
+// The store is the only owner of these numbers: the "profile" placement
+// strategy, the Rebalancer's victim selection and /sys/arv/fleet/pods read
+// profile() live (through FleetView::profiles or Cluster::profiles()), so a
+// pruned pod reads as unprofiled at once.
 #pragma once
 
 #include <cstdint>
@@ -41,12 +41,12 @@ struct ProfileConfig {
   SimDuration period = 100 * units::msec;
   /// Sliding-window length, in rounds, over which percentiles are taken.
   int window_rounds = 32;
-  /// Rows report as profiled (samples > 0 consumers act on) only once the
-  /// window holds at least this many rounds; correlation queries likewise.
+  /// Profiles report as profiled (samples > 0 consumers act on) only once
+  /// the window holds at least this many rounds; correlation queries likewise.
   int min_samples = 8;
 };
 
-/// The queryable per-pod result (also copied into FleetView::PodRow).
+/// The queryable per-pod result.
 struct PodProfile {
   std::int64_t cpu_p50_millicpu = 0;
   std::int64_t cpu_p95_millicpu = 0;
@@ -58,8 +58,8 @@ struct PodProfile {
 
 class ProfileStore : public sim::TickComponent {
  public:
-  /// Attaches itself to the cluster (Cluster::attach_profiles) so FleetView
-  /// rows carry the percentiles; detaches on destruction.
+  /// Attaches itself to the cluster (Cluster::attach_profiles) so the fleet
+  /// snapshot points at it; detaches on destruction.
   explicit ProfileStore(Cluster& cluster, ProfileConfig config = {});
   ~ProfileStore() override;
 

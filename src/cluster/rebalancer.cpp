@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/cluster/profile.h"
 #include "src/container/container.h"
 #include "src/sched/fair_scheduler.h"
 #include "src/util/assert.h"
@@ -55,35 +56,34 @@ void Rebalancer::tick(SimTime now, SimDuration dt) {
     }
   }
 
-  // 2. Victim signal. With a ProfileStore attached the fleet rows already
-  //    carry each pod's profiled p95 — no per-round sampling (or baseline
-  //    retention) needed at all. Without one, refresh the per-pod usage
-  //    deltas (who burned CPU this round) every round, not only when
-  //    migrating, so the signal is always warm. Baselines are pruned first:
-  //    only pods holding a *running* fleet row may keep one, so a
-  //    stopped/migrated/crashed pod's entry never outlives the pod.
+  // 2. Victim signal. With a ProfileStore attached it already holds each
+  //    pod's profiled p95 — no per-round sampling (or baseline retention)
+  //    needed at all. Without one, refresh the per-pod usage deltas (who
+  //    burned CPU this round) every round, not only when migrating, so the
+  //    signal is always warm. Baselines are pruned first: only running pods
+  //    may keep one, so a stopped/migrated/crashed pod's entry never
+  //    outlives the pod.
   const FleetView& fleet = cluster_.fleet_view();
-  const bool profiled = cluster_.profiles() != nullptr;
+  const ProfileStore* profiles = cluster_.profiles();
   std::map<int, CpuTime> round_usage;
-  if (!profiled) {
-    std::erase_if(pod_last_usage_, [&fleet](const auto& entry) {
-      return entry.first >= fleet.pod_count() ||
-             !fleet.pods[static_cast<std::size_t>(entry.first)].running;
+  if (profiles == nullptr) {
+    std::erase_if(pod_last_usage_, [this](const auto& entry) {
+      return !cluster_.pod(entry.first).running();
     });
-    for (const PodRow& row : fleet.pods) {
-      if (row.id < 0 || !row.running) {
+    for (int id = 0; id < cluster_.pod_count(); ++id) {
+      const Pod& pod = cluster_.pod(id);
+      if (!pod.running()) {
         continue;
       }
-      const Pod& pod = cluster_.pod(row.id);
       const CpuTime usage = cluster_.host(pod.host).scheduler().total_usage(
           pod.container->cgroup());
-      const auto it = pod_last_usage_.find(row.id);
+      const auto it = pod_last_usage_.find(id);
       // A freshly-landed pod has no baseline; its first round reads as zero
       // rather than as its entire lifetime burn.
-      round_usage[row.id] = it == pod_last_usage_.end()
-                                ? 0
-                                : std::max<CpuTime>(0, usage - it->second);
-      pod_last_usage_[row.id] = usage;
+      round_usage[id] = it == pod_last_usage_.end()
+                            ? 0
+                            : std::max<CpuTime>(0, usage - it->second);
+      pod_last_usage_[id] = usage;
     }
   }
 
@@ -105,21 +105,24 @@ void Rebalancer::tick(SimTime now, SimDuration dt) {
     int victim = -1;
     std::int64_t victim_key = -1;
     std::int64_t victim_burst = -1;
-    for (const PodRow& row : fleet.pods) {
-      if (row.id < 0 || !row.running || row.host != source ||
-          now - row.placed_at < config_.min_residency) {
+    for (int id = 0; id < cluster_.pod_count(); ++id) {
+      const Pod& pod = cluster_.pod(id);
+      if (!pod.running() || pod.host != source ||
+          now - pod.placed_at < config_.min_residency) {
         continue;
       }
       std::int64_t key = 0;
       std::int64_t burst = 0;
-      if (profiled) {
-        key = row.samples > 0 ? row.cpu_p95_millicpu : row.request_millicpu;
-        burst = row.burst_permille;
+      if (profiles != nullptr) {
+        const PodProfile profile = profiles->profile(id);
+        key = profile.samples > 0 ? profile.cpu_p95_millicpu
+                                  : pod.spec.resources.request_millicpu;
+        burst = profile.burst_permille;
       } else {
-        key = round_usage[row.id];
+        key = round_usage[id];
       }
       if (key > victim_key || (key == victim_key && burst > victim_burst)) {
-        victim = row.id;
+        victim = id;
         victim_key = key;
         victim_burst = burst;
       }
@@ -142,10 +145,10 @@ void Rebalancer::tick(SimTime now, SimDuration dt) {
           now < track_[static_cast<std::size_t>(i)].cooldown_until) {
         continue;
       }
-      // The barrier-refreshed arena: same values host_view(i) would build
+      // The snapshot refreshed above: same values host_view(i) would build
       // (nothing the rebalancer mutates before this point changes a view),
       // without re-deriving N views per scan.
-      const HostView& view = cluster_.views()[static_cast<std::size_t>(i)];
+      const HostView& view = fleet.hosts[static_cast<std::size_t>(i)];
       if (view.cordoned) {
         continue;  // the cluster autoscaler is parking or draining it
       }

@@ -88,7 +88,7 @@ void FailureDetector::tick(SimTime /*now*/, SimDuration /*dt*/) {
     ++failovers_initiated_;
     // Charge the refugee against the target's view so the next refugee sees
     // the post-landing headroom, not the snapshot.
-    views.claim(target, pod.spec);
+    views.claim(target, pod.spec.resources);
   }
 }
 

@@ -65,17 +65,12 @@ server::WorkerPoolServer* RequestRouter::sink(int pod_id) const {
 
 void RequestRouter::route_one(SimTime now, CpuTime cost) {
   ++generated_;
-  // Live = the shared fleet snapshot shows the replica running AND its sink
-  // exists right now (not stopped, crashed, or frozen mid-migration). The
-  // snapshot is lazily fresh, so a replica that stopped earlier this round
-  // is already out of rotation here — the router and the control loops act
-  // on the same view of the fleet.
-  const FleetView& fleet = cluster_.fleet_view();
+  // Live = the replica's sink exists right now: a pod has a workload only
+  // while running, so a stopped, crashed or in-flight replica — even one
+  // that stopped earlier this round — is already out of rotation here.
   candidates_.clear();
   for (const int pod : replicas_) {
-    if (pod < fleet.pod_count() &&
-        fleet.pods[static_cast<std::size_t>(pod)].running &&
-        sink(pod) != nullptr) {
+    if (sink(pod) != nullptr) {
       candidates_.push_back(pod);
     }
   }

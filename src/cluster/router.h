@@ -75,10 +75,9 @@ class RequestRouter : public sim::TickComponent {
   void inject(SimTime now, CpuTime cost = 0) { route_one(now, cost); }
 
   /// Batched per-tick injection: `costs[0..n)` requests all arriving `now`,
-  /// each routed exactly as inject() would (every request reads
-  /// cluster.fleet_view(), which rebuilds only if the fleet changed). The
-  /// candidate scratch is pooled, so the batch allocates nothing per request
-  /// (the million-requests-per-sim-day fast path).
+  /// each routed exactly as inject() would. The candidate scratch is pooled,
+  /// so the batch allocates nothing per request (the
+  /// million-requests-per-sim-day fast path).
   void inject_batch(SimTime now, const CpuTime* costs, std::size_t n);
 
   /// Replicas currently enrolled (live or not; rotation never shrinks).

@@ -3,8 +3,9 @@
 // control loops on — replayed with the incremental in-place refresh and with
 // a forced full re-observe every round must produce byte-identical traces
 // *and* byte-identical /sys/arv/fleet/ renders (seed coverage scales with
-// ARV_CHAOS_ITERS); and a serial-phase probe pins that components always
-// read a snapshot standing at cluster time whose rows match ground truth.
+// ARV_CHAOS_ITERS); a serial-phase probe pins that components always read a
+// snapshot standing at cluster time whose host rows match ground truth; and
+// /sys/arv/fleet/pods renders the live pods on every read.
 #include "src/cluster/fleet_view.h"
 
 #include <gtest/gtest.h>
@@ -63,30 +64,20 @@ HostView idle_view(int index, std::int64_t capacity_millicpu = 4000,
 TEST(FleetView, FromHostsWrapsHandBuiltViews) {
   const FleetView fleet = FleetView::from_hosts({idle_view(0), idle_view(1)});
   EXPECT_EQ(fleet.host_count(), 2);
-  EXPECT_EQ(fleet.pod_count(), 0);
   EXPECT_EQ(fleet.hosts[1].index, 1);
-  EXPECT_EQ(fleet.service_name(-1), "?");
+  EXPECT_EQ(fleet.pods, nullptr);
+  EXPECT_EQ(fleet.profiles, nullptr);
 }
 
-TEST(FleetView, ClaimChargesTheHostAndAddsASyntheticRow) {
+TEST(FleetView, ClaimChargesTheHost) {
   FleetView fleet = FleetView::from_hosts({idle_view(0)});
-  PodSpec spec;
-  spec.name = "web-0";
-  spec.service = "web";
-  spec.resources = res(1000, 1 * GiB);
-  fleet.claim(0, spec);
+  fleet.claim(0, res(1000, 1 * GiB));
   const HostView& view = fleet.hosts[0];
   EXPECT_EQ(view.requested_millicpu, 1000);
   EXPECT_EQ(view.requested_memory, 1 * GiB);
   EXPECT_EQ(view.slack_millicpu, 3000);
   EXPECT_EQ(view.free_memory, 7 * GiB);
   EXPECT_EQ(view.pods, 1);
-  ASSERT_EQ(fleet.pod_count(), 1);
-  const PodRow& row = fleet.pods[0];
-  EXPECT_EQ(row.id, -1);  // synthetic: not a real pod yet
-  EXPECT_EQ(row.host, 0);
-  EXPECT_TRUE(row.running);
-  EXPECT_EQ(fleet.service_name(row.service), "web");
 }
 
 TEST(FleetView, ReserveDeductsOnlyObservedAxes) {
@@ -139,6 +130,21 @@ TEST(FleetViewFiles, RenderTheCurrentSnapshot) {
   // Re-reading without a state change renders the same text.
   EXPECT_EQ(fs.read("/sys/arv/fleet/hosts"), hosts);
   EXPECT_EQ(fs.read("/sys/arv/fleet/pods"), pods);
+}
+
+TEST(FleetViewFiles, PodsRenderOnRead) {
+  Cluster cluster;
+  cluster.add_host(small_host());
+  const int pod = cluster.create_pod(0, {"hog", res(500, 512 * MiB)},
+                                     cpu_hog_workload(1, 60 * sec));
+  cluster.run_for(200 * msec);
+  const vfs::PseudoFs& fs = cluster.host(0).sysfs().host_fs();
+  ASSERT_EQ(fs.read("/sys/arv/fleet/pods")->rfind("pod0 host=0 ", 0), 0u);
+  // No step, so no snapshot refresh, between the stop and the read: the
+  // file must still show the pod as it is now.
+  cluster.stop_pod(pod);
+  EXPECT_EQ(fs.read("/sys/arv/fleet/pods"),
+            "pod0 host=-1 svc=hog req=500m/536870912 committed=0 stopped\n");
 }
 
 // --- incremental refresh vs full re-observe ---------------------------------
@@ -221,9 +227,9 @@ SweepResult run_sweep_fleet(std::uint64_t seed, bool full_rebuild_every_round) {
 
   SweepResult result;
   result.trace = cluster.trace()->to_csv();
-  const FleetView& final_view = cluster.fleet_view();
-  result.hosts_render = final_view.render_hosts();
-  result.pods_render = final_view.render_pods();
+  result.hosts_render = cluster.fleet_view().render_hosts();
+  result.pods_render =
+      cluster.host(0).sysfs().host_fs().read("/sys/arv/fleet/pods").value_or("");
   result.rows_reused = cluster.fleet_rows_reused();
   result.migrations = cluster.migrations();
   result.routed = fleet.router()->routed();
@@ -251,8 +257,8 @@ TEST(FleetViewDeterminism, IncrementalRefreshEqualsFullRebuild) {
     full_reused += full.rows_reused;
   }
   // Both runs reuse rows at refresh boundaries (the exact counts differ —
-  // the spy's mid-round rebuild absorbs profile invalidations the plain run
-  // pays for at its next boundary); what matters is the path is exercised.
+  // the spy forces a rebuild every round); what matters is the path is
+  // exercised.
   EXPECT_GT(incremental_reused, 0u);
   EXPECT_GT(full_reused, 0u);
 }
@@ -260,10 +266,9 @@ TEST(FleetViewDeterminism, IncrementalRefreshEqualsFullRebuild) {
 // --- serial-phase contract ----------------------------------------------------
 
 /// Registered before the fault machinery: at every component round the
-/// snapshot must stand exactly at cluster time, list every host, carry a
-/// well-formed CSR index, and agree row by row with the cluster's ground
-/// truth — even right before a crash lands, and for every row the in-place
-/// refresh left alone.
+/// snapshot must stand exactly at cluster time, list every host, and agree
+/// row by row with the cluster's ground truth — even right before a crash
+/// lands, and for every row the in-place refresh left alone.
 class SnapshotProbe final : public sim::TickComponent {
  public:
   explicit SnapshotProbe(Cluster& cluster) : cluster_(cluster) {}
@@ -273,28 +278,10 @@ class SnapshotProbe final : public sim::TickComponent {
     const FleetView& fleet = cluster_.fleet_view();
     EXPECT_EQ(fleet.at, now);
     EXPECT_EQ(fleet.host_count(), cluster_.host_count());
-    EXPECT_EQ(fleet.pod_count(), cluster_.pod_count());
-    ASSERT_EQ(fleet.host_pod_offsets.size(),
-              static_cast<std::size_t>(fleet.host_count() + 1));
-    for (int h = 0; h < fleet.host_count(); ++h) {
-      for (int i = fleet.host_pod_offsets[static_cast<std::size_t>(h)];
-           i < fleet.host_pod_offsets[static_cast<std::size_t>(h) + 1]; ++i) {
-        const int pod = fleet.host_pod_ids[static_cast<std::size_t>(i)];
-        EXPECT_EQ(fleet.pods[static_cast<std::size_t>(pod)].host, h);
-      }
-    }
     for (int h = 0; h < fleet.host_count(); ++h) {
       EXPECT_TRUE(fleet.hosts[static_cast<std::size_t>(h)] ==
                   cluster_.host_view(h))
           << "host " << h << " at " << now;
-    }
-    for (int id = 0; id < fleet.pod_count(); ++id) {
-      const PodRow& row = fleet.pods[static_cast<std::size_t>(id)];
-      const Pod& pod = cluster_.pod(id);
-      EXPECT_EQ(row.host, pod.host) << "pod " << id << " at " << now;
-      EXPECT_EQ(row.running, pod.running()) << "pod " << id << " at " << now;
-      EXPECT_EQ(row.in_flight, pod.in_flight()) << "pod " << id << " at " << now;
-      EXPECT_EQ(row.failed, pod.failed) << "pod " << id << " at " << now;
     }
   }
   std::string name() const override { return "test.snapshot_probe"; }
@@ -330,7 +317,7 @@ TEST(FleetViewDeterminism, SnapshotIsCoherentEveryRoundUnderFaults) {
   plan.add({FaultEvent::Kind::kPodCrash, 200 * msec, -1, 0, 0, 0, 0});
   plan.add({FaultEvent::Kind::kHostCrash, 300 * msec, 1, -1, 500 * msec, 0, 0});
   fleet.enable_faults(plan);
-  // A pod stopped mid-run leaves its host: its row must follow it off.
+  // A pod stopped mid-run leaves its host: the host row must lose it.
   const int hog = cluster.create_pod(2, {"hog", res(500, 512 * MiB)},
                                      cpu_hog_workload(1, 60 * sec));
   fleet.run(1 * sec);

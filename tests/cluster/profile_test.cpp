@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/cluster/cluster.h"
 #include "src/cluster/fleet_view.h"
 #include "src/cluster/placement.h"
@@ -276,6 +279,51 @@ TEST(ProfileStrategy, AvoidsTheHostOfACorrelatedService) {
       << "correlated host 0 and same-service host 2 must both be avoided";
 }
 
+TEST(ProfileStrategy, PrunedProfilesNoLongerSizeANewReplica) {
+  // Host 0 has 4 CPUs and 8 GiB, host 1 has 8 CPUs and only 2 GiB. Two "web"
+  // replicas run as three-thread hogs (~3000m p95), then stop, and the store
+  // prunes them. A new replica must then be sized from its 500m request:
+  // host 0's CPU headroom (875) beats host 1's memory-bound score (~750).
+  // Sized from the stopped replicas' ~3000m p95 instead, host 0 would drop
+  // to ~250 and the replica would land on host 1.
+  harness::FleetScenario fleet;
+  fleet.add_host(small_host(4, 8 * GiB));
+  fleet.add_host(small_host(8, 2 * GiB));
+  fleet.enable_profiles(fast_profiles());
+  Cluster& cluster = fleet.cluster();
+  std::vector<int> replicas;
+  for (int h = 0; h < 2; ++h) {
+    PodSpec spec;
+    spec.name = "web-" + std::to_string(h);
+    spec.service = "web";
+    spec.resources = res(500, 256 * MiB);
+    replicas.push_back(
+        cluster.create_pod(h, spec, cpu_hog_workload(3, 1000 * sec)));
+  }
+  fleet.run(1 * sec);
+  for (const int pod : replicas) {
+    ASSERT_GT(fleet.profiles()->profile(pod).cpu_p95_millicpu, 2000);
+    cluster.stop_pod(pod);
+  }
+  fleet.run(300 * msec);
+  for (const int pod : replicas) {
+    EXPECT_EQ(fleet.profiles()->profile(pod).samples, 0);
+  }
+  const auto pods =
+      cluster.host(0).sysfs().host_fs().read("/sys/arv/fleet/pods");
+  ASSERT_TRUE(pods.has_value());
+  EXPECT_EQ(pods->find("samples="), std::string::npos)
+      << "pruned pods must show no percentiles:\n" << *pods;
+
+  PodSpec next;
+  next.name = "web-2";
+  next.service = "web";
+  next.resources = res(500, 512 * MiB);
+  const int placed = fleet.scheduler().place("profile", next);
+  ASSERT_GE(placed, 0);
+  EXPECT_EQ(cluster.pod(placed).host, 0);
+}
+
 // --- the rebalancer's profiled victim ----------------------------------------
 
 TEST(Rebalancer, EvictsTheProfiledHotPodNotTheBigRequest) {
@@ -356,10 +404,12 @@ TEST(FleetScenario, PlacementDefaultAndProfileKnobs) {
   ASSERT_GE(b, 0);
   fleet.run(500 * msec);
   EXPECT_GT(fleet.profiles()->rounds(), 0u);
-  // Rows in the shared snapshot carry the profiled percentiles.
+  // The shared snapshot points at the live pods and the profile store.
   const FleetView& view = fleet.cluster().fleet_view();
-  EXPECT_GT(view.pods[static_cast<std::size_t>(b)].samples, 0);
   EXPECT_EQ(view.profiles, fleet.profiles());
+  ASSERT_NE(view.pods, nullptr);
+  EXPECT_EQ(static_cast<int>(view.pods->size()), fleet.cluster().pod_count());
+  EXPECT_GT(view.profiles->profile(b).samples, 0);
 }
 
 }  // namespace
