@@ -44,8 +44,7 @@ void ablation_view_modes() {
                            [&](int, container::ContainerConfig& config) {
                              config.cfs_quota_us = 1000000;  // 10 cores
                              config.enable_resource_view = view;
-                             config.view_params.cpu_policy = policy;
-                             config.view_params.mem_policy = policy;
+                             config.view_params.policy = policy;
                            })
           .mean_exec_s;
     };

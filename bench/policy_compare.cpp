@@ -43,8 +43,7 @@ ColocatedResult run_fig6_shape(const jvm::JavaWorkload& w,
   jvm::JvmFlags flags{.kind = jvm::JvmKind::kAdaptive, .xmx = paper_xmx(w)};
   return run_colocated(w, flags, 5,
                        [&](int, container::ContainerConfig& config) {
-                         config.view_params.cpu_policy = policy;
-                         config.view_params.mem_policy = policy;
+                         config.view_params.policy = policy;
                        },
                        7200 * sec, "policy_fig6_" + policy);
 }
@@ -61,7 +60,7 @@ void run_fig8_shape(const jvm::JavaWorkload& w, const std::string& policy,
   config.flags.dynamic_gc_threads = false;  // the view is the only bound
   config.flags.xmx = paper_xmx(w);
   config.workload = w;
-  config.use_policy(policy);
+  config.container.view_params.policy = policy;
   const auto idx = scenario.add(config);
   scenario.run(7200 * sec);
   const auto view = scenario.runtime().find("dacapo")->resource_view();

@@ -62,7 +62,6 @@ HorizontalAutoscaler::HorizontalAutoscaler(Cluster& cluster,
       template_(replica_defaults(std::move(replica_template))),
       web_(web),
       config_(config),
-      strategy_(make_strategy("effective")),
       telemetry_(cluster, "autoscale/" + template_.name) {
   ARV_ASSERT(config_.period > 0);
   ARV_ASSERT(config_.min_replicas >= 0);
@@ -136,7 +135,9 @@ std::int64_t HorizontalAutoscaler::effective_millicpu_per_replica() const {
 int HorizontalAutoscaler::place_replica(FleetView& views) {
   PodSpec spec = template_;
   spec.name = template_.name + "-" + std::to_string(created_);
-  const int target = strategy_->select(spec, views, cluster_.rng());
+  // "effective": new replicas land on observed headroom.
+  const int target =
+      select_host(Strategy::kEffective, spec, views, cluster_.rng());
   if (target < 0) {
     return -1;
   }
@@ -382,7 +383,6 @@ void VerticalRecommender::recommend(Pod& pod, PodTrack& track) {
 ClusterAutoscaler::ClusterAutoscaler(Cluster& cluster, CaConfig config)
     : cluster_(cluster),
       config_(config),
-      strategy_(make_strategy("effective")),
       telemetry_(cluster, "autoscale/cluster") {
   ARV_ASSERT(config_.period > 0);
   ARV_ASSERT(config_.min_hosts >= 1);
@@ -428,7 +428,9 @@ void ClusterAutoscaler::continue_drain(SimTime now) {
     if (pod.host != draining_ || !pod.running()) {
       continue;
     }
-    const int target = strategy_->select(pod.spec, views, cluster_.rng());
+    // "effective": drained pods land on observed headroom.
+    const int target =
+        select_host(Strategy::kEffective, pod.spec, views, cluster_.rng());
     if (target < 0) {
       ++deferred_;  // nowhere to put it this round; drain stays open
       continue;

@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -110,8 +109,6 @@ class HorizontalAutoscaler : public sim::TickComponent {
   PodSpec template_;
   server::WebConfig web_;
   HpaConfig config_;
-  /// "effective": new replicas land on observed headroom.
-  std::unique_ptr<PlacementStrategy> strategy_;
   std::vector<int> managed_;  ///< pod ids, in creation order
   std::uint64_t last_generated_ = 0;
   int last_desired_ = 0;
@@ -243,8 +240,6 @@ class ClusterAutoscaler : public sim::TickComponent {
 
   Cluster& cluster_;
   CaConfig config_;
-  /// "effective": drained pods land on observed headroom.
-  std::unique_ptr<PlacementStrategy> strategy_;
   int draining_ = -1;
   int low_rounds_ = 0;
   int high_rounds_ = 0;

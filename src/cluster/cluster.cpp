@@ -236,8 +236,7 @@ void Cluster::land_pod(Pod& pod) {
   container::ContainerConfig cgroup_config = container::pod_container(
       pod.spec.name, pod.spec.resources, pod.spec.enable_view);
   if (!pod.spec.view_policy.empty()) {
-    cgroup_config.view_params.cpu_policy = pod.spec.view_policy;
-    cgroup_config.view_params.mem_policy = pod.spec.view_policy;
+    cgroup_config.view_params.policy = pod.spec.view_policy;
   }
   if (pod.spec.cpu_mode == CpuMode::kBurstable) {
     // Throttle-free mode: keep the shares weight, never set a CFS quota.

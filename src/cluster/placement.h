@@ -5,7 +5,7 @@
 // show diverges from what a container can actually use. ARC-V
 // (arXiv:2505.02964) and C-Balancer (arXiv:2009.08912) argue placement should
 // instead consume the observed effective capacity. Three strategies cover
-// both ends of that argument, selected per placement call by name:
+// both ends of that argument, selected per placement call:
 //
 //   "requests"   kube-scheduler-style bin-packing on K8sResources requests —
 //                the baseline every real cluster runs today. Feasibility and
@@ -24,9 +24,12 @@
 // Strategies decide from one shared FleetView snapshot (fleet_view.h) rather
 // than a bare host array, so a strategy may consult the live pods (who
 // already lives where) and their profiles as well as per-host headroom.
+// Names are parsed only where they enter (ClusterScheduler::place/place_all,
+// the FleetScenario harness); HPA, the cluster autoscaler and the failure
+// detector call select_host(Strategy::kEffective, ...) directly.
 #pragma once
 
-#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -106,35 +109,28 @@ struct HostView {
 
 struct FleetView;
 
-class PlacementStrategy {
- public:
-  virtual ~PlacementStrategy() = default;
-
-  /// The name this instance was created under (see make_strategy).
-  virtual std::string name() const = 0;
-
-  /// Batch-ordering rank: in place_all, pods place in ascending rank (stable
-  /// within a rank, so submission order breaks rank ties). The default ranks
-  /// everything 0; "requests" ranks by QoS class so BestEffort pods pack
-  /// last, mirroring how kube-scheduler's queue orders contenders.
-  virtual int queue_rank(const PodSpec& pod) const;
-
-  /// Choose a host for `pod`, or -1 when no host fits. `fleet` is the shared
-  /// cluster snapshot (fleet.hosts for headroom, fleet.pods for residents).
-  /// `rng` breaks score ties (kube-scheduler also picks randomly among
-  /// equal-score hosts); a strategy must consume randomness only for ties so
-  /// placement stays deterministic under a fixed seed.
-  virtual int select(const PodSpec& pod, const FleetView& fleet,
-                     Rng& rng) const = 0;
+/// The three placement strategies (see the file comment).
+enum class Strategy {
+  kRequests,
+  kEffective,
+  kProfile,
 };
 
-/// Instantiate the named strategy ("requests", "effective" or "profile");
-/// nullptr for any other name.
-std::unique_ptr<PlacementStrategy> make_strategy(std::string_view name);
+/// The strategy named "requests", "effective" or "profile"; nullopt for any
+/// other name.
+std::optional<Strategy> parse_strategy(std::string_view name);
+
+/// Choose a host for `pod` under `strategy`, or -1 when no host fits.
+/// `fleet` is the shared cluster snapshot (fleet.hosts for headroom,
+/// fleet.pods for residents). `rng` breaks score ties (kube-scheduler also
+/// picks randomly among equal-score hosts); randomness is consumed only for
+/// ties so placement stays deterministic under a fixed seed.
+int select_host(Strategy strategy, const PodSpec& pod, const FleetView& fleet,
+                Rng& rng);
 
 /// Pick uniformly among the feasible hosts with the highest score (ties are
 /// what kube-scheduler randomizes). `scores` uses < 0 for infeasible hosts.
-/// Returns -1 when every host is infeasible. Shared by the built-ins.
+/// Returns -1 when every host is infeasible. Shared by the three strategies.
 int pick_best(const std::vector<std::int64_t>& scores, Rng& rng);
 
 /// part/whole in per-mille, clamped to [0, 1000]. Widens through 128-bit so

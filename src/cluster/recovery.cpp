@@ -13,11 +13,9 @@ namespace arv::cluster {
 
 FailureDetector::FailureDetector(Cluster& cluster, DetectorConfig config)
     : cluster_(cluster),
-      config_(config),
-      strategy_(make_strategy(config.strategy)) {
+      config_(config) {
   ARV_ASSERT(config_.period > 0);
   ARV_ASSERT(config_.miss_threshold >= 1);
-  ARV_ASSERT_MSG(strategy_ != nullptr, "unknown placement strategy");
   track_.resize(static_cast<std::size_t>(cluster_.host_count()));
 }
 
@@ -52,8 +50,9 @@ void FailureDetector::tick(SimTime /*now*/, SimDuration /*dt*/) {
   }
 
   // 2. Evacuate: every failed pod stranded on a declared-dead host goes to
-  //    the strategy's best up host. The fleet view is copied once and then
-  //    *adjusted in place* (FleetView::claim) as refugees land. Re-reading
+  //    the "effective" strategy's best up host (refugees go toward observed
+  //    headroom). The fleet view is copied once and then *adjusted in
+  //    place* (FleetView::claim) as refugees land. Re-reading
   //    fleet_view() after each failover — the old behaviour — is worse than
   //    useless here: the refugee has not burned a cycle yet, so the fresh
   //    read restores the target's pre-landing observed slack/free-memory and
@@ -77,7 +76,8 @@ void FailureDetector::tick(SimTime /*now*/, SimDuration /*dt*/) {
         !track_[static_cast<std::size_t>(pod.host)].declared) {
       continue;
     }
-    const int target = strategy_->select(pod.spec, views, cluster_.rng());
+    const int target =
+        select_host(Strategy::kEffective, pod.spec, views, cluster_.rng());
     if (target < 0) {
       ++deferred_;
       continue;

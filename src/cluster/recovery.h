@@ -5,8 +5,8 @@
 //     deterministic core: one observation round per `period`; a host that is
 //     down for `miss_threshold` consecutive rounds is *declared* dead, and
 //     from then until it comes back every failed pod stranded on it is
-//     failed over to the best up host the placement strategy will accept
-//     (retried each round while no host fits). Waiting M rounds instead of
+//     failed over to the best up host the "effective" placement strategy
+//     will accept (retried each round while no host fits). Waiting M rounds instead of
 //     reacting instantly is what separates a crash from a blip — a host
 //     that reboots inside the window keeps its pods for the cheaper
 //     restart-in-place path.
@@ -24,7 +24,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -38,9 +38,6 @@ struct DetectorConfig {
   SimDuration period = 100 * units::msec;
   /// Consecutive missed rounds before a host is declared dead.
   int miss_threshold = 3;
-  /// Placement strategy used to choose failover targets ("effective" routes
-  /// refugees toward observed headroom; "requests" packs declared numbers).
-  std::string strategy = "effective";
 };
 
 class FailureDetector : public sim::TickComponent {
@@ -73,7 +70,6 @@ class FailureDetector : public sim::TickComponent {
 
   Cluster& cluster_;
   DetectorConfig config_;
-  std::unique_ptr<PlacementStrategy> strategy_;
   std::vector<HostTrack> track_;
   std::uint64_t declarations_ = 0;
   std::uint64_t failovers_initiated_ = 0;

@@ -1,13 +1,11 @@
-// ClusterScheduler — places pods on a Cluster through a named
-// PlacementStrategy (kube-scheduler analogue).
+// ClusterScheduler — places pods on a Cluster through a named placement
+// strategy (kube-scheduler analogue).
 //
-// One instance caches the strategy objects it has made by name and keeps
-// the unschedulable tally; the declared-request ledger lives in the Cluster
-// so the rebalancer and migrations keep it consistent.
+// The scheduler parses the strategy name and keeps the unschedulable tally;
+// the declared-request ledger lives in the Cluster so the rebalancer and
+// migrations keep it consistent.
 #pragma once
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,26 +18,25 @@ class ClusterScheduler {
  public:
   explicit ClusterScheduler(Cluster& cluster) : cluster_(cluster) {}
 
-  /// Place one pod with the named strategy. Returns the pod id, or -1 when
-  /// no host is feasible (the pod stays unscheduled — kube would park it in
-  /// the pending queue; we count it and drop it).
+  /// Place one pod with the named strategy ("requests", "effective" or
+  /// "profile"; any other name is an assertion failure). Returns the pod id,
+  /// or -1 when no host is feasible (the pod stays unscheduled — kube would
+  /// park it in the pending queue; we count it and drop it).
   int place(const std::string& strategy, PodSpec spec,
             WorkloadFactory factory = {});
 
-  /// Batch placement without workloads (placement studies): pods place in
-  /// the strategy's queue_rank order — "requests" ranks by QoS class,
-  /// BestEffort last, mirroring kube-scheduler's queue. Returns one pod id
-  /// (or -1) per *submitted* pod, in submission order.
+  /// Batch placement without workloads (placement studies). Under
+  /// "requests" pods place in QoS-class order, BestEffort last, mirroring
+  /// kube-scheduler's queue (stable, so submission order breaks ties); the
+  /// other strategies place in submission order. Returns one pod id (or -1)
+  /// per *submitted* pod, in submission order.
   std::vector<int> place_all(const std::string& strategy,
                              std::vector<PodSpec> specs);
 
   std::uint64_t unschedulable() const { return unschedulable_; }
 
  private:
-  PlacementStrategy& strategy(const std::string& name);
-
   Cluster& cluster_;
-  std::map<std::string, std::unique_ptr<PlacementStrategy>> strategies_;
   std::uint64_t unschedulable_ = 0;
 };
 

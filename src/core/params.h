@@ -1,7 +1,7 @@
 // Tunables of the adaptive resource view, with the paper's defaults.
 //
 // Params travel with the container (ContainerConfig::view_params): the
-// policy *names* select which adaptation policy the container runs (see
+// policy *name* selects how the container's view adapts (see
 // src/core/policy.h) and the knobs parameterize the "paper" policy. Both are
 // runtime-writable through the /sys/arv/policy/<container>/ pseudo-files;
 // writes that fail valid() are rejected with a write error, never silently
@@ -16,12 +16,11 @@
 namespace arv::core {
 
 struct Params {
-  /// Names of the per-container adaptation policies (core::kPolicyNames).
-  /// The paper's Algorithms 1/2 ("paper") are the default; "static"
-  /// reproduces the LXCFS / cgroup-namespace behaviour of §1 (export the
-  /// administrator-set limits, never react to allocation).
-  std::string cpu_policy = "paper";
-  std::string mem_policy = "paper";
+  /// The container's adaptation policy (core::kPolicyNames), for CPU and
+  /// memory alike. The paper's Algorithms 1/2 ("paper") are the default;
+  /// "static" reproduces the LXCFS / cgroup-namespace behaviour of §1
+  /// (export the administrator-set limits, never react to allocation).
+  std::string policy = "paper";
 
   /// Algorithm 1's UTIL_THRSHD: grow effective CPU when window utilization
   /// of the current effective CPUs exceeds this (paper: 95%).

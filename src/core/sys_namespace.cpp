@@ -6,71 +6,69 @@
 #include "src/util/log.h"
 
 namespace arv::core {
+namespace {
+
+bool known_policy(std::string_view name) {
+  return std::find(kPolicyNames.begin(), kPolicyNames.end(), name) !=
+         kPolicyNames.end();
+}
+
+}  // namespace
 
 SysNamespace::SysNamespace(cgroup::CgroupId cgroup, Params params)
     : proc::Namespace(Kind::kSys), cgroup_(cgroup), params_(std::move(params)) {
   ARV_ASSERT(params_.valid());
-  cpu_policy_ = make_cpu_policy(params_.cpu_policy, params_);
-  mem_policy_ = make_mem_policy(params_.mem_policy, params_);
-  ARV_ASSERT(cpu_policy_ != nullptr);
-  ARV_ASSERT(mem_policy_ != nullptr);
+  ARV_ASSERT(known_policy(params_.policy));
 }
 
-SysNamespace::~SysNamespace() = default;
-
-bool SysNamespace::set_cpu_policy(const std::string& name) {
-  auto next = make_cpu_policy(name, params_);
-  if (next == nullptr) {
+bool SysNamespace::set_policy(const std::string& name) {
+  if (!known_policy(name)) {
     return false;
   }
-  params_.cpu_policy = name;
-  cpu_policy_ = std::move(next);
-  // Re-derive immediately: a switch to "static" must pin to the upper bound
-  // now, not at the next cgroup event.
-  apply_cpu_bounds();
-  return true;
-}
-
-bool SysNamespace::set_mem_policy(const std::string& name) {
-  auto next = make_mem_policy(name, params_);
-  if (next == nullptr) {
-    return false;
-  }
-  params_.mem_policy = name;
-  mem_policy_ = std::move(next);
-  if (hard_limit_ > 0) {
-    apply_mem_limits();
-  }
+  params_.policy = name;
+  restart();
   return true;
 }
 
 bool SysNamespace::set_params(const Params& next) {
-  if (!next.valid()) {
-    return false;
-  }
-  auto cpu = make_cpu_policy(next.cpu_policy, next);
-  auto mem = make_mem_policy(next.mem_policy, next);
-  if (cpu == nullptr || mem == nullptr) {
+  if (!next.valid() || !known_policy(next.policy)) {
     return false;
   }
   params_ = next;
-  cpu_policy_ = std::move(cpu);
-  mem_policy_ = std::move(mem);
+  restart();
+  return true;
+}
+
+void SysNamespace::restart() {
+  prev_free_.reset();
+  prev_usage_.reset();
+  // Re-derive immediately: a switch to "static" must pin to the limits now,
+  // not at the next cgroup event.
   apply_cpu_bounds();
   if (hard_limit_ > 0) {
     apply_mem_limits();
   }
-  return true;
 }
 
 void SysNamespace::apply_cpu_bounds() {
-  const CpuDecision d = cpu_policy_->on_bounds(bounds_, e_cpu_);
-  e_cpu_ = std::clamp(d.e_cpu, bounds_.lower, bounds_.upper);
+  // "static" exports the administrator-set limit (quota/cpuset), nothing
+  // else. "paper" initializes to LOWER at creation (Algorithm 1, line 6:
+  // e_cpu_ starts at 1, below every lower bound) and later keeps its
+  // adaptive state, clamped into the new range.
+  e_cpu_ = std::clamp(is_static() ? bounds_.upper : e_cpu_, bounds_.lower,
+                      bounds_.upper);
 }
 
 void SysNamespace::apply_mem_limits() {
-  const MemDecision d = mem_policy_->on_limits(mem_bounds(), e_mem_);
-  e_mem_ = std::clamp(d.e_mem, soft_limit_, hard_limit_);
+  // "static" pins to the hard limit on *every* refresh — a runtime
+  // `memory.limit_in_bytes` update must re-pin, exactly like LXCFS following
+  // `docker update`. "paper" initializes to the soft limit (Algorithm 2,
+  // line 3) and later re-clamps into the valid range.
+  Bytes next = e_mem_ == 0 ? soft_limit_ : e_mem_;
+  if (is_static()) {
+    next = hard_limit_;
+  }
+  e_mem_ = std::clamp(next, soft_limit_, hard_limit_);
 }
 
 void SysNamespace::refresh_cpu_bounds(const cgroup::Tree& tree) {
@@ -112,11 +110,29 @@ void SysNamespace::update_cpu(const CpuObservation& obs) {
   ARV_ASSERT(obs.window > 0);
   ++cpu_updates_;
   const int before = e_cpu_;
-  const CpuDecision d = cpu_policy_->update(bounds_, obs, before);
-  const int clamped = std::clamp(d.e_cpu, bounds_.lower, bounds_.upper);
-  Decision reason = d.reason;
-  if (clamped != d.e_cpu) {
-    // The static bounds, not the policy, determined the final value.
+  int next = before;
+  Decision reason = Decision::kHeld;
+  if (is_static()) {
+    // The comparator's view never reacts to allocation.
+  } else if (obs.host_has_slack) {
+    // Lines 9-12: grow while the container saturates its effective CPUs
+    // and the host has idle capacity it could soak up (work conservation).
+    const double capacity =
+        static_cast<double>(before) * static_cast<double>(obs.window);
+    if (static_cast<double>(obs.usage) / capacity >
+        params_.cpu_util_threshold) {
+      next = before + params_.cpu_step;
+      reason = Decision::kGrew;
+    }
+  } else if (before > bounds_.lower) {
+    // Lines 14-15: the host is saturated; back off toward the guaranteed
+    // share so containers converge on an interference-free concurrency.
+    next = before - params_.cpu_step;
+    reason = Decision::kShrank;
+  }
+  const int clamped = std::clamp(next, bounds_.lower, bounds_.upper);
+  if (clamped != next) {
+    // The static bounds, not the algorithm, determined the final value.
     reason = Decision::kClamped;
   } else if (clamped == before &&
              (reason == Decision::kGrew || reason == Decision::kShrank)) {
@@ -133,10 +149,47 @@ void SysNamespace::update_mem(const MemObservation& obs) {
     return;  // limits not initialized yet
   }
   const Bytes before = e_mem_;
-  const MemDecision d = mem_policy_->update(mem_bounds(), obs, before);
-  const Bytes clamped = std::clamp(d.e_mem, soft_limit_, hard_limit_);
-  Decision reason = d.reason;
-  if (clamped != d.e_mem) {
+  Bytes next = before;
+  Decision reason = Decision::kHeld;
+  if (is_static()) {
+    // The comparator's view never reacts to allocation.
+  } else if (obs.free <= obs.low_mark || obs.kswapd_active) {
+    // Lines 13-14: memory shortage — fall back to the reclaim target so the
+    // runtime sheds the memory kswapd is about to steal anyway. The
+    // prediction snapshot re-seeds too, so the next ratio measures from the
+    // shortage window, not from before it.
+    prev_free_ = obs.free;
+    prev_usage_ = obs.usage;
+    next = soft_limit_;
+    reason = Decision::kReset;
+  } else {
+    if (before < hard_limit_ &&
+        static_cast<double>(obs.usage) >
+            params_.mem_use_threshold * static_cast<double>(before)) {
+      // Line 7: step toward the hard limit by 10% of the remaining headroom.
+      const Bytes delta = std::max<Bytes>(
+          units::page,
+          static_cast<Bytes>(static_cast<double>(hard_limit_ - before) *
+                             params_.mem_growth_frac));
+      // Line 9: only grow if the predicted free memory stays above
+      // HIGH_MARK, i.e. growth will not wake kswapd.
+      if (!params_.mem_prediction_gate ||
+          obs.free - predicted_drop(obs, delta) > obs.high_mark) {
+        next = before + delta;
+        reason = Decision::kGrew;
+      }
+    }
+    // End-of-update snapshot. Only taken when usage actually moved: heap
+    // growth is bursty relative to the update period, and a zero-delta
+    // window would collapse the prediction ratio to its default, hiding the
+    // free-memory drain that co-growing containers cause.
+    if (!prev_usage_.has_value() || obs.usage != *prev_usage_) {
+      prev_free_ = obs.free;
+      prev_usage_ = obs.usage;
+    }
+  }
+  const Bytes clamped = std::clamp(next, soft_limit_, hard_limit_);
+  if (clamped != next) {
     reason = Decision::kClamped;
   } else if (clamped == before &&
              (reason == Decision::kGrew || reason == Decision::kShrank)) {
@@ -144,6 +197,20 @@ void SysNamespace::update_mem(const MemObservation& obs) {
   }
   e_mem_ = clamped;
   mem_decisions_.count(reason);
+}
+
+Bytes SysNamespace::predicted_drop(const MemObservation& obs,
+                                   Bytes delta) const {
+  // Scaled by how much free memory moved per byte of container growth over
+  // the previous window. Degenerate windows (container shrank or free
+  // memory grew) presume 1:1.
+  double ratio = 1.0;
+  if (prev_free_.has_value() && prev_usage_.has_value() &&
+      obs.usage > *prev_usage_ && *prev_free_ > obs.free) {
+    ratio = static_cast<double>(*prev_free_ - obs.free) /
+            static_cast<double>(obs.usage - *prev_usage_);
+  }
+  return static_cast<Bytes>(ratio * static_cast<double>(delta));
 }
 
 }  // namespace arv::core

@@ -7,14 +7,15 @@
 // Ns_Monitor drives the periodic updates; the virtual sysfs answers
 // application queries from these values.
 //
-// Since the policy refactor, SysNamespace owns only the static bounds, the
-// effective state, and the decision bookkeeping; *how* the effective values
-// move lives in the pluggable CpuPolicy/MemPolicy instances (policy.h).
-// Policies return unclamped intents; SysNamespace clamps them into the
-// bounds and records the clamp in the per-reason decision counters.
+// As in the paper's sys_namespace, the instance runs the algorithms itself:
+// each update computes an unclamped intent, clamps it into the static
+// bounds, and records why the value moved in per-reason decision counters.
+// The one policy selector (Params::policy) picks "paper" (Algorithms 1/2) or
+// "static" (the LXCFS comparator: E_CPU pinned to UPPER and E_MEM to the
+// hard limit).
 #pragma once
 
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "src/core/params.h"
@@ -26,9 +27,8 @@ namespace arv::core {
 
 class SysNamespace final : public proc::Namespace {
  public:
-  /// `params` must be valid() and name policies from kPolicyNames.
+  /// `params` must be valid() and name a policy from kPolicyNames.
   SysNamespace(cgroup::CgroupId cgroup, Params params);
-  ~SysNamespace() override;
 
   cgroup::CgroupId cgroup() const { return cgroup_; }
 
@@ -41,18 +41,16 @@ class SysNamespace final : public proc::Namespace {
 
   // --- policy management (runtime-writable via /sys/arv/policy/<c>/) -------
   const Params& params() const { return params_; }
-  const std::string& cpu_policy_name() const { return params_.cpu_policy; }
-  const std::string& mem_policy_name() const { return params_.mem_policy; }
+  const std::string& policy_name() const { return params_.policy; }
 
-  /// Swap one policy for a freshly-created instance of `name`, immediately
-  /// re-deriving the effective value under the new policy. False (and no
-  /// change) if `name` is not registered.
-  bool set_cpu_policy(const std::string& name);
-  bool set_mem_policy(const std::string& name);
+  /// Switch the policy to `name`, immediately re-deriving both effective
+  /// values under it; Algorithm 2's prediction snapshot restarts. False
+  /// (and no change) if `name` is not in kPolicyNames.
+  bool set_policy(const std::string& name);
 
-  /// Replace the knob set. Recreates both policies (they capture Params at
-  /// construction), so the prediction state restarts. False (and no
-  /// change) if `next` fails valid() or names an unknown policy.
+  /// Replace the knob set (policy included); the prediction snapshot
+  /// restarts. False (and no change) if `next` fails valid() or names an
+  /// unknown policy.
   bool set_params(const Params& next);
 
   // --- configuration-change hooks (called by Ns_Monitor) -------------------
@@ -62,12 +60,12 @@ class SysNamespace final : public proc::Namespace {
   void refresh_mem_limits(const cgroup::Tree& tree, Bytes total_ram);
 
   // --- periodic updates (called by Ns_Monitor every scheduling period) -----
-  /// One CPU-policy decision (Algorithm 1's lines 8-17 slot), clamped into
+  /// One effective-CPU decision (Algorithm 1, lines 8-17), clamped into
   /// [lower, upper].
   void update_cpu(const CpuObservation& obs);
 
-  /// One memory-policy decision (Algorithm 2's slot), clamped into
-  /// [soft, hard]. No-op until the limits are first refreshed.
+  /// One effective-memory decision (Algorithm 2), clamped into [soft, hard].
+  /// No-op until the limits are first refreshed.
   void update_mem(const MemObservation& obs);
 
   std::uint64_t cpu_updates() const { return cpu_updates_; }
@@ -78,15 +76,20 @@ class SysNamespace final : public proc::Namespace {
   const DecisionCounters& mem_decisions() const { return mem_decisions_; }
 
  private:
+  bool is_static() const { return params_.policy == "static"; }
+  /// Re-derive the exported values after a bounds, limit or policy change
+  /// (container creation included). Not counted as an update.
   void apply_cpu_bounds();
   void apply_mem_limits();
-  MemBounds mem_bounds() const { return {soft_limit_, hard_limit_}; }
+  /// Re-derive both values under the current policy and restart Algorithm
+  /// 2's prediction snapshot (a policy or knob change).
+  void restart();
+  /// Algorithm 2, line 8: the predicted system-free-memory drop if `delta`
+  /// bytes were granted now.
+  Bytes predicted_drop(const MemObservation& obs, Bytes delta) const;
 
   cgroup::CgroupId cgroup_;
   Params params_;
-
-  std::unique_ptr<CpuPolicy> cpu_policy_;
-  std::unique_ptr<MemPolicy> mem_policy_;
 
   CpuBounds bounds_;
   int e_cpu_ = 1;
@@ -94,6 +97,10 @@ class SysNamespace final : public proc::Namespace {
   Bytes soft_limit_ = 0;
   Bytes hard_limit_ = 0;
   Bytes e_mem_ = 0;
+
+  /// Algorithm 2's previous-window snapshot of (cfree, cmem).
+  std::optional<Bytes> prev_free_;
+  std::optional<Bytes> prev_usage_;
 
   std::uint64_t cpu_updates_ = 0;
   std::uint64_t mem_updates_ = 0;

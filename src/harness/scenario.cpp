@@ -111,7 +111,7 @@ int FleetScenario::add_host(container::HostConfig host_config) {
 }
 
 void FleetScenario::use_placement(std::string strategy) {
-  ARV_ASSERT_MSG(cluster::make_strategy(strategy) != nullptr,
+  ARV_ASSERT_MSG(cluster::parse_strategy(strategy).has_value(),
                  "unknown placement strategy");
   default_strategy_ = std::move(strategy);
 }

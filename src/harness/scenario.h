@@ -36,14 +36,6 @@ struct JvmInstanceConfig {
   container::ContainerConfig container;
   jvm::JvmFlags flags;
   jvm::JavaWorkload workload;
-
-  /// Select the same registered adaptation policy for CPU and memory.
-  /// Returns *this for builder-style chaining.
-  JvmInstanceConfig& use_policy(const std::string& policy) {
-    container.view_params.cpu_policy = policy;
-    container.view_params.mem_policy = policy;
-    return *this;
-  }
 };
 
 struct JvmRunResult {
@@ -98,13 +90,6 @@ struct OmpInstanceConfig {
   omp::TeamStrategy strategy = omp::TeamStrategy::kStatic;
   omp::OmpWorkload workload;
   int fixed_threads = 0;
-
-  /// Select the same registered adaptation policy for CPU and memory.
-  OmpInstanceConfig& use_policy(const std::string& policy) {
-    container.view_params.cpu_policy = policy;
-    container.view_params.mem_policy = policy;
-    return *this;
-  }
 };
 
 struct OmpRunResult {
@@ -147,13 +132,12 @@ class FleetScenario {
   int add_host(container::HostConfig host_config = {});
 
   /// Select the placement strategy the strategy-less place_* overloads use
-  /// ("requests", "effective", "profile", or any registered name). The
-  /// initial default is "effective".
+  /// ("requests", "effective" or "profile"; any other name is an assertion
+  /// failure). The initial default is "effective".
   void use_placement(std::string strategy);
 
-  /// Place one pod through the named strategy ("requests", "effective",
-  /// "profile", or any registered name). Returns the pod id, or -1 when
-  /// unschedulable.
+  /// Place one pod through the named strategy ("requests", "effective" or
+  /// "profile"). Returns the pod id, or -1 when unschedulable.
   int place_pod(const std::string& strategy, container::K8sResources resources,
                 cluster::WorkloadFactory factory = {});
   /// Same, through the use_placement() default.

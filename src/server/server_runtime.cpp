@@ -16,7 +16,6 @@ double efficiency(int threads, double granted_cpus, double alpha, double beta) {
 
 void record_latency(RequestStats& stats, SimTime now, SimTime arrival) {
   const SimDuration latency = now - arrival;
-  stats.latency_us.add(static_cast<double>(latency));
   stats.latency_hist.record(latency);
   ++stats.completed;
 }
@@ -33,7 +32,6 @@ void RequestStats::merge(const RequestStats& other) {
   completed += other.completed;
   arrived += other.arrived;
   dropped += other.dropped;
-  latency_us.merge(other.latency_us);
   latency_hist.merge(other.latency_hist);
 }
 

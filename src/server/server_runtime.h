@@ -22,7 +22,6 @@
 #include "src/container/container.h"
 #include "src/sched/fair_scheduler.h"
 #include "src/util/latency_histogram.h"
-#include "src/util/stats.h"
 #include "src/util/types.h"
 
 namespace arv::server {
@@ -41,7 +40,6 @@ struct RequestStats {
   /// bare server counter) so drops survive the archive/merge pipeline that
   /// carries a replica's history across migrations and crashes.
   std::uint64_t dropped = 0;
-  RunningStats latency_us;
   /// Per-request latency distribution. A bounded log-bucket sketch (<= 6.25%
   /// relative error, exact merge) instead of a raw sample vector: at the
   /// workload engine's millions-of-requests scale a full sample log is O(n)

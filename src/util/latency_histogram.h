@@ -13,8 +13,7 @@
 //     (full non-negative int64), so memory is O(1) per stream.
 //   * Mergeable — merge() adds counters element-wise; it is exact,
 //     commutative, and associative, so per-replica histograms can be folded
-//     across migrations, crashes, and fleet-level aggregation in any order
-//     (the same contract RunningStats::merge provides for moments).
+//     across migrations, crashes, and fleet-level aggregation in any order.
 //
 // Everything is integer, so percentiles are bit-identical across platforms
 // — the histogram sits inside the byte-identical-trace

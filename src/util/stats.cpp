@@ -1,59 +1,10 @@
 #include "src/util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/util/assert.h"
 
 namespace arv {
-
-void RunningStats::add(double x) {
-  ++n_;
-  sum_ += x;
-  if (n_ == 1) {
-    mean_ = x;
-    m2_ = 0.0;
-    min_ = x;
-    max_ = x;
-    return;
-  }
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-void RunningStats::reset() { *this = RunningStats{}; }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) {
-    return;
-  }
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  // Chan et al.'s parallel combination of Welford accumulators.
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  mean_ += delta * nb / (na + nb);
-  m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void Ema::add(double sample) {
   if (!primed_) {

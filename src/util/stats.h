@@ -11,33 +11,6 @@
 
 namespace arv {
 
-/// Streaming mean/variance/min/max (Welford's algorithm).
-class RunningStats {
- public:
-  void add(double x);
-  void reset();
-
-  /// Fold another accumulator into this one (parallel/partitioned streams,
-  /// e.g. per-replica request stats aggregated cluster-wide).
-  void merge(const RunningStats& other);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  double variance() const;  ///< Sample variance; 0 when n < 2.
-  double stddev() const;
-  double min() const { return n_ > 0 ? min_ : 0.0; }
-  double max() const { return n_ > 0 ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
 /// Exponentially weighted moving average, the same shape the kernel uses for
 /// /proc/loadavg: next = decay * prev + (1 - decay) * sample.
 class Ema {

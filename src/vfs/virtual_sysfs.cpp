@@ -42,8 +42,8 @@ bool valid_cfs_quota(std::int64_t us) {
   return us > 0 && us <= (std::int64_t{1} << 44) - 1;
 }
 
-/// The adaptation-policy control plane (§ policy layer): per-container
-/// policy selectors and Params knobs, runtime-writable like `docker update`.
+/// The adaptation-policy control plane (DESIGN.md §8): per-container policy
+/// selector and Params knobs, runtime-writable like `docker update`.
 constexpr const char* kPolicyPrefix = "/sys/arv/policy/";
 
 std::optional<std::int64_t> parse_i64(std::string_view text) {
@@ -145,29 +145,19 @@ void VirtualSysfs::register_policy_files(cgroup::CgroupId id,
                                          const std::string& name) {
   const std::string dir = std::string(kPolicyPrefix) + name + "/";
 
-  // The two policy selectors. Reads report the live policy ("none" for a
-  // container without a resource view); writes swap the policy in place and
-  // re-derive the effective value immediately. A write of an unknown
+  // The policy selector. Reads report the live policy ("none" for a
+  // container without a resource view); writes switch the policy in place
+  // and re-derive the effective values immediately. A write of an unknown
   // name is a write error, mirroring `echo bogus > .../scaling_governor`.
   fs_.register_writable(
-      dir + "cpu",
+      dir + "policy",
       [this, id]() -> std::string {
         const auto ns = monitor_.lookup(id);
-        return ns ? ns->cpu_policy_name() + "\n" : "none\n";
+        return ns ? ns->policy_name() + "\n" : "none\n";
       },
       [this, id](std::string_view v) {
         const auto ns = monitor_.lookup(id);
-        return ns != nullptr && ns->set_cpu_policy(std::string(trim(v)));
-      });
-  fs_.register_writable(
-      dir + "mem",
-      [this, id]() -> std::string {
-        const auto ns = monitor_.lookup(id);
-        return ns ? ns->mem_policy_name() + "\n" : "none\n";
-      },
-      [this, id](std::string_view v) {
-        const auto ns = monitor_.lookup(id);
-        return ns != nullptr && ns->set_mem_policy(std::string(trim(v)));
+        return ns != nullptr && ns->set_policy(std::string(trim(v)));
       });
 
   // One validated knob file per Params field. All writes funnel through

@@ -82,7 +82,7 @@ class VirtualSysfs {
  private:
   void build_host_files();
   /// The /sys/arv/policy/<container>/ control directory: the writable
-  /// cpu/mem policy selectors plus one validated file per Params knob.
+  /// policy selector plus one validated file per Params knob.
   void register_policy_files(cgroup::CgroupId id, const std::string& name);
   std::shared_ptr<core::SysNamespace> sys_ns_of(proc::Pid pid) const;
   std::string meminfo_for(Bytes total, Bytes free) const;

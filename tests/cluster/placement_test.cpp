@@ -1,4 +1,4 @@
-// Placement strategies: name lookup, requests-based packing,
+// Placement strategies: name parsing, requests-based packing,
 // QoS-ordered batch placement, and the effective strategy's preference for
 // observed headroom over declared bookkeeping.
 #include "src/cluster/placement.h"
@@ -36,13 +36,12 @@ container::HostConfig small_host(int cpus, Bytes ram) {
 }
 
 TEST(PlacementLookup, BuiltinsRegistered) {
-  for (const char* name : {"requests", "effective", "profile"}) {
-    auto strategy = make_strategy(name);
-    ASSERT_NE(strategy, nullptr) << name;
-    EXPECT_EQ(strategy->name(), name);
-  }
-  EXPECT_EQ(make_strategy("nope"), nullptr);
-  EXPECT_EQ(make_strategy(""), nullptr);
+  EXPECT_EQ(parse_strategy("requests"), Strategy::kRequests);
+  EXPECT_EQ(parse_strategy("effective"), Strategy::kEffective);
+  EXPECT_EQ(parse_strategy("profile"), Strategy::kProfile);
+  EXPECT_EQ(parse_strategy("nope"), std::nullopt);
+  EXPECT_EQ(parse_strategy(""), std::nullopt);
+  EXPECT_EQ(parse_strategy("Effective"), std::nullopt);
 }
 
 TEST(PickBest, SkipsInfeasibleAndIsDeterministic) {
@@ -109,15 +108,28 @@ TEST(RequestsStrategy, BatchPlacesBestEffortLast) {
 }
 
 TEST(RequestsStrategy, QueueRanksFollowQosClasses) {
-  auto strategy = make_strategy("requests");
-  ASSERT_NE(strategy, nullptr);
+  // Pod ids are handed out in placement order, so they reveal the queue:
+  // submitted BestEffort-first, the batch still places Guaranteed, then
+  // Burstable, then BestEffort. Other strategies keep submission order.
   PodSpec guaranteed;
   guaranteed.resources.limit_millicpu = 1000;
   guaranteed.resources.limit_memory = 1 * GiB;
   PodSpec burstable = spec(500, 1 * GiB);
   PodSpec best_effort;  // no requests, no limits
-  EXPECT_LT(strategy->queue_rank(guaranteed), strategy->queue_rank(burstable));
-  EXPECT_LT(strategy->queue_rank(burstable), strategy->queue_rank(best_effort));
+  for (const char* name : {"requests", "effective"}) {
+    SCOPED_TRACE(name);
+    Cluster cluster;
+    cluster.add_host(small_host(8, 16 * GiB));
+    ClusterScheduler scheduler(cluster);
+    const auto placed =
+        scheduler.place_all(name, {best_effort, burstable, guaranteed});
+    ASSERT_EQ(placed.size(), 3u);
+    if (std::string(name) == "requests") {
+      EXPECT_EQ(placed, (std::vector<int>{2, 1, 0}));
+    } else {
+      EXPECT_EQ(placed, (std::vector<int>{0, 1, 2}));
+    }
+  }
 }
 
 TEST(EffectiveStrategy, PrefersObservedIdleOverDeclaredRoom) {
@@ -197,8 +209,6 @@ TEST(EffectiveStrategy, ScoresCorrectlyAtPetabyteCapacities) {
   // Two hand-built views whose *memory* headrooms decide the winner, at a
   // capacity where the old math overflowed. h1 has more free bytes but a
   // tighter CPU bottleneck; h0 must win on min(cpu, mem) headroom.
-  auto strategy = make_strategy("effective");
-  ASSERT_NE(strategy, nullptr);
   HostView h0;
   h0.index = 0;
   h0.capacity_millicpu = 64000;
@@ -212,7 +222,7 @@ TEST(EffectiveStrategy, ScoresCorrectlyAtPetabyteCapacities) {
   Rng rng(1);
   const PodSpec pod = spec(1000, 1 * GiB);
   const FleetView fleet = FleetView::from_hosts({h0, h1});
-  EXPECT_EQ(strategy->select(pod, fleet, rng), 0);
+  EXPECT_EQ(select_host(Strategy::kEffective, pod, fleet, rng), 0);
 }
 
 }  // namespace

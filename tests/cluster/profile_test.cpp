@@ -198,9 +198,7 @@ TEST(ProfileStore, MigrationResetsTheBaselineNotTheWindow) {
 // --- the "profile" placement strategy ----------------------------------------
 
 TEST(ProfileStrategy, RegisteredAndNamed) {
-  auto strategy = make_strategy("profile");
-  ASSERT_NE(strategy, nullptr);
-  EXPECT_EQ(strategy->name(), "profile");
+  EXPECT_EQ(parse_strategy("profile"), Strategy::kProfile);
 }
 
 TEST(ProfileStrategy, SpreadsReplicasOfOneService) {

@@ -92,16 +92,17 @@ TEST(FailureDetector, FastRebootIsABlipNotACrash) {
 TEST(FailureDetector, DefersWhenNoTargetFitsAndRetries) {
   Cluster cluster;
   cluster.add_host(small_host(4, 8 * GiB));
-  cluster.add_host(small_host(1, 1 * GiB));  // too small for the refugee
-  cluster.add_host(small_host(4, 8 * GiB));  // big, but full for now
-  const int filler = cluster.create_pod(2, {"filler", res(3500, 6 * GiB)},
-                                        cpu_hog_workload(1, 60 * sec));
+  cluster.add_host(small_host(1, 1 * GiB));  // too little free memory
+  cluster.add_host(small_host(4, 8 * GiB));  // big, but saturated for now
+  // The filler keeps all four CPUs busy: the failover strategy
+  // ("effective") sees no observed slack on host 2.
+  const int filler = cluster.create_pod(2, {"filler", res(500, 512 * MiB)},
+                                        cpu_hog_workload(4, 60 * sec));
   const int pod = cluster.create_pod(0, {"p", res(3000, 4 * GiB)},
                                      cpu_hog_workload(2, 60 * sec));
   DetectorConfig config;
   config.period = 100 * msec;
   config.miss_threshold = 2;
-  config.strategy = "requests";  // feasibility on declared requests
   FailureDetector detector(cluster, config);
   cluster.add_component(&detector);
   cluster.run_for(100 * msec);

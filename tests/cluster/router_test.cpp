@@ -188,7 +188,7 @@ TEST(FleetScenario, BuildsARunningFleet) {
   EXPECT_EQ(fleet.cluster().now(), 3 * sec);
   const server::RequestStats total = fleet.router()->aggregate();
   EXPECT_GT(total.completed, 500u);
-  EXPECT_GT(total.latency_us.count(), 0u);
+  EXPECT_GT(total.latency_hist.count(), 0u);
   EXPECT_NE(fleet.cluster().trace(), nullptr);
 }
 

@@ -154,8 +154,7 @@ TEST(NsMonitor, StaticViewRegistersButStaysStatic) {
   Fixture f;
   const auto cg = f.tree.create("lxcfs");
   Params params;
-  params.cpu_policy = "static";
-  params.mem_policy = "static";
+  params.policy = "static";
   auto ns = std::make_shared<SysNamespace>(cg, params);
   f.monitor.register_ns(ns);
   EXPECT_EQ(ns->effective_cpus(), 20);  // upper bound = whole host, no limits

@@ -1,5 +1,5 @@
-// The Algorithm 1/2 safety invariants, enforced across *every* registered
-// policy under randomized bounds changes and observations:
+// The Algorithm 1/2 safety invariants, enforced under *every* policy in
+// kPolicyNames under randomized bounds changes and observations:
 //
 //   I1. LOWER <= E_CPU <= UPPER after every refresh and update.
 //   I2. soft <= E_MEM <= hard after every refresh and update.
@@ -32,8 +32,7 @@ struct RandomDriver {
     tree.set_mem_limit(cg, 8 * GiB);
     tree.set_mem_soft_limit(cg, 2 * GiB);
     Params params;
-    params.cpu_policy = policy;
-    params.mem_policy = policy;
+    params.policy = policy;
     auto ns = std::make_shared<SysNamespace>(cg, params);
     ns->refresh_cpu_bounds(tree);
     ns->refresh_mem_limits(tree, kTotalRam);
@@ -101,7 +100,7 @@ TEST(PolicyInvariants, HoldForEveryRegisteredPolicyUnderRandomInputs) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       RandomDriver driver(seed * 7919);
       const auto ns = driver.make(std::string(policy));
-      driver.adaptive = make_mem_policy(policy, Params{})->adaptive();
+      driver.adaptive = policy != "static";
       for (int round = 0; round < 400; ++round) {
         driver.step(*ns);
       }
@@ -124,18 +123,15 @@ TEST(PolicyInvariants, HoldAcrossMidRunPolicySwitches) {
     const auto ns = driver.make("paper");
     for (int round = 0; round < 600; ++round) {
       if (round % 50 == 25) {
-        // Swap to a random policy, CPU and memory independently.
-        const auto& cpu_policy = policies[static_cast<std::size_t>(
+        // Swap to a random policy.
+        const auto& policy = policies[static_cast<std::size_t>(
             driver.rng.uniform_int(0, static_cast<std::int64_t>(policies.size()) - 1))];
-        const auto& mem_policy = policies[static_cast<std::size_t>(
-            driver.rng.uniform_int(0, static_cast<std::int64_t>(policies.size()) - 1))];
-        ASSERT_TRUE(ns->set_cpu_policy(std::string(cpu_policy)));
-        ASSERT_TRUE(ns->set_mem_policy(std::string(mem_policy)));
+        ASSERT_TRUE(ns->set_policy(std::string(policy)));
         // The swap itself must land inside the bounds (e.g. "static" pins to
         // upper/hard immediately; adaptive resumes from the current value).
         driver.check_cpu(*ns);
         driver.check_mem(*ns);
-        driver.adaptive = make_mem_policy(mem_policy, Params{})->adaptive();
+        driver.adaptive = policy != "static";
       }
       driver.step(*ns);
     }

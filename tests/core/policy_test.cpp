@@ -1,6 +1,6 @@
-// Unit tests for the adaptation-policy layer: the name-keyed factories, the
-// decision-reason bookkeeping, and the behavioural contracts of the "paper"
-// and "static" policies as seen through SysNamespace.
+// Unit tests for the adaptation policy: the policy names a SysNamespace
+// accepts, the decision-reason bookkeeping, and the behavioural contracts of
+// the "paper" and "static" policies as seen through SysNamespace.
 #include "src/core/policy.h"
 
 #include <gtest/gtest.h>
@@ -55,37 +55,68 @@ struct Fixture {
   cgroup::Tree tree;
 };
 
-// --- the factories ----------------------------------------------------------
+// --- the policy names ------------------------------------------------------
 
 TEST(PolicyFactory, BuiltinsAreRegistered) {
   ASSERT_EQ(kPolicyNames.size(), 2u);
   EXPECT_EQ(kPolicyNames[0], "paper");
   EXPECT_EQ(kPolicyNames[1], "static");
+  Fixture f;
+  const auto a = f.tree.create("a");
   for (const std::string_view name : kPolicyNames) {
-    EXPECT_NE(make_cpu_policy(name, Params{}), nullptr) << name;
-    EXPECT_NE(make_mem_policy(name, Params{}), nullptr) << name;
+    Params params;
+    params.policy = std::string(name);
+    EXPECT_EQ(f.make(a, params)->policy_name(), name);
   }
 }
 
-TEST(PolicyFactory, UnknownNamesMakeNullptr) {
+TEST(PolicyFactory, UnknownNamesAreRejected) {
+  Fixture f;
+  const auto a = f.tree.create("a");
+  const auto ns = f.make(a);
   for (const char* name : {"bogus", "ewma", "proportional", "", "Paper"}) {
-    EXPECT_EQ(make_cpu_policy(name, Params{}), nullptr) << name;
-    EXPECT_EQ(make_mem_policy(name, Params{}), nullptr) << name;
+    EXPECT_FALSE(ns->set_policy(name)) << name;
+    Params params;
+    params.policy = name;
+    EXPECT_FALSE(ns->set_params(params)) << name;
   }
+  EXPECT_EQ(ns->policy_name(), "paper");
 }
 
 TEST(PolicyFactory, InstancesReportTheirName) {
+  Fixture f;
+  const auto a = f.tree.create("a");
+  const auto ns = f.make(a);
   for (const std::string_view name : kPolicyNames) {
-    EXPECT_EQ(make_cpu_policy(name, Params{})->name(), name);
-    EXPECT_EQ(make_mem_policy(name, Params{})->name(), name);
+    ASSERT_TRUE(ns->set_policy(std::string(name)));
+    EXPECT_EQ(ns->policy_name(), name);
+    EXPECT_EQ(ns->params().policy, name);
   }
 }
 
 TEST(PolicyFactory, OnlyStaticIsNonAdaptive) {
-  EXPECT_FALSE(make_cpu_policy("static", Params{})->adaptive());
-  EXPECT_FALSE(make_mem_policy("static", Params{})->adaptive());
-  EXPECT_TRUE(make_cpu_policy("paper", Params{})->adaptive());
-  EXPECT_TRUE(make_mem_policy("paper", Params{})->adaptive());
+  // The same saturated-with-slack and kswapd-active rounds move a "paper"
+  // view on both axes and leave a "static" view where it was pinned.
+  for (const std::string_view name : kPolicyNames) {
+    SCOPED_TRACE(name);
+    Fixture f;
+    const auto cg = f.tree.create("a");
+    f.tree.create("b");  // lower 10, upper 20
+    f.tree.set_mem_limit(cg, 4 * GiB);
+    f.tree.set_mem_soft_limit(cg, 1 * GiB);
+    Params params;
+    params.policy = std::string(name);
+    const auto ns = f.make(cg, params);
+    ns->refresh_mem_limits(f.tree, 128 * GiB);
+    ns->update_mem(calm_mem(60 * GiB, 4 * GiB));
+    const int e_cpu = ns->effective_cpus();
+    const Bytes e_mem = ns->effective_memory();
+    ns->update_cpu(cpu_obs(0.99, e_cpu, true));
+    ns->update_mem(pressured_mem());
+    const bool moved =
+        ns->effective_cpus() != e_cpu || ns->effective_memory() != e_mem;
+    EXPECT_EQ(moved, name != "static");
+  }
 }
 
 // --- decision bookkeeping ---------------------------------------------------
@@ -151,8 +182,8 @@ TEST(PolicySwitch, SwitchToStaticRepinsImmediately) {
   f.tree.create("b");  // lower 10, upper 20
   const auto ns = f.make(a);
   ASSERT_EQ(ns->effective_cpus(), 10);  // paper: starts at LOWER
-  ASSERT_TRUE(ns->set_cpu_policy("static"));
-  EXPECT_EQ(ns->cpu_policy_name(), "static");
+  ASSERT_TRUE(ns->set_policy("static"));
+  EXPECT_EQ(ns->policy_name(), "static");
   // Not lazily at the next cgroup event — right now.
   EXPECT_EQ(ns->effective_cpus(), 20);
 }
@@ -162,9 +193,9 @@ TEST(PolicySwitch, SwitchBackToPaperKeepsValueAndAdapts) {
   const auto a = f.tree.create("a");
   f.tree.create("b");
   const auto ns = f.make(a);
-  ASSERT_TRUE(ns->set_cpu_policy("static"));
+  ASSERT_TRUE(ns->set_policy("static"));
   ASSERT_EQ(ns->effective_cpus(), 20);
-  ASSERT_TRUE(ns->set_cpu_policy("paper"));
+  ASSERT_TRUE(ns->set_policy("paper"));
   // The adaptive state resumes from the current value, inside bounds...
   EXPECT_EQ(ns->effective_cpus(), 20);
   // ...and reacts to contention again.
@@ -176,10 +207,9 @@ TEST(PolicySwitch, UnknownPolicyIsRejectedWithoutSideEffects) {
   Fixture f;
   const auto a = f.tree.create("a");
   const auto ns = f.make(a);
-  EXPECT_FALSE(ns->set_cpu_policy("bogus"));
-  EXPECT_FALSE(ns->set_mem_policy(""));
-  EXPECT_EQ(ns->cpu_policy_name(), "paper");
-  EXPECT_EQ(ns->mem_policy_name(), "paper");
+  EXPECT_FALSE(ns->set_policy("bogus"));
+  EXPECT_FALSE(ns->set_policy(""));
+  EXPECT_EQ(ns->policy_name(), "paper");
 }
 
 TEST(PolicySwitch, SetParamsRejectsInvalidKnobs) {
@@ -196,7 +226,7 @@ TEST(PolicySwitch, SetParamsRejectsInvalidKnobs) {
   bad.mem_growth_frac = 0.0;
   EXPECT_FALSE(ns->set_params(bad));
   bad = Params{};
-  bad.cpu_policy = "bogus";
+  bad.policy = "bogus";
   EXPECT_FALSE(ns->set_params(bad));
   EXPECT_EQ(ns->params().cpu_step, 1);  // unchanged throughout
 
@@ -217,8 +247,7 @@ TEST(StaticPolicy, PinsMemoryToHardLimitAfterRuntimeLimitUpdate) {
   f.tree.set_mem_limit(cg, 4 * GiB);
   f.tree.set_mem_soft_limit(cg, 1 * GiB);
   Params params;
-  params.cpu_policy = "static";
-  params.mem_policy = "static";
+  params.policy = "static";
   const auto ns = f.make(cg, params);
   ns->refresh_mem_limits(f.tree, 128 * GiB);
   ASSERT_EQ(ns->effective_memory(), static_cast<Bytes>(4) * GiB);
@@ -237,8 +266,7 @@ TEST(StaticPolicy, UpdatesNeverMoveTheView) {
   f.tree.set_mem_limit(cg, 4 * GiB);
   f.tree.set_mem_soft_limit(cg, 1 * GiB);
   Params params;
-  params.cpu_policy = "static";
-  params.mem_policy = "static";
+  params.policy = "static";
   const auto ns = f.make(cg, params);
   ns->refresh_mem_limits(f.tree, 128 * GiB);
   for (int i = 0; i < 20; ++i) {

@@ -422,8 +422,7 @@ TEST(StaticLimitsView, ExportsQuotaCpusUnconditionally) {
   f.tree.create("b");  // share fraction would give 10; static view ignores it
   f.tree.set_cfs_quota(a, 1000000);  // 10 CPUs
   Params params;
-  params.cpu_policy = "static";
-  params.mem_policy = "static";
+  params.policy = "static";
   auto ns = std::make_shared<SysNamespace>(a, params);
   ns->refresh_cpu_bounds(f.tree);
   EXPECT_EQ(ns->effective_cpus(), 10);
@@ -440,8 +439,7 @@ TEST(StaticLimitsView, ExportsHardMemoryLimit) {
   f.tree.set_mem_limit(cg, 4 * GiB);
   f.tree.set_mem_soft_limit(cg, 1 * GiB);
   Params params;
-  params.cpu_policy = "static";
-  params.mem_policy = "static";
+  params.policy = "static";
   auto ns = std::make_shared<SysNamespace>(cg, params);
   ns->refresh_mem_limits(f.tree, 128 * GiB);
   EXPECT_EQ(ns->effective_memory(), static_cast<Bytes>(4) * GiB);
@@ -460,8 +458,7 @@ TEST(StaticLimitsView, TracksAdministratorChanges) {
   const auto a = f.tree.create("a");
   f.tree.set_cpuset(a, CpuSet::first_n(6));
   Params params;
-  params.cpu_policy = "static";
-  params.mem_policy = "static";
+  params.policy = "static";
   auto ns = std::make_shared<SysNamespace>(a, params);
   ns->refresh_cpu_bounds(f.tree);
   EXPECT_EQ(ns->effective_cpus(), 6);

@@ -18,7 +18,7 @@ double run_view_mode(const jvm::JavaWorkload& w, bool view,
     config.container.name = "c" + std::to_string(i);
     config.container.cfs_quota_us = 1000000;  // 10-core limit, 4 effective
     config.container.enable_resource_view = view;
-    config.use_policy(policy);
+    config.container.view_params.policy = policy;
     config.flags.kind = jvm::JvmKind::kAdaptive;
     config.flags.dynamic_gc_threads = false;
     config.flags.xmx = 3 * jvm::min_heap_of(w);
@@ -57,8 +57,7 @@ TEST(ViewModes, StaticViewThroughSysconf) {
   config.cfs_quota_us = 600000;
   config.mem_limit = 3 * GiB;
   config.mem_soft_limit = 1 * GiB;
-  config.view_params.cpu_policy = "static";
-  config.view_params.mem_policy = "static";
+  config.view_params.policy = "static";
   auto& c = runtime.run(config);
   // LXCFS semantics: the *limits*, not effective values — memory reads the
   // hard limit even though the adaptive view would start at the soft limit.

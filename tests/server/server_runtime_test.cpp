@@ -211,7 +211,6 @@ TEST(RequestStats, PercentileAndThroughput) {
   RequestStats stats;
   for (int i = 1; i <= 100; ++i) {
     stats.latency_hist.record(i * 1000);  // 1..100 ms
-    stats.latency_us.add(i * 1000.0);
     ++stats.completed;
   }
   // The log-bucket sketch guarantees <= 6.25% relative error at this scale.

@@ -2,60 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace arv {
 namespace {
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-}
-
-TEST(RunningStats, SingleSample) {
-  RunningStats s;
-  s.add(5.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_EQ(s.mean(), 5.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.min(), 5.0);
-  EXPECT_EQ(s.max(), 5.0);
-}
-
-TEST(RunningStats, KnownMoments) {
-  RunningStats s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.add(x);
-  }
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, Reset) {
-  RunningStats s;
-  s.add(1.0);
-  s.add(2.0);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.sum(), 0.0);
-}
-
-TEST(RunningStats, NegativeValues) {
-  RunningStats s;
-  s.add(-3.0);
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.min(), -3.0);
-  EXPECT_EQ(s.max(), 3.0);
-}
 
 TEST(Ema, FirstSamplePrimes) {
   Ema ema(0.9);

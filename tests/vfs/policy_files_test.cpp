@@ -54,7 +54,7 @@ std::map<std::string, std::optional<std::string>> snapshot(
   return out;
 }
 
-TEST(PolicyFiles, AvailableListsTheRegistry) {
+TEST(PolicyFiles, AvailableListsThePolicyNames) {
   Fixture f;
   const auto available = f.read("/sys/arv/policy/available");
   ASSERT_TRUE(available.has_value());
@@ -65,10 +65,11 @@ TEST(PolicyFiles, SelectorsReportThePerContainerPolicy) {
   Fixture f;
   container::ContainerConfig config;
   config.name = "a";
-  config.view_params.mem_policy = "static";
+  config.view_params.policy = "static";
   f.run(config);
-  EXPECT_EQ(f.read("/sys/arv/policy/a/cpu"), "paper\n");
-  EXPECT_EQ(f.read("/sys/arv/policy/a/mem"), "static\n");
+  f.run({.name = "b"});
+  EXPECT_EQ(f.read("/sys/arv/policy/a/policy"), "static\n");
+  EXPECT_EQ(f.read("/sys/arv/policy/b/policy"), "paper\n");
 }
 
 TEST(PolicyFiles, WriteSwitchesTheLivePolicy) {
@@ -77,10 +78,10 @@ TEST(PolicyFiles, WriteSwitchesTheLivePolicy) {
   auto& a = f.run({.name = "a"});
   const auto view = a.resource_view();
   ASSERT_EQ(view->effective_cpus(), 10);  // paper starts at LOWER
-  ASSERT_TRUE(f.write("/sys/arv/policy/a/cpu", "static\n"));
-  EXPECT_EQ(view->cpu_policy_name(), "static");
+  ASSERT_TRUE(f.write("/sys/arv/policy/a/policy", "static\n"));
+  EXPECT_EQ(view->policy_name(), "static");
   EXPECT_EQ(view->effective_cpus(), 20);  // re-pinned immediately
-  EXPECT_EQ(f.read("/sys/arv/policy/a/cpu"), "static\n");
+  EXPECT_EQ(f.read("/sys/arv/policy/a/policy"), "static\n");
   // The acceptance check: keep running after the switch — the live value
   // stays inside the static bounds.
   f.host.run_for(500 * msec);
@@ -91,12 +92,12 @@ TEST(PolicyFiles, WriteSwitchesTheLivePolicy) {
 TEST(PolicyFiles, UnknownPolicyWriteFails) {
   Fixture f;
   f.run({.name = "a"});
-  EXPECT_FALSE(f.write("/sys/arv/policy/a/cpu", "bogus"));
-  EXPECT_FALSE(f.write("/sys/arv/policy/a/mem", ""));
+  EXPECT_FALSE(f.write("/sys/arv/policy/a/policy", "bogus"));
+  EXPECT_FALSE(f.write("/sys/arv/policy/a/policy", ""));
   // Names outside /sys/arv/policy/available are rejected too.
-  EXPECT_FALSE(f.write("/sys/arv/policy/a/cpu", "ewma"));
-  EXPECT_FALSE(f.write("/sys/arv/policy/a/mem", "proportional"));
-  EXPECT_EQ(f.read("/sys/arv/policy/a/cpu"), "paper\n");
+  EXPECT_FALSE(f.write("/sys/arv/policy/a/policy", "ewma"));
+  EXPECT_FALSE(f.write("/sys/arv/policy/a/policy", "proportional"));
+  EXPECT_EQ(f.read("/sys/arv/policy/a/policy"), "paper\n");
 }
 
 TEST(PolicyFiles, ContainerWithoutViewRejectsWrites) {
@@ -105,8 +106,8 @@ TEST(PolicyFiles, ContainerWithoutViewRejectsWrites) {
   config.name = "stock";
   config.enable_resource_view = false;
   f.run(config);
-  EXPECT_EQ(f.read("/sys/arv/policy/stock/cpu"), "none\n");
-  EXPECT_FALSE(f.write("/sys/arv/policy/stock/cpu", "paper"));
+  EXPECT_EQ(f.read("/sys/arv/policy/stock/policy"), "none\n");
+  EXPECT_FALSE(f.write("/sys/arv/policy/stock/policy", "paper"));
 }
 
 TEST(PolicyFiles, KnobWritesApplyAfterValidation) {
@@ -164,7 +165,7 @@ TEST(PolicyFiles, UtilThresholdBelowOneHalfIsAccepted) {
   // puts a floor under it, so ablations can sweep below 0.5.
   Fixture f;
   auto& a = f.run({.name = "a"});
-  ASSERT_EQ(f.read("/sys/arv/policy/a/cpu"), "paper\n");
+  ASSERT_EQ(f.read("/sys/arv/policy/a/policy"), "paper\n");
   ASSERT_TRUE(f.write("/sys/arv/policy/a/cpu_util_threshold", "0.4"));
   EXPECT_EQ(f.read("/sys/arv/policy/a/cpu_util_threshold"), "0.4\n");
   EXPECT_DOUBLE_EQ(a.resource_view()->params().cpu_util_threshold, 0.4);
@@ -179,8 +180,7 @@ TEST(PolicyFiles, StaticMemPolicyTracksRuntimeLimitWrites) {
   config.name = "lxcfs";
   config.mem_limit = 4 * GiB;
   config.mem_soft_limit = 1 * GiB;
-  config.view_params.cpu_policy = "static";
-  config.view_params.mem_policy = "static";
+  config.view_params.policy = "static";
   auto& c = f.run(config);
   ASSERT_EQ(c.resource_view()->effective_memory(), static_cast<Bytes>(4) * GiB);
   ASSERT_TRUE(f.write("/sys/fs/cgroup/memory/lxcfs/memory.limit_in_bytes",
@@ -210,14 +210,14 @@ TEST(PolicyFiles, DirectNamespaceChangesShowOnTheNextRead) {
   // the SysNamespace API (not the files) is visible on the next read.
   Fixture f;
   auto& a = f.run({.name = "a"});
-  ASSERT_EQ(f.read("/sys/arv/policy/a/cpu"), "paper\n");
+  ASSERT_EQ(f.read("/sys/arv/policy/a/policy"), "paper\n");
   ASSERT_EQ(f.read("/sys/arv/policy/a/cpu_step"), "1\n");
   const auto view = a.resource_view();
-  ASSERT_TRUE(view->set_cpu_policy("static"));
+  ASSERT_TRUE(view->set_policy("static"));
   core::Params params = view->params();
   params.cpu_step = 2;
   ASSERT_TRUE(view->set_params(params));
-  EXPECT_EQ(f.read("/sys/arv/policy/a/cpu"), "static\n");
+  EXPECT_EQ(f.read("/sys/arv/policy/a/policy"), "static\n");
   EXPECT_EQ(f.read("/sys/arv/policy/a/cpu_step"), "2\n");
 }
 
@@ -248,11 +248,11 @@ TEST(PolicyFiles, DecisionCountersReadableFromInsideTheContainer) {
 TEST(PolicyFiles, DestroyedContainerLosesItsPolicyDirectory) {
   Fixture f;
   auto& a = f.run({.name = "a"});
-  ASSERT_TRUE(f.read("/sys/arv/policy/a/cpu").has_value());
+  ASSERT_TRUE(f.read("/sys/arv/policy/a/policy").has_value());
   a.stop();
-  EXPECT_FALSE(f.read("/sys/arv/policy/a/cpu").has_value());
+  EXPECT_FALSE(f.read("/sys/arv/policy/a/policy").has_value());
   EXPECT_FALSE(f.read("/sys/arv/policy/a/cpu_step").has_value());
-  EXPECT_FALSE(f.write("/sys/arv/policy/a/cpu", "static"));
+  EXPECT_FALSE(f.write("/sys/arv/policy/a/policy", "static"));
 }
 
 TEST(PolicyFiles, RejectedWritesChangeNothing) {
@@ -272,7 +272,7 @@ TEST(PolicyFiles, RejectedWritesChangeNothing) {
     Fixture f;
     f.run({.name = "view", .cpu_shares = 2048});
     f.run({.name = "static",
-           .view_params = {.cpu_policy = "static", .mem_policy = "static"}});
+           .view_params = {.policy = "static"}});
     f.run({.name = "stock", .enable_resource_view = false});
     const PseudoFs& fs = f.host.sysfs().host_fs();
     Rng rng(static_cast<std::uint64_t>(iter) + 1);
