@@ -72,6 +72,7 @@ int Cluster::add_host(container::HostConfig host_config) {
       static_cast<CpuTime>(host_config.cpus) * kObserveWindow;
   hosts_.push_back(std::move(state));
   const int index = static_cast<int>(hosts_.size()) - 1;
+  mark_host_dirty(index);  // the first refresh builds the row
   if (trace_ != nullptr) {
     register_host_trace(index);
   }
@@ -119,7 +120,7 @@ void Cluster::step() {
   host_phase();
   // Serial phases, in a fixed order; every stage iterates hosts/pods in
   // index order.
-  observe_slack();
+  roll_slack_window();
   // Migrations land before components run, so a rebalancer/router round
   // never observes a pod that should already have arrived; the fleet
   // snapshot refreshes after landing so it reflects the landed state.
@@ -136,20 +137,23 @@ void Cluster::step() {
 void Cluster::host_phase() {
   const auto wall_start = std::chrono::steady_clock::now();
   in_host_phase_ = true;
-  for (HostState& state : hosts_) {
-    if (config_.skip_idle_hosts && state.host->quiescent()) {
-      // Freeze: the host's clock stays behind; observe_slack and the trace
-      // account for the gap analytically, sync_host replays it on touch.
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    container::Host& host = *hosts_[i].host;
+    // Freeze a quiescent host: its clock stays behind, host_slack_total and
+    // the trace account for the gap analytically, sync_host replays it on
+    // touch. A host already behind before this tick was frozen and is
+    // untouched since (a touch syncs it); only a touch can end quiescence,
+    // and advance_idle re-checks it then, so it is not asked again.
+    if (config_.skip_idle_hosts &&
+        (host.now() + config_.tick < now_ || host.quiescent())) {
       ++hosts_skipped_;
       continue;
     }
-    // A host can only fall behind while quiescent, and quiescence cannot
-    // flip off spontaneously — only a serial-phase touch (which syncs) can
-    // end it — so a non-skipped host is always exactly one tick behind.
-    ARV_ASSERT_MSG(state.host->now() + config_.tick == now_,
+    ARV_ASSERT_MSG(host.now() + config_.tick == now_,
                    "non-quiescent host fell behind the cluster clock");
-    state.host->engine().step();
-    ARV_ASSERT(state.host->now() == now_);
+    host.engine().step();
+    ARV_ASSERT(host.now() == now_);
+    mark_host_dirty(static_cast<int>(i));
   }
   in_host_phase_ = false;
   host_phase_wall_us_ += std::chrono::duration_cast<std::chrono::microseconds>(
@@ -177,33 +181,24 @@ void Cluster::run_for(SimDuration duration) {
   }
 }
 
-void Cluster::observe_slack() {
-  for (HostState& state : hosts_) {
-    if (state.host->now() < now_) {
-      // Frozen host: the skipped tick's slack is analytic — full capacity
-      // idle. last_total_slack advances in lockstep so the diff stays exact
-      // when the host later syncs (advance_idle adds the same total).
-      const CpuTime tick_slack =
-          static_cast<CpuTime>(state.host->cpus()) * config_.tick;
-      state.accum_slack += tick_slack;
-      state.last_total_slack += tick_slack;
-      continue;
-    }
-    const CpuTime total = state.host->scheduler().total_slack();
-    state.accum_slack += total - state.last_total_slack;
-    state.last_total_slack = total;
-  }
+void Cluster::roll_slack_window() {
   window_elapsed_ += config_.tick;
-  if (window_elapsed_ >= kObserveWindow) {
-    window_elapsed_ = 0;
-    for (HostState& state : hosts_) {
-      state.window_slack = state.accum_slack;
-      state.accum_slack = 0;
+  if (window_elapsed_ < kObserveWindow) {
+    return;
+  }
+  window_elapsed_ = 0;
+  for (int i = 0; i < host_count(); ++i) {
+    // The difference of two cumulative totals. host_slack_total credits a
+    // frozen gap with the cpus × gap advance_idle adds on sync, so this is
+    // exact whether the host stepped, froze or was synced in between.
+    HostState& state = hosts_[static_cast<std::size_t>(i)];
+    const CpuTime total = host_slack_total(i);
+    const CpuTime slack = total - state.slack_at_roll;
+    state.slack_at_roll = total;
+    if (slack != state.window_slack) {
+      state.window_slack = slack;
+      mark_host_dirty(i);
     }
-    // Every host's slack_millicpu just changed: the next fleet refresh must
-    // re-observe every row, frozen hosts included.
-    window_rolled_ = true;
-    fleet_dirty_ = true;
   }
 }
 
@@ -219,10 +214,7 @@ int Cluster::create_pod(int host_index, PodSpec spec, WorkloadFactory factory) {
   pod.spec = std::move(spec);
   pod.host = host_index;
   pod.factory = std::move(factory);
-  HostState& state = hosts_[static_cast<std::size_t>(host_index)];
-  state.requested_millicpu += pod.spec.resources.request_millicpu;
-  state.requested_memory += pod.spec.resources.request_memory;
-  ++state.pods;
+  book(host_index, pod.spec, +1);
   pods_.push_back(std::move(pod));
   land_pod(pods_.back());
   return pods_.back().id;
@@ -277,17 +269,10 @@ void Cluster::stop_pod(int pod_id) {
     // The flight was already harvested and torn down at departure; cancel
     // the landing so the target never materializes a stopped pod, and fall
     // through to release the reservation the migration took on the target.
-    pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
-                                  [&pod](const PendingMigration& flight) {
-                                    return flight.pod == pod.id;
-                                  }),
-                   pending_.end());
+    cancel_flight(pod.id);
   }
   // Failed pods only need their ledger slot released.
-  HostState& state = hosts_[static_cast<std::size_t>(pod.host)];
-  state.requested_millicpu -= pod.spec.resources.request_millicpu;
-  state.requested_memory -= pod.spec.resources.request_memory;
-  --state.pods;
+  book(pod.host, pod.spec, -1);
   pod.host = -1;
   pod.failed = false;
 }
@@ -314,21 +299,28 @@ void Cluster::migrate_pod(int pod_id, int target_host) {
   pod.workload.reset();
   pod.container->stop();
   pod.container = nullptr;
-  source.requested_millicpu -= pod.spec.resources.request_millicpu;
-  source.requested_memory -= pod.spec.resources.request_memory;
-  --source.pods;
-
+  book(pod.host, pod.spec, -1);
   // Reserve the target slot for the whole flight.
-  HostState& target = hosts_[static_cast<std::size_t>(target_host)];
-  target.requested_millicpu += pod.spec.resources.request_millicpu;
-  target.requested_memory += pod.spec.resources.request_memory;
-  ++target.pods;
+  book(target_host, pod.spec, +1);
   pod.host = target_host;
   ++pod.migrations;
   ++migrations_;
   pending_.push_back({now_ + freeze, next_migration_seq_++, pod.id});
   ARV_LOG(kDebug, "cluster", "migrating pod %d -> h%d (freeze %lld us)",
           pod.id, target_host, static_cast<long long>(freeze));
+}
+
+void Cluster::book(int host_index, const PodSpec& spec, int sign) {
+  HostState& state = hosts_[static_cast<std::size_t>(host_index)];
+  state.requested_millicpu += sign * spec.resources.request_millicpu;
+  state.requested_memory += sign * spec.resources.request_memory;
+  state.pods += sign;
+}
+
+void Cluster::cancel_flight(int pod_id) {
+  std::erase_if(pending_, [pod_id](const PendingMigration& flight) {
+    return flight.pod == pod_id;
+  });
 }
 
 void Cluster::settle_migrations() {
@@ -385,11 +377,7 @@ void Cluster::crash_host(int host_index) {
       // A flight toward a crashing host is lost mid-copy: the source side
       // already tore the replica down, so the pod just fails in place on
       // the (down) target and waits for failover like the rest.
-      pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
-                                    [&pod](const PendingMigration& flight) {
-                                      return flight.pod == pod.id;
-                                    }),
-                     pending_.end());
+      cancel_flight(pod.id);
       pod.failed = true;
       pod.crashed_at = now_;
     }
@@ -462,14 +450,8 @@ void Cluster::failover_pod(int pod_id, int target_host) {
   ARV_ASSERT_MSG(host_up(target_host), "cannot fail over to a down host");
   ARV_ASSERT_MSG(pod.host != target_host, "failover target is the pod's host");
   mark_host_dirty(pod.host);
-  HostState& source = hosts_[static_cast<std::size_t>(pod.host)];
-  source.requested_millicpu -= pod.spec.resources.request_millicpu;
-  source.requested_memory -= pod.spec.resources.request_memory;
-  --source.pods;
-  HostState& target = hosts_[static_cast<std::size_t>(target_host)];
-  target.requested_millicpu += pod.spec.resources.request_millicpu;
-  target.requested_memory += pod.spec.resources.request_memory;
-  ++target.pods;
+  book(pod.host, pod.spec, -1);
+  book(target_host, pod.spec, +1);
   pod.host = target_host;
   pod.failed = false;
   ++pod.failovers;
@@ -501,46 +483,30 @@ HostView Cluster::host_view(int index) const {
 
 const FleetView& Cluster::fleet_view() {
   ARV_ASSERT_MSG(!in_host_phase_, "fleet reads are serial-phase only");
-  if (fleet_dirty_) {
+  if (!stale_rows_.empty()) {
     refresh_fleet();
   }
   return cur_;
 }
 
 void Cluster::invalidate_fleet_view() {
-  fleet_dirty_ = true;
-  for (HostState& state : hosts_) {
-    state.row_stale = true;
+  for (int i = 0; i < host_count(); ++i) {
+    mark_host_dirty(i);
   }
 }
 
 void Cluster::refresh_fleet() {
-  rebuild_fleet();
-  cur_.at = now_;
-  fleet_dirty_ = false;
-  window_rolled_ = false;
-  for (HostState& state : hosts_) {
-    state.row_stale = false;
-  }
-}
-
-void Cluster::rebuild_fleet() {
-  const std::size_t old_host_count = cur_.hosts.size();
+  // Only a listed host can have a changed row: a frozen, untouched host's
+  // observables are constant by the quiescence invariant, and its
+  // window_slack only changes at a roll, which lists it.
   cur_.hosts.resize(hosts_.size());
-  // A host row is re-observed only when something could have changed it:
-  // the host stepped this tick, a mutator (or conservative non-const
-  // accessor) touched it, or the slack window rolled for everyone. A frozen,
-  // untouched host's observables are constant by the quiescence invariant,
-  // so its row is left as it is.
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    const HostState& state = hosts_[i];
-    const bool stepped = state.host->now() == now_;
-    if (!stepped && !state.row_stale && !window_rolled_ && i < old_host_count) {
-      ++rows_reused_;
-    } else {
-      cur_.hosts[i] = host_view(static_cast<int>(i));
-    }
+  rows_reused_ += hosts_.size() - stale_rows_.size();
+  for (const int index : stale_rows_) {
+    hosts_[static_cast<std::size_t>(index)].row_stale = false;
+    cur_.hosts[static_cast<std::size_t>(index)] = host_view(index);
   }
+  stale_rows_.clear();
+  cur_.at = now_;
 }
 
 std::string Cluster::render_pods() const {

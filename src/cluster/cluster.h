@@ -8,8 +8,10 @@
 //      boundaries until the serial phases). Hosts that are provably
 //      quiescent (Host::quiescent) are skipped entirely: their clock freezes
 //      and the interval is replayed analytically on first touch
-//      (sync-on-touch).
-//   2. The *serial phases*, in a fixed order: slack window accounting, due
+//      (sync-on-touch). A frozen host costs no per-tick work: its slack is
+//      read in closed form (host_slack_total) and its fleet row is left
+//      alone until something marks it stale.
+//   2. The *serial phases*, in a fixed order: the slack window roll, due
 //      pod migrations, the FleetView snapshot refresh (fleet_view.h — the
 //      one cluster-state object placement and the control loops read),
 //      cluster-level components (rebalancer, router, fault machinery), and
@@ -247,17 +249,20 @@ class Cluster {
 
   /// The shared cluster snapshot (DESIGN.md §13): per-host effective views,
   /// assembled in the serial phase, plus read-only references to the live
-  /// pods and the attached ProfileStore. Lazily refreshed — if anything
-  /// mutated the fleet since the last refresh, the stale host rows are
-  /// re-observed in place first (rows of provably-unchanged hosts are left
-  /// as they are), so the returned view is always current. This is what
-  /// placement, the detector, the autoscalers and the rebalancer read;
-  /// consumers that place several pods in one round copy it and claim()
-  /// each landing. Serial phases only.
+  /// pods and the attached ProfileStore. Lazily refreshed — if any host
+  /// was marked stale since the last refresh (it stepped, was touched or
+  /// mutated, or its slack window changed), exactly those rows are
+  /// re-observed in place first, so the returned view is always current.
+  /// This is what placement, the detector, the autoscalers and the
+  /// rebalancer read; consumers that place several pods in one round copy
+  /// it and claim() each landing. Serial phases only.
   const FleetView& fleet_view();
 
-  /// Host rows a refresh left in place instead of re-observing, cumulative.
-  /// Not traced: the count varies with the idle-skip setting.
+  /// Host rows a refresh left in place instead of re-observing, cumulative
+  /// over every refresh (one per step, plus each mid-round fleet_view()
+  /// that found stale rows). A window roll re-observes only the hosts whose
+  /// slack window changed. Not traced: the count varies with the idle-skip
+  /// setting.
   std::uint64_t fleet_rows_reused() const { return rows_reused_; }
 
   /// Force the next fleet_view() to re-observe every host row — the full
@@ -321,15 +326,15 @@ class Cluster {
     /// Administratively unschedulable (see cordon_host). Orthogonal to `up`:
     /// a cordoned host is healthy, so the FailureDetector must not bury it.
     bool cordoned = false;
-    // Slack observation window (integer accumulation; see window_slack()).
+    /// Slack observation window (see window_slack()): the last completed
+    /// window's idle CPU time, and host_slack_total() at its roll.
     CpuTime window_slack = 0;
-    CpuTime accum_slack = 0;
-    CpuTime last_total_slack = 0;
-    /// Set by every (potential) mutation of this host, cleared by the fleet
-    /// refresh. Set (or a host that stepped this tick, or a rolled slack
-    /// window) => the refresh re-observes the row; clear => the row is left
-    /// as it is. Starts set so the first refresh builds.
-    bool row_stale = true;
+    CpuTime slack_at_roll = 0;
+    /// Set, and the host listed in stale_rows_, by anything that may have
+    /// changed the host's fleet row: a step, a touch, a mutation or a
+    /// changed window_slack. Cleared by the fleet refresh, which re-observes
+    /// exactly the listed rows.
+    bool row_stale = false;
   };
   struct PendingMigration {
     SimTime due = 0;
@@ -341,16 +346,22 @@ class Cluster {
   /// Catch a frozen host's clock up to cluster time (no-op when current).
   void sync_host(int index);
   void mark_host_dirty(int index) {
-    fleet_dirty_ = true;
-    hosts_.at(static_cast<std::size_t>(index)).row_stale = true;
+    HostState& state = hosts_.at(static_cast<std::size_t>(index));
+    if (!state.row_stale) {
+      state.row_stale = true;
+      stale_rows_.push_back(index);
+    }
   }
-  void observe_slack();
-  /// Bring the fleet snapshot up to cluster time (rebuild_fleet, then the
-  /// stamp and the staleness reset).
+  /// At each window boundary, close every host's slack window.
+  void roll_slack_window();
+  /// Bring the fleet snapshot up to cluster time: re-observe the listed
+  /// stale rows in place; every other row stays as it is.
   void refresh_fleet();
-  /// Re-observe the stale rows of cur_ in place; rows of unchanged hosts
-  /// stay as they are.
-  void rebuild_fleet();
+  /// Add (sign = +1) or release (sign = -1) a pod's declared requests on a
+  /// host's ledger.
+  void book(int host_index, const PodSpec& spec, int sign);
+  /// Cancel the pod's pending migration landing, if any.
+  void cancel_flight(int pod_id);
   /// The /sys/arv/fleet/pods file body, rendered from the live pods.
   std::string render_pods() const;
   void settle_migrations();
@@ -373,8 +384,8 @@ class Cluster {
   std::uint64_t steps_ = 0;
   /// The fleet snapshot, refreshed in place.
   FleetView cur_;
-  bool fleet_dirty_ = true;
-  bool window_rolled_ = false;
+  /// Hosts whose row_stale is set, in marking order.
+  std::vector<int> stale_rows_;
   std::uint64_t rows_reused_ = 0;
   std::vector<HostState> hosts_;
   std::vector<Pod> pods_;

@@ -27,13 +27,14 @@ RouterConfig RouterConfig::validated() const {
   return v;
 }
 
-RequestRouter::RequestRouter(Cluster& cluster, RouterConfig config)
+RequestRouter::RequestRouter(Cluster& cluster, RouterConfig config,
+                             const std::string& tenant)
     : cluster_(cluster), config_(config.validated()), telemetry_(cluster) {
-  telemetry_.counter("router.generated", "", generated_);
-  telemetry_.counter("router.routed", "", routed_);
-  telemetry_.counter("router.unroutable", "", unroutable_);
-  telemetry_.counter("router.dropped", "", dropped_);
-  telemetry_.counter("router.retries", "", retries_);
+  telemetry_.counter("router.generated", tenant, generated_);
+  telemetry_.counter("router.routed", tenant, routed_);
+  telemetry_.counter("router.unroutable", tenant, unroutable_);
+  telemetry_.counter("router.dropped", tenant, dropped_);
+  telemetry_.counter("router.retries", tenant, retries_);
 }
 
 bool RequestRouter::add_replica(int pod_id) {

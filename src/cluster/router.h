@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -54,7 +55,10 @@ struct RouterConfig {
 
 class RequestRouter : public sim::TickComponent {
  public:
-  RequestRouter(Cluster& cluster, RouterConfig config = {});
+  /// `tenant` scopes the router's trace series ("api.router.generated");
+  /// empty keeps the bare names, for a fleet with one router.
+  RequestRouter(Cluster& cluster, RouterConfig config = {},
+                const std::string& tenant = {});
 
   /// Add a pod to the rotation. The pod's workload must expose a
   /// request_sink (see PodWorkload); pods without one are rejected.

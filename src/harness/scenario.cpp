@@ -196,7 +196,7 @@ void FleetScenario::add_tenant(const std::string& name,
   router.arrivals_per_sec = 0;
   Tenant tenant;
   tenant.name = name;
-  tenant.router = std::make_unique<cluster::RequestRouter>(cluster_, router);
+  tenant.router = std::make_unique<cluster::RequestRouter>(cluster_, router, name);
   cluster_.add_component(tenant.router.get());
   if (admission_ != nullptr) {
     admission_->register_tenant(name, *tenant.router);

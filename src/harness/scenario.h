@@ -189,8 +189,10 @@ class FleetScenario {
   // --- multi-tenant workload engine (src/load, DESIGN.md §14) ---------------
   /// Declare a tenant: one service with its own RequestRouter (so the
   /// per-request conservation identities, retries, and HPA all stay
-  /// per-tenant). The router's self-generated rate is forced to 0 — tenants
-  /// are driven by the trace engine. Call before placing the tenant's pods.
+  /// per-tenant; its trace series carry the tenant name as scope, e.g.
+  /// `api.router.generated`). The router's self-generated rate is forced to
+  /// 0 — tenants are driven by the trace engine. Call before placing the
+  /// tenant's pods.
   void add_tenant(const std::string& name,
                   cluster::RouterConfig router = {});
 

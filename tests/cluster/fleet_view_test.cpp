@@ -328,5 +328,21 @@ TEST(FleetViewDeterminism, SnapshotIsCoherentEveryRoundUnderFaults) {
   EXPECT_EQ(cluster.host_crashes(), 1u);
 }
 
+TEST(FleetViewDeterminism, SteppedHostRowFollowsItsMemory) {
+  // No component touches the hog's host, so between slack-window rolls only
+  // the step itself can mark its row stale while free memory falls.
+  Cluster cluster;
+  cluster.add_host(small_host());
+  cluster.add_host(small_host());
+  SnapshotProbe probe(cluster);
+  cluster.add_component(&probe);
+  cluster.create_pod(0, {"hog", res(500, 1 * GiB)},
+                     mem_hog_workload(512 * MiB, 256 * MiB));
+  const Bytes free_before = cluster.host_view(0).free_memory;
+  cluster.run_for(1 * sec);
+  EXPECT_LT(cluster.host_view(0).free_memory, free_before);
+  EXPECT_GT(probe.rounds(), 0u);
+}
+
 }  // namespace
 }  // namespace arv::cluster

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/cluster/cluster.h"
 #include "src/cluster/pod_workloads.h"
 #include "src/cluster/scheduler.h"
@@ -190,6 +192,22 @@ TEST(FleetScenario, BuildsARunningFleet) {
   EXPECT_GT(total.completed, 500u);
   EXPECT_GT(total.latency_hist.count(), 0u);
   EXPECT_NE(fleet.cluster().trace(), nullptr);
+}
+
+TEST(FleetScenario, TenantRoutersTraceUnderTheirOwnNames) {
+  cluster::ClusterConfig config;
+  config.enable_tracing = true;
+  harness::FleetScenario fleet(config);
+  fleet.add_host(small_host(4, 8 * GiB));
+  fleet.enable_router(100);
+  fleet.add_tenant("api");
+  fleet.add_tenant("batch");
+  const obs::TraceRecorder& trace = *fleet.cluster().trace();
+  EXPECT_TRUE(trace.find("router.generated").has_value());
+  EXPECT_TRUE(trace.find("api.router.generated").has_value());
+  EXPECT_TRUE(trace.find("batch.router.retries").has_value());
+  const std::vector<std::string> names = trace.series_names();
+  EXPECT_EQ(std::count(names.begin(), names.end(), "router.generated"), 1);
 }
 
 }  // namespace
