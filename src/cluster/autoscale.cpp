@@ -5,8 +5,6 @@
 
 #include "src/cluster/pod_workloads.h"
 #include "src/container/host.h"
-#include "src/mem/memory_manager.h"
-#include "src/sched/fair_scheduler.h"
 #include "src/util/assert.h"
 #include "src/util/log.h"
 #include "src/util/stats.h"
@@ -255,8 +253,8 @@ void VerticalRecommender::tick(SimTime /*now*/, SimDuration dt) {
     }
     PodTrack& track = track_[id];
     const cgroup::CgroupId cg = pod.container->cgroup();
-    container::Host& host = cluster_.host(pod.host);
-    const CpuTime usage = host.scheduler().total_usage(cg);
+    const PodCounters counters = cluster_.pod_counters(id);
+    const CpuTime usage = counters.total_usage;
     if (track.host != pod.host || track.cgroup != cg) {
       // First sight, or the pod re-landed (migration/restart) since the
       // last sample: reset the usage baseline, sample next round.
@@ -268,7 +266,7 @@ void VerticalRecommender::tick(SimTime /*now*/, SimDuration dt) {
     const CpuTime burned = std::max<CpuTime>(0, usage - track.last_usage);
     track.last_usage = usage;
     track.cpu_millicpu.push_back(dt > 0 ? burned * 1000 / dt : 0);
-    track.mem_bytes.push_back(host.memory().committed(cg));
+    track.mem_bytes.push_back(counters.committed);
     while (static_cast<int>(track.cpu_millicpu.size()) > config_.window_rounds) {
       track.cpu_millicpu.pop_front();
     }
@@ -285,6 +283,9 @@ void VerticalRecommender::tick(SimTime /*now*/, SimDuration dt) {
 }
 
 void VerticalRecommender::recommend(Pod& pod, PodTrack& track) {
+  // The rewrites below mutate the pod's host: like every mutator, bring a
+  // frozen host to cluster time and mark its fleet row first.
+  cluster_.host(pod.host);
   const std::int64_t p50_cpu =
       std::max(kMinMillicpu, nearest_rank(track.cpu_millicpu, 50));
   const std::int64_t p95_cpu =
@@ -346,8 +347,7 @@ void VerticalRecommender::recommend(Pod& pod, PodTrack& track) {
   // can never OOM-kill the pod it is sizing (it only caps future growth).
   Bytes hard =
       std::max<Bytes>(p95_mem * kLimitMarginPermille / 1000, p50_mem);
-  const Bytes committed =
-      cluster_.host(track.host).memory().committed(track.cgroup);
+  const Bytes committed = cluster_.pod_counters(pod.id).committed;
   hard = std::max(hard, committed + committed / 8 + units::MiB);
   const Bytes soft = std::min(p50_mem, hard);
   if (drifted(static_cast<std::int64_t>(hard),

@@ -254,6 +254,15 @@ void Cluster::harvest_stats(Pod& pod) {
   }
 }
 
+PodCounters Cluster::pod_counters(int pod_id) const {
+  const Pod& pod = pods_.at(static_cast<std::size_t>(pod_id));
+  ARV_ASSERT_MSG(pod.running(), "counters of a pod that is not running");
+  container::Host& host = *hosts_.at(static_cast<std::size_t>(pod.host)).host;
+  const cgroup::CgroupId cg = pod.container->cgroup();
+  return {host.scheduler().total_usage(cg), host.memory().committed(cg),
+          host.memory().oom_killed(cg)};
+}
+
 void Cluster::stop_pod(int pod_id) {
   ARV_ASSERT_MSG(!in_host_phase_, "mutations are serial-phase only");
   Pod& pod = pods_.at(static_cast<std::size_t>(pod_id));

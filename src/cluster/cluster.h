@@ -124,6 +124,13 @@ struct Pod {
   bool in_flight() const { return container == nullptr && host >= 0 && !failed; }
 };
 
+/// A running pod's cumulative cgroup counters (Cluster::pod_counters).
+struct PodCounters {
+  CpuTime total_usage = 0;  ///< CPU time granted since the container started
+  Bytes committed = 0;      ///< resident plus swapped bytes
+  bool oom_killed = false;
+};
+
 class Cluster {
  public:
   explicit Cluster(ClusterConfig config = {});
@@ -188,6 +195,13 @@ class Cluster {
   int pod_count() const { return static_cast<int>(pods_.size()); }
   int pods_on(int host_index) const { return hosts_.at(static_cast<std::size_t>(host_index)).pods; }
   std::uint64_t migrations() const { return migrations_; }
+
+  /// A running pod's counters, read without syncing its host or marking its
+  /// fleet row: the read path of the per-round observers (profile store,
+  /// VPA, rebalancer, restart manager). Exact for a frozen host, whose
+  /// usage and memory do not move while it is frozen (advance_idle credits
+  /// only idle slack).
+  PodCounters pod_counters(int pod_id) const;
 
   // --- faults and recovery --------------------------------------------------
   /// Kill every pod on the host (their processes die; stats are harvested

@@ -4,9 +4,6 @@
 #include <vector>
 
 #include "src/container/container.h"
-#include "src/container/host.h"
-#include "src/mem/memory_manager.h"
-#include "src/sched/fair_scheduler.h"
 #include "src/util/assert.h"
 #include "src/util/stats.h"
 
@@ -96,8 +93,8 @@ void ProfileStore::tick(SimTime /*now*/, SimDuration dt) {
     }
     PodTrack& track = track_[id];
     const cgroup::CgroupId cg = pod.container->cgroup();
-    const CpuTime usage =
-        cluster_.host(pod.host).scheduler().total_usage(cg);
+    const PodCounters counters = cluster_.pod_counters(id);
+    const CpuTime usage = counters.total_usage;
     if (track.host != pod.host || track.cgroup != cg) {
       // First sight, or the pod re-landed (migration/restart) since the last
       // round: reset the usage baseline so the relocation itself never reads
@@ -112,8 +109,7 @@ void ProfileStore::tick(SimTime /*now*/, SimDuration dt) {
     track.last_usage = usage;
     const std::int64_t millicpu = dt > 0 ? burned * 1000 / dt : 0;
     track.cpu_millicpu.push_back(millicpu);
-    track.mem_bytes.push_back(
-        cluster_.host(pod.host).memory().committed(cg));
+    track.mem_bytes.push_back(counters.committed);
     while (static_cast<int>(track.cpu_millicpu.size()) > config_.window_rounds) {
       track.cpu_millicpu.pop_front();
     }
@@ -157,20 +153,6 @@ void ProfileStore::recompute(PodTrack& track) {
 PodProfile ProfileStore::profile(int pod_id) const {
   const auto it = track_.find(pod_id);
   return it == track_.end() ? PodProfile{} : it->second.cached;
-}
-
-std::int64_t ProfileStore::pod_correlation_permille(int a, int b) const {
-  const auto ia = track_.find(a);
-  const auto ib = track_.find(b);
-  if (ia == track_.end() || ib == track_.end()) {
-    return 0;
-  }
-  const int n = static_cast<int>(std::min(ia->second.cpu_millicpu.size(),
-                                          ib->second.cpu_millicpu.size()));
-  if (n < config_.min_samples) {
-    return 0;
-  }
-  return pearson_permille(ia->second.cpu_millicpu, ib->second.cpu_millicpu, n);
 }
 
 std::int64_t ProfileStore::service_correlation_permille(

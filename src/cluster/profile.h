@@ -73,15 +73,12 @@ class ProfileStore : public sim::TickComponent {
   /// at min_samples, pod unknown, or pod stopped).
   PodProfile profile(int pod_id) const;
 
-  /// Pearson correlation of two pods' round-usage series over the shared
-  /// window, in per-mille of [-1000, 1000]. 0 when either window is shorter
-  /// than min_samples or either series is flat (no co-variation to speak of).
-  std::int64_t pod_correlation_permille(int a, int b) const;
-
-  /// Same, over the *service*-aggregated round-usage series — the signal the
+  /// Pearson correlation of two services' aggregated round-usage series over
+  /// the shared window, in per-mille of [-1000, 1000] — the signal the
   /// "profile" strategy anti-colocates on (replicas of a bursty service
   /// correlate through their shared arrival stream even when individual
-  /// replicas' windows are young).
+  /// replicas' windows are young). 0 when either window is shorter than
+  /// min_samples or either series is flat (no co-variation to speak of).
   std::int64_t service_correlation_permille(const std::string& a,
                                             const std::string& b) const;
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "src/cluster/profile.h"
-#include "src/container/container.h"
-#include "src/sched/fair_scheduler.h"
 #include "src/util/assert.h"
 #include "src/util/log.h"
 
@@ -75,8 +73,7 @@ void Rebalancer::tick(SimTime now, SimDuration dt) {
       if (!pod.running()) {
         continue;
       }
-      const CpuTime usage = cluster_.host(pod.host).scheduler().total_usage(
-          pod.container->cgroup());
+      const CpuTime usage = cluster_.pod_counters(id).total_usage;
       const auto it = pod_last_usage_.find(id);
       // A freshly-landed pod has no baseline; its first round reads as zero
       // rather than as its entire lifetime burn.
@@ -130,9 +127,7 @@ void Rebalancer::tick(SimTime now, SimDuration dt) {
     if (victim < 0) {
       continue;
     }
-    const Pod& pod = cluster_.pod(victim);
-    const Bytes victim_bytes =
-        cluster_.host(source).memory().committed(pod.container->cgroup());
+    const Bytes victim_bytes = cluster_.pod_counters(victim).committed;
 
     // Target: best observed headroom among out-of-cooldown hosts that can
     // absorb the victim's state plus the configured reserves. Ties go to

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/container/host.h"
-#include "src/mem/memory_manager.h"
 #include "src/util/assert.h"
 #include "src/util/log.h"
 
@@ -133,8 +131,7 @@ void RestartManager::tick(SimTime now, SimDuration /*dt*/) {
       if (state.streak > 0 && now - pod.placed_at >= config_.reset_after) {
         state.streak = 0;  // stable: the next crash is a fresh incident
       }
-      if (!cluster_.host(pod.host).memory().oom_killed(
-              pod.container->cgroup())) {
+      if (!cluster_.pod_counters(id).oom_killed) {
         continue;
       }
       // The kernel OOM-killed the pod's process; surface it as a crash so

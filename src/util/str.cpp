@@ -21,20 +21,6 @@ std::string strf(const char* fmt, ...) {
   return out;
 }
 
-std::vector<std::string> split(std::string_view text, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(text.substr(start));
-      return out;
-    }
-    out.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 std::string_view trim(std::string_view text) {
   const auto is_space = [](char ch) {
     return ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r';

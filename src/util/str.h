@@ -7,15 +7,11 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace arv {
 
 /// printf into a std::string.
 [[gnu::format(gnu_printf, 1, 2)]] std::string strf(const char* fmt, ...);
-
-/// Split on a delimiter; empty fields preserved.
-std::vector<std::string> split(std::string_view text, char delim);
 
 /// Strip leading/trailing whitespace (space, tab, newline).
 std::string_view trim(std::string_view text);

@@ -89,7 +89,6 @@ VirtualSysfs::VirtualSysfs(proc::ProcessTable& processes, cgroup::Tree& tree,
       fs_.remove_subtree("/sys/fs/cgroup/cpu/" + event.name + "/");
       fs_.remove_subtree("/sys/fs/cgroup/cpuset/" + event.name + "/");
       fs_.remove_subtree("/sys/fs/cgroup/memory/" + event.name + "/");
-      fs_.remove_subtree("/sys/fs/cgroup/unified/" + event.name + "/");
       fs_.remove_subtree(std::string(kPolicyPrefix) + event.name + "/");
     }
   });
@@ -307,102 +306,6 @@ void VirtualSysfs::export_cgroup_files(cgroup::CgroupId id) {
       });
   fs_.register_file(mem_dir + "memory.usage_in_bytes",
                     [this, id] { return strf("%lld\n", static_cast<long long>(memory_.usage(id))); });
-
-  // --- cgroup v2 (unified hierarchy) views of the same knobs ----------------
-  const std::string v2_dir = "/sys/fs/cgroup/unified/" + name + "/";
-  fs_.register_writable(
-      v2_dir + "cpu.max",
-      [this, id] {
-        const auto& cfg = tree_.get(id).cpu();
-        if (cfg.cfs_quota_us == kUnlimited) {
-          return strf("max %lld\n", static_cast<long long>(cfg.cfs_period_us));
-        }
-        return strf("%lld %lld\n", static_cast<long long>(cfg.cfs_quota_us),
-                    static_cast<long long>(cfg.cfs_period_us));
-      },
-      [this, id](std::string_view v) {
-        const auto fields = split(std::string(trim(v)), ' ');
-        if (fields.empty() || fields.size() > 2) {
-          return false;
-        }
-        std::int64_t quota = kUnlimited;
-        if (fields[0] != "max") {
-          const auto parsed = parse_i64(fields[0]);
-          if (!parsed || !valid_cfs_quota(*parsed)) {
-            return false;
-          }
-          quota = *parsed;
-        }
-        if (fields.size() == 2) {
-          const auto period = parse_i64(fields[1]);
-          if (!period || !valid_cfs_period(*period)) {
-            return false;
-          }
-          tree_.set_cfs_period(id, *period);
-        }
-        tree_.set_cfs_quota(id, quota);
-        return true;
-      });
-  fs_.register_writable(
-      v2_dir + "cpu.weight",
-      [this, id] {
-        // Kernel mapping: weight = 1 + ((shares - 2) * 9999) / 262142.
-        const std::int64_t shares = tree_.get(id).cpu().shares;
-        return strf("%lld\n",
-                    static_cast<long long>(1 + (shares - 2) * 9999 / 262142));
-      },
-      [this, id](std::string_view v) {
-        const auto weight = parse_i64(v);
-        if (!weight || *weight < 1 || *weight > 10000) {
-          return false;
-        }
-        // Inverse of the kernel mapping: shares = 2 + (weight - 1)*262142/9999.
-        tree_.set_cpu_shares(id, 2 + (*weight - 1) * 262142 / 9999);
-        return true;
-      });
-  fs_.register_writable(
-      v2_dir + "memory.max",
-      [this, id] {
-        const Bytes limit = tree_.get(id).mem().limit_in_bytes;
-        return limit == kUnlimited
-                   ? std::string("max\n")
-                   : strf("%lld\n", static_cast<long long>(limit));
-      },
-      [this, id](std::string_view v) {
-        if (trim(v) == "max") {
-          return false;  // raising to unlimited is not modeled
-        }
-        const auto value = parse_i64(v);
-        if (!value || *value <= 0) {
-          return false;
-        }
-        tree_.set_mem_limit(id, *value);
-        return true;
-      });
-  fs_.register_writable(
-      v2_dir + "memory.low",
-      [this, id] {
-        const Bytes soft = tree_.get(id).mem().soft_limit_in_bytes;
-        return soft == kUnlimited ? std::string("0\n")
-                                  : strf("%lld\n", static_cast<long long>(soft));
-      },
-      [this, id](std::string_view v) {
-        const auto value = parse_i64(v);
-        if (!value || *value <= 0) {
-          return false;
-        }
-        tree_.set_mem_soft_limit(id, *value);
-        return true;
-      });
-  fs_.register_file(v2_dir + "memory.current", [this, id] {
-    return strf("%lld\n", static_cast<long long>(memory_.usage(id)));
-  });
-  fs_.register_file(v2_dir + "cpu.stat", [this, id] {
-    const auto stats = scheduler_.stats(id);
-    return strf("usage_usec %lld\nthrottled_usec %lld\n",
-                static_cast<long long>(stats.total_usage),
-                static_cast<long long>(stats.throttled_time));
-  });
 
   register_policy_files(id, name);
 }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -109,6 +110,36 @@ TEST(FleetViewGeneration, RowsAreReusedForQuiescentHosts) {
   // Three of four hosts never receive work; their rows must have been left in
   // place, not re-observed, on (nearly) every refresh.
   EXPECT_GT(cluster.fleet_rows_reused(), 0u);
+}
+
+TEST(FleetViewGeneration, ProfileReadsLeaveAFrozenHostsRowInPlace) {
+  // Reading a pod's counters neither syncs nor marks its host: a ProfileStore
+  // sampling an idle, view-less pod on a frozen host re-observes no row the
+  // same fleet without the store would have left in place.
+  const auto run = [](bool with_profiles) {
+    Cluster cluster;
+    cluster.add_host(small_host());
+    cluster.add_host(small_host());
+    PodSpec spec{"idle", res(500, 512 * MiB)};
+    spec.enable_view = false;
+    const int pod = cluster.create_pod(1, spec);
+    std::optional<ProfileStore> profiles;
+    if (with_profiles) {
+      ProfileConfig config;
+      config.period = 50 * msec;
+      config.window_rounds = 8;
+      config.min_samples = 4;
+      profiles.emplace(cluster, config);
+      cluster.add_component(&*profiles);
+    }
+    cluster.run_for(2 * sec);
+    EXPECT_GT(cluster.hosts_skipped(), 0u);
+    if (profiles) {
+      EXPECT_GT(profiles->profile(pod).samples, 0) << "the store never sampled";
+    }
+    return cluster.fleet_rows_reused();
+  };
+  EXPECT_EQ(run(true), run(false));
 }
 
 TEST(FleetViewFiles, RenderTheCurrentSnapshot) {

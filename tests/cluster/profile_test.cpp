@@ -146,8 +146,6 @@ TEST(ProfileStore, SharedArrivalStreamCorrelatesServices) {
   EXPECT_EQ(profiles.service_correlation_permille("svc-a", "svc-c"), 0)
       << "a flat series co-varies with nothing";
   EXPECT_EQ(profiles.service_correlation_permille("svc-a", "nope"), 0);
-  EXPECT_GT(profiles.pod_correlation_permille(pod_a, pod_b), 300);
-  EXPECT_EQ(profiles.pod_correlation_permille(pod_a, 999), 0);
 }
 
 // --- lifecycle: pruning and relocation ---------------------------------------

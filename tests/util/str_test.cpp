@@ -18,32 +18,6 @@ TEST(Strf, LongOutput) {
   EXPECT_EQ(strf("%s", big.c_str()).size(), 5000u);
 }
 
-TEST(Split, BasicFields) {
-  const auto parts = split("a,b,c", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "c");
-}
-
-TEST(Split, PreservesEmptyFields) {
-  const auto parts = split("a,,b,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[3], "");
-}
-
-TEST(Split, NoDelimiter) {
-  const auto parts = split("abc", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "abc");
-}
-
-TEST(Split, EmptyInput) {
-  const auto parts = split("", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "");
-}
-
 TEST(Trim, StripsWhitespaceBothEnds) {
   EXPECT_EQ(trim("  hello \n"), "hello");
   EXPECT_EQ(trim("\t\r\n x \t"), "x");

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/container/container.h"
 #include "src/workloads/hogs.h"
 
@@ -236,110 +239,71 @@ TEST(VirtualSysfs, StoppedContainerFilesDisappear) {
   EXPECT_FALSE(f.host.sysfs().host_fs().exists("/sys/fs/cgroup/cpu/gone/cpu.shares"));
 }
 
-TEST(VirtualSysfsV2, CpuMaxRoundTrip) {
+TEST(VirtualSysfs, MemoryKnobFilesReachTheCgroupTree) {
   Fixture f;
   container::ContainerConfig config;
-  config.name = "v2";
-  auto& c = f.run(config);
-  EXPECT_EQ(f.host.sysfs().read(proc::kHostInit,
-                                "/sys/fs/cgroup/unified/v2/cpu.max"),
-            "max 100000\n");
-  ASSERT_TRUE(f.host.sysfs().write("/sys/fs/cgroup/unified/v2/cpu.max",
-                                   "400000 100000"));
-  EXPECT_EQ(f.host.cgroups().get(c.cgroup()).cpu().cfs_quota_us, 400000);
-  EXPECT_EQ(f.host.sysfs().read(proc::kHostInit,
-                                "/sys/fs/cgroup/unified/v2/cpu.max"),
-            "400000 100000\n");
-  // Writing "max" alone restores unlimited quota.
-  ASSERT_TRUE(f.host.sysfs().write("/sys/fs/cgroup/unified/v2/cpu.max", "max"));
-  EXPECT_EQ(f.host.cgroups().get(c.cgroup()).cpu().cfs_quota_us, kUnlimited);
-}
-
-TEST(VirtualSysfsV2, CpuMaxRejectsGarbage) {
-  Fixture f;
-  container::ContainerConfig config;
-  config.name = "v2";
-  f.run(config);
-  EXPECT_FALSE(f.host.sysfs().write("/sys/fs/cgroup/unified/v2/cpu.max", ""));
-  EXPECT_FALSE(
-      f.host.sysfs().write("/sys/fs/cgroup/unified/v2/cpu.max", "abc 100"));
-  EXPECT_FALSE(f.host.sysfs().write("/sys/fs/cgroup/unified/v2/cpu.max",
-                                    "100000 100000 extra"));
-  EXPECT_FALSE(
-      f.host.sysfs().write("/sys/fs/cgroup/unified/v2/cpu.max", "100000 10"));
-  EXPECT_FALSE(f.host.sysfs().write("/sys/fs/cgroup/unified/v2/cpu.max",
-                                    "100000 1000001"));
-  EXPECT_FALSE(f.host.sysfs().write("/sys/fs/cgroup/unified/v2/cpu.max",
-                                    "17592186044416 100000"));
-}
-
-TEST(VirtualSysfsV2, CpuWeightKernelMapping) {
-  Fixture f;
-  container::ContainerConfig config;
-  config.name = "v2";
-  auto& c = f.run(config);
-  // Default shares 1024 => weight 1 + 1022*9999/262142 = 39.
-  EXPECT_EQ(f.host.sysfs().read(proc::kHostInit,
-                                "/sys/fs/cgroup/unified/v2/cpu.weight"),
-            "39\n");
-  ASSERT_TRUE(f.host.sysfs().write("/sys/fs/cgroup/unified/v2/cpu.weight", "100"));
-  // weight 100 => shares 2 + 99*262142/9999 = 2597.
-  EXPECT_EQ(f.host.cgroups().get(c.cgroup()).cpu().shares, 2597);
-  EXPECT_FALSE(
-      f.host.sysfs().write("/sys/fs/cgroup/unified/v2/cpu.weight", "0"));
-  EXPECT_FALSE(
-      f.host.sysfs().write("/sys/fs/cgroup/unified/v2/cpu.weight", "10001"));
-}
-
-TEST(VirtualSysfsV2, MemoryFiles) {
-  Fixture f;
-  container::ContainerConfig config;
-  config.name = "v2";
+  config.name = "m";
   config.mem_limit = 2 * GiB;
   config.mem_soft_limit = 1 * GiB;
   auto& c = f.run(config);
-  EXPECT_EQ(f.host.sysfs().read(proc::kHostInit,
-                                "/sys/fs/cgroup/unified/v2/memory.max"),
+  const std::string dir = "/sys/fs/cgroup/memory/m/";
+  EXPECT_EQ(f.host.sysfs().read(proc::kHostInit, dir + "memory.limit_in_bytes"),
             "2147483648\n");
-  EXPECT_EQ(f.host.sysfs().read(proc::kHostInit,
-                                "/sys/fs/cgroup/unified/v2/memory.low"),
-            "1073741824\n");
+  EXPECT_EQ(
+      f.host.sysfs().read(proc::kHostInit, dir + "memory.soft_limit_in_bytes"),
+      "1073741824\n");
   f.host.memory().charge(c.cgroup(), 256 * MiB);
-  EXPECT_EQ(f.host.sysfs().read(proc::kHostInit,
-                                "/sys/fs/cgroup/unified/v2/memory.current"),
+  EXPECT_EQ(f.host.sysfs().read(proc::kHostInit, dir + "memory.usage_in_bytes"),
             "268435456\n");
-  ASSERT_TRUE(f.host.sysfs().write("/sys/fs/cgroup/unified/v2/memory.max",
-                                   "3221225472"));
-  EXPECT_EQ(f.host.cgroups().get(c.cgroup()).mem().limit_in_bytes, 3 * GiB);
-}
 
-TEST(VirtualSysfsV2, CpuStatReportsUsageAndThrottling) {
-  Fixture f;
-  container::ContainerConfig config;
-  config.name = "v2";
-  config.cfs_quota_us = 100000;  // 1 CPU
-  auto& c = f.run(config);
-  workloads::CpuHog hog(f.host, c, 4, 3600 * units::sec);
-  f.host.run_for(1 * units::sec);
-  const auto stat =
-      f.host.sysfs().read(proc::kHostInit, "/sys/fs/cgroup/unified/v2/cpu.stat");
-  ASSERT_TRUE(stat.has_value());
-  // ~1 CPU-second used, ~3 CPU-seconds of demand throttled away.
-  EXPECT_NE(stat->find("usage_usec"), std::string::npos);
-  EXPECT_NE(stat->find("throttled_usec"), std::string::npos);
-  EXPECT_GT(f.host.scheduler().stats(c.cgroup()).throttled_time, 1 * units::sec);
-}
-
-TEST(VirtualSysfsV2, FilesRemovedOnStop) {
-  Fixture f;
-  container::ContainerConfig config;
-  config.name = "v2gone";
-  auto& c = f.run(config);
+  ASSERT_TRUE(f.host.sysfs().write(dir + "memory.limit_in_bytes", "3221225472"));
   ASSERT_TRUE(
-      f.host.sysfs().host_fs().exists("/sys/fs/cgroup/unified/v2gone/cpu.max"));
+      f.host.sysfs().write(dir + "memory.soft_limit_in_bytes", "1610612736"));
+  EXPECT_EQ(f.host.cgroups().get(c.cgroup()).mem().limit_in_bytes, 3 * GiB);
+  EXPECT_EQ(f.host.cgroups().get(c.cgroup()).mem().soft_limit_in_bytes,
+            1536 * MiB);
+
+  for (const char* file : {"memory.limit_in_bytes", "memory.soft_limit_in_bytes"}) {
+    for (const char* bad : {"0", "-1", "garbage"}) {
+      EXPECT_FALSE(f.host.sysfs().write(dir + file, bad)) << file << " " << bad;
+    }
+  }
+  EXPECT_EQ(f.host.cgroups().get(c.cgroup()).mem().limit_in_bytes, 3 * GiB);
+  EXPECT_EQ(f.host.cgroups().get(c.cgroup()).mem().soft_limit_in_bytes,
+            1536 * MiB);
+}
+
+// The sysfs serves the paper's cgroup v1 knobs only: a container exports its
+// seven v1 knob files and its six policy files, and nothing else, and a stop
+// removes all of them.
+TEST(VirtualSysfs, ContainerExportsExactlyTheV1KnobsAndPolicyFiles) {
+  Fixture f;
+  container::ContainerConfig config;
+  config.name = "web";
+  auto& c = f.run(config);
+  const std::vector<std::string> knobs = {
+      "/sys/fs/cgroup/cpu/web/cpu.cfs_period_us",
+      "/sys/fs/cgroup/cpu/web/cpu.cfs_quota_us",
+      "/sys/fs/cgroup/cpu/web/cpu.shares",
+      "/sys/fs/cgroup/cpuset/web/cpuset.cpus",
+      "/sys/fs/cgroup/memory/web/memory.limit_in_bytes",
+      "/sys/fs/cgroup/memory/web/memory.soft_limit_in_bytes",
+      "/sys/fs/cgroup/memory/web/memory.usage_in_bytes",
+  };
+  const std::vector<std::string> policy = {
+      "/sys/arv/policy/web/cpu_step",
+      "/sys/arv/policy/web/cpu_util_threshold",
+      "/sys/arv/policy/web/mem_growth_frac",
+      "/sys/arv/policy/web/mem_prediction_gate",
+      "/sys/arv/policy/web/mem_use_threshold",
+      "/sys/arv/policy/web/policy",
+  };
+  const PseudoFs& fs = f.host.sysfs().host_fs();
+  EXPECT_EQ(fs.list("/sys/fs/cgroup/"), knobs);
+  EXPECT_EQ(fs.list("/sys/arv/policy/web/"), policy);
   c.stop();
-  EXPECT_FALSE(
-      f.host.sysfs().host_fs().exists("/sys/fs/cgroup/unified/v2gone/cpu.max"));
+  EXPECT_TRUE(fs.list("/sys/fs/cgroup/").empty());
+  EXPECT_TRUE(fs.list("/sys/arv/policy/web/").empty());
 }
 
 TEST(VirtualSysfs, CpuinfoRecordsMatchVisibleCpus) {
