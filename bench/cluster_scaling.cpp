@@ -2,8 +2,10 @@
 // fleet grows, with the idle-host skip off and on.
 //
 // The fleet shape is the datacenter-realistic one: work concentrates on a
-// few hosts (12 busy of up to 256) while the rest idle — exactly where an
+// few hosts (12 busy of up to 1024) while the rest idle — exactly where an
 // engine without the skip burns its time stepping hosts that do nothing.
+// With the skip on, the host phase walks only the awake hosts, so its cost
+// should stay flat as the idle remainder grows.
 // Each fleet size runs once with the skip off and once with it on; both
 // configurations must produce identical request counters (asserted),
 // because skipping is a performance feature, never a semantic one.
@@ -35,7 +37,7 @@ using namespace arv::bench;
 constexpr int kHostCpus = 4;
 constexpr int kBusyHosts = 12;  ///< hosts that actually receive pods
 constexpr SimDuration kSim = 3 * units::sec;
-const int kFleetSizes[] = {16, 64, 256};
+const int kFleetSizes[] = {16, 64, 256, 1024};
 
 struct ScalingPoint {
   int hosts = 0;

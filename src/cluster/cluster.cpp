@@ -72,6 +72,7 @@ int Cluster::add_host(container::HostConfig host_config) {
       static_cast<CpuTime>(host_config.cpus) * kObserveWindow;
   hosts_.push_back(std::move(state));
   const int index = static_cast<int>(hosts_.size()) - 1;
+  awake_.push_back(index);  // at cluster time (0), so awake
   mark_host_dirty(index);  // the first refresh builds the row
   if (trace_ != nullptr) {
     register_host_trace(index);
@@ -137,34 +138,46 @@ void Cluster::step() {
 void Cluster::host_phase() {
   const auto wall_start = std::chrono::steady_clock::now();
   in_host_phase_ = true;
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    container::Host& host = *hosts_[i].host;
-    // Freeze a quiescent host: its clock stays behind, host_slack_total and
-    // the trace account for the gap analytically, sync_host replays it on
-    // touch. A host already behind before this tick was frozen and is
-    // untouched since (a touch syncs it); only a touch can end quiescence,
-    // and advance_idle re-checks it then, so it is not asked again.
-    if (config_.skip_idle_hosts &&
-        (host.now() + config_.tick < now_ || host.quiescent())) {
-      ++hosts_skipped_;
-      continue;
-    }
+  const auto step_host = [this](int index) {
+    container::Host& host = *hosts_[static_cast<std::size_t>(index)].host;
     ARV_ASSERT_MSG(host.now() + config_.tick == now_,
                    "non-quiescent host fell behind the cluster clock");
     host.engine().step();
     ARV_ASSERT(host.now() == now_);
-    mark_host_dirty(static_cast<int>(i));
+    mark_host_dirty(index);
+  };
+  if (!config_.skip_idle_hosts) {
+    // The reference path: every host steps and stays on the awake list.
+    for (int i = 0; i < host_count(); ++i) {
+      step_host(i);
+    }
+  } else {
+    // Touches wake hosts out of order; step in index order. A quiescent
+    // host freezes: it leaves the list, host_slack_total and the trace
+    // account for its gap analytically, and sync_host replays it on touch.
+    std::sort(awake_.begin(), awake_.end());
+    std::size_t kept = 0;
+    for (const int index : awake_) {
+      if (!hosts_[static_cast<std::size_t>(index)].host->quiescent()) {
+        step_host(index);
+        awake_[kept++] = index;
+      }
+    }
+    awake_.resize(kept);
   }
+  hosts_skipped_ += hosts_.size() - awake_.size();  // listed == stepped
   in_host_phase_ = false;
-  host_phase_wall_us_ += std::chrono::duration_cast<std::chrono::microseconds>(
+  host_phase_wall_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
                              std::chrono::steady_clock::now() - wall_start)
                              .count();
 }
 
 void Cluster::sync_host(int index) {
+  ARV_ASSERT_MSG(!in_host_phase_, "hosts are touched in the serial phases only");
   HostState& state = hosts_.at(static_cast<std::size_t>(index));
   if (state.host->now() < now_) {
     state.host->advance_idle(now_);
+    awake_.push_back(index);  // behind means frozen, so not yet listed
   }
 }
 

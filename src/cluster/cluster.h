@@ -3,14 +3,17 @@
 // N simulated Hosts advance in lockstep on the calling thread. Every cluster
 // tick runs two kinds of phase (see DESIGN.md §11):
 //
-//   1. The *host phase*: each host's engine advances one tick, in index
-//      order. Hosts are independent within a tick (nothing crosses host
-//      boundaries until the serial phases). Hosts that are provably
+//   1. The *host phase*: each awake host's engine advances one tick, in
+//      index order. Hosts are independent within a tick (nothing crosses
+//      host boundaries until the serial phases). Hosts that are provably
 //      quiescent (Host::quiescent) are skipped entirely: their clock freezes
 //      and the interval is replayed analytically on first touch
-//      (sync-on-touch). A frozen host costs no per-tick work: its slack is
-//      read in closed form (host_slack_total) and its fleet row is left
-//      alone until something marks it stale.
+//      (sync-on-touch). A frozen host costs no per-tick work: it is off the
+//      awake list, its slack is read in closed form (host_slack_total) and
+//      its fleet row is left alone until something marks it stale.
+//      The touch contract: a host's clock moves only in host_phase (a
+//      step) and sync_host (a touch, which wakes it), so between steps a
+//      host is on the awake list exactly when its clock equals cluster time.
 //   2. The *serial phases*, in a fixed order: the slack window roll, due
 //      pod migrations, the FleetView snapshot refresh (fleet_view.h — the
 //      one cluster-state object placement and the control loops read),
@@ -88,9 +91,10 @@ struct ClusterConfig {
   bool enable_tracing = false;
   SimDuration trace_interval = 100 * units::msec;
   /// Skip hosts whose tick would provably be a no-op (Host::quiescent):
-  /// their clock freezes and catches up analytically on first touch. Exact
-  /// by construction — traces are identical with the skip on or off; the
-  /// flag exists so tests can pin that equivalence.
+  /// their clock freezes and catches up analytically on first touch, and
+  /// the host phase walks only the awake hosts. Exact by construction —
+  /// traces are identical with the skip on or off; the flag exists so tests
+  /// can pin that equivalence against stepping every host every tick.
   bool skip_idle_hosts = true;
 };
 
@@ -296,13 +300,18 @@ class Cluster {
   const std::vector<HostView>& views() const { return cur_.hosts; }
 
   // --- host phase -----------------------------------------------------------
-  /// Cumulative count of host-ticks skipped by the quiescence fast path.
-  /// Deterministic: a host's skip decision depends only on its own state.
+  /// Cumulative count of host-ticks skipped by the quiescence fast path:
+  /// hosts minus hosts stepped, per host phase. Deterministic: a host's
+  /// skip decision depends only on its own state.
   std::uint64_t hosts_skipped() const { return hosts_skipped_; }
+
+  /// The awake hosts, in listing order. Read without syncing any host, so
+  /// tests can check the touch contract.
+  const std::vector<int>& awake_hosts() const { return awake_; }
 
   /// Cumulative wall-clock time spent in the host phase, and the number of
   /// cluster steps taken — the benchmark signal.
-  std::int64_t host_phase_wall_us() const { return host_phase_wall_us_; }
+  std::int64_t host_phase_wall_us() const { return host_phase_wall_ns_ / 1000; }
   std::uint64_t steps_taken() const { return steps_; }
 
   /// Idle CPU time accumulated on the host during the last *completed*
@@ -357,7 +366,8 @@ class Cluster {
   };
 
   void host_phase();
-  /// Catch a frozen host's clock up to cluster time (no-op when current).
+  /// Catch a frozen host's clock up to cluster time and wake it (no-op when
+  /// current). Serial phases only.
   void sync_host(int index);
   void mark_host_dirty(int index) {
     HostState& state = hosts_.at(static_cast<std::size_t>(index));
@@ -394,12 +404,17 @@ class Cluster {
   /// and a crash can never observe a half-stepped fleet.
   bool in_host_phase_ = false;
   std::uint64_t hosts_skipped_ = 0;
-  std::int64_t host_phase_wall_us_ = 0;
+  /// In ns: rounding each µs-scale phase to whole µs would read low.
+  std::int64_t host_phase_wall_ns_ = 0;
   std::uint64_t steps_ = 0;
   /// The fleet snapshot, refreshed in place.
   FleetView cur_;
   /// Hosts whose row_stale is set, in marking order.
   std::vector<int> stale_rows_;
+  /// The awake list: each host at cluster time, once (the touch
+  /// contract). Not merged with stale_rows_: a slack roll marks rows stale
+  /// without waking any host.
+  std::vector<int> awake_;
   std::uint64_t rows_reused_ = 0;
   std::vector<HostState> hosts_;
   std::vector<Pod> pods_;

@@ -3,7 +3,8 @@
 // admission, retry budget, adaptive limits) must (a) be byte-identical under
 // the same seed, (b) conserve every request through the extended front-door
 // identities, (c) keep the pod ledger consistent, and (d) converge back to a
-// fully-running fleet once the plan drains. Iteration
+// fully-running fleet once the plan drains, with (e) the touch contract
+// holding after every step. Iteration
 // count scales with ARV_CHAOS_ITERS (CI runs hundreds; the default keeps
 // local runs fast).
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "src/cluster/recovery.h"
 #include "src/cluster/router.h"
 #include "src/harness/scenario.h"
+#include "tests/testing/touch_contract.h"
 
 namespace arv::cluster {
 namespace {
@@ -100,7 +102,11 @@ std::string run_chaos(std::uint64_t chaos_seed, bool verify) {
   options.horizon = kHorizon;
   fleet.enable_faults(
       FaultPlan::random(chaos_rng, options, kHosts, cluster.pod_count()));
-  fleet.run(kRunFor);
+  if (verify) {
+    EXPECT_TRUE(testing::RunCheckingTouchContract(cluster, kRunFor));
+  } else {
+    fleet.run(kRunFor);
+  }
 
   if (verify) {
     const RequestRouter& r = *fleet.router();

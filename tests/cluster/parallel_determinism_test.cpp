@@ -4,8 +4,10 @@
 // and off; traces must come out byte-identical (bar the skip counter's own
 // column) and every conservation counter equal. Syncing every host every
 // tick, analytic idle catch-up, and fault ordering against the host phase
-// are pinned too. Seed coverage scales with ARV_CHAOS_ITERS like the chaos
-// suite.
+// are pinned too, as are the touch contract (the awake list holds exactly
+// the hosts at cluster time, checked after every step of every fleet) and
+// the index order in which awake hosts step. Seed coverage scales with
+// ARV_CHAOS_ITERS like the chaos suite.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -19,6 +21,7 @@
 #include "src/cluster/router.h"
 #include "src/container/host.h"
 #include "src/harness/scenario.h"
+#include "tests/testing/touch_contract.h"
 
 namespace arv::cluster {
 namespace {
@@ -122,7 +125,7 @@ FleetResult run_fleet(const FleetOptions& options) {
     fleet.enable_faults(FaultPlan::random(chaos_rng, chaos, options.hosts,
                                           cluster.pod_count()));
   }
-  fleet.run(options.run);
+  EXPECT_TRUE(testing::RunCheckingTouchContract(cluster, options.run));
 
   FleetResult result;
   result.trace = cluster.trace()->to_csv();
@@ -270,6 +273,42 @@ TEST(ParallelDeterminism, AdvanceIdleMatchesTickByTickExactly) {
   // decay sample by sample so later arithmetic diverges nowhere.
   EXPECT_EQ(stepped.scheduler().loadavg(), jumped.scheduler().loadavg());
   EXPECT_EQ(stepped.memory().free_memory(), jumped.memory().free_memory());
+}
+
+/// Logs its host's index on every tick of that host.
+class StepLog final : public sim::TickComponent {
+ public:
+  StepLog(int host, std::vector<int>& log) : host_(host), log_(log) {}
+
+  void tick(SimTime /*now*/, SimDuration /*dt*/) override {
+    log_.push_back(host_);
+  }
+  std::string name() const override { return "test.step_log"; }
+
+ private:
+  int host_;
+  std::vector<int>& log_;
+};
+
+TEST(ParallelDeterminism, AwakeHostsStepInIndexOrder) {
+  std::vector<int> log;
+  StepLog five(5, log);
+  StepLog two(2, log);
+  Cluster cluster;
+  for (int i = 0; i < 8; ++i) {
+    cluster.add_host(small_host());
+  }
+  cluster.step();  // empty hosts are quiescent: the whole fleet freezes
+  ASSERT_TRUE(cluster.awake_hosts().empty());
+  // Touched in reverse index order, so each wake appends behind the other;
+  // the logs keep their hosts awake from here on.
+  cluster.host(5).engine().add_component(&five);
+  cluster.host(2).engine().add_component(&two);
+  EXPECT_EQ(cluster.awake_hosts(), (std::vector<int>{5, 2}));
+  cluster.step();
+  cluster.step();
+  EXPECT_EQ(log, (std::vector<int>{2, 5, 2, 5}));
+  EXPECT_EQ(cluster.hosts_skipped(), 8u + 6u + 6u);
 }
 
 // --- fault ordering vs the host phase ---------------------------------------
