@@ -6,15 +6,18 @@
 // engine without the skip burns its time stepping hosts that do nothing.
 // With the skip on, the host phase walks only the awake hosts, so its cost
 // should stay flat as the idle remainder grows.
-// Each fleet size runs once with the skip off and once with it on; both
+// Each fleet size runs with the skip off and with it on; both
 // configurations must produce identical request counters (asserted),
-// because skipping is a performance feature, never a semantic one.
+// because skipping is a performance feature, never a semantic one. A point
+// reports the median wall time of kTimedRuns runs, after one untimed
+// warm-up run, so a single slow run cannot skew the curve.
 //
 // The scaling curve is spliced into BENCH_cluster.json (override the path
 // with ARV_CLUSTER_OUT) next to cluster_placement's results; re-runs
 // replace a previous curve in place.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -38,6 +41,7 @@ constexpr int kHostCpus = 4;
 constexpr int kBusyHosts = 12;  ///< hosts that actually receive pods
 constexpr SimDuration kSim = 3 * units::sec;
 const int kFleetSizes[] = {16, 64, 256, 1024};
+constexpr int kTimedRuns = 5;
 
 struct ScalingPoint {
   int hosts = 0;
@@ -96,6 +100,19 @@ ScalingPoint run_point(int hosts, bool skip) {
   point.generated = fleet.router()->generated();
   point.completed = fleet.router()->aggregate().completed;
   return point;
+}
+
+/// One warm-up run, then the run with the median wall time of kTimedRuns.
+ScalingPoint measure_point(int hosts, bool skip) {
+  run_point(hosts, skip);
+  std::vector<ScalingPoint> runs;
+  for (int i = 0; i < kTimedRuns; ++i) {
+    runs.push_back(run_point(hosts, skip));
+  }
+  std::sort(runs.begin(), runs.end(), [](const ScalingPoint& a, const ScalingPoint& b) {
+    return a.wall_ms < b.wall_ms;
+  });
+  return runs[kTimedRuns / 2];
 }
 
 void write_json(const std::vector<ScalingPoint>& points) {
@@ -164,15 +181,16 @@ void write_json(const std::vector<ScalingPoint>& points) {
 
 int main(int argc, char** argv) {
   print_header("Cluster engine scaling",
-               strf("%d busy of N hosts, %.0f sim-s per point; baseline = "
-                    "skip off",
-                    kBusyHosts, static_cast<double>(kSim) / units::sec));
+               strf("%d busy of N hosts, %.0f sim-s per run, median of %d "
+                    "runs after a warm-up; baseline = skip off",
+                    kBusyHosts, static_cast<double>(kSim) / units::sec,
+                    kTimedRuns));
   std::vector<ScalingPoint> points;
   for (const int hosts : kFleetSizes) {
-    ScalingPoint off = run_point(hosts, /*skip=*/false);
+    ScalingPoint off = measure_point(hosts, /*skip=*/false);
     off.speedup_vs_no_skip = 1.0;
     points.push_back(off);
-    ScalingPoint on = run_point(hosts, /*skip=*/true);
+    ScalingPoint on = measure_point(hosts, /*skip=*/true);
     on.speedup_vs_no_skip = off.wall_ms / on.wall_ms;
     // Skipping must be invisible in every simulated observable — a
     // divergence here is an engine bug, not noise.

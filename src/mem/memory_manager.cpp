@@ -33,11 +33,7 @@ Bytes MemoryManager::soft_limit(cgroup::CgroupId id) const {
 }
 
 Bytes MemoryManager::free_memory() const {
-  Bytes used = host_reserved_;
-  for (const auto& [id, st] : cgroups_) {
-    used += st.resident;
-  }
-  return std::max<Bytes>(0, config_.total_ram - used);
+  return std::max<Bytes>(0, config_.total_ram - host_reserved_ - resident_total_);
 }
 
 Bytes MemoryManager::usage(cgroup::CgroupId id) const {
@@ -77,6 +73,7 @@ Bytes MemoryManager::swap_out(cgroup::CgroupId id, Bytes bytes) {
     return 0;
   }
   st.resident -= moved;
+  resident_total_ -= moved;
   st.swapped += moved;
   swap_used_ += moved;
   ++st.swapout_events;
@@ -97,12 +94,14 @@ ChargeResult MemoryManager::charge(cgroup::CgroupId id, Bytes raw_bytes) {
   // to swap.
   const Bytes hard = hard_limit(id);
   st.resident += bytes;
+  resident_total_ += bytes;
   if (st.resident > hard) {
     const Bytes excess = st.resident - hard;
     const Bytes moved = swap_out(id, excess);
     if (moved < excess) {
       // Swap is off or full: the kernel OOM-kills the offender.
       st.resident -= bytes;  // roll back
+      resident_total_ -= bytes;
       st.oom_killed = true;
       ++oom_kills_;
       ARV_LOG(kInfo, "mem", "cgroup %d OOM-killed at hard limit", id);
@@ -136,6 +135,7 @@ void MemoryManager::uncharge(cgroup::CgroupId id, Bytes raw_bytes) {
   st.swapped -= from_swap;
   swap_used_ -= from_swap;
   st.resident -= bytes - from_swap;
+  resident_total_ -= bytes - from_swap;
 }
 
 SimDuration MemoryManager::touch(cgroup::CgroupId id, Bytes bytes) {
@@ -163,6 +163,7 @@ SimDuration MemoryManager::touch(cgroup::CgroupId id, Bytes bytes) {
     return 2 * stall_for(faulted);
   }
   st.resident += faulted;
+  resident_total_ += faulted;
   st.swapped -= faulted;
   swap_used_ -= faulted;
   return stall_for(faulted);
@@ -247,6 +248,7 @@ void MemoryManager::oom_kill_largest() {
   }
   CgroupMem& st = state(victim);
   swap_used_ -= st.swapped;
+  resident_total_ -= st.resident;
   st.resident = 0;
   st.swapped = 0;
   st.oom_killed = true;

@@ -132,8 +132,13 @@ class MemoryManager : public sim::TickComponent {
   cgroup::Tree& tree_;
   Config config_;
   Watermarks marks_;
+  /// Destroyed cgroups keep their entry, so late uncharges stay safe.
   std::map<cgroup::CgroupId, CgroupMem> cgroups_;
   Bytes host_reserved_ = 0;
+  /// Σ resident over cgroups_, kept at every write of CgroupMem::resident
+  /// the way swap_used_ tracks Σ swapped, so free_memory() is O(1) rather
+  /// than a walk over every cgroup ever charged (dead ones included).
+  Bytes resident_total_ = 0;
   Bytes swap_used_ = 0;
   bool kswapd_active_ = false;
   std::uint64_t kswapd_wakeups_ = 0;

@@ -63,12 +63,14 @@ const std::vector<FairScheduler::LiveEntity>& FairScheduler::live_set() const {
   std::erase_if(live_, [this](const LiveEntity& e) { return !tree_.exists(e.id); });
   std::sort(live_.begin(), live_.end(),  // attach() appends out of order
             [](const LiveEntity& a, const LiveEntity& b) { return a.id < b.id; });
+  common_ = CpuSet::all(online_cpus_);
   for (LiveEntity& e : live_) {
     e.mask = tree_.effective_cpuset(e.id);
     e.cpus = e.mask.count();
     e.weight = static_cast<double>(tree_.get(e.id).cpu().shares);
     // Nested cgroups inherit the tightest bandwidth cap along their path.
     e.bandwidth = tree_.effective_bandwidth(e.id);
+    common_ = common_ & e.mask;
   }
   live_generation_ = tree_.generation();
   live_stale_ = false;
@@ -115,7 +117,7 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
     }
     Claim& claim = claims_.emplace_back();
     claim.entity = &entity;
-    claim.mask = entry.mask;
+    claim.mask = &entry.mask;
     claim.weight = entry.weight;
     claim.demand = quota_cap;
     claim.throttled = thread_cap - quota_cap;
@@ -136,6 +138,13 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
       hungry_.push_back(i);
     }
   }
+  // On a common_ CPU every hungry claim takes part. As hungry_ only shrinks,
+  // an unchanged size means the same claims in the same order, so the weight
+  // sum taken on a common_ CPU at this size (and, at an equal `available`,
+  // the offers) is what a fresh computation would give, bit for bit.
+  std::size_t summed_size = hungry_.size() + 1;  // no common_ sum taken yet
+  double common_sum = 0.0;
+  double offered_from = -1.0;  // `available` the stored offers came from
   for (int round = 0; round < kMaxRounds && !hungry_.empty(); ++round) {
     double progress = 0.0;
     for (int cpu = 0; cpu < online_cpus_; ++cpu) {
@@ -143,16 +152,27 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
       if (capacity <= kEpsilonUs) {
         continue;
       }
-      double weight_sum = 0.0;
-      for (const std::size_t i : hungry_) {
-        if (claims_[i].mask.contains(cpu)) {
-          weight_sum += claims_[i].weight;
+      const bool shared = common_.contains(cpu);
+      const bool same_hungry = shared && hungry_.size() == summed_size;
+      double weight_sum = common_sum;
+      if (!same_hungry) {
+        weight_sum = 0.0;
+        for (const std::size_t i : hungry_) {
+          if (shared || claims_[i].mask->contains(cpu)) {
+            weight_sum += claims_[i].weight;
+          }
+        }
+        if (shared) {
+          common_sum = weight_sum;
+          summed_size = hungry_.size();
         }
       }
       if (weight_sum <= 0.0) {
         continue;
       }
       const double available = capacity;
+      const bool same_offers = same_hungry && available == offered_from;
+      offered_from = shared ? available : -1.0;
       double used = 0.0;
       // The offer depends on the claim only through its weight, so a run of
       // equal-weight claims shares one quotient (exact, not approximate).
@@ -161,12 +181,15 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
       std::size_t kept = 0;
       for (const std::size_t i : hungry_) {
         Claim& claim = claims_[i];
-        if (claim.mask.contains(cpu)) {
-          if (claim.weight != offer_weight) {
-            offer_weight = claim.weight;
-            offer = available * claim.weight / weight_sum;
+        if (shared || claim.mask->contains(cpu)) {
+          if (!same_offers) {
+            if (claim.weight != offer_weight) {
+              offer_weight = claim.weight;
+              offer = available * claim.weight / weight_sum;
+            }
+            claim.offer = offer;
           }
-          const double take = std::min(offer, claim.demand - claim.alloc);
+          const double take = std::min(claim.offer, claim.demand - claim.alloc);
           claim.alloc += take;
           used += take;
           if (claim.demand - claim.alloc <= kEpsilonUs) {

@@ -25,13 +25,22 @@
 // generation() moving (any create, destroy or knob change) and attach()
 // adding an entity. Cgroup ids are never reused, so a destroyed entity leaves
 // the live set for good; its stats stay readable. Water-filling visits only
-// still-hungry claims.
+// still-hungry claims, and does no work per repeated CPU: on a CPU that every
+// live cpuset contains (common_), it skips the mask tests, reuses the
+// previous such CPU's weight sum while no claim has left the hungry list,
+// and reuses each claim's offer when the CPU's available capacity is also
+// equal. With one cpuset shape, the usual case, a round pays one sum and one
+// set of divisions per hungry-list change instead of one per CPU.
 //
 // Bit-exactness contract: claims are formed in id order and every
 // floating-point operation (weight sums, offers, carries) runs in the same
 // sequence as the straightforward scan of every attached cgroup, so grants,
-// throttling and slack are bit-identical to it. A seeded differential test
-// (tests/sched/live_set_test.cpp) holds the two side by side.
+// throttling and slack are bit-identical to it. A reused sum or offer is one
+// that scan would recompute from the same operands in the same order: the
+// hungry list only shrinks within a tick, so an unchanged size means the
+// same claims in the same order. A seeded differential test
+// (tests/sched/live_set_test.cpp) holds the two side by side, with cpuset
+// shapes chosen so the reuse path runs.
 #pragma once
 
 #include <cstdint>
@@ -158,15 +167,19 @@ class FairScheduler : public sim::TickComponent {
   /// One runnable entity's share of the current tick.
   struct Claim {
     Entity* entity = nullptr;
-    CpuSet mask;
+    /// The LiveEntity's mask. attach() may append to live_ from inside
+    /// consume(), so this pointer is read only during the fill.
+    const CpuSet* mask = nullptr;
     double weight = 0.0;
     double demand = 0.0;     // us of CPU time wanted this tick (post caps)
     double alloc = 0.0;
+    double offer = 0.0;      // this claim's offer on the last CPU filled
     double throttled = 0.0;  // demand clipped by quota
     int runnable = 0;
   };
 
-  /// The live set, re-derived first if the tree or the attached set moved.
+  /// The live set, re-derived first if the tree or the attached set moved;
+  /// common_ is re-derived with it.
   const std::vector<LiveEntity>& live_set() const;
   void refill_quota(const LiveEntity& entry, SimTime now);
 
@@ -176,6 +189,8 @@ class FairScheduler : public sim::TickComponent {
   std::map<cgroup::CgroupId, Entity> entities_;
   /// Cache behind live_set(); attach() appends new entities and marks it stale.
   mutable std::vector<LiveEntity> live_;
+  /// CPUs every live cpuset contains: on these the fill needs no mask test.
+  mutable CpuSet common_;
   mutable std::uint64_t live_generation_ = 0;
   mutable bool live_stale_ = false;
   // Tick scratch, reused so a tick allocates nothing in steady state.

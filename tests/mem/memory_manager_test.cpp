@@ -1,6 +1,12 @@
 #include "src/mem/memory_manager.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "src/util/rng.h"
 
 namespace arv::mem {
 namespace {
@@ -220,6 +226,75 @@ TEST(MemoryManager, UnknownCgroupReadsZero) {
   EXPECT_EQ(f.mm.usage(42), 0);
   EXPECT_EQ(f.mm.swapped(42), 0);
   EXPECT_FALSE(f.mm.oom_killed(42));
+}
+
+// free_memory() reads a running resident total. Hold it to a recount of the
+// per-cgroup ledger after every operation of a seeded random mix: charges
+// (with hard-limit swap-out and OOM), uncharges (late ones into destroyed
+// cgroups too), touches that fault pages back in, kswapd ticks, direct
+// reclaim and global OOM kills.
+TEST(MemoryManager, FreeMemoryMatchesALedgerRecount) {
+  cgroup::Tree tree(4);
+  Config config = small_config();
+  config.swap_size = 256 * MiB;  // small enough to fill, so OOM kills happen
+  MemoryManager mm(tree, config);
+  constexpr Bytes kReserved = 64 * MiB;
+  mm.reserve_host_memory(kReserved);
+  Rng rng(20190624);
+  std::vector<cgroup::CgroupId> ever;
+  const auto recount = [&] {
+    Bytes resident = 0;
+    for (const auto id : ever) {
+      resident += mm.usage(id);
+    }
+    return std::max<Bytes>(0, mm.total_ram() - kReserved - resident);
+  };
+
+  SimTime now = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    if (tree.all_ids().size() < 4 || rng.chance(0.02)) {
+      std::string name = "c";
+      name += std::to_string(ever.size());
+      const auto id = tree.create(name);
+      ever.push_back(id);
+      if (rng.chance(0.5)) {
+        tree.set_mem_limit(id, rng.uniform_int(32, 256) * MiB);
+      }
+      if (rng.chance(0.5)) {
+        tree.set_mem_soft_limit(id, rng.uniform_int(8, 128) * MiB);
+      }
+    }
+    const auto id = ever[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(ever.size()) - 1))];
+    switch (rng.uniform_int(0, 5)) {
+      case 0:
+      case 1:
+        if (tree.exists(id)) {
+          mm.charge(id, rng.uniform_int(1, 64 * MiB));
+        }
+        break;
+      case 2:  // a destroyed cgroup's owner may still release memory
+        mm.uncharge(id, rng.uniform_int(0, mm.committed(id)));
+        break;
+      case 3:
+        mm.touch(id, rng.uniform_int(0, 128 * MiB));
+        break;
+      case 4:
+        mm.tick(now, 1 * msec);
+        now += 1 * msec;
+        break;
+      default:
+        if (tree.exists(id) && rng.chance(0.2)) {
+          tree.destroy(id);
+        }
+        break;
+    }
+    ASSERT_EQ(mm.free_memory(), recount()) << "step " << step;
+  }
+  // The mix must have reached every path that writes residency.
+  EXPECT_GT(mm.kswapd_wakeups(), 0U);
+  EXPECT_GT(mm.direct_reclaims(), 0U);
+  EXPECT_GT(mm.oom_kills(), 0U);
 }
 
 TEST(MemoryManagerDeath, UnchargeMoreThanChargedAborts) {

@@ -247,10 +247,16 @@ std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 struct Churn {
   std::uint64_t seed;
   int cpus;
+  /// Draw cpusets from a few shapes (all CPUs for most cgroups, half of
+  /// them, one pinned CPU) and favour tight quotas and 1-2-thread claims.
+  /// CPUs then share their cgroups, so the fill's reuse of weight sums and
+  /// offers runs, and claims drop out partway through a round.
+  bool shaped = false;
 };
 
 void PrintTo(const Churn& churn, std::ostream* os) {
-  *os << "seed " << churn.seed << ", " << churn.cpus << " CPUs";
+  *os << "seed " << churn.seed << ", " << churn.cpus << " CPUs"
+      << (churn.shaped ? ", shaped" : "");
 }
 
 class LiveSetDifferential : public ::testing::TestWithParam<Churn> {};
@@ -280,6 +286,10 @@ TEST_P(LiveSetDifferential, BitIdenticalToReferenceUnderRandomChurn) {
   };
   // Every mask keeps CPU 0, so nested intersections are never empty.
   const auto random_mask = [&] {
+    if (param.shaped) {
+      const auto shape = rng.uniform_int(0, 9);
+      return CpuSet::first_n(shape < 7 ? cpus : shape < 9 ? std::max(1, cpus / 2) : 1);
+    }
     CpuSet mask;
     mask.set(0);
     for (int cpu = 1; cpu < cpus; ++cpu) {
@@ -343,10 +353,12 @@ TEST_P(LiveSetDifferential, BitIdenticalToReferenceUnderRandomChurn) {
         case 1:
           tree.set_cpuset(id, rng.chance(0.2) ? CpuSet{} : random_mask());
           break;
-        case 2:
-          tree.set_cfs_quota(id, rng.chance(0.3) ? kUnlimited
-                                                 : rng.uniform_int(500, 4 * cpus * 10'000));
+        case 2: {
+          const std::int64_t least = param.shaped ? 100 : 500;
+          const std::int64_t most = param.shaped ? 3'000 : 4 * cpus * 10'000;
+          tree.set_cfs_quota(id, rng.chance(0.3) ? kUnlimited : rng.uniform_int(least, most));
           break;
+        }
         case 3:
           tree.set_cfs_period(id, rng.uniform_int(1'000, 200'000));
           break;
@@ -391,7 +403,8 @@ TEST_P(LiveSetDifferential, BitIdenticalToReferenceUnderRandomChurn) {
       if (all_idle) {
         pair->live[0].threads = 0;
       } else if (rng.chance(0.2)) {
-        pair->live[0].threads = static_cast<int>(rng.uniform_int(0, 2 * cpus));
+        const int most = param.shaped && rng.chance(0.8) ? 2 : 2 * cpus;
+        pair->live[0].threads = static_cast<int>(rng.uniform_int(0, most));
       }
       pair->live[1].threads = pair->live[0].threads;
       pair->live[0].last = 0;
@@ -433,10 +446,12 @@ TEST_P(LiveSetDifferential, BitIdenticalToReferenceUnderRandomChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LiveSetDifferential,
                          ::testing::Values(Churn{1, 4}, Churn{7, 20}, Churn{42, 70},
-                                           Churn{20190624, 130}),
+                                           Churn{20190624, 130}, Churn{3, 8, true},
+                                           Churn{11, 20, true}, Churn{20190624, 64, true}),
                          [](const ::testing::TestParamInfo<Churn>& info) {
                            return "seed" + std::to_string(info.param.seed) + "_cpus" +
-                                  std::to_string(info.param.cpus);
+                                  std::to_string(info.param.cpus) +
+                                  (info.param.shaped ? "_shaped" : "");
                          });
 
 // --- cache invalidation -----------------------------------------------------
