@@ -104,15 +104,8 @@ ScalingPoint run_point(int hosts, bool skip) {
 
 /// One warm-up run, then the run with the median wall time of kTimedRuns.
 ScalingPoint measure_point(int hosts, bool skip) {
-  run_point(hosts, skip);
-  std::vector<ScalingPoint> runs;
-  for (int i = 0; i < kTimedRuns; ++i) {
-    runs.push_back(run_point(hosts, skip));
-  }
-  std::sort(runs.begin(), runs.end(), [](const ScalingPoint& a, const ScalingPoint& b) {
-    return a.wall_ms < b.wall_ms;
-  });
-  return runs[kTimedRuns / 2];
+  return median_run(kTimedRuns, [=] { return run_point(hosts, skip); },
+                    &ScalingPoint::wall_ms);
 }
 
 void write_json(const std::vector<ScalingPoint>& points) {

@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <string>
@@ -71,5 +72,21 @@ void register_case(const std::string& name, std::function<void()> fn);
 
 /// Prints a section header in the bench output.
 void print_header(const std::string& figure, const std::string& description);
+
+/// One untimed warm-up call of `run`, then the result with the median `key`
+/// (a member pointer or callable) of `timed_runs` calls, so a single slow
+/// run cannot skew a timing curve.
+template <typename Run, typename Key>
+auto median_run(int timed_runs, Run run, Key key) {
+  run();
+  std::vector<decltype(run())> runs;
+  for (int i = 0; i < timed_runs; ++i) {
+    runs.push_back(run());
+  }
+  std::sort(runs.begin(), runs.end(), [&key](const auto& a, const auto& b) {
+    return std::invoke(key, a) < std::invoke(key, b);
+  });
+  return runs[static_cast<std::size_t>(timed_runs / 2)];
+}
 
 }  // namespace arv::bench

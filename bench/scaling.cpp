@@ -13,6 +13,10 @@
 //     the event-coalescing, total_shares-caching, and /proc/cpuinfo memo
 //     hot paths.
 //
+// Each count reports the run with the median wall_ms_per_sim_s of
+// kTimedRuns runs, after one untimed warm-up run, so a single slow run
+// cannot skew the curve.
+//
 // Results are written to BENCH_scaling.json (override the path with
 // ARV_SCALING_OUT). The baseline_* fields are the same measurements taken on
 // this machine immediately before the event-coalescing work landed, so the
@@ -49,6 +53,8 @@ constexpr Baseline kPrePrBaseline[] = {
     {256, 18.84, 550.3},
     {1024, 602.57, 6499.7},
 };
+
+constexpr int kTimedRuns = 5;
 
 double wall_ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -171,7 +177,9 @@ void print_scaling() {
                "wall ms/sim s", "baseline ms/sim s", "improvement"});
   std::vector<ScalingPoint> points;
   for (const int n : {64, 256, 1024}) {
-    const ScalingPoint p = run_scaling(n);
+    const ScalingPoint p = median_run(
+        kTimedRuns, [n] { return run_scaling(n); },
+        &ScalingPoint::wall_ms_per_sim_s);
     points.push_back(p);
     const double improvement = p.baseline_wall_ms_per_sim_s > 0
                                    ? p.baseline_wall_ms_per_sim_s /

@@ -10,51 +10,40 @@ namespace arv::cluster {
 
 namespace {
 
-/// Upper clamps. Each is far past any useful setting and keeps the integer
-/// arithmetic exact: the milli-token budget (cap * 1000 plus one deposit),
-/// the AIMD limit (limit + increase) and the calm test
-/// (trailing-min p50 * tolerance) all stay well inside their types.
-constexpr SimDuration kMaxPeriod = 3600 * units::sec;
-constexpr std::int64_t kMaxRetryTokens = 1'000'000'000'000;
-constexpr int kMaxLimit = 1'000'000;
-constexpr std::int64_t kMaxLatencyTolerancePermille = 1'000'000;
+/// Control-loop round length (AIMD limits, retry-budget floor).
+constexpr SimDuration kPeriod = 100 * units::msec;
+
+// --- fleet-wide retry budget -------------------------------------------------
+/// Milli-tokens deposited per successful request (100 = 10% of successes may
+/// be retries).
+constexpr std::int64_t kRetryBudgetPermille = 100;
+/// Budget cap, in whole tokens (bounds the stored burst of retries).
+constexpr std::int64_t kRetryBudgetCap = 100;
+/// Per-round re-arm floor, in whole tokens: even with zero successes this
+/// many retries per round stay possible, so the fleet keeps probing.
+constexpr std::int64_t kRetryBudgetFloor = 2;
+
+// --- adaptive per-replica concurrency limits ---------------------------------
+/// First limit applied to a replica (then AIMD takes over).
+constexpr int kInitialLimit = 64;
+constexpr int kMinLimit = 4;
+/// Additive increase per calm round.
+constexpr int kLimitIncrease = 4;
+/// Multiplicative decrease on a congested round (limit *= this / 1000).
+constexpr std::int64_t kLimitDecreasePermille = 700;
+/// A round is calm while its p50 <= trailing-min p50 * this / 1000.
+constexpr std::int64_t kLatencyTolerancePermille = 2000;
+/// Rounds of trailing p50 minima kept as the baseline.
+constexpr int kMinWindowRounds = 30;
 
 }  // namespace
 
-AdmissionConfig AdmissionConfig::validated() const {
-  AdmissionConfig v = *this;
-  if (v.period <= 0) {
-    v.period = AdmissionConfig{}.period;
-  }
-  v.period = std::min(v.period, kMaxPeriod);
-  v.retry_budget_floor =
-      std::clamp<std::int64_t>(v.retry_budget_floor, 0, kMaxRetryTokens);
-  v.retry_budget_cap = std::clamp<std::int64_t>(
-      v.retry_budget_cap, std::max<std::int64_t>(1, v.retry_budget_floor),
-      kMaxRetryTokens);
-  // A deposit above the cap fills the bucket exactly as the cap itself does.
-  v.retry_budget_permille = std::clamp<std::int64_t>(
-      v.retry_budget_permille, 0, v.retry_budget_cap * 1000);
-  v.min_limit = std::clamp(v.min_limit, 1, kMaxLimit);
-  v.initial_limit = std::clamp(v.initial_limit, v.min_limit, kMaxLimit);
-  v.limit_increase = std::clamp(v.limit_increase, 1, kMaxLimit);
-  v.limit_decrease_permille =
-      std::clamp<std::int64_t>(v.limit_decrease_permille, 1, 999);
-  v.latency_tolerance_permille = std::clamp<std::int64_t>(
-      v.latency_tolerance_permille, 1000, kMaxLatencyTolerancePermille);
-  v.min_window_rounds = std::max(1, v.min_window_rounds);
-  return v;
-}
-
-AdmissionController::AdmissionController(Cluster& cluster,
-                                         AdmissionConfig config)
-    : cluster_(cluster),
-      config_(config.validated()),
-      telemetry_(cluster, "admission") {
+AdmissionController::AdmissionController(Cluster& cluster, AdmissionConfig)
+    : cluster_(cluster), telemetry_(cluster, "admission") {
   // Start with a full retry reserve: the budget bounds the retry *rate*
   // relative to successes; an initial reserve just lets the first failover
   // probe immediately.
-  retry_tokens_milli_ = config_.retry_budget_cap * 1000;
+  retry_tokens_milli_ = kRetryBudgetCap * 1000;
   telemetry_.gauge("overload.retry_tokens_milli", "",
                    [this] { return retry_tokens_milli_; });
   telemetry_.counter("overload.retries_denied", "", retries_denied_);
@@ -75,6 +64,8 @@ void AdmissionController::register_tenant(const std::string& name,
   router.attach_admission(this);
 }
 
+SimDuration AdmissionController::tick_period() const { return kPeriod; }
+
 bool AdmissionController::allow_retry() {
   if (retry_tokens_milli_ >= 1000) {
     retry_tokens_milli_ -= 1000;
@@ -87,8 +78,8 @@ bool AdmissionController::allow_retry() {
 
 void AdmissionController::on_success() {
   retry_tokens_milli_ =
-      std::min(config_.retry_budget_cap * 1000,
-               retry_tokens_milli_ + config_.retry_budget_permille);
+      std::min(kRetryBudgetCap * 1000,
+               retry_tokens_milli_ + kRetryBudgetPermille);
 }
 
 void AdmissionController::update_limits() {
@@ -112,27 +103,27 @@ void AdmissionController::update_limits() {
           fresh == 0 ? -1 : hist.percentile_since(st.prev, 50.0);
       st.prev = hist;
       if (st.limit == 0) {
-        st.limit = config_.initial_limit;
+        st.limit = kInitialLimit;
       }
       if (round_p50 >= 0) {
         st.window.push_back(round_p50);
-        while (static_cast<int>(st.window.size()) > config_.min_window_rounds) {
+        while (static_cast<int>(st.window.size()) > kMinWindowRounds) {
           st.window.pop_front();
         }
         const std::int64_t min_p50 =
             *std::min_element(st.window.begin(), st.window.end());
-        if (round_p50 * 1000 <= min_p50 * config_.latency_tolerance_permille) {
-          st.limit += config_.limit_increase;  // additive increase
+        if (round_p50 * 1000 <= min_p50 * kLatencyTolerancePermille) {
+          st.limit += kLimitIncrease;  // additive increase
         } else {
           st.limit = std::max<int>(
-              config_.min_limit,
+              kMinLimit,
               static_cast<int>(static_cast<std::int64_t>(st.limit) *
-                               config_.limit_decrease_permille / 1000));
+                               kLimitDecreasePermille / 1000));
         }
       } else if (sink != nullptr && sink->queue_depth() == 0) {
-        st.limit += config_.limit_increase;  // idle round: recover headroom
+        st.limit += kLimitIncrease;  // idle round: recover headroom
       }
-      st.limit = std::max(st.limit, config_.min_limit);
+      st.limit = std::max(st.limit, kMinLimit);
       if (sink != nullptr) {
         sink->set_queue_limit(static_cast<std::size_t>(st.limit));
         // Read back the server-side clamp so growth stops at max_queue.
@@ -148,7 +139,7 @@ void AdmissionController::tick(SimTime /*now*/, SimDuration /*dt*/) {
   // Per-round floor: even with zero successes the fleet keeps a trickle of
   // retry capacity, so it never stops probing for recovery.
   retry_tokens_milli_ =
-      std::max(retry_tokens_milli_, config_.retry_budget_floor * 1000);
+      std::max(retry_tokens_milli_, kRetryBudgetFloor * 1000);
 
   snap_.retries_denied = retries_denied_;
   snap_.retry_tokens_milli = retry_tokens_milli_;

@@ -9,7 +9,7 @@
 // saturation, for every RequestRouter (tenant) registered with it:
 //
 //   1. Retry budget — one fleet-wide token bucket refilled as a fraction of
-//      *successful* requests (Finagle-style, default 10%). Every retry
+//      *successful* requests (Finagle-style, 10%). Every retry
 //      beyond a request's first attempt spends a token; when the budget is
 //      dry the router gives up instead of amplifying. Under total brown-off
 //      a small per-round floor re-arms so probing never stops entirely.
@@ -31,6 +31,9 @@
 // budget counts milli-tokens), so cluster traces stay byte-identical run to
 // run. Telemetry surfaces as overload.* trace series and /sys/arv/admission/
 // control files on the designated control host.
+//
+// The budget and AIMD settings are constants in overload.cpp: no workload
+// sets them.
 #pragma once
 
 #include <cstdint>
@@ -47,43 +50,13 @@
 
 namespace arv::cluster {
 
-struct AdmissionConfig {
-  /// Control-loop round length (AIMD limits, retry-budget floor).
-  SimDuration period = 100 * units::msec;
-
-  // --- fleet-wide retry budget -----------------------------------------------
-  /// Milli-tokens deposited per successful request (100 = 10% of successes
-  /// may be retries).
-  std::int64_t retry_budget_permille = 100;
-  /// Budget cap, in whole tokens (bounds the stored burst of retries).
-  std::int64_t retry_budget_cap = 100;
-  /// Per-round re-arm floor, in whole tokens: even with zero successes this
-  /// many retries per round stay possible, so the fleet keeps probing.
-  std::int64_t retry_budget_floor = 2;
-
-  // --- adaptive per-replica concurrency limits -------------------------------
-  /// First limit applied to a replica (then AIMD takes over).
-  int initial_limit = 64;
-  int min_limit = 4;
-  /// Additive increase per calm round.
-  int limit_increase = 4;
-  /// Multiplicative decrease on a congested round (limit *= this / 1000).
-  std::int64_t limit_decrease_permille = 700;
-  /// A round is calm while its p50 <= trailing-min p50 * this / 1000.
-  std::int64_t latency_tolerance_permille = 2000;
-  /// Rounds of trailing p50 minima kept as the baseline.
-  int min_window_rounds = 30;
-
-  /// Copy with every out-of-range knob clamped to its nearest legal value —
-  /// same contract as RouterConfig::validated(), applied by the constructor.
-  /// Clamps run both ways: no knob, however large, overflows the integer
-  /// token or limit arithmetic.
-  AdmissionConfig validated() const;
-};
+/// Compatibility: delete in the benchmark PR. perfbench/src/fleet.cpp still
+/// passes `AdmissionConfig{}` to the constructor; it holds nothing.
+struct AdmissionConfig {};
 
 class AdmissionController : public sim::TickComponent {
  public:
-  explicit AdmissionController(Cluster& cluster, AdmissionConfig config = {});
+  explicit AdmissionController(Cluster& cluster, AdmissionConfig = {});
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
 
@@ -102,7 +75,7 @@ class AdmissionController : public sim::TickComponent {
   // --- sim::TickComponent ----------------------------------------------------
   void tick(SimTime now, SimDuration dt) override;
   std::string name() const override { return "cluster.admission"; }
-  SimDuration tick_period() const override { return config_.period; }
+  SimDuration tick_period() const override;
 
   // --- telemetry -------------------------------------------------------------
   std::uint64_t retries_allowed() const { return retries_allowed_; }
@@ -111,9 +84,7 @@ class AdmissionController : public sim::TickComponent {
   /// Sum of the AIMD queue limits applied to live replicas last round.
   std::int64_t queue_limit_total() const { return queue_limit_total_; }
 
-  const AdmissionConfig& config() const { return config_; }
-
-  // --- compatibility: delete with ROADMAP direction 2 ------------------------
+  // --- compatibility: delete in the benchmark PR -----------------------------
   // perfbench/src/fleet.cpp still calls these; nothing else may. They hold no
   // state and do nothing: the front door no longer classes, sheds or rejects.
   std::uint64_t rejected() const { return 0; }
@@ -136,7 +107,6 @@ class AdmissionController : public sim::TickComponent {
   void update_limits();
 
   Cluster& cluster_;
-  AdmissionConfig config_;
   std::vector<Tenant> tenants_;
   std::unordered_map<int, LimitState> limits_;  ///< by pod id
 
@@ -156,7 +126,7 @@ class AdmissionController : public sim::TickComponent {
   Telemetry telemetry_;  ///< /sys/arv/admission/
 };
 
-/// Compatibility: delete with ROADMAP direction 2. perfbench/src/fleet.cpp
+/// Compatibility: delete in the benchmark PR. perfbench/src/fleet.cpp
 /// still passes this to set_criticality(); it carries no class.
 inline int criticality_for_slo(std::int64_t /*availability_permille*/) {
   return 0;

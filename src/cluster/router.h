@@ -43,7 +43,7 @@ struct RouterConfig {
   /// Extra attempts after a refused injection (0 disables retry).
   int max_retries = 2;
 
-  /// Compatibility: delete with ROADMAP direction 2. perfbench/src/fleet.cpp
+  /// Compatibility: delete in the benchmark PR. perfbench/src/fleet.cpp
   /// still sets it; nothing reads it, and nothing else may set it.
   int breaker_threshold = 5;
 
@@ -119,7 +119,7 @@ class RequestRouter : public sim::TickComponent {
   /// yet completed and not lost to a teardown).
   std::uint64_t queued() const;
 
-  // --- compatibility: delete with ROADMAP direction 2 ------------------------
+  // --- compatibility: delete in the benchmark PR -----------------------------
   // perfbench/src/fleet.cpp still calls these; nothing else may. They hold no
   // state: the front door admits every request and never sheds.
   std::uint64_t admitted() const { return generated(); }

@@ -204,10 +204,9 @@ void FleetScenario::add_tenant(const std::string& name,
   tenants_.push_back(std::move(tenant));
 }
 
-void FleetScenario::enable_admission(cluster::AdmissionConfig config) {
+void FleetScenario::enable_admission() {
   ARV_ASSERT_MSG(admission_ == nullptr, "admission already enabled");
-  admission_ =
-      std::make_unique<cluster::AdmissionController>(cluster_, config);
+  admission_ = std::make_unique<cluster::AdmissionController>(cluster_);
   cluster_.add_component(admission_.get());
   if (router_ != nullptr) {
     admission_->register_tenant("default", *router_);

@@ -216,7 +216,7 @@ class FleetScenario {
   /// every tenant declared so far (and later) enroll under one
   /// AdmissionController — the fleet-wide retry budget and adaptive
   /// per-replica concurrency limits.
-  void enable_admission(cluster::AdmissionConfig config = {});
+  void enable_admission();
 
   /// Per-tenant HPA over the tenant's router. The template's service (and
   /// name, if empty) default to the tenant name.

@@ -1,11 +1,6 @@
 #include "src/load/trace_spec.h"
 
 #include <algorithm>
-#include <charconv>
-#include <istream>
-#include <limits>
-#include <ostream>
-#include <string_view>
 
 #include "src/util/assert.h"
 
@@ -134,11 +129,6 @@ std::int64_t bounded_pareto_quantile(double u, std::int64_t lo,
   return std::clamp(v, lo, hi);
 }
 
-std::int64_t bounded_pareto(Rng& rng, std::int64_t lo, std::int64_t hi,
-                            double alpha) {
-  return bounded_pareto_quantile(rng.uniform(), lo, hi, alpha);
-}
-
 }  // namespace det
 
 SimDuration CompiledTrace::duration() const {
@@ -218,24 +208,6 @@ CompiledTrace compile(const TraceSpec& spec) {
   const double slot_sec =
       static_cast<double>(spec.slot) / static_cast<double>(units::sec);
 
-  // MMPP burst envelope is shared across tenants (a burst is a burst of
-  // *users*), drawn once from its own rng stream so adding tenants never
-  // shifts the burst pattern.
-  std::vector<double> burst(slots, 1.0);
-  if (spec.process == ArrivalProcess::kMmpp) {
-    ARV_ASSERT(spec.burst_on_slots > 0.0 && spec.burst_off_slots > 0.0);
-    Rng rng(spec.seed ^ 0x6d6d7070ULL);  // "mmpp"
-    bool on = false;
-    for (std::size_t s = 0; s < slots; ++s) {
-      const double flip = on ? 1.0 / spec.burst_on_slots
-                             : 1.0 / spec.burst_off_slots;
-      if (rng.chance(flip)) {
-        on = !on;
-      }
-      burst[s] = on ? spec.burst_multiplier : 1.0;
-    }
-  }
-
   for (std::size_t i = 0; i < spec.tenants.size(); ++i) {
     const TenantMix& mix = spec.tenants[i];
     TenantSchedule schedule;
@@ -250,8 +222,7 @@ CompiledTrace compile(const TraceSpec& spec) {
     const double share = mix.weight / weight_sum;
     double carry = 0.0;  // kDeterministic fractional remainder
     for (std::size_t s = 0; s < slots; ++s) {
-      const double lambda =
-          profile_rps(spec, s, slots) * burst[s] * share * slot_sec;
+      const double lambda = profile_rps(spec, s, slots) * share * slot_sec;
       std::uint64_t n = 0;
       if (spec.process == ArrivalProcess::kDeterministic) {
         carry += lambda;
@@ -265,142 +236,6 @@ CompiledTrace compile(const TraceSpec& spec) {
       schedule.total += n;
     }
     trace.tenants.push_back(std::move(schedule));
-  }
-  return trace;
-}
-
-void save_csv(const CompiledTrace& trace, std::ostream& out) {
-  out << "# arv-trace v1 slot_us=" << trace.slot << "\n";
-  out << "tenant,cost_min_us,cost_max_us,cost_alpha_milli,slots\n";
-  for (const TenantSchedule& t : trace.tenants) {
-    out << t.tenant << ',' << t.cost_min << ',' << t.cost_max << ','
-        << static_cast<std::int64_t>(t.cost_alpha * 1000.0) << ','
-        << t.arrivals.size() << "\n";
-  }
-  out << "tenant,slot,arrivals\n";
-  for (const TenantSchedule& t : trace.tenants) {
-    for (std::size_t s = 0; s < t.arrivals.size(); ++s) {
-      if (t.arrivals[s] == 0) {
-        continue;  // sparse: empty slots are implicit
-      }
-      out << t.tenant << ',' << s << ',' << t.arrivals[s] << "\n";
-    }
-  }
-}
-
-namespace {
-
-/// Split a CSV row at commas; empty fields are kept.
-std::vector<std::string_view> split_row(std::string_view line) {
-  std::vector<std::string_view> fields;
-  std::size_t start = 0;
-  for (std::size_t comma; (comma = line.find(',', start)) != line.npos;
-       start = comma + 1) {
-    fields.push_back(line.substr(start, comma - start));
-  }
-  fields.push_back(line.substr(start));
-  return fields;
-}
-
-/// The whole field as a decimal integer of type T, or nullopt if it is
-/// empty, carries anything else, or does not fit T (so a "-1" never wraps
-/// into an unsigned T).
-template <typename T>
-std::optional<T> parse_int(std::string_view field) {
-  T value{};
-  const char* end = field.data() + field.size();
-  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
-  if (ec != std::errc() || ptr != end) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-}  // namespace
-
-std::optional<CompiledTrace> load_csv(std::istream& in) {
-  CompiledTrace trace;
-  std::string line;
-  const std::string_view magic = "# arv-trace v1 slot_us=";
-  if (!std::getline(in, line) || !line.starts_with(magic)) {
-    return std::nullopt;
-  }
-  const auto slot =
-      parse_int<SimDuration>(std::string_view(line).substr(magic.size()));
-  if (!slot || *slot <= 0) {
-    return std::nullopt;
-  }
-  trace.slot = *slot;
-  // Tenant table, up to the arrival-row header.
-  if (!std::getline(in, line) ||
-      line != "tenant,cost_min_us,cost_max_us,cost_alpha_milli,slots") {
-    return std::nullopt;
-  }
-  bool arrival_header = false;
-  while (std::getline(in, line)) {
-    if (line == "tenant,slot,arrivals") {
-      arrival_header = true;
-      break;
-    }
-    const std::vector<std::string_view> row = split_row(line);
-    if (row.size() != 5 || row[0].empty() ||
-        trace.find(std::string(row[0])) != nullptr) {
-      return std::nullopt;
-    }
-    const auto cost_min = parse_int<CpuTime>(row[1]);
-    const auto cost_max = parse_int<CpuTime>(row[2]);
-    const auto alpha_milli = parse_int<std::int64_t>(row[3]);
-    const auto slots = parse_int<std::size_t>(row[4]);
-    // The cost bounds are what the driver's Pareto sampler requires; every
-    // tenant spans the same slot grid, and the cycle must fit SimDuration.
-    if (!cost_min || !cost_max || !alpha_milli || !slots || *cost_min <= 0 ||
-        *cost_max < *cost_min || *slots == 0 ||
-        *slots > static_cast<std::size_t>(
-                     std::numeric_limits<SimDuration>::max() / trace.slot) ||
-        (!trace.tenants.empty() &&
-         *slots != trace.tenants.front().arrivals.size())) {
-      return std::nullopt;
-    }
-    TenantSchedule schedule;
-    schedule.tenant = std::string(row[0]);
-    schedule.cost_min = *cost_min;
-    schedule.cost_max = *cost_max;
-    schedule.cost_alpha = static_cast<double>(*alpha_milli) / 1000.0;
-    schedule.arrivals.resize(*slots, 0);
-    trace.tenants.push_back(std::move(schedule));
-  }
-  if (!arrival_header) {
-    return std::nullopt;
-  }
-  // Arrival rows: each (tenant, slot) at most once, so total == sum(arrivals).
-  const std::size_t slots =
-      trace.tenants.empty() ? 0 : trace.tenants.front().arrivals.size();
-  std::vector<bool> seen(trace.tenants.size() * slots, false);
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    const std::vector<std::string_view> row = split_row(line);
-    if (row.size() != 3) {
-      return std::nullopt;
-    }
-    const auto tenant = std::find_if(
-        trace.tenants.begin(), trace.tenants.end(),
-        [&](const TenantSchedule& t) { return t.tenant == row[0]; });
-    const auto s = parse_int<std::size_t>(row[1]);
-    const auto n = parse_int<std::uint32_t>(row[2]);
-    if (tenant == trace.tenants.end() || !s || !n ||
-        *s >= tenant->arrivals.size()) {
-      return std::nullopt;
-    }
-    const std::size_t cell =
-        static_cast<std::size_t>(tenant - trace.tenants.begin()) * slots + *s;
-    if (seen[cell]) {
-      return std::nullopt;
-    }
-    seen[cell] = true;
-    tenant->arrivals[*s] = *n;
-    tenant->total += *n;
   }
   return trace;
 }

@@ -2,11 +2,11 @@
 //
 // The workload engine (DESIGN.md §14) separates *what the users do* from
 // *how the fleet reacts*: a TraceSpec declares the demand shape — a diurnal
-// sinusoid, flash-crowd spikes, Poisson or Markov-modulated (MMPP) session
-// arrivals, a bounded-Pareto per-request cost, and per-tenant mix weights —
-// and compile() lowers it to an integer per-slot arrival schedule the
-// OpenLoopDriver replays tick by tick. Compilation happens once, before time
-// advances, so the per-tick fast path is pure table lookup.
+// sinusoid, flash-crowd spikes, Poisson session arrivals, a bounded-Pareto
+// per-request cost, and per-tenant mix weights — and compile() lowers it to
+// an integer per-slot arrival schedule the OpenLoopDriver replays tick by
+// tick. Compilation happens once, before time advances, so the per-tick fast
+// path is pure table lookup.
 //
 // Everything here is bit-deterministic across platforms:
 // the sinusoid is integer Bhaskara-I (no libm), the Poisson/Pareto samplers
@@ -15,15 +15,9 @@
 // The same spec + seed therefore compiles to the same schedule everywhere —
 // the property the golden compile test and the byte-identical-trace tests
 // pin.
-//
-// Real traces replay through the same machinery: save_csv/load_csv round-trip
-// a compiled schedule, so a production arrival log binned into slots drops in
-// wherever a synthetic spec would.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,14 +49,11 @@ double det_pow(double x, double p);
 /// it never underflows); draws only uniform doubles from `rng`.
 std::uint64_t poisson(Rng& rng, double lambda);
 
-/// Bounded Pareto(alpha) on [lo, hi] by inverse CDF — the heavy-tailed
-/// per-request cost. alpha <= 0 degenerates to the midpoint.
-std::int64_t bounded_pareto(Rng& rng, std::int64_t lo, std::int64_t hi,
-                            double alpha);
-
-/// The inverse CDF itself at quantile u in [0, 1) — for precomputing cost
-/// lookup tables (the injection fast path samples a table instead of paying
-/// det_pow per request).
+/// Bounded Pareto(alpha) on [lo, hi] — the heavy-tailed per-request cost —
+/// as its inverse CDF at quantile u in [0, 1); alpha <= 0 degenerates to the
+/// midpoint. The driver precomputes a cost lookup table from it, so the
+/// injection fast path samples the table instead of paying det_pow per
+/// request.
 std::int64_t bounded_pareto_quantile(double u, std::int64_t lo,
                                      std::int64_t hi, double alpha);
 
@@ -85,7 +76,6 @@ struct FlashCrowd {
 enum class ArrivalProcess {
   kDeterministic,  ///< exactly round(lambda) per slot — analytic baselines
   kPoisson,        ///< independent Poisson counts per slot
-  kMmpp,           ///< 2-state Markov-modulated Poisson (bursty sessions)
 };
 
 /// One tenant's share of the mix. Weights are relative; each tenant's slot
@@ -115,11 +105,6 @@ struct TraceSpec {
   int diurnal_periods = 1;
   std::vector<FlashCrowd> flash_crowds;
   ArrivalProcess process = ArrivalProcess::kPoisson;
-  /// MMPP burst state: rate multiplier while "on", and mean sojourn times
-  /// (exponential, in slots) for the off->on / on->off transitions.
-  double burst_multiplier = 3.0;
-  double burst_on_slots = 20.0;   ///< mean burst length, in slots
-  double burst_off_slots = 80.0;  ///< mean gap between bursts, in slots
   std::uint64_t seed = 42;
   std::vector<TenantMix> tenants;
 };
@@ -137,8 +122,7 @@ struct TenantSchedule {
 };
 
 /// A compiled trace: per-tenant per-slot integer arrival counts. This is the
-/// only thing the driver consumes — synthetic specs and replayed CSV logs
-/// are indistinguishable past this point.
+/// only thing the driver consumes.
 struct CompiledTrace {
   SimDuration slot = 0;
   std::vector<TenantSchedule> tenants;
@@ -151,15 +135,5 @@ struct CompiledTrace {
 /// Lower a spec to its arrival schedule. Pure function of (spec, spec.seed):
 /// the same spec compiles to the same schedule on every platform.
 CompiledTrace compile(const TraceSpec& spec);
-
-/// Serialize a compiled trace as CSV (`tenant,slot,arrivals` long format
-/// with a header carrying the slot length and cost model), and read one
-/// back. load_csv(save_csv(t)) reproduces t exactly. A trace file is user
-/// input, so load_csv never asserts on it: a bad header, a non-numeric or
-/// out-of-range field, a tenant row with an invalid cost range or a slot
-/// count unlike the others, an arrival row for an unknown tenant or slot, a
-/// count above UINT32_MAX, or a repeated (tenant, slot) row yields nullopt.
-void save_csv(const CompiledTrace& trace, std::ostream& out);
-std::optional<CompiledTrace> load_csv(std::istream& in);
 
 }  // namespace arv::load

@@ -1,5 +1,6 @@
-// Small statistics helpers used by the scheduler (load averages), the
-// experiment harness (series summaries), and tests (distribution checks).
+// Small statistics helpers: the scheduler's load averages (Ema) and the
+// nearest-rank window percentiles behind the cluster's usage profiles and
+// VPA recommendations.
 #pragma once
 
 #include <algorithm>
@@ -34,10 +35,6 @@ class Ema {
   double value_ = 0.0;
   bool primed_ = false;
 };
-
-/// Percentile over a copy of the samples (p in [0, 100]), linearly
-/// interpolated between the two closest ranks.
-double percentile(std::vector<double> samples, double p);
 
 /// Nearest-rank percentile over an integer sample window: 1-based rank =
 /// ceil(n * p / 100), no interpolation, no floating point, so profiles and

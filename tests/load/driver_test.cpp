@@ -114,8 +114,17 @@ TEST(OpenLoopDriver, OpenLoopNeverThrottlesArrivals) {
 TEST(OpenLoopDriver, PerTenantConservationUnderChaos) {
   // The per-tenant request-conservation identity — generated ==
   // routed + dropped + unroutable — must survive crashes, restarts,
-  // and failovers with the driver injecting through it all.
-  const CompiledTrace trace = compile(two_tenant_spec(ArrivalProcess::kMmpp));
+  // and failovers with the driver injecting through it all. A flash crowd
+  // keeps the offered load bursty while the faults land.
+  TraceSpec spec = two_tenant_spec(ArrivalProcess::kPoisson);
+  FlashCrowd crowd;
+  crowd.start = 500 * msec;
+  crowd.ramp = 200 * msec;
+  crowd.hold = 500 * msec;
+  crowd.decay = 300 * msec;
+  crowd.magnitude = 3.0;
+  spec.flash_crowds.push_back(crowd);
+  const CompiledTrace trace = compile(spec);
   for (int i = 0; i < 3; ++i) {
     const std::uint64_t seed = 0xc0ffee + static_cast<std::uint64_t>(i);
     SCOPED_TRACE("chaos seed " + std::to_string(seed));

@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <optional>
-#include <sstream>
-#include <string>
-#include <vector>
 
 #include "src/util/rng.h"
 
@@ -82,7 +79,8 @@ TEST(DetMath, BoundedParetoStaysInRangeAndIsHeavyTailed) {
   std::int64_t max_seen = 0;
   const int draws = 20000;
   for (int i = 0; i < draws; ++i) {
-    const std::int64_t v = det::bounded_pareto(rng, lo, hi, 1.3);
+    const std::int64_t v =
+        det::bounded_pareto_quantile(rng.uniform(), lo, hi, 1.3);
     ASSERT_GE(v, lo);
     ASSERT_LE(v, hi);
     sum += v;
@@ -188,135 +186,6 @@ TEST(TraceSpec, FlashCrowdMultipliesitsWindow) {
               3.0 * static_cast<double>(calm.tenants[0].arrivals[52]), 2.0);
   EXPECT_EQ(hot.tenants[0].arrivals[10], calm.tenants[0].arrivals[10]);
   EXPECT_EQ(hot.tenants[0].arrivals[90], calm.tenants[0].arrivals[90]);
-}
-
-TEST(TraceSpec, MmppBurstsRaiseTheMean) {
-  TraceSpec calm = small_spec();
-  calm.diurnal_amplitude = 0.0;
-  TraceSpec bursty = calm;
-  bursty.process = ArrivalProcess::kMmpp;
-  bursty.burst_multiplier = 4.0;
-  bursty.burst_on_slots = 10.0;
-  bursty.burst_off_slots = 30.0;
-  const std::uint64_t calm_total = compile(calm).total_arrivals();
-  const std::uint64_t bursty_total = compile(bursty).total_arrivals();
-  // Bursts only ever add demand on top of the baseline profile.
-  EXPECT_GT(bursty_total, calm_total);
-}
-
-TEST(TraceSpec, CsvRoundTripsExactly) {
-  const CompiledTrace trace = compile(small_spec());
-  std::ostringstream out;
-  save_csv(trace, out);
-  std::istringstream in(out.str());
-  const std::optional<CompiledTrace> loaded = load_csv(in);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->slot, trace.slot);
-  ASSERT_EQ(loaded->tenants.size(), trace.tenants.size());
-  for (std::size_t i = 0; i < trace.tenants.size(); ++i) {
-    EXPECT_EQ(loaded->tenants[i].tenant, trace.tenants[i].tenant);
-    EXPECT_EQ(loaded->tenants[i].cost_min, trace.tenants[i].cost_min);
-    EXPECT_EQ(loaded->tenants[i].cost_max, trace.tenants[i].cost_max);
-    EXPECT_EQ(loaded->tenants[i].arrivals, trace.tenants[i].arrivals);
-    EXPECT_EQ(loaded->tenants[i].total, trace.tenants[i].total);
-  }
-}
-
-// --- malformed trace files ------------------------------------------------------
-
-constexpr const char* kMagic = "# arv-trace v1 slot_us=100000\n";
-constexpr const char* kTenantHeader =
-    "tenant,cost_min_us,cost_max_us,cost_alpha_milli,slots\n";
-constexpr const char* kTenantRow = "api,1000,8000,1300,4\n";
-constexpr const char* kArrivalHeader = "tenant,slot,arrivals\n";
-
-/// A well-formed file with one tenant over four slots, then `arrivals`.
-std::string trace_file(const std::string& arrivals) {
-  return std::string(kMagic) + kTenantHeader + kTenantRow + kArrivalHeader +
-         arrivals;
-}
-
-struct MalformedCase {
-  const char* what;
-  std::string csv;
-};
-
-std::optional<CompiledTrace> load_string(const std::string& csv) {
-  std::istringstream in(csv);
-  return load_csv(in);
-}
-
-TEST(TraceSpec, CsvBaseFileLoadsWithConsistentTotal) {
-  // Hand-written rows may interleave, list an explicit zero, and end in a
-  // blank line; the total is the sum of what loaded.
-  const auto loaded =
-      load_string(trace_file("api,2,7\napi,0,5\napi,1,0\n\n"));
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->tenants.size(), 1u);
-  EXPECT_EQ(loaded->tenants[0].arrivals,
-            (std::vector<std::uint32_t>{5, 0, 7, 0}));
-  EXPECT_EQ(loaded->tenants[0].total, 12u);
-  EXPECT_EQ(loaded->duration(), 400 * msec);
-}
-
-// Each of these kills a loader that asserts on its input or lets std::stoll /
-// std::stoull throw, or loads with total != sum(arrivals).
-TEST(TraceSpec, CsvRejectsMalformedFilesWithoutAborting) {
-  const std::string tenant_table = std::string(kMagic) + kTenantHeader;
-  const MalformedCase cases[] = {
-      {"empty file", ""},
-      {"wrong magic", "# not-a-trace\n"},
-      {"non-numeric slot length", "# arv-trace v1 slot_us=abc\n"},
-      {"zero slot length", "# arv-trace v1 slot_us=0\n"},
-      {"negative slot length", "# arv-trace v1 slot_us=-5\n"},
-      {"missing tenant header", kMagic},
-      {"tenant row missing fields", tenant_table + "api,1000\n" +
-                                        kArrivalHeader},
-      {"non-numeric cost", tenant_table + "api,x,8000,1300,4\n" +
-                               kArrivalHeader},
-      {"negative slot count", tenant_table + "api,1000,8000,1300,-1\n" +
-                                  kArrivalHeader},
-      {"unknown tenant", trace_file("web,0,5\n")},
-      {"slot past the end", trace_file("api,4,5\n")},
-      {"negative slot", trace_file("api,-1,5\n")},
-      {"non-numeric count", trace_file("api,0,many\n")},
-      {"missing count", trace_file("api,0\n")},
-      {"count above UINT32_MAX", trace_file("api,0,4294967296\n")},
-      {"negative count", trace_file("api,0,-3\n")},
-      {"repeated row", trace_file("api,0,5\napi,0,5\n")},
-  };
-  for (const MalformedCase& c : cases) {
-    EXPECT_FALSE(load_string(c.csv).has_value()) << c.what;
-  }
-}
-
-// Files that parse field by field but that the driver cannot replay (its
-// Pareto sampler and slot arithmetic assert on them), or that end early.
-TEST(TraceSpec, CsvRejectsFilesTheDriverCannotReplay) {
-  const std::string tenant_table = std::string(kMagic) + kTenantHeader;
-  const MalformedCase cases[] = {
-      {"wrong tenant header", std::string(kMagic) + "name,slots\n" +
-                                  kTenantRow + kArrivalHeader},
-      {"truncated before arrivals", tenant_table + kTenantRow},
-      {"zero minimum cost", tenant_table + "api,0,8000,1300,4\n" +
-                                kArrivalHeader},
-      {"inverted cost range", tenant_table + "api,9000,8000,1300,4\n" +
-                                  kArrivalHeader},
-      {"zero slots", tenant_table + "api,1000,8000,1300,0\n" +
-                         kArrivalHeader},
-      {"slot counts differ", tenant_table + kTenantRow +
-                                 "web,1000,8000,1300,5\n" + kArrivalHeader},
-      {"cycle overflows SimDuration",
-       tenant_table + "api,1000,8000,1300,100000000000000\n" +
-           kArrivalHeader},
-      {"duplicate tenant", tenant_table + kTenantRow + kTenantRow +
-                               kArrivalHeader},
-      {"trailing junk in count", trace_file("api,0,5x\n")},
-      {"extra field", trace_file("api,0,5,9\n")},
-  };
-  for (const MalformedCase& c : cases) {
-    EXPECT_FALSE(load_string(c.csv).has_value()) << c.what;
-  }
 }
 
 }  // namespace

@@ -2,13 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/util/rng.h"
-#include "src/util/stats.h"
 
 namespace arv::util {
 namespace {
+
+/// The exact full-sample percentile (p in [0, 100]) of a non-empty sample,
+/// linearly interpolated between the two closest ranks.
+double exact_percentile(std::vector<double> samples, double p) {
+  std::sort(samples.begin(), samples.end());
+  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const auto hi = std::min(lo + 1, samples.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+}
 
 TEST(LatencyHistogram, EmptyReportsZeroes) {
   LatencyHistogram h;
@@ -78,7 +89,7 @@ TEST(LatencyHistogram, PercentileTracksExactNearestRank) {
     samples.push_back(static_cast<double>(v));
   }
   for (const double p : {50.0, 90.0, 95.0, 99.0, 99.9}) {
-    const double exact = percentile(samples, p);
+    const double exact = exact_percentile(samples, p);
     const auto sketch = static_cast<double>(h.percentile(p));
     // The two use different rank conventions (nearest-rank vs interpolated),
     // so allow one order-statistic gap of slop besides the bucket bound.

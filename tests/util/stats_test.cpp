@@ -42,24 +42,5 @@ TEST(Ema, Reset) {
   EXPECT_EQ(ema.value(), 0.0);
 }
 
-TEST(Percentile, EmptyIsZero) { EXPECT_EQ(percentile({}, 50.0), 0.0); }
-
-TEST(Percentile, SingleElement) { EXPECT_EQ(percentile({7.0}, 99.0), 7.0); }
-
-TEST(Percentile, MedianOfOddSet) {
-  EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0}, 50.0), 2.0);
-}
-
-TEST(Percentile, Extremes) {
-  const std::vector<double> v{5.0, 1.0, 9.0, 3.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100.0), 9.0);
-}
-
-TEST(Percentile, InterpolatesBetweenRanks) {
-  // sorted: 10, 20; p50 -> halfway
-  EXPECT_DOUBLE_EQ(percentile({20.0, 10.0}, 50.0), 15.0);
-}
-
 }  // namespace
 }  // namespace arv
