@@ -22,12 +22,10 @@
 // replica series tracks the diurnal curve up *and* back down in both modes;
 // the CA brings parked hosts in at the peak and drains them in the trough.
 //
-// Results go to BENCH_autoscale.json (override with ARV_AUTOSCALE_OUT).
+// Results go to BENCH_autoscale.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -194,58 +192,36 @@ AutoscaleResult run_mode(const std::string& name, cluster::CpuMode mode) {
   return result;
 }
 
-std::string series_json(const std::vector<int>& series) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    out += (i == 0 ? "" : ",") + std::to_string(series[i]);
-  }
-  return out + "]";
-}
-
 void write_json(const std::vector<AutoscaleResult>& results) {
-  const char* env = std::getenv("ARV_AUTOSCALE_OUT");
-  const std::string path =
-      (env != nullptr && env[0] != '\0') ? env : "BENCH_autoscale.json";
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"autoscale\",\n"
-      << strf("  \"fleet\": {\"hosts\": %d, \"parked\": %d, \"run_s\": %lld, "
-              "\"chunk_ms\": %lld, \"flash_rate_per_sec\": 3500},\n",
-              kHosts, kParked, static_cast<long long>(kRun / units::sec),
-              static_cast<long long>(kChunk / units::msec))
-      << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const AutoscaleResult& r = results[i];
-    out << strf(
-        "    {\"name\": \"%s\", \"generated\": %llu, "
-        "\"availability_pct\": %.3f,\n"
-        "     \"p50_ms\": %.2f, \"p95_ms\": %.2f, \"p99_ms\": %.2f, "
-        "\"dropped\": %llu,\n"
-        "     \"replicas\": {\"start\": %d, \"peak\": %d, \"final\": %d}, "
-        "\"hosts\": {\"peak\": %d, \"final\": %d},\n"
-        "     \"scale_ups\": %llu, \"scale_downs\": %llu, "
-        "\"vpa_rewrites\": %llu, \"hosts_added\": %llu, "
-        "\"hosts_drained\": %llu,\n"
-        "     \"replica_series\": %s,\n"
-        "     \"host_series\": %s}%s\n",
-        r.name.c_str(), static_cast<unsigned long long>(r.generated),
-        r.availability_pct, r.p50_ms, r.p95_ms, r.p99_ms,
-        static_cast<unsigned long long>(r.dropped), r.replicas_start,
-        r.replicas_peak, r.replicas_final, r.hosts_peak, r.hosts_final,
-        static_cast<unsigned long long>(r.scale_ups),
-        static_cast<unsigned long long>(r.scale_downs),
-        static_cast<unsigned long long>(r.vpa_rewrites),
-        static_cast<unsigned long long>(r.hosts_added),
-        static_cast<unsigned long long>(r.hosts_drained),
-        series_json(r.replica_series).c_str(),
-        series_json(r.host_series).c_str(),
-        i + 1 < results.size() ? "," : "");
+  const Json fleet = Json::object({{"hosts", kHosts},
+                                   {"parked", kParked},
+                                   {"run_s", kRun / units::sec},
+                                   {"chunk_ms", kChunk / units::msec},
+                                   {"flash_rate_per_sec", 3500}});
+  Json runs = Json::array();
+  for (const AutoscaleResult& r : results) {
+    runs.push(Json::object(
+        {{"name", r.name},
+         {"generated", r.generated},
+         {"availability_pct", Json::fixed(r.availability_pct, 3)},
+         {"p50_ms", Json::fixed(r.p50_ms, 2)},
+         {"p95_ms", Json::fixed(r.p95_ms, 2)},
+         {"p99_ms", Json::fixed(r.p99_ms, 2)},
+         {"dropped", r.dropped},
+         {"replicas", Json::object({{"start", r.replicas_start},
+                                    {"peak", r.replicas_peak},
+                                    {"final", r.replicas_final}})},
+         {"hosts", Json::object({{"peak", r.hosts_peak}, {"final", r.hosts_final}})},
+         {"scale_ups", r.scale_ups},
+         {"scale_downs", r.scale_downs},
+         {"vpa_rewrites", r.vpa_rewrites},
+         {"hosts_added", r.hosts_added},
+         {"hosts_drained", r.hosts_drained},
+         {"replica_series", Json::array(r.replica_series)},
+         {"host_series", Json::array(r.host_series)}}));
   }
-  out << "  ]\n}\n";
-  if (!out) {
-    std::fprintf(stderr, "autoscale: failed to write %s\n", path.c_str());
-  } else {
-    std::printf("wrote %s\n", path.c_str());
-  }
+  write_bench_json("BENCH_autoscale.json", "autoscale",
+                   Json::object({{"fleet", fleet}, {"runs", runs}}), Json::object());
 }
 
 }  // namespace

@@ -11,12 +11,10 @@
 // a load the full replica set absorbs comfortably, the baseline saturates:
 // lower throughput, blown-up p95.
 //
-// Results go to BENCH_cluster.json (override with ARV_CLUSTER_OUT).
+// Results go to BENCH_cluster.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -133,40 +131,31 @@ RebalanceResult run_skewed_rebalance() {
 
 void write_json(const std::vector<PlacementResult>& placement,
                 const RebalanceResult& rebalance) {
-  const char* env = std::getenv("ARV_CLUSTER_OUT");
-  const std::string path =
-      (env != nullptr && env[0] != '\0') ? env : "BENCH_cluster.json";
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"cluster_placement\",\n"
-      << strf("  \"fleet\": {\"hosts\": %d, \"cpus_per_host\": %d, "
-              "\"replicas\": %d, \"rate_per_sec\": %.0f},\n",
-              kHosts, kHostCpus, kReplicas, kFleetRate)
-      << "  \"strategies\": [\n";
-  for (std::size_t i = 0; i < placement.size(); ++i) {
-    const PlacementResult& r = placement[i];
-    out << strf(
-        "    {\"strategy\": \"%s\", \"placed\": %d, \"unschedulable\": %d,\n"
-        "     \"throughput_per_sec\": %.1f, \"p95_ms\": %.2f, "
-        "\"dropped\": %llu, \"unroutable\": %llu}%s\n",
-        r.strategy.c_str(), r.placed, r.unschedulable, r.throughput, r.p95_ms,
-        static_cast<unsigned long long>(r.dropped),
-        static_cast<unsigned long long>(r.unroutable),
-        i + 1 < placement.size() ? "," : "");
+  const Json fleet = Json::object({{"hosts", kHosts},
+                                   {"cpus_per_host", kHostCpus},
+                                   {"replicas", kReplicas},
+                                   {"rate_per_sec", Json::fixed(kFleetRate, 0)}});
+  Json strategies = Json::array();
+  for (const PlacementResult& r : placement) {
+    strategies.push(Json::object({{"strategy", r.strategy},
+                                  {"placed", r.placed},
+                                  {"unschedulable", r.unschedulable},
+                                  {"throughput_per_sec", Json::fixed(r.throughput, 1)},
+                                  {"p95_ms", Json::fixed(r.p95_ms, 2)},
+                                  {"dropped", r.dropped},
+                                  {"unroutable", r.unroutable}}));
   }
-  out << strf(
-      "  ],\n  \"rebalance\": {\"migrations\": %llu, \"pods_h0\": %d, "
-      "\"pods_h1\": %d, \"final_slack_h0_millicpu\": %lld, "
-      "\"final_slack_h1_millicpu\": %lld}\n}\n",
-      static_cast<unsigned long long>(rebalance.migrations),
-      rebalance.pods_h0, rebalance.pods_h1,
-      static_cast<long long>(rebalance.final_slack_h0),
-      static_cast<long long>(rebalance.final_slack_h1));
-  if (!out) {
-    std::fprintf(stderr, "cluster_placement: failed to write %s\n",
-                 path.c_str());
-  } else {
-    std::printf("wrote %s\n", path.c_str());
-  }
+  const Json rebalanced =
+      Json::object({{"migrations", rebalance.migrations},
+                    {"pods_h0", rebalance.pods_h0},
+                    {"pods_h1", rebalance.pods_h1},
+                    {"final_slack_h0_millicpu", rebalance.final_slack_h0},
+                    {"final_slack_h1_millicpu", rebalance.final_slack_h1}});
+  write_bench_json(
+      "BENCH_cluster.json", "cluster_placement",
+      Json::object(
+          {{"fleet", fleet}, {"strategies", strategies}, {"rebalance", rebalanced}}),
+      Json::object());
 }
 
 }  // namespace

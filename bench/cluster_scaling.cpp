@@ -12,18 +12,14 @@
 // reports the median wall time of kTimedRuns runs, after one untimed
 // warm-up run, so a single slow run cannot skew the curve.
 //
-// The scaling curve is spliced into BENCH_cluster.json (override the path
-// with ARV_CLUSTER_OUT) next to cluster_placement's results; re-runs
-// replace a previous curve in place.
+// The scaling curve goes to BENCH_cluster_scaling.json: the simulated
+// hosts_skipped counts under "sim", the timings under "wall".
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -109,65 +105,22 @@ ScalingPoint measure_point(int hosts, bool skip) {
 }
 
 void write_json(const std::vector<ScalingPoint>& points) {
-  const char* env = std::getenv("ARV_CLUSTER_OUT");
-  const std::string path =
-      (env != nullptr && env[0] != '\0') ? env : "BENCH_cluster.json";
-  std::string head;
-  {
-    std::ifstream in(path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    head = buffer.str();
+  Json sim_curve = Json::array();
+  Json wall_curve = Json::array();
+  for (const ScalingPoint& p : points) {
+    sim_curve.push(Json::object({{"hosts", p.hosts},
+                                 {"skip_idle", p.skip},
+                                 {"hosts_skipped", p.hosts_skipped}}));
+    wall_curve.push(
+        Json::object({{"hosts", p.hosts},
+                      {"skip_idle", p.skip},
+                      {"wall_ms", Json::fixed(p.wall_ms, 1)},
+                      {"sim_s_per_wall_s", Json::fixed(p.sim_s_per_wall_s, 2)},
+                      {"speedup_vs_no_skip", Json::fixed(p.speedup_vs_no_skip, 2)}}));
   }
-  // Splice next to cluster_placement's members: truncate a previous curve
-  // in place, else open the closing brace of whatever is there.
-  const std::size_t marker = head.find("\"scaling_curve\"");
-  if (marker != std::string::npos) {
-    head.resize(marker);
-    while (!head.empty() && (std::isspace(static_cast<unsigned char>(
-                                 head.back())) != 0 ||
-                             head.back() == ',')) {
-      head.pop_back();
-    }
-  } else {
-    while (!head.empty() &&
-           std::isspace(static_cast<unsigned char>(head.back())) != 0) {
-      head.pop_back();
-    }
-    if (!head.empty() && head.back() == '}') {
-      head.pop_back();
-    }
-    while (!head.empty() &&
-           std::isspace(static_cast<unsigned char>(head.back())) != 0) {
-      head.pop_back();
-    }
-  }
-  if (head.empty()) {
-    head = "{\n  \"bench\": \"cluster_scaling\"";
-  }
-  if (head.back() != '{') {
-    head += ',';
-  }
-
-  std::ofstream out(path);
-  out << head << "\n  \"scaling_curve\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const ScalingPoint& p = points[i];
-    out << strf(
-        "    {\"hosts\": %d, \"skip_idle\": %s, "
-        "\"wall_ms\": %.1f, \"sim_s_per_wall_s\": %.2f, "
-        "\"speedup_vs_no_skip\": %.2f, \"hosts_skipped\": %llu}%s\n",
-        p.hosts, p.skip ? "true" : "false", p.wall_ms,
-        p.sim_s_per_wall_s, p.speedup_vs_no_skip,
-        static_cast<unsigned long long>(p.hosts_skipped),
-        i + 1 < points.size() ? "," : "");
-  }
-  out << "  ]\n}\n";
-  if (!out) {
-    std::fprintf(stderr, "cluster_scaling: failed to write %s\n", path.c_str());
-  } else {
-    std::printf("wrote %s\n", path.c_str());
-  }
+  write_bench_json("BENCH_cluster_scaling.json", "cluster_scaling",
+                   Json::object({{"scaling_curve", sim_curve}}),
+                   Json::object({{"scaling_curve", wall_curve}}));
 }
 
 }  // namespace

@@ -1,8 +1,18 @@
 #include "bench/common.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <thread>
+
+#include "src/util/assert.h"
+
+#if defined(__clang__)
+#define ARV_BENCH_COMPILER __VERSION__
+#else
+#define ARV_BENCH_COMPILER "gcc " __VERSION__
+#endif
 
 namespace arv::bench {
 
@@ -84,6 +94,87 @@ void register_case(const std::string& name, std::function<void()> fn) {
 
 void print_header(const std::string& figure, const std::string& description) {
   std::printf("\n=== %s — %s ===\n", figure.c_str(), description.c_str());
+}
+
+namespace {
+
+std::string quote(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      out += strf("\\u%04x", static_cast<unsigned>(c));
+    } else {
+      out += c;
+    }
+  }
+  return out + "\"";
+}
+
+}  // namespace
+
+Json::Json(bool value) : text_(value ? "true" : "false") {}
+Json::Json(const char* value) : text_(quote(value)) {}
+Json::Json(const std::string& value) : text_(quote(value)) {}
+
+Json Json::fixed(double value, int decimals) {
+  ARV_ASSERT_MSG(std::isfinite(value), "JSON has no NaN or Infinity");
+  Json out(Kind::kScalar);
+  out.text_ = strf("%.*f", decimals, value);
+  return out;
+}
+
+Json Json::object(std::initializer_list<std::pair<std::string, Json>> members) {
+  Json out(Kind::kObject);
+  out.items_.assign(members.begin(), members.end());
+  return out;
+}
+
+void Json::push(Json value) {
+  ARV_ASSERT(kind_ == Kind::kArray);
+  items_.emplace_back(std::string(), std::move(value));
+}
+
+std::string Json::dump(int indent) const {
+  if (kind_ == Kind::kScalar) {
+    return text_;
+  }
+  const bool flat = std::all_of(items_.begin(), items_.end(), [](const auto& item) {
+    return item.second.kind_ == Kind::kScalar;
+  });
+  const std::string pad(static_cast<std::size_t>(indent) + 2, ' ');
+  std::string out = kind_ == Kind::kObject ? "{" : "[";
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    out += i == 0 ? "" : ",";
+    out += flat ? (i == 0 ? "" : " ") : "\n" + pad;
+    if (kind_ == Kind::kObject) {
+      out += quote(items_[i].first) + ": ";
+    }
+    out += items_[i].second.dump(indent + 2);
+  }
+  if (!flat) {
+    out += "\n" + std::string(static_cast<std::size_t>(indent), ' ');
+  }
+  return out + (kind_ == Kind::kObject ? "}" : "]");
+}
+
+void write_bench_json(const std::string& file, const std::string& bench,
+                      const Json& sim, const Json& wall) {
+  const Json provenance =
+      Json::object({{"build_type", ARV_BENCH_BUILD_TYPE},
+                    {"compiler", ARV_BENCH_COMPILER},
+                    {"hardware_threads", std::thread::hardware_concurrency()}});
+  const Json root = Json::object(
+      {{"bench", bench}, {"provenance", provenance}, {"sim", sim}, {"wall", wall}});
+  std::ofstream out(file);
+  out << root.dump() << "\n";
+  if (!out) {
+    std::fprintf(stderr, "%s: cannot write %s\n", bench.c_str(), file.c_str());
+    std::exit(1);
+  }
+  std::printf("wrote %s\n", file.c_str());
 }
 
 }  // namespace arv::bench

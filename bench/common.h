@@ -10,9 +10,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <concepts>
 #include <functional>
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/harness/scenario.h"
@@ -88,5 +91,54 @@ auto median_run(int timed_runs, Run run, Key key) {
   });
   return runs[static_cast<std::size_t>(timed_runs / 2)];
 }
+
+/// An insertion-ordered JSON value for the BENCH_*.json files. A scalar
+/// keeps the text it prints as, so a double states its precision where the
+/// bench builds it and prints the same way on every run.
+class Json {
+ public:
+  Json(bool value);
+  template <std::integral T>
+  Json(T value) : text_(std::to_string(value)) {}
+  Json(const char* value);
+  Json(const std::string& value);
+  Json(double) = delete;  // use Json::fixed
+
+  /// `value` with `decimals` digits after the point; must be finite.
+  static Json fixed(double value, int decimals);
+  /// An object with `members` in the order given.
+  static Json object(std::initializer_list<std::pair<std::string, Json>> members = {});
+  template <typename T = int>
+  static Json array(const std::vector<T>& items = {}) {
+    Json out(Kind::kArray);
+    for (const T& item : items) {
+      out.push(item);
+    }
+    return out;
+  }
+
+  /// Appends an element to an array.
+  void push(Json value);
+
+  /// An object or array of scalars prints on one line, anything deeper
+  /// one member per line, indented by `indent` + 2.
+  std::string dump(int indent = 0) const;
+
+ private:
+  enum class Kind { kScalar, kObject, kArray };
+  explicit Json(Kind kind) : kind_(kind) {}
+
+  Kind kind_ = Kind::kScalar;
+  std::string text_;                                 // kScalar
+  std::vector<std::pair<std::string, Json>> items_;  // key empty in arrays
+};
+
+/// Writes `file` in the working directory as one object: "bench", then
+/// "provenance" (build type, compiler, hardware threads), then "sim" and
+/// "wall". `sim` holds only deterministic simulated facts, so two runs of a
+/// build write identical sim sections; wall-clock facts and ratios of wall
+/// time go in `wall`. Exits the process if the file cannot be written.
+void write_bench_json(const std::string& file, const std::string& bench,
+                      const Json& sim, const Json& wall);
 
 }  // namespace arv::bench

@@ -11,12 +11,10 @@
 //                   pressure, monitor stalls); aggregate graceful-degradation
 //                   counters.
 //
-// Results go to BENCH_faults.json (override with ARV_FAULTS_OUT).
+// Results go to BENCH_faults.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -162,37 +160,23 @@ FaultResult run_chaos() {
 }
 
 void write_json(const std::vector<FaultResult>& results) {
-  const char* env = std::getenv("ARV_FAULTS_OUT");
-  const std::string path =
-      (env != nullptr && env[0] != '\0') ? env : "BENCH_faults.json";
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"fault_recovery\",\n"
-      << strf("  \"fleet\": {\"hosts\": %d, \"rate_per_sec\": %.0f, "
-              "\"run_s\": %lld},\n",
-              kHosts, kRate, static_cast<long long>(kRun / units::sec))
-      << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const FaultResult& r = results[i];
-    out << strf(
-        "    {\"name\": \"%s\", \"generated\": %llu, "
-        "\"availability_pct\": %.3f, \"p95_ms\": %.2f,\n"
-        "     \"dropped\": %llu, \"unroutable\": %llu,\n"
-        "     \"restarts\": %llu, \"failovers\": %llu, "
-        "\"failover_ms\": %.1f}%s\n",
-        r.name.c_str(), static_cast<unsigned long long>(r.generated),
-        r.availability_pct, r.p95_ms,
-        static_cast<unsigned long long>(r.dropped),
-        static_cast<unsigned long long>(r.unroutable),
-        static_cast<unsigned long long>(r.restarts),
-        static_cast<unsigned long long>(r.failovers), r.failover_ms,
-        i + 1 < results.size() ? "," : "");
+  const Json fleet = Json::object({{"hosts", kHosts},
+                                   {"rate_per_sec", Json::fixed(kRate, 0)},
+                                   {"run_s", kRun / units::sec}});
+  Json runs = Json::array();
+  for (const FaultResult& r : results) {
+    runs.push(Json::object({{"name", r.name},
+                            {"generated", r.generated},
+                            {"availability_pct", Json::fixed(r.availability_pct, 3)},
+                            {"p95_ms", Json::fixed(r.p95_ms, 2)},
+                            {"dropped", r.dropped},
+                            {"unroutable", r.unroutable},
+                            {"restarts", r.restarts},
+                            {"failovers", r.failovers},
+                            {"failover_ms", Json::fixed(r.failover_ms, 1)}}));
   }
-  out << "  ]\n}\n";
-  if (!out) {
-    std::fprintf(stderr, "fault_recovery: failed to write %s\n", path.c_str());
-  } else {
-    std::printf("wrote %s\n", path.c_str());
-  }
+  write_bench_json("BENCH_faults.json", "fault_recovery",
+                   Json::object({{"fleet", fleet}, {"runs", runs}}), Json::object());
 }
 
 }  // namespace

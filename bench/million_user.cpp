@@ -17,13 +17,11 @@
 // the schedule as a fraction of total step time. The acceptance bar is
 // < 10%; the injection fast path is a pooled batch per tick.
 //
-// Results go to BENCH_workload.json (override with ARV_WORKLOAD_OUT).
+// Results go to BENCH_workload.json.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -226,52 +224,40 @@ WorkloadResult run_policy(const std::string& policy) {
 }
 
 void write_json(const std::vector<WorkloadResult>& results) {
-  const char* env = std::getenv("ARV_WORKLOAD_OUT");
-  const std::string path =
-      (env != nullptr && env[0] != '\0') ? env : "BENCH_workload.json";
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"million_user\",\n"
-      << strf("  \"fleet\": {\"hosts\": %d, \"parked\": %d, \"day_s\": %lld, "
-              "\"mean_rps\": 18000},\n",
-              kHosts, kParked, static_cast<long long>(kDay / units::sec))
-      << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const WorkloadResult& r = results[i];
-    out << strf(
-        "    {\"view_policy\": \"%s\", \"injected\": %llu, "
-        "\"completed\": %llu, \"dropped\": %llu,\n"
-        "     \"replicas_peak\": %d, \"hosts_peak\": %d,\n"
-        "     \"total_wall_ms\": %.1f, \"driver_wall_ms\": %.1f, "
-        "\"driver_overhead_pct\": %.2f,\n"
-        "     \"tenants\": [\n",
-        r.name.c_str(), static_cast<unsigned long long>(r.injected),
-        static_cast<unsigned long long>(r.completed),
-        static_cast<unsigned long long>(r.dropped), r.replicas_peak,
-        r.hosts_peak, r.total_wall_ms, r.driver_wall_ms,
-        r.driver_overhead_pct);
-    for (std::size_t t = 0; t < r.tenants.size(); ++t) {
-      const TenantOutcome& o = r.tenants[t];
-      out << strf(
-          "      {\"tenant\": \"%s\", \"injected\": %llu, "
-          "\"availability_permille\": %lld, \"p99_us\": %lld, "
-          "\"budget_remaining_permille\": %lld, "
-          "\"burn_rate_permille\": %lld, \"attaining\": %s}%s\n",
-          o.tenant.c_str(), static_cast<unsigned long long>(o.injected),
-          static_cast<long long>(o.availability_permille),
-          static_cast<long long>(o.p99_us),
-          static_cast<long long>(o.budget_remaining_permille),
-          static_cast<long long>(o.burn_rate_permille),
-          o.attaining ? "true" : "false",
-          t + 1 < r.tenants.size() ? "," : "");
+  const Json fleet = Json::object({{"hosts", kHosts},
+                                   {"parked", kParked},
+                                   {"day_s", kDay / units::sec},
+                                   {"mean_rps", 18000}});
+  Json sim_runs = Json::array();
+  Json wall_runs = Json::array();
+  for (const WorkloadResult& r : results) {
+    Json tenants = Json::array();
+    for (const TenantOutcome& o : r.tenants) {
+      tenants.push(
+          Json::object({{"tenant", o.tenant},
+                        {"injected", o.injected},
+                        {"availability_permille", o.availability_permille},
+                        {"p99_us", o.p99_us},
+                        {"budget_remaining_permille", o.budget_remaining_permille},
+                        {"burn_rate_permille", o.burn_rate_permille},
+                        {"attaining", o.attaining}}));
     }
-    out << strf("     ]}%s\n", i + 1 < results.size() ? "," : "");
+    sim_runs.push(Json::object({{"view_policy", r.name},
+                                {"injected", r.injected},
+                                {"completed", r.completed},
+                                {"dropped", r.dropped},
+                                {"replicas_peak", r.replicas_peak},
+                                {"hosts_peak", r.hosts_peak},
+                                {"tenants", tenants}}));
+    wall_runs.push(
+        Json::object({{"view_policy", r.name},
+                      {"total_wall_ms", Json::fixed(r.total_wall_ms, 1)},
+                      {"driver_wall_ms", Json::fixed(r.driver_wall_ms, 1)},
+                      {"driver_overhead_pct", Json::fixed(r.driver_overhead_pct, 2)}}));
   }
-  out << "  ]\n}\n";
-  if (!out) {
-    std::fprintf(stderr, "million_user: failed to write %s\n", path.c_str());
-  } else {
-    std::printf("wrote %s\n", path.c_str());
-  }
+  write_bench_json("BENCH_workload.json", "million_user",
+                   Json::object({{"fleet", fleet}, {"runs", sim_runs}}),
+                   Json::object({{"runs", wall_runs}}));
 }
 
 }  // namespace

@@ -21,13 +21,12 @@
 // the critical tenant's goodput stays within 10% of its own peak at every
 // sweep point and its SLO is attained throughout.
 //
-// Results go to BENCH_overload.json (override with ARV_OVERLOAD_OUT).
+// Results go to BENCH_overload.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -250,64 +249,44 @@ Summary summarize(const std::vector<SweepPoint>& points) {
 }
 
 void write_json(const std::vector<SweepPoint>& points, const Summary& s) {
-  const char* env = std::getenv("ARV_OVERLOAD_OUT");
-  const std::string path =
-      (env != nullptr && env[0] != '\0') ? env : "BENCH_overload.json";
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"overload\",\n"
-      << strf("  \"fleet\": {\"hosts\": %d, \"replicas_per_tenant\": 2, "
-              "\"critical_rps\": %d, \"trace_s\": %lld},\n",
-              kHosts, kCritRps,
-              static_cast<long long>(kTraceLen / units::sec))
-      << "  \"sweep\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    out << strf(
-        "    {\"offered_rps\": %d, \"guards\": %s, "
-        "\"total_goodput_rps\": %.1f, "
-        "\"dropped\": %llu, \"retries_denied\": %llu,\n"
-        "     \"tenants\": [\n",
-        p.offered_rps, p.guards ? "true" : "false", p.total_goodput_rps,
-        static_cast<unsigned long long>(p.dropped_total),
-        static_cast<unsigned long long>(p.retries_denied));
-    for (std::size_t t = 0; t < p.tenants.size(); ++t) {
-      const TenantPoint& o = p.tenants[t];
-      out << strf(
-          "      {\"tenant\": \"%s\", \"generated\": %llu, "
-          "\"completed\": %llu, \"timely\": %llu, "
-          "\"goodput_rps\": %.1f, "
-          "\"availability_permille\": %lld, \"p99_us\": %lld, "
-          "\"attaining\": %s}%s\n",
-          o.tenant.c_str(), static_cast<unsigned long long>(o.generated),
-          static_cast<unsigned long long>(o.completed),
-          static_cast<unsigned long long>(o.timely), o.goodput_rps,
-          static_cast<long long>(o.availability_permille),
-          static_cast<long long>(o.p99_us), o.attaining ? "true" : "false",
-          t + 1 < p.tenants.size() ? "," : "");
+  const Json fleet = Json::object({{"hosts", kHosts},
+                                   {"replicas_per_tenant", 2},
+                                   {"critical_rps", kCritRps},
+                                   {"trace_s", kTraceLen / units::sec}});
+  Json sweep = Json::array();
+  for (const SweepPoint& p : points) {
+    Json tenants = Json::array();
+    for (const TenantPoint& o : p.tenants) {
+      tenants.push(Json::object({{"tenant", o.tenant},
+                                 {"generated", o.generated},
+                                 {"completed", o.completed},
+                                 {"timely", o.timely},
+                                 {"goodput_rps", Json::fixed(o.goodput_rps, 1)},
+                                 {"availability_permille", o.availability_permille},
+                                 {"p99_us", o.p99_us},
+                                 {"attaining", o.attaining}}));
     }
-    out << strf("     ]}%s\n", i + 1 < points.size() ? "," : "");
+    sweep.push(Json::object({{"offered_rps", p.offered_rps},
+                             {"guards", p.guards},
+                             {"total_goodput_rps", Json::fixed(p.total_goodput_rps, 1)},
+                             {"dropped", p.dropped_total},
+                             {"retries_denied", p.retries_denied},
+                             {"tenants", tenants}}));
   }
-  out << "  ],\n  \"summary\": {\n"
-      << strf("    \"guards_off_peak_goodput_rps\": %.1f,\n"
-              "    \"guards_off_min_past_peak_rps\": %.1f,\n"
-              "    \"guards_off_collapse_pct\": %.1f,\n"
-              "    \"guards_off_collapsed\": %s,\n"
-              "    \"guards_on_critical_peak_rps\": %.1f,\n"
-              "    \"guards_on_critical_min_rps\": %.1f,\n"
-              "    \"guards_on_critical_drop_pct\": %.1f,\n"
-              "    \"guards_on_critical_slo_attained_all\": %s,\n"
-              "    \"guards_on_critical_held\": %s\n",
-              s.off_peak_goodput, s.off_min_past_peak, s.off_collapse_pct,
-              s.off_collapsed ? "true" : "false", s.on_crit_peak,
-              s.on_crit_min, s.on_crit_drop_pct,
-              s.on_crit_attained_all ? "true" : "false",
-              s.on_crit_held ? "true" : "false")
-      << "  }\n}\n";
-  if (!out) {
-    std::fprintf(stderr, "overload: failed to write %s\n", path.c_str());
-  } else {
-    std::printf("wrote %s\n", path.c_str());
-  }
+  const Json summary = Json::object(
+      {{"guards_off_peak_goodput_rps", Json::fixed(s.off_peak_goodput, 1)},
+       {"guards_off_min_past_peak_rps", Json::fixed(s.off_min_past_peak, 1)},
+       {"guards_off_collapse_pct", Json::fixed(s.off_collapse_pct, 1)},
+       {"guards_off_collapsed", s.off_collapsed},
+       {"guards_on_critical_peak_rps", Json::fixed(s.on_crit_peak, 1)},
+       {"guards_on_critical_min_rps", Json::fixed(s.on_crit_min, 1)},
+       {"guards_on_critical_drop_pct", Json::fixed(s.on_crit_drop_pct, 1)},
+       {"guards_on_critical_slo_attained_all", s.on_crit_attained_all},
+       {"guards_on_critical_held", s.on_crit_held}});
+  write_bench_json(
+      "BENCH_overload.json", "overload",
+      Json::object({{"fleet", fleet}, {"sweep", sweep}, {"summary", summary}}),
+      Json::object());
 }
 
 }  // namespace

@@ -9,12 +9,10 @@
 //
 // Per policy we report exec/GC time, the final effective view, and the
 // decision-reason mix (grew/shrank/clamped/reset/held), and write the lot to
-// BENCH_policy.json (override the path with ARV_POLICY_OUT) for EXPERIMENTS.md.
+// BENCH_policy.json for EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,44 +80,29 @@ std::string decision_mix(const core::DecisionCounters& c) {
               static_cast<unsigned long long>(c.held));
 }
 
+Json decisions_json(const core::DecisionCounters& c) {
+  return Json::object({{"grew", c.grew},
+                       {"shrank", c.shrank},
+                       {"clamped", c.clamped},
+                       {"reset", c.reset},
+                       {"held", c.held}});
+}
+
 void write_json(const std::vector<PolicyResult>& results) {
-  const char* env = std::getenv("ARV_POLICY_OUT");
-  const std::string path =
-      (env != nullptr && env[0] != '\0') ? env : "BENCH_policy.json";
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"policy_compare\",\n  \"policies\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const PolicyResult& r = results[i];
-    out << strf(
-        "    {\"policy\": \"%s\",\n"
-        "     \"fig6\": {\"mean_exec_s\": %.3f, \"mean_gc_s\": %.3f, "
-        "\"completed\": %d},\n"
-        "     \"fig8\": {\"exec_s\": %.3f, \"gc_s\": %.3f, "
-        "\"final_e_cpu\": %d,\n"
-        "              \"cpu_decisions\": {\"grew\": %llu, \"shrank\": %llu, "
-        "\"clamped\": %llu, \"reset\": %llu, \"held\": %llu},\n"
-        "              \"mem_decisions\": {\"grew\": %llu, \"shrank\": %llu, "
-        "\"clamped\": %llu, \"reset\": %llu, \"held\": %llu}}}%s\n",
-        r.policy.c_str(), r.fig6.mean_exec_s, r.fig6.mean_gc_s,
-        r.fig6.completed, r.fig8_exec_s, r.fig8_gc_s, r.fig8_final_e_cpu,
-        static_cast<unsigned long long>(r.fig8_cpu.grew),
-        static_cast<unsigned long long>(r.fig8_cpu.shrank),
-        static_cast<unsigned long long>(r.fig8_cpu.clamped),
-        static_cast<unsigned long long>(r.fig8_cpu.reset),
-        static_cast<unsigned long long>(r.fig8_cpu.held),
-        static_cast<unsigned long long>(r.fig8_mem.grew),
-        static_cast<unsigned long long>(r.fig8_mem.shrank),
-        static_cast<unsigned long long>(r.fig8_mem.clamped),
-        static_cast<unsigned long long>(r.fig8_mem.reset),
-        static_cast<unsigned long long>(r.fig8_mem.held),
-        i + 1 < results.size() ? "," : "");
+  Json policies = Json::array();
+  for (const PolicyResult& r : results) {
+    const Json fig6 = Json::object({{"mean_exec_s", Json::fixed(r.fig6.mean_exec_s, 3)},
+                                    {"mean_gc_s", Json::fixed(r.fig6.mean_gc_s, 3)},
+                                    {"completed", r.fig6.completed}});
+    const Json fig8 = Json::object({{"exec_s", Json::fixed(r.fig8_exec_s, 3)},
+                                    {"gc_s", Json::fixed(r.fig8_gc_s, 3)},
+                                    {"final_e_cpu", r.fig8_final_e_cpu},
+                                    {"cpu_decisions", decisions_json(r.fig8_cpu)},
+                                    {"mem_decisions", decisions_json(r.fig8_mem)}});
+    policies.push(Json::object({{"policy", r.policy}, {"fig6", fig6}, {"fig8", fig8}}));
   }
-  out << "  ]\n}\n";
-  if (!out) {
-    std::fprintf(stderr, "policy_compare: failed to write %s\n", path.c_str());
-  } else {
-    std::printf("wrote %s\n", path.c_str());
-  }
+  write_bench_json("BENCH_policy.json", "policy_compare",
+                   Json::object({{"policies", policies}}), Json::object());
 }
 
 std::vector<PolicyResult> run_all() {

@@ -27,12 +27,10 @@
 // hosts beats stacking them on machines that are only idle between bursts
 // and paying for the mistake in queueing delay and repair migrations.
 //
-// Results go to BENCH_profile.json (override with ARV_PROFILE_OUT).
+// Results go to BENCH_profile.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -210,45 +208,27 @@ PlacementResult run_strategy(const std::string& strategy) {
   return result;
 }
 
-std::string hosts_json(const std::vector<int>& hosts) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    out += (i == 0 ? "" : ",") + std::to_string(hosts[i]);
-  }
-  return out + "]";
-}
-
 void write_json(const std::vector<PlacementResult>& results) {
-  const char* env = std::getenv("ARV_PROFILE_OUT");
-  const std::string path =
-      (env != nullptr && env[0] != '\0') ? env : "BENCH_profile.json";
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"profile_placement\",\n"
-      << strf("  \"fleet\": {\"hosts\": %d, \"scale_out\": %d, "
-              "\"warmup_cycles\": %d, \"measure_cycles\": %d, "
-              "\"measure_rate_per_sec\": %.0f},\n",
-              kHosts, 2 * kScaleOut, kWarmupCycles, kMeasureCycles,
-              kMeasureRate)
-      << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const PlacementResult& r = results[i];
-    out << strf(
-        "    {\"name\": \"%s\", \"violations\": %d, "
-        "\"placed_hosts\": %s, \"migrations\": %llu,\n"
-        "     \"generated\": %llu, \"availability_pct\": %.3f, "
-        "\"p50_ms\": %.2f, \"p95_ms\": %.2f, \"p99_ms\": %.2f}%s\n",
-        r.name.c_str(), r.violations, hosts_json(r.placed_hosts).c_str(),
-        static_cast<unsigned long long>(r.migrations),
-        static_cast<unsigned long long>(r.generated), r.availability_pct,
-        r.p50_ms, r.p95_ms, r.p99_ms, i + 1 < results.size() ? "," : "");
+  const Json fleet =
+      Json::object({{"hosts", kHosts},
+                    {"scale_out", 2 * kScaleOut},
+                    {"warmup_cycles", kWarmupCycles},
+                    {"measure_cycles", kMeasureCycles},
+                    {"measure_rate_per_sec", Json::fixed(kMeasureRate, 0)}});
+  Json runs = Json::array();
+  for (const PlacementResult& r : results) {
+    runs.push(Json::object({{"name", r.name},
+                            {"violations", r.violations},
+                            {"placed_hosts", Json::array(r.placed_hosts)},
+                            {"migrations", r.migrations},
+                            {"generated", r.generated},
+                            {"availability_pct", Json::fixed(r.availability_pct, 3)},
+                            {"p50_ms", Json::fixed(r.p50_ms, 2)},
+                            {"p95_ms", Json::fixed(r.p95_ms, 2)},
+                            {"p99_ms", Json::fixed(r.p99_ms, 2)}}));
   }
-  out << "  ]\n}\n";
-  if (!out) {
-    std::fprintf(stderr, "profile_placement: failed to write %s\n",
-                 path.c_str());
-  } else {
-    std::printf("wrote %s\n", path.c_str());
-  }
+  write_bench_json("BENCH_profile.json", "profile_placement",
+                   Json::object({{"fleet", fleet}, {"runs", runs}}), Json::object());
 }
 
 }  // namespace
@@ -268,7 +248,8 @@ int main(int argc, char** argv) {
                  "avail(%)", "p50(ms)", "p95(ms)", "p99(ms)"});
     for (const PlacementResult& r : results) {
       table.add_row({r.name, std::to_string(r.violations),
-                     hosts_json(r.placed_hosts), std::to_string(r.migrations),
+                     Json::array(r.placed_hosts).dump(),
+                     std::to_string(r.migrations),
                      strf("%.3f", r.availability_pct), strf("%.2f", r.p50_ms),
                      strf("%.2f", r.p95_ms), strf("%.2f", r.p99_ms)});
     }

@@ -17,16 +17,12 @@
 // kTimedRuns runs, after one untimed warm-up run, so a single slow run
 // cannot skew the curve.
 //
-// Results are written to BENCH_scaling.json (override the path with
-// ARV_SCALING_OUT). The baseline_* fields are the same measurements taken on
-// this machine immediately before the event-coalescing work landed, so the
-// JSON records the before/after pair the scaling acceptance criteria ask for.
+// Results are written to BENCH_scaling.json: each count's simulated span
+// under "sim", its timings under "wall".
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <vector>
 
@@ -38,21 +34,6 @@ namespace {
 
 using namespace arv;
 using namespace arv::bench;
-
-/// Pre-PR reference (RelWithDebInfo, this container image): wall-clock per
-/// simulated second with the per-event O(N) refresh and uncached
-/// total_shares()/cpuinfo renders. Re-measure with `git stash` if the
-/// hardware changes; the improvement factor below is relative to these.
-struct Baseline {
-  int containers;
-  double wall_ms_per_sim_s;
-  double create_last_us;
-};
-constexpr Baseline kPrePrBaseline[] = {
-    {64, 3.07, 49.6},
-    {256, 18.84, 550.3},
-    {1024, 602.57, 6499.7},
-};
 
 constexpr int kTimedRuns = 5;
 
@@ -70,8 +51,6 @@ struct ScalingPoint {
   double steady_wall_ms = 0;   ///< 3 sim-s of share churn + cpuinfo reads
   double sim_s = 0;
   double wall_ms_per_sim_s = 0;
-  double baseline_wall_ms_per_sim_s = 0;
-  double baseline_create_last_us = 0;
 };
 
 ScalingPoint run_scaling(int n) {
@@ -130,66 +109,42 @@ ScalingPoint run_scaling(int n) {
   point.sim_s = static_cast<double>(n * msec + steady) / 1e6;
   point.wall_ms_per_sim_s =
       (point.ramp_wall_ms + point.steady_wall_ms) / point.sim_s;
-  for (const Baseline& base : kPrePrBaseline) {
-    if (base.containers == n) {
-      point.baseline_wall_ms_per_sim_s = base.wall_ms_per_sim_s;
-      point.baseline_create_last_us = base.create_last_us;
-    }
-  }
   return point;
 }
 
 void write_json(const std::vector<ScalingPoint>& points) {
-  const char* env = std::getenv("ARV_SCALING_OUT");
-  const std::string path =
-      (env != nullptr && env[0] != '\0') ? env : "BENCH_scaling.json";
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"container_scaling\",\n  \"points\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const ScalingPoint& p = points[i];
-    const double improvement =
-        p.baseline_wall_ms_per_sim_s > 0
-            ? p.baseline_wall_ms_per_sim_s / p.wall_ms_per_sim_s
-            : 0.0;
-    out << strf(
-        "    {\"containers\": %d, \"create_first_us\": %.1f, "
-        "\"create_last_us\": %.1f, \"ramp_wall_ms\": %.2f, "
-        "\"steady_wall_ms\": %.2f, \"sim_s\": %.3f, "
-        "\"wall_ms_per_sim_s\": %.2f, \"baseline_wall_ms_per_sim_s\": %.2f, "
-        "\"baseline_create_last_us\": %.1f, \"improvement_x\": %.2f}%s\n",
-        p.containers, p.create_first_us, p.create_last_us, p.ramp_wall_ms,
-        p.steady_wall_ms, p.sim_s, p.wall_ms_per_sim_s,
-        p.baseline_wall_ms_per_sim_s, p.baseline_create_last_us, improvement,
-        i + 1 < points.size() ? "," : "");
+  Json sim_points = Json::array();
+  Json wall_points = Json::array();
+  for (const ScalingPoint& p : points) {
+    sim_points.push(Json::object(
+        {{"containers", p.containers}, {"sim_s", Json::fixed(p.sim_s, 3)}}));
+    wall_points.push(
+        Json::object({{"containers", p.containers},
+                      {"create_first_us", Json::fixed(p.create_first_us, 1)},
+                      {"create_last_us", Json::fixed(p.create_last_us, 1)},
+                      {"ramp_wall_ms", Json::fixed(p.ramp_wall_ms, 2)},
+                      {"steady_wall_ms", Json::fixed(p.steady_wall_ms, 2)},
+                      {"wall_ms_per_sim_s", Json::fixed(p.wall_ms_per_sim_s, 2)}}));
   }
-  out << "  ]\n}\n";
-  if (!out) {
-    std::fprintf(stderr, "scaling: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::printf("\nscaling: wrote %s\n", path.c_str());
+  write_bench_json("BENCH_scaling.json", "scaling",
+                   Json::object({{"points", sim_points}}),
+                   Json::object({{"points", wall_points}}));
 }
 
 void print_scaling() {
   print_header("Container scaling — control-plane cost",
                "per-creation work and wall-clock per simulated second");
-  Table table({"containers", "create #1 (us)", "create #N (us)",
-               "wall ms/sim s", "baseline ms/sim s", "improvement"});
+  Table table(
+      {"containers", "create #1 (us)", "create #N (us)", "wall ms/sim s"});
   std::vector<ScalingPoint> points;
   for (const int n : {64, 256, 1024}) {
     const ScalingPoint p = median_run(
         kTimedRuns, [n] { return run_scaling(n); },
         &ScalingPoint::wall_ms_per_sim_s);
     points.push_back(p);
-    const double improvement = p.baseline_wall_ms_per_sim_s > 0
-                                   ? p.baseline_wall_ms_per_sim_s /
-                                         p.wall_ms_per_sim_s
-                                   : 0.0;
     table.add_row({std::to_string(n), strf("%.1f", p.create_first_us),
                    strf("%.1f", p.create_last_us),
-                   strf("%.2f", p.wall_ms_per_sim_s),
-                   strf("%.2f", p.baseline_wall_ms_per_sim_s),
-                   improvement > 0 ? strf("%.1fx", improvement) : "n/a"});
+                   strf("%.2f", p.wall_ms_per_sim_s)});
   }
   std::fputs(table.to_ascii().c_str(), stdout);
   write_json(points);

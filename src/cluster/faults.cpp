@@ -11,6 +11,17 @@
 
 namespace arv::cluster {
 
+// FaultPlan::random's ranges; the pressure reservation is permille of RAM.
+constexpr SimDuration kMinReboot = 500 * units::msec;
+constexpr SimDuration kMaxReboot = 3 * units::sec;
+constexpr SimDuration kMinHold = 200 * units::msec;
+constexpr SimDuration kMaxHold = 2 * units::sec;
+constexpr int kMinPressurePermille = 700;
+constexpr int kMaxPressurePermille = 950;
+static_assert(kMinReboot <= kMaxReboot);
+static_assert(kMinHold <= kMaxHold);
+static_assert(kMinPressurePermille <= kMaxPressurePermille);
+
 FaultPlan& FaultPlan::add(FaultEvent event) {
   events.push_back(event);
   return *this;
@@ -20,9 +31,6 @@ FaultPlan FaultPlan::random(Rng& rng, const ChaosOptions& options,
                             int host_count, int pod_count) {
   ARV_ASSERT(host_count >= 1);
   ARV_ASSERT(options.horizon > 0);
-  ARV_ASSERT(options.min_reboot <= options.max_reboot);
-  ARV_ASSERT(options.min_hold <= options.max_hold);
-  ARV_ASSERT(options.min_pressure_permille <= options.max_pressure_permille);
   FaultPlan plan;
   const auto when = [&] { return rng.uniform_int(0, options.horizon - 1); };
   const auto which_host = [&] {
@@ -33,7 +41,7 @@ FaultPlan FaultPlan::random(Rng& rng, const ChaosOptions& options,
     event.kind = FaultEvent::Kind::kHostCrash;
     event.at = when();
     event.host = which_host();
-    event.duration = rng.uniform_int(options.min_reboot, options.max_reboot);
+    event.duration = rng.uniform_int(kMinReboot, kMaxReboot);
     plan.add(event);
   }
   for (int i = 0; i < options.pod_crashes && pod_count > 0; ++i) {
@@ -48,9 +56,9 @@ FaultPlan FaultPlan::random(Rng& rng, const ChaosOptions& options,
     event.kind = FaultEvent::Kind::kMemoryPressure;
     event.at = when();
     event.host = which_host();
-    event.duration = rng.uniform_int(options.min_hold, options.max_hold);
-    event.permille = static_cast<int>(rng.uniform_int(
-        options.min_pressure_permille, options.max_pressure_permille));
+    event.duration = rng.uniform_int(kMinHold, kMaxHold);
+    event.permille = static_cast<int>(
+        rng.uniform_int(kMinPressurePermille, kMaxPressurePermille));
     plan.add(event);
   }
   for (int i = 0; i < options.monitor_stalls; ++i) {
@@ -58,7 +66,7 @@ FaultPlan FaultPlan::random(Rng& rng, const ChaosOptions& options,
     event.kind = FaultEvent::Kind::kMonitorStall;
     event.at = when();
     event.host = which_host();
-    event.duration = rng.uniform_int(options.min_hold, options.max_hold);
+    event.duration = rng.uniform_int(kMinHold, kMaxHold);
     plan.add(event);
   }
   return plan;

@@ -51,21 +51,14 @@ struct FaultEvent {
 };
 
 /// Knobs for FaultPlan::random. Event times are uniform over [0, horizon);
-/// durations and sizes uniform over their ranges. Everything integer, so a
-/// plan is a pure function of the rng state.
+/// durations and sizes uniform over their ranges (faults.cpp). Everything
+/// integer, so a plan is a pure function of the rng state.
 struct ChaosOptions {
   SimDuration horizon = 10 * units::sec;
   int host_crashes = 1;
   int pod_crashes = 3;
   int pressure_spikes = 2;
   int monitor_stalls = 2;
-  SimDuration min_reboot = 500 * units::msec;
-  SimDuration max_reboot = 3 * units::sec;
-  SimDuration min_hold = 200 * units::msec;  ///< pressure / stall durations
-  SimDuration max_hold = 2 * units::sec;
-  /// Pressure reservation as permille of the target host's RAM.
-  int min_pressure_permille = 700;
-  int max_pressure_permille = 950;
 };
 
 struct FaultPlan {

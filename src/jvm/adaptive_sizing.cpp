@@ -6,6 +6,16 @@
 
 namespace arv::jvm {
 
+/// Shrink young when mutator time between minors > kShrinkRatio * pause.
+constexpr double kShrinkRatio = 120.0;
+constexpr double kYoungShrinkFactor = 0.85;
+/// Grow old when used exceeds this fraction of committed.
+constexpr double kOldGrowTrigger = 0.70;
+/// Promotion pressure: when old usage exceeds this fraction of OldMax,
+/// shrink the young generation to cede budget to old (HotSpot balances
+/// the generations the same way when the old gen nears its limit).
+constexpr double kOldPressureTrigger = 0.85;
+
 SizingDecision AdaptiveSizePolicy::after_minor(const MinorObservation& obs) const {
   ARV_ASSERT(obs.pause >= 0 && obs.mutator_interval >= 0);
   SizingDecision decision;
@@ -18,16 +28,16 @@ SizingDecision AdaptiveSizePolicy::after_minor(const MinorObservation& obs) cons
   // the old generation's live data.
   if (obs.old_max != kUnlimited &&
       static_cast<double>(obs.old_used) >
-          config_.old_pressure_trigger * static_cast<double>(obs.old_max)) {
+          kOldPressureTrigger * static_cast<double>(obs.old_max)) {
     const Bytes budget = obs.old_max + obs.young_committed;  // == VirtualMax
     const Bytes young_for_headroom = budget - static_cast<Bytes>(
         1.15 * static_cast<double>(obs.old_used));
     decision.young_target = std::min(
         static_cast<Bytes>(static_cast<double>(obs.young_committed) *
-                           config_.young_shrink_factor),
+                           kYoungShrinkFactor),
         std::max<Bytes>(young_for_headroom, 0));
     decision.old_target = static_cast<Bytes>(
-        static_cast<double>(obs.old_used) * config_.old_headroom);
+        static_cast<double>(obs.old_used) * kOldHeadroom);
     return decision;
   }
 
@@ -37,16 +47,16 @@ SizingDecision AdaptiveSizePolicy::after_minor(const MinorObservation& obs) cons
     // Collections are back-to-back: GC overhead above goal, grow eden.
     decision.young_target = static_cast<Bytes>(
         static_cast<double>(obs.young_committed) * config_.young_grow_factor);
-  } else if (interval > config_.shrink_ratio * pause) {
+  } else if (interval > kShrinkRatio * pause) {
     // Footprint goal: the heap is larger than the allocation rate needs.
     decision.young_target = static_cast<Bytes>(
-        static_cast<double>(obs.young_committed) * config_.young_shrink_factor);
+        static_cast<double>(obs.young_committed) * kYoungShrinkFactor);
   }
 
   if (static_cast<double>(obs.old_used) >
-      config_.old_grow_trigger * static_cast<double>(obs.old_committed)) {
+      kOldGrowTrigger * static_cast<double>(obs.old_committed)) {
     decision.old_target = static_cast<Bytes>(
-        static_cast<double>(obs.old_used) * config_.old_headroom);
+        static_cast<double>(obs.old_used) * kOldHeadroom);
   }
   return decision;
 }
@@ -58,7 +68,7 @@ SizingDecision AdaptiveSizePolicy::after_major(const MajorObservation& obs) cons
   // major collection is the only point with an exact live measurement.
   decision.old_target = std::max(
       obs.old_committed / 2,
-      static_cast<Bytes>(static_cast<double>(obs.old_live) * config_.old_headroom));
+      static_cast<Bytes>(static_cast<double>(obs.old_live) * kOldHeadroom));
   return decision;
 }
 

@@ -12,21 +12,13 @@
 
 namespace arv::jvm {
 
+/// Keep old committed at least this factor over its live data.
+inline constexpr double kOldHeadroom = 1.5;
+
 struct SizingConfig {
   /// Grow young when mutator time between minors < grow_ratio * pause.
   double grow_ratio = 15.0;
-  /// Shrink young when mutator time between minors > shrink_ratio * pause.
-  double shrink_ratio = 120.0;
   double young_grow_factor = 1.5;
-  double young_shrink_factor = 0.85;
-  /// Keep old committed at least this factor over its live data.
-  double old_headroom = 1.5;
-  /// Grow old when used exceeds this fraction of committed.
-  double old_grow_trigger = 0.70;
-  /// Promotion pressure: when old usage exceeds this fraction of OldMax,
-  /// shrink the young generation to cede budget to old (HotSpot balances
-  /// the generations the same way when the old gen nears its limit).
-  double old_pressure_trigger = 0.85;
 };
 
 struct MinorObservation {
@@ -55,8 +47,6 @@ class AdaptiveSizePolicy {
 
   SizingDecision after_minor(const MinorObservation& obs) const;
   SizingDecision after_major(const MajorObservation& obs) const;
-
-  const SizingConfig& config() const { return config_; }
 
  private:
   SizingConfig config_;

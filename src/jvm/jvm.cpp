@@ -247,7 +247,7 @@ void Jvm::after_minor(SimTime now, const GcSessionResult& result) {
       return;
     }
     heap_->resize_old(static_cast<Bytes>(
-        static_cast<double>(heap_->old_used()) * sizing_.config().old_headroom));
+        static_cast<double>(heap_->old_used()) * kOldHeadroom));
     if (heap_->oom_killed()) {
       terminate(now, JvmState::kKilled);
       return;

@@ -10,16 +10,22 @@
 
 namespace arv::mem {
 
+// Watermarks as fractions of total RAM (the kernel derives them similarly
+// from min_free_kbytes and zone size).
+constexpr double kMinFrac = 0.01;
+constexpr double kLowFrac = 0.03;
+constexpr double kHighFrac = 0.06;
+static_assert(kMinFrac < kLowFrac && kLowFrac < kHighFrac);
+
 MemoryManager::MemoryManager(cgroup::Tree& tree, const Config& config)
     : tree_(tree), config_(config) {
   ARV_ASSERT(config.total_ram > 0);
-  ARV_ASSERT(config.min_frac < config.low_frac && config.low_frac < config.high_frac);
   marks_.min = page_align_up(static_cast<Bytes>(
-      static_cast<double>(config.total_ram) * config.min_frac));
+      static_cast<double>(config.total_ram) * kMinFrac));
   marks_.low = page_align_up(static_cast<Bytes>(
-      static_cast<double>(config.total_ram) * config.low_frac));
+      static_cast<double>(config.total_ram) * kLowFrac));
   marks_.high = page_align_up(static_cast<Bytes>(
-      static_cast<double>(config.total_ram) * config.high_frac));
+      static_cast<double>(config.total_ram) * kHighFrac));
 }
 
 CgroupMem& MemoryManager::state(cgroup::CgroupId id) { return cgroups_[id]; }

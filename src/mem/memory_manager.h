@@ -44,11 +44,6 @@ struct Config {
   Bytes swap_bandwidth_per_sec = 30 * units::MiB;
   /// How much kswapd reclaims per tick while active.
   Bytes kswapd_batch = 64 * units::MiB;
-  /// Watermarks as fractions of total RAM (kernel derives them similarly
-  /// from min_free_kbytes and zone size).
-  double min_frac = 0.01;
-  double low_frac = 0.03;
-  double high_frac = 0.06;
 };
 
 /// Per-cgroup memory state.

@@ -8,10 +8,19 @@
 namespace arv::server {
 namespace {
 
-double efficiency(int threads, double granted_cpus, double alpha, double beta) {
+/// WorkerPoolServer's per-worker coordination overhead and oversubscription
+/// penalty.
+constexpr double kAlpha = 0.01;
+constexpr double kBeta = 0.08;
+/// CacheServer: extra CPU per miss (index walk) plus backing-store stall.
+constexpr SimDuration kMissExtraCpu = 2 * units::msec;
+constexpr SimDuration kMissStall = 3 * units::msec;
+constexpr std::size_t kCacheWorkerThreads = 8;
+
+double efficiency(int threads, double granted_cpus) {
   const double oversub = std::max(0.0, static_cast<double>(threads) - granted_cpus);
-  return 1.0 / (1.0 + alpha * static_cast<double>(threads - 1)) /
-         (1.0 + beta * oversub);
+  return 1.0 / (1.0 + kAlpha * static_cast<double>(threads - 1)) /
+         (1.0 + kBeta * oversub);
 }
 
 void record_latency(RequestStats& stats, SimTime now, SimTime arrival) {
@@ -133,8 +142,7 @@ void WorkerPoolServer::consume(SimTime now, SimDuration dt, CpuTime grant) {
   const double granted_cpus = static_cast<double>(grant) / static_cast<double>(dt);
   CpuTime useful =
       static_cast<CpuTime>(static_cast<double>(grant) *
-                           efficiency(std::max(1, active), granted_cpus,
-                                      config_.alpha, config_.beta)) +
+                           efficiency(std::max(1, active), granted_cpus)) +
       current_request_progress_;
   current_request_progress_ = 0;
   while (useful > 0 && !queue_.empty()) {
@@ -230,8 +238,7 @@ int CacheServer::runnable_threads() const {
   if (host_.now() < stalled_until_) {
     return 0;
   }
-  return static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(config_.worker_threads), queue_.size() + 1));
+  return static_cast<int>(std::min(kCacheWorkerThreads, queue_.size() + 1));
 }
 
 void CacheServer::consume(SimTime now, SimDuration dt, CpuTime grant) {
@@ -262,7 +269,7 @@ void CacheServer::consume(SimTime now, SimDuration dt, CpuTime grant) {
   const double hit = hit_ratio();
   const auto cost = static_cast<CpuTime>(
       static_cast<double>(config_.service_cpu) +
-      (1.0 - hit) * static_cast<double>(config_.miss_extra_cpu));
+      (1.0 - hit) * static_cast<double>(kMissExtraCpu));
   CpuTime useful = grant + current_request_progress_;
   current_request_progress_ = 0;
   SimDuration stall_debt = 0;
@@ -272,7 +279,7 @@ void CacheServer::consume(SimTime now, SimDuration dt, CpuTime grant) {
       record_latency(stats_, now, queue_.front());
       queue_.pop_front();
       stall_debt += static_cast<SimDuration>(
-          (1.0 - hit) * static_cast<double>(config_.miss_stall));
+          (1.0 - hit) * static_cast<double>(kMissStall));
     } else {
       current_request_progress_ = useful;
       useful = 0;

@@ -64,8 +64,6 @@ struct WebConfig {
   /// are externally driven (a cluster RequestRouter calling inject_request).
   double arrivals_per_sec = 800;
   SimDuration service_cpu = 4 * units::msec;  ///< CPU per request
-  double alpha = 0.01;  ///< per-worker coordination overhead
-  double beta = 0.08;   ///< oversubscription penalty
   /// Re-read the CPU count and resize the pool this often (graceful
   /// reload); 0 disables re-sizing (size once at startup, like stock httpd).
   SimDuration resize_interval = 0;
@@ -133,11 +131,7 @@ struct CacheConfig {
   Bytes fixed_cache = 0;  ///< for kFixed
   double arrivals_per_sec = 400;
   SimDuration service_cpu = 2 * units::msec;  ///< CPU per request (hit)
-  /// Extra CPU per miss (index walk) plus backing-store stall.
-  SimDuration miss_extra_cpu = 2 * units::msec;
-  SimDuration miss_stall = 3 * units::msec;
   Bytes dataset = 8 * units::GiB;  ///< hot data the cache covers
-  int worker_threads = 8;
   /// Re-read effective memory and resize the cache this often; 0 = never.
   SimDuration resize_interval = 0;
 };

@@ -29,8 +29,8 @@
 
 #include "src/cluster/pod_workloads.h"
 #include "src/harness/scenario.h"
-#include "src/obs/golden.h"
 #include "src/workloads/hogs.h"
+#include "tests/testing/golden.h"
 
 namespace arv {
 namespace {
@@ -390,17 +390,17 @@ std::string sparse_golden(const SparseOptions& options) {
 }
 
 void expect_golden(const char* file, const std::string& actual) {
-  const auto result = obs::compare_golden(golden_path(file), actual);
+  const auto result = testing::compare_golden(golden_path(file), actual);
   EXPECT_TRUE(result.ok) << result.message;
 }
 
 void expect_perturbation_caught(const char* file, const std::string& actual,
                                 const char* what) {
-  if (obs::regenerate_requested()) {
+  if (testing::regenerate_requested()) {
     GTEST_SKIP() << "ARV_REGOLDEN set: would overwrite the golden with a "
                     "perturbed trace";
   }
-  const auto result = obs::compare_golden(golden_path(file), actual);
+  const auto result = testing::compare_golden(golden_path(file), actual);
   EXPECT_FALSE(result.ok) << "golden is insensitive to " << what;
   EXPECT_NE(result.message.find("line"), std::string::npos)
       << "failure must carry a line diff, got: " << result.message;

@@ -14,8 +14,8 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/scenario.h"
-#include "src/obs/golden.h"
 #include "src/workloads/java_suites.h"
+#include "tests/testing/golden.h"
 
 namespace arv {
 namespace {
@@ -109,19 +109,19 @@ std::string fig12_trace(const core::Params& params) {
 }
 
 TEST(GoldenTrace, Fig6DynamicParallelism) {
-  const auto result = obs::compare_golden(
+  const auto result = testing::compare_golden(
       golden_path("fig6_dynamic_parallelism.csv"), fig6_trace(core::Params{}));
   EXPECT_TRUE(result.ok) << result.message;
 }
 
 TEST(GoldenTrace, Fig8CpuSharesAdaptation) {
-  const auto result = obs::compare_golden(golden_path("fig8_cpu_shares.csv"),
+  const auto result = testing::compare_golden(golden_path("fig8_cpu_shares.csv"),
                                           fig8_trace(core::Params{}));
   EXPECT_TRUE(result.ok) << result.message;
 }
 
 TEST(GoldenTrace, Fig12ElasticHeapTimeline) {
-  const auto result = obs::compare_golden(golden_path("fig12_elastic_heap.csv"),
+  const auto result = testing::compare_golden(golden_path("fig12_elastic_heap.csv"),
                                           fig12_trace(core::Params{}));
   EXPECT_TRUE(result.ok) << result.message;
 }
@@ -129,14 +129,14 @@ TEST(GoldenTrace, Fig12ElasticHeapTimeline) {
 // --- perturbation: the goldens must be sensitive to the paper's constants --
 
 TEST(GoldenTrace, PerturbedCpuThresholdFailsLoudly) {
-  if (obs::regenerate_requested()) {
+  if (testing::regenerate_requested()) {
     GTEST_SKIP() << "ARV_REGOLDEN set: would overwrite the golden with a "
                     "perturbed trace";
   }
   core::Params params;
   params.cpu_util_threshold = 0.5;  // Algorithm 1 default: 0.95
   const auto result =
-      obs::compare_golden(golden_path("fig8_cpu_shares.csv"), fig8_trace(params));
+      testing::compare_golden(golden_path("fig8_cpu_shares.csv"), fig8_trace(params));
   EXPECT_FALSE(result.ok)
       << "trace is insensitive to cpu_util_threshold — the golden would not "
          "catch an Algorithm 1 regression";
@@ -145,13 +145,13 @@ TEST(GoldenTrace, PerturbedCpuThresholdFailsLoudly) {
 }
 
 TEST(GoldenTrace, PerturbedMemGrowthFailsLoudly) {
-  if (obs::regenerate_requested()) {
+  if (testing::regenerate_requested()) {
     GTEST_SKIP() << "ARV_REGOLDEN set: would overwrite the golden with a "
                     "perturbed trace";
   }
   core::Params params;
   params.mem_growth_frac = 0.5;  // Algorithm 2 default: 0.10
-  const auto result = obs::compare_golden(golden_path("fig12_elastic_heap.csv"),
+  const auto result = testing::compare_golden(golden_path("fig12_elastic_heap.csv"),
                                           fig12_trace(params));
   EXPECT_FALSE(result.ok)
       << "trace is insensitive to mem_growth_frac — the golden would not "

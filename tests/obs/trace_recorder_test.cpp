@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "src/container/container.h"
-#include "src/obs/golden.h"
 #include "src/sim/engine.h"
+#include "tests/testing/golden.h"
 #include "tests/testing/trace_matchers.h"
 
 namespace arv::obs {
@@ -271,24 +271,24 @@ TEST(TraceMatchers, ResetsUnderPressureChecksUpdatedSamplesOnly) {
 TEST(Golden, DiffReportsFirstMismatchWithLineNumbers) {
   const std::string expected = "a\nb\nc\n";
   const std::string actual = "a\nB\nc\n";
-  const std::string diff = diff_lines(expected, actual);
+  const std::string diff = testing::diff_lines(expected, actual);
   EXPECT_NE(diff.find("line 2"), std::string::npos);
   EXPECT_NE(diff.find("B"), std::string::npos);
-  EXPECT_TRUE(diff_lines(expected, expected).empty());
+  EXPECT_TRUE(testing::diff_lines(expected, expected).empty());
 }
 
 TEST(Golden, DiffReportsTrailingNewlineOnlyMismatch) {
-  const std::string diff = diff_lines("a\nb\n", "a\nb");
+  const std::string diff = testing::diff_lines("a\nb\n", "a\nb");
   EXPECT_FALSE(diff.empty());
   EXPECT_NE(diff.find("trailing newline"), std::string::npos);
 }
 
 TEST(Golden, MissingGoldenFailsWithInstructions) {
-  if (regenerate_requested()) {
+  if (testing::regenerate_requested()) {
     GTEST_SKIP() << "ARV_REGOLDEN set: compare_golden would create the file";
   }
   const auto result =
-      compare_golden("/nonexistent-dir/never-written.csv", "x\n");
+      testing::compare_golden("/nonexistent-dir/never-written.csv", "x\n");
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.message.find("ARV_REGOLDEN"), std::string::npos);
 }

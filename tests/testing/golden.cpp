@@ -1,4 +1,4 @@
-#include "src/obs/golden.h"
+#include "tests/testing/golden.h"
 
 #include <algorithm>
 #include <cstdlib>
@@ -8,7 +8,7 @@
 
 #include "src/util/str.h"
 
-namespace arv::obs {
+namespace arv::testing {
 namespace {
 
 std::vector<std::string> to_lines(const std::string& text) {
@@ -105,4 +105,4 @@ GoldenResult compare_golden(const std::string& path, const std::string& actual) 
                      "ARV_REGOLDEN=1 ctest -R GoldenTrace"};
 }
 
-}  // namespace arv::obs
+}  // namespace arv::testing

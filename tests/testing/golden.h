@@ -11,7 +11,7 @@
 
 #include <string>
 
-namespace arv::obs {
+namespace arv::testing {
 
 /// True when the ARV_REGOLDEN environment variable is set to anything but
 /// "" or "0" — the documented golden-regeneration switch.
@@ -32,4 +32,4 @@ GoldenResult compare_golden(const std::string& path, const std::string& actual);
 std::string diff_lines(const std::string& expected, const std::string& actual,
                        int max_reported = 12);
 
-}  // namespace arv::obs
+}  // namespace arv::testing
