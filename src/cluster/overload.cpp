@@ -93,15 +93,18 @@ void AdmissionController::update_limits() {
       LimitState& st = limits_[pod_id];
       // Per-pod cumulative latency stream: archived history + live sink.
       // Monotone across restarts/migrations by the harvest contract, so the
-      // round delta is exact.
-      util::LatencyHistogram hist = pod.archived.latency_hist;
-      if (sink != nullptr) {
-        hist.merge(sink->stats().latency_hist);
+      // round delta is exact and an unmoved count means unmoved buckets.
+      const std::uint64_t live =
+          sink == nullptr ? 0 : sink->stats().latency_hist.count();
+      std::int64_t round_p50 = -1;
+      if (pod.archived.latency_hist.count() + live != st.prev.count()) {
+        util::LatencyHistogram hist = pod.archived.latency_hist;
+        if (sink != nullptr) {
+          hist.merge(sink->stats().latency_hist);
+        }
+        round_p50 = hist.percentile_since(st.prev, 50.0);
+        st.prev = hist;
       }
-      const std::uint64_t fresh = hist.count_since(st.prev);
-      const std::int64_t round_p50 =
-          fresh == 0 ? -1 : hist.percentile_since(st.prev, 50.0);
-      st.prev = hist;
       if (st.limit == 0) {
         st.limit = kInitialLimit;
       }

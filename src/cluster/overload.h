@@ -26,7 +26,7 @@
 // before a replica is tried.
 //
 // Determinism: the controller mutates only inside serial phases — its own
-// tick() and the routers' route_one() calls (driver injection and router
+// tick() and the routers' inject_batch() calls (driver injection and router
 // ticks are serial-phase components). All arithmetic is integer (the retry
 // budget counts milli-tokens), so cluster traces stay byte-identical run to
 // run. Telemetry surfaces as overload.* trace series and /sys/arv/admission/

@@ -64,69 +64,71 @@ server::WorkerPoolServer* RequestRouter::sink(int pod_id) const {
   return pod.workload == nullptr ? nullptr : pod.workload->request_sink();
 }
 
-void RequestRouter::route_one(SimTime now, CpuTime cost) {
-  ++generated_;
+void RequestRouter::inject_batch(SimTime now, const CpuTime* costs,
+                                 std::size_t n) {
   // Live = the replica's sink exists right now: a pod has a workload only
   // while running, so a stopped, crashed or in-flight replica — even one
-  // that stopped earlier this round — is already out of rotation here.
-  candidates_.clear();
+  // that stopped earlier this round — is out of rotation for the batch.
+  table_.clear();
   for (const int pod : replicas_) {
-    if (sink(pod) != nullptr) {
-      candidates_.push_back(pod);
+    if (server::WorkerPoolServer* s = sink(pod)) {
+      table_.push_back(Replica{s, s->queue_depth(), 0});
     }
   }
-  if (candidates_.empty()) {
+  for (std::size_t i = 0; i < n; ++i) {
+    route_one(now, costs == nullptr ? 0 : costs[i]);
+  }
+}
+
+void RequestRouter::route_one(SimTime now, CpuTime cost) {
+  ++generated_;  // also stamps the replicas this request has tried
+  if (table_.empty()) {
     ++unroutable_;  // the fleet has no replica at all
     return;
   }
-  // Bounded retry: attempt the JSQ-best candidate, then the next-best on a
-  // refused injection, never re-trying a replica within one request. Every
-  // retry beyond the first attempt draws on the fleet-wide retry budget, so
-  // a failover cannot multiply offered load into a retry storm.
-  for (int attempt = 0; attempt <= config_.max_retries && !candidates_.empty();
+  // Bounded retry: attempt the JSQ-best replica (first lowest depth in
+  // rotation order), then the next-best on a refused injection, never
+  // re-trying a replica within one request. Every retry beyond the first
+  // attempt draws on the fleet-wide retry budget, so a failover cannot
+  // multiply offered load into a retry storm.
+  std::size_t untried = table_.size();
+  for (int attempt = 0; attempt <= config_.max_retries && untried > 0;
        ++attempt) {
     if (attempt > 0 && admission_ != nullptr && !admission_->allow_retry()) {
       break;  // budget exhausted: give up instead of amplifying
     }
-    std::size_t best_pos = 0;
-    std::size_t best_depth = 0;
-    for (std::size_t pos = 0; pos < candidates_.size(); ++pos) {
-      const std::size_t depth = sink(candidates_[pos])->queue_depth();
-      if (pos == 0 || depth < best_depth) {
-        best_pos = pos;
-        best_depth = depth;
+    Replica* best = nullptr;
+    for (Replica& r : table_) {
+      if (r.tried != generated_ && (best == nullptr || r.depth < best->depth)) {
+        best = &r;
       }
     }
     ++attempts_;
     if (attempt > 0) {
       ++retries_;
     }
-    if (sink(candidates_[best_pos])->inject_request(now, cost)) {
+    if (best->sink->inject_request(now, cost)) {
+      ++best->depth;
       ++routed_;
       if (admission_ != nullptr) {
         admission_->on_success();
       }
       return;
     }
-    candidates_.erase(candidates_.begin() +
-                      static_cast<std::ptrdiff_t>(best_pos));
+    best->tried = generated_;
+    --untried;
   }
   ++dropped_;  // every allowed attempt was refused (or the budget ran dry)
-}
-
-void RequestRouter::inject_batch(SimTime now, const CpuTime* costs,
-                                 std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    route_one(now, costs[i]);
-  }
 }
 
 void RequestRouter::tick(SimTime now, SimDuration dt) {
   accumulator_ += config_.arrivals_per_sec * static_cast<double>(dt) /
                   static_cast<double>(units::sec);
-  while (accumulator_ >= 1.0) {
-    accumulator_ -= 1.0;
-    route_one(now);
+  if (accumulator_ >= 1.0) {
+    // Exact: x - floor(x) equals floor(x) subtractions of 1.0.
+    const double whole = std::floor(accumulator_);
+    accumulator_ -= whole;
+    inject_batch(now, nullptr, static_cast<std::size_t>(whole));
   }
 }
 

@@ -23,6 +23,12 @@
 // Overload (see overload.h and docs/FAULTS.md): with an AdmissionController
 // attached, retries draw on a fleet-wide budget refilled by successes, and
 // the controller bounds each replica's accept queue with an AIMD limit.
+//
+// Per-batch table: each batch (an inject_batch call, or one tick's arrivals)
+// routes against one table of the live replicas and their queue depths, built
+// once. It cannot go stale: batches run in the serial component phase, and
+// inside one nothing mutates a pod (inject_request only queues and counts,
+// the admission gates only do token arithmetic).
 #pragma once
 
 #include <cstdint>
@@ -76,12 +82,12 @@ class RequestRouter : public sim::TickComponent {
   /// request arriving `now` with its own CPU cost (0 = the replica's default
   /// service_cpu). Exactly the same disposition pipeline as self-generated
   /// arrivals — retries and dropped/unroutable accounting all apply.
-  void inject(SimTime now, CpuTime cost = 0) { route_one(now, cost); }
+  void inject(SimTime now, CpuTime cost = 0) { inject_batch(now, &cost, 1); }
 
-  /// Batched per-tick injection: `costs[0..n)` requests all arriving `now`,
-  /// each routed exactly as inject() would. The candidate scratch is pooled,
-  /// so the batch allocates nothing per request (the
-  /// million-requests-per-sim-day fast path).
+  /// Batched per-tick injection: n requests all arriving `now`, request i
+  /// costing `costs[i]` (null = all 0), each routed exactly as inject() would
+  /// against one pooled replica table (see above): the
+  /// million-requests-per-sim-day fast path.
   void inject_batch(SimTime now, const CpuTime* costs, std::size_t n);
 
   /// Replicas currently enrolled (live or not; rotation never shrinks).
@@ -134,9 +140,12 @@ class RequestRouter : public sim::TickComponent {
   RouterConfig config_;
   AdmissionController* admission_ = nullptr;
   std::vector<int> replicas_;  ///< pod ids; rotation order = add order
-  /// Candidate scratch reused across route_one calls (capacity persists, so
-  /// routing a request allocates nothing once the rotation is warm).
-  std::vector<int> candidates_;
+  struct Replica {
+    server::WorkerPoolServer* sink;
+    std::size_t depth;    ///< == sink->queue_depth() throughout the batch
+    std::uint64_t tried;  ///< generated_ of the last request refused here
+  };
+  std::vector<Replica> table_;  ///< this batch's live replicas, in rotation
   double accumulator_ = 0;
   std::uint64_t generated_ = 0;
   std::uint64_t routed_ = 0;

@@ -6,6 +6,9 @@
 
 namespace arv::jvm {
 
+/// Grow young when mutator time between minors < kGrowRatio * pause.
+constexpr double kGrowRatio = 15.0;
+constexpr double kYoungGrowFactor = 1.5;
 /// Shrink young when mutator time between minors > kShrinkRatio * pause.
 constexpr double kShrinkRatio = 120.0;
 constexpr double kYoungShrinkFactor = 0.85;
@@ -43,10 +46,10 @@ SizingDecision AdaptiveSizePolicy::after_minor(const MinorObservation& obs) cons
 
   const double pause = std::max<double>(1.0, static_cast<double>(obs.pause));
   const double interval = static_cast<double>(obs.mutator_interval);
-  if (interval < config_.grow_ratio * pause) {
+  if (interval < kGrowRatio * pause) {
     // Collections are back-to-back: GC overhead above goal, grow eden.
     decision.young_target = static_cast<Bytes>(
-        static_cast<double>(obs.young_committed) * config_.young_grow_factor);
+        static_cast<double>(obs.young_committed) * kYoungGrowFactor);
   } else if (interval > kShrinkRatio * pause) {
     // Footprint goal: the heap is larger than the allocation rate needs.
     decision.young_target = static_cast<Bytes>(

@@ -15,12 +15,6 @@ namespace arv::jvm {
 /// Keep old committed at least this factor over its live data.
 inline constexpr double kOldHeadroom = 1.5;
 
-struct SizingConfig {
-  /// Grow young when mutator time between minors < grow_ratio * pause.
-  double grow_ratio = 15.0;
-  double young_grow_factor = 1.5;
-};
-
 struct MinorObservation {
   SimDuration pause;            ///< duration of the minor collection
   SimDuration mutator_interval; ///< mutator time since the previous minor
@@ -43,13 +37,8 @@ struct SizingDecision {
 
 class AdaptiveSizePolicy {
  public:
-  explicit AdaptiveSizePolicy(SizingConfig config = {}) : config_(config) {}
-
   SizingDecision after_minor(const MinorObservation& obs) const;
   SizingDecision after_major(const MajorObservation& obs) const;
-
- private:
-  SizingConfig config_;
 };
 
 }  // namespace arv::jvm

@@ -16,9 +16,10 @@
 // order, tick). Traces are therefore byte-identical run to run.
 //
 // Fast path: per tick the driver fills one pooled cost buffer per tenant and
-// hands it to RequestRouter::inject_batch, which routes each request in turn
-// with no per-request allocation. The driver times itself (wall clock) so
-// benchmarks can report generator overhead against the step loop.
+// hands it to RequestRouter::inject_batch, which routes it against one table
+// of live replicas built per batch (no per-request allocation or pod lookup).
+// The driver times itself (wall clock) so benchmarks can report generator
+// overhead against the step loop.
 #pragma once
 
 #include <cstdint>

@@ -19,7 +19,7 @@ MinorObservation minor_obs(SimDuration pause, SimDuration interval) {
 
 TEST(AdaptiveSizePolicy, GrowsYoungWhenGcsAreBackToBack) {
   AdaptiveSizePolicy policy;
-  // Interval of 10 pauses < grow_ratio (15) => grow.
+  // Interval of 10 pauses < the grow ratio (15) => grow.
   const auto d = policy.after_minor(minor_obs(10 * msec, 100 * msec));
   EXPECT_EQ(d.young_target, 150 * MiB);
   EXPECT_EQ(d.old_target, 200 * MiB);  // old untouched at 25% usage
@@ -48,7 +48,7 @@ TEST(AdaptiveSizePolicy, GrowsOldAboveTrigger) {
 TEST(AdaptiveSizePolicy, ZeroPauseHandled) {
   AdaptiveSizePolicy policy;
   const auto d = policy.after_minor(minor_obs(0, 0));
-  // interval 0 < grow_ratio * max(pause,1) => grow path, no crash.
+  // interval 0 < 15 * max(pause,1) => grow path, no crash.
   EXPECT_GT(d.young_target, 100 * MiB);
 }
 
@@ -65,13 +65,14 @@ TEST(AdaptiveSizePolicy, AfterMajorRecentersOld) {
   EXPECT_EQ(policy.after_major(obs).old_target, 150 * MiB);
 }
 
-TEST(AdaptiveSizePolicy, CustomConfigRespected) {
-  SizingConfig config;
-  config.young_grow_factor = 2.0;
-  config.grow_ratio = 50.0;
-  AdaptiveSizePolicy policy(config);
-  const auto d = policy.after_minor(minor_obs(10 * msec, 400 * msec));
-  EXPECT_EQ(d.young_target, 200 * MiB);  // 40 pauses < 50 => grow by 2x
+TEST(AdaptiveSizePolicy, GrowThresholdIsFifteenPauses) {
+  AdaptiveSizePolicy policy;
+  // 14 pauses < 15 => grow young by 1.5x; 16 pauses sits between the grow
+  // (15) and shrink (120) thresholds => young unchanged.
+  EXPECT_EQ(policy.after_minor(minor_obs(10 * msec, 140 * msec)).young_target,
+            150 * MiB);
+  EXPECT_EQ(policy.after_minor(minor_obs(10 * msec, 160 * msec)).young_target,
+            100 * MiB);
 }
 
 }  // namespace
