@@ -91,43 +91,25 @@ void FairScheduler::refill_quota(const LiveEntity& entry, SimTime now) {
   }
 }
 
-void FairScheduler::tick(SimTime now, SimDuration dt) {
-  claims_.clear();
-  int runnable_total = 0;
-
-  for (const LiveEntity& entry : live_set()) {
-    Entity& entity = *entry.entity;
-    refill_quota(entry, now);
-    entity.stats.last_tick_grant = 0;
-    int runnable = 0;
-    for (const Schedulable* consumer : entity.consumers) {
-      runnable += consumer->runnable_threads();
-    }
-    if (runnable <= 0) {
-      continue;
-    }
-    runnable_total += runnable;
-    ARV_ASSERT_MSG(entry.cpus > 0, "effective cpuset must be non-empty");
-
-    const double thread_cap =
-        static_cast<double>(std::min(runnable, entry.cpus)) * static_cast<double>(dt);
-    double quota_cap = thread_cap;
-    if (entity.quota_remaining != kUnlimited) {
-      quota_cap = std::min(thread_cap, static_cast<double>(entity.quota_remaining));
-    }
-    Claim& claim = claims_.emplace_back();
-    claim.entity = &entity;
-    claim.mask = &entry.mask;
-    claim.weight = entry.weight;
-    claim.demand = quota_cap;
-    claim.throttled = thread_cap - quota_cap;
-    claim.runnable = runnable;
+bool FairScheduler::reuse_last_fill(SimDuration dt) {
+  if (dt != last_fill_dt_ || claims_.size() != last_fill_.size()) {
+    return false;
   }
+  for (std::size_t i = 0; i < claims_.size(); ++i) {
+    const Claim& claim = claims_[i];
+    const Filled& filled = last_fill_[i];
+    if (claim.demand != filled.demand || claim.weight != filled.weight ||
+        *claim.mask != filled.mask) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < claims_.size(); ++i) {
+    claims_[i].alloc = last_fill_[i].alloc;
+  }
+  return true;
+}
 
-  nr_running_ = runnable_total;
-  loadavg_.add(static_cast<double>(runnable_total));
-
-  // --- per-CPU weighted water-filling --------------------------------------
+void FairScheduler::water_fill(SimDuration dt) {
   // hungry_ lists, in claim order, exactly the claims with unmet demand above
   // epsilon. Unmet demand only shrinks, so a claim that drops out never comes
   // back, and sums over hungry_ equal sums over all claims in the same order.
@@ -204,6 +186,54 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
     }
     if (progress <= kEpsilonUs) {
       break;
+    }
+  }
+}
+
+void FairScheduler::tick(SimTime now, SimDuration dt) {
+  claims_.clear();
+  int runnable_total = 0;
+
+  for (const LiveEntity& entry : live_set()) {
+    Entity& entity = *entry.entity;
+    refill_quota(entry, now);
+    entity.stats.last_tick_grant = 0;
+    int runnable = 0;
+    for (const Schedulable* consumer : entity.consumers) {
+      runnable += consumer->runnable_threads();
+    }
+    if (runnable <= 0) {
+      continue;
+    }
+    runnable_total += runnable;
+    ARV_ASSERT_MSG(entry.cpus > 0, "effective cpuset must be non-empty");
+
+    const double thread_cap =
+        static_cast<double>(std::min(runnable, entry.cpus)) * static_cast<double>(dt);
+    double quota_cap = thread_cap;
+    if (entity.quota_remaining != kUnlimited) {
+      quota_cap = std::min(thread_cap, static_cast<double>(entity.quota_remaining));
+    }
+    Claim& claim = claims_.emplace_back();
+    claim.entity = &entity;
+    claim.mask = &entry.mask;
+    claim.weight = entry.weight;
+    claim.demand = quota_cap;
+    claim.throttled = thread_cap - quota_cap;
+    claim.runnable = runnable;
+  }
+
+  nr_running_ = runnable_total;
+  loadavg_.add(static_cast<double>(runnable_total));
+
+  // --- per-CPU weighted water-filling, unless the claims repeat -----------
+  if (!reuse_last_fill(dt)) {
+    water_fill(dt);
+    last_fill_dt_ = dt;
+    last_fill_.resize(claims_.size());
+    for (std::size_t i = 0; i < claims_.size(); ++i) {
+      const Claim& claim = claims_[i];
+      last_fill_[i] = Filled{*claim.mask, claim.weight, claim.demand, claim.alloc};
     }
   }
 

@@ -1,7 +1,8 @@
-// FairScheduler's cached live set: cache invalidation, consumers that change
-// the topology from inside consume(), and a seeded differential test against
-// a reference copy of the straightforward tick that scans every attached
-// cgroup and re-derives its claim inputs from the tree on every tick.
+// FairScheduler's cached live set and reused fill: cache invalidation,
+// consumers that change the topology from inside consume(), and a seeded
+// differential test against a reference copy of the straightforward tick that
+// scans every attached cgroup, re-derives its claim inputs from the tree and
+// water-fills on every tick.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -252,11 +253,15 @@ struct Churn {
   /// CPUs then share their cgroups, so the fill's reuse of weight sums and
   /// offers runs, and claims drop out partway through a round.
   bool shaped = false;
+  /// A fixed population instead of churn: stretches of ticks where nothing
+  /// changes, so the claims repeat and the last fill is reused, and ticks
+  /// that change exactly one input of the fill's key.
+  bool steady = false;
 };
 
 void PrintTo(const Churn& churn, std::ostream* os) {
   *os << "seed " << churn.seed << ", " << churn.cpus << " CPUs"
-      << (churn.shaped ? ", shaped" : "");
+      << (churn.shaped ? ", shaped" : "") << (churn.steady ? ", steady" : "");
 }
 
 class LiveSetDifferential : public ::testing::TestWithParam<Churn> {};
@@ -306,10 +311,28 @@ TEST_P(LiveSetDifferential, BitIdenticalToReferenceUnderRandomChurn) {
     }
     return d;
   };
+  const auto random_threads = [&] {
+    const int most = param.shaped && rng.chance(0.8) ? 2 : 2 * cpus;
+    return static_cast<int>(rng.uniform_int(0, most));
+  };
+  const auto new_pair = [&] {
+    pairs.push_back(std::make_unique<Pair>());
+    Pair* pair = pairs.back().get();
+    for (int side = 0; side < 2; ++side) {
+      pair->live[side].log = &delivered[side];
+      pair->live[side].tag = pairs.size() - 1;
+    }
+    return pair;
+  };
+  const auto attach = [&](Pair* pair, cgroup::CgroupId id) {
+    pair->cgroup = id;
+    sched.attach(id, &pair->live[0]);
+    ref.attach(id, &pair->live[1]);
+  };
 
-  constexpr int kTicks = 12'000;
-  SimTime now = 0;
-  for (int t = 0; t < kTicks; ++t) {
+  // Churn: cgroups come and go, nest, change knobs and gain and lose
+  // consumers while thread counts drift.
+  const auto churn = [&](int t) {
     const auto ids = tree.all_ids();
     // Create: top level or nested up to depth 3.
     if (ids.size() < 6 || rng.chance(ids.size() < 30 ? 0.08 : 0.02)) {
@@ -377,16 +400,9 @@ TEST_P(LiveSetDifferential, BitIdenticalToReferenceUnderRandomChurn) {
         }
       }
       if (pair == nullptr || rng.chance(0.2)) {
-        pairs.push_back(std::make_unique<Pair>());
-        pair = pairs.back().get();
-        for (int side = 0; side < 2; ++side) {
-          pair->live[side].log = &delivered[side];
-          pair->live[side].tag = pairs.size() - 1;
-        }
+        pair = new_pair();
       }
-      pair->cgroup = pick(now_ids);
-      sched.attach(pair->cgroup, &pair->live[0]);
-      ref.attach(pair->cgroup, &pair->live[1]);
+      attach(pair, pick(now_ids));
     }
     if (!pairs.empty() && rng.chance(0.05)) {
       auto& pair = *pairs[static_cast<std::size_t>(
@@ -403,9 +419,74 @@ TEST_P(LiveSetDifferential, BitIdenticalToReferenceUnderRandomChurn) {
       if (all_idle) {
         pair->live[0].threads = 0;
       } else if (rng.chance(0.2)) {
-        const int most = param.shaped && rng.chance(0.8) ? 2 : 2 * cpus;
-        pair->live[0].threads = static_cast<int>(rng.uniform_int(0, most));
+        pair->live[0].threads = random_threads();
       }
+    }
+  };
+
+  // Steady: 16 cgroups, some of them nested, one consumer each. A
+  // quota of 0.5-20 ms per 10-50 ms period runs out mid-period, period
+  // after period, so the demand moves on its own too.
+  const auto steady_quota = [&] {
+    return rng.chance(0.3) ? kUnlimited : rng.uniform_int(500, 20'000);
+  };
+  if (param.steady) {
+    for (int i = 0; i < 16; ++i) {
+      cgroup::CgroupId parent = cgroup::kRootCgroup;
+      if (i >= 4 && rng.chance(0.3)) {
+        parent = ever[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+      }
+      const auto id = tree.create("g" + std::to_string(names++), parent);
+      ever.push_back(id);
+      tree.set_cpu_shares(id, rng.uniform_int(2, 4096));
+      if (rng.chance(0.5)) {
+        tree.set_cpuset(id, random_mask());
+      }
+      if (rng.chance(0.4)) {
+        tree.set_cfs_period(id, rng.uniform_int(10'000, 50'000));
+        tree.set_cfs_quota(id, steady_quota());
+      }
+      Pair* pair = new_pair();
+      attach(pair, id);
+      pair->live[0].threads = std::max(1, random_threads());
+    }
+  }
+  // A steady tick changes nothing, or exactly one input of the fill's key.
+  int unchanged = 0;
+  const auto steady_change = [&] {
+    if (rng.chance(0.9)) {
+      ++unchanged;
+      return;
+    }
+    const auto id = pick(tree.all_ids());
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        tree.set_cpu_shares(id, rng.uniform_int(2, 4096));
+        break;
+      case 1:
+        tree.set_cpuset(id, random_mask());
+        break;
+      case 2:
+        tree.set_cfs_quota(id, steady_quota());
+        break;
+      default: {
+        auto& pair = *pairs[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(pairs.size()) - 1))];
+        pair.live[0].threads = random_threads();
+        break;
+      }
+    }
+  };
+
+  constexpr int kTicks = 12'000;
+  SimTime now = 0;
+  for (int t = 0; t < kTicks; ++t) {
+    if (param.steady) {
+      steady_change();
+    } else {
+      churn(t);
+    }
+    for (auto& pair : pairs) {
       pair->live[1].threads = pair->live[0].threads;
       pair->live[0].last = 0;
       pair->live[1].last = 0;
@@ -439,19 +520,27 @@ TEST_P(LiveSetDifferential, BitIdenticalToReferenceUnderRandomChurn) {
     ASSERT_EQ(sched.nr_running(), ref.nr_running()) << "tick " << t;
     ASSERT_EQ(bits(sched.loadavg()), bits(ref.loadavg())) << "tick " << t;
   }
-  // The churn must have exercised the interesting paths.
-  EXPECT_GT(ever.size(), 100U);
-  EXPECT_GT(sched.total_slack(), 0);
+  if (param.steady) {
+    // Most ticks must have repeated the last tick's inputs.
+    EXPECT_GT(unchanged, kTicks * 8 / 10);
+  } else {
+    // The churn must have exercised the interesting paths.
+    EXPECT_GT(ever.size(), 100U);
+    EXPECT_GT(sched.total_slack(), 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LiveSetDifferential,
                          ::testing::Values(Churn{1, 4}, Churn{7, 20}, Churn{42, 70},
                                            Churn{20190624, 130}, Churn{3, 8, true},
-                                           Churn{11, 20, true}, Churn{20190624, 64, true}),
+                                           Churn{11, 20, true}, Churn{20190624, 64, true},
+                                           Churn{1, 4, true, true}, Churn{42, 70, false, true},
+                                           Churn{20190624, 64, true, true}),
                          [](const ::testing::TestParamInfo<Churn>& info) {
                            return "seed" + std::to_string(info.param.seed) + "_cpus" +
                                   std::to_string(info.param.cpus) +
-                                  (info.param.shaped ? "_shaped" : "");
+                                  (info.param.shaped ? "_shaped" : "") +
+                                  (info.param.steady ? "_steady" : "");
                          });
 
 // --- cache invalidation -----------------------------------------------------
@@ -495,6 +584,28 @@ TEST(LiveSet, CpusetChangeTakesEffectNextTick) {
   f.tick();
   EXPECT_EQ(ca.last(), 2 * msec);
   EXPECT_EQ(f.sched.last_tick_slack(), 2 * msec);
+}
+
+TEST(LiveSet, CpusetChangeWithTheSameDemandTakesEffectNextTick) {
+  // a's one thread moves from CPUs 0-3 onto CPU 3, where b is pinned: its
+  // demand and weight stay the same, only its mask moves.
+  Fixture f(4);
+  const auto a = f.tree.create("a");
+  const auto b = f.tree.create("b");
+  f.tree.set_cpuset(b, *CpuSet::parse("3"));
+  FakeConsumer ca(1);
+  FakeConsumer cb(1);
+  f.sched.attach(a, &ca);
+  f.sched.attach(b, &cb);
+  f.tick();
+  f.tick();
+  EXPECT_EQ(ca.last(), 1 * msec);
+  EXPECT_EQ(cb.last(), 1 * msec);
+  f.tree.set_cpuset(a, *CpuSet::parse("3"));
+  f.tick();
+  EXPECT_EQ(ca.last(), 500);
+  EXPECT_EQ(cb.last(), 500);
+  EXPECT_EQ(f.sched.last_tick_slack(), 3 * msec);
 }
 
 TEST(LiveSet, QuotaChangeTakesEffectNextTick) {
