@@ -28,7 +28,26 @@ MemoryManager::MemoryManager(cgroup::Tree& tree, const Config& config)
       static_cast<double>(config.total_ram) * kHighFrac));
 }
 
-CgroupMem& MemoryManager::state(cgroup::CgroupId id) { return cgroups_[id]; }
+CgroupMem& MemoryManager::state(cgroup::CgroupId id) {
+  ARV_ASSERT(id >= 0);
+  const auto index = static_cast<std::size_t>(id);
+  if (index >= cgroups_.size()) {
+    cgroups_.resize(index + 1);
+  }
+  std::optional<CgroupMem>& entry = cgroups_[index];
+  if (!entry) {
+    entry.emplace();
+  }
+  return *entry;
+}
+
+const CgroupMem* MemoryManager::find(cgroup::CgroupId id) const {
+  const auto index = static_cast<std::size_t>(id);
+  if (id < 0 || index >= cgroups_.size() || !cgroups_[index]) {
+    return nullptr;
+  }
+  return &*cgroups_[index];
+}
 
 Bytes MemoryManager::hard_limit(cgroup::CgroupId id) const {
   return tree_.exists(id) ? tree_.get(id).mem().limit_in_bytes : kUnlimited;
@@ -43,18 +62,18 @@ Bytes MemoryManager::free_memory() const {
 }
 
 Bytes MemoryManager::usage(cgroup::CgroupId id) const {
-  const auto it = cgroups_.find(id);
-  return it == cgroups_.end() ? 0 : it->second.resident;
+  const CgroupMem* st = find(id);
+  return st == nullptr ? 0 : st->resident;
 }
 
 Bytes MemoryManager::swapped(cgroup::CgroupId id) const {
-  const auto it = cgroups_.find(id);
-  return it == cgroups_.end() ? 0 : it->second.swapped;
+  const CgroupMem* st = find(id);
+  return st == nullptr ? 0 : st->swapped;
 }
 
 bool MemoryManager::oom_killed(cgroup::CgroupId id) const {
-  const auto it = cgroups_.find(id);
-  return it != cgroups_.end() && it->second.oom_killed;
+  const CgroupMem* st = find(id);
+  return st != nullptr && st->oom_killed;
 }
 
 void MemoryManager::reserve_host_memory(Bytes bytes) {
@@ -183,7 +202,12 @@ Bytes MemoryManager::kswapd_step(Bytes target) {
   };
   std::vector<Victim> victims;
   Bytes excess_total = 0;
-  for (auto& [id, st] : cgroups_) {
+  for (std::size_t index = 0; index < cgroups_.size(); ++index) {
+    if (!cgroups_[index]) {
+      continue;
+    }
+    const auto id = static_cast<cgroup::CgroupId>(index);
+    const CgroupMem& st = *cgroups_[index];
     const Bytes soft = soft_limit(id);
     if (st.resident > soft) {
       const Bytes excess = st.resident - soft;
@@ -216,9 +240,9 @@ Bytes MemoryManager::direct_reclaim(Bytes target) {
   }
   // Then indiscriminately steal from every cgroup, largest first.
   std::vector<cgroup::CgroupId> ids;
-  for (const auto& [id, st] : cgroups_) {
-    if (st.resident > 0) {
-      ids.push_back(id);
+  for (std::size_t index = 0; index < cgroups_.size(); ++index) {
+    if (cgroups_[index] && cgroups_[index]->resident > 0) {
+      ids.push_back(static_cast<cgroup::CgroupId>(index));
     }
   }
   std::sort(ids.begin(), ids.end(), [this](cgroup::CgroupId a, cgroup::CgroupId b) {
@@ -239,14 +263,15 @@ Bytes MemoryManager::direct_reclaim(Bytes target) {
 void MemoryManager::oom_kill_largest() {
   cgroup::CgroupId victim = -1;
   Bytes largest = -1;
-  for (const auto& [id, st] : cgroups_) {
-    // Strict > over ascending map order pins the tie-break: on equal
-    // committed size the LOWEST cgroup id dies. The pin matters for the
-    // determinism contract — chaos runs replay byte-identically only if
-    // the OOM victim is a pure function of the accounting state.
-    if (!st.oom_killed && st.resident + st.swapped > largest) {
-      largest = st.resident + st.swapped;
-      victim = id;
+  for (std::size_t index = 0; index < cgroups_.size(); ++index) {
+    // Strict > over ascending ids pins the tie-break: on equal committed
+    // size the LOWEST cgroup id dies. The pin matters for the determinism
+    // contract — chaos runs replay byte-identically only if the OOM victim
+    // is a pure function of the accounting state.
+    const std::optional<CgroupMem>& st = cgroups_[index];
+    if (st && !st->oom_killed && st->resident + st->swapped > largest) {
+      largest = st->resident + st->swapped;
+      victim = static_cast<cgroup::CgroupId>(index);
     }
   }
   if (victim < 0) {

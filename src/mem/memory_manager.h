@@ -15,7 +15,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <optional>
+#include <vector>
 
 #include "src/cgroup/cgroup.h"
 #include "src/sim/engine.h"
@@ -107,7 +108,10 @@ class MemoryManager : public sim::TickComponent {
   std::string name() const override { return "mem.mm"; }
 
  private:
+  /// The cgroup's state, created empty on first use.
   CgroupMem& state(cgroup::CgroupId id);
+  /// The cgroup's state, or nullptr if it was never used.
+  const CgroupMem* find(cgroup::CgroupId id) const;
   Bytes hard_limit(cgroup::CgroupId id) const;
   Bytes soft_limit(cgroup::CgroupId id) const;
 
@@ -127,8 +131,10 @@ class MemoryManager : public sim::TickComponent {
   cgroup::Tree& tree_;
   Config config_;
   Watermarks marks_;
-  /// Destroyed cgroups keep their entry, so late uncharges stay safe.
-  std::map<cgroup::CgroupId, CgroupMem> cgroups_;
+  /// Indexed by cgroup id (ids are small and never reused); an entry is
+  /// present from the cgroup's first use on, and destroyed cgroups keep it,
+  /// so late uncharges stay safe. Scans visit present ids in ascending order.
+  std::vector<std::optional<CgroupMem>> cgroups_;
   Bytes host_reserved_ = 0;
   /// Σ resident over cgroups_, kept at every write of CgroupMem::resident
   /// the way swap_used_ tracks Σ swapped, so free_memory() is O(1) rather

@@ -34,12 +34,39 @@ Pid PidNamespace::host_of(Pid vpid) const {
   return it == vpid_to_host_.end() ? -1 : it->second;
 }
 
+namespace {
+
+// Insert `pid` into an ascending list.
+void insert_sorted(std::vector<Pid>& list, Pid pid) {
+  list.insert(std::lower_bound(list.begin(), list.end(), pid), pid);
+}
+
+// Remove `pid` from the ascending list under `key`, dropping the entry when
+// it empties.
+template <typename Key>
+void erase_sorted(std::unordered_map<Key, std::vector<Pid>>& index, Key key,
+                  Pid pid) {
+  const auto entry = index.find(key);
+  ARV_ASSERT_MSG(entry != index.end(), "pid missing from its index list");
+  std::vector<Pid>& list = entry->second;
+  const auto it = std::lower_bound(list.begin(), list.end(), pid);
+  ARV_ASSERT_MSG(it != list.end() && *it == pid, "pid missing from its index list");
+  list.erase(it);
+  if (list.empty()) {
+    index.erase(entry);
+  }
+}
+
+}  // namespace
+
 ProcessTable::ProcessTable() {
   Task init;
   init.pid = next_pid_++;
   init.parent = init.pid;
   init.comm = "init";
+  members_[init.cgroup].push_back(init.pid);
   tasks_[init.pid] = std::move(init);
+  live_ = 1;
 }
 
 Pid ProcessTable::fork(Pid parent) {
@@ -55,8 +82,12 @@ Pid ProcessTable::fork(Pid parent) {
           namespace_of(parent, Namespace::Kind::kPid))) {
     pid_ns->assign_vpid(child.pid);
   }
+  // A new pid is the largest ever issued, so appending keeps lists sorted.
   const Pid pid = child.pid;
+  members_[child.cgroup].push_back(pid);
+  children_[parent].push_back(pid);
   tasks_[pid] = std::move(child);
+  ++live_;
   return pid;
 }
 
@@ -80,14 +111,28 @@ void ProcessTable::exit(Pid pid) {
   ARV_ASSERT_MSG(alive(pid), "double exit");
   Task& task = get_mutable(pid);
   task.state = TaskState::kDead;
+  --live_;
   if (auto pid_ns = std::dynamic_pointer_cast<PidNamespace>(
           namespace_of(pid, Namespace::Kind::kPid))) {
     pid_ns->remove(pid);
   }
-  for (auto& [other_pid, other] : tasks_) {
-    if (other.parent == pid && other.state == TaskState::kRunning) {
-      other.parent = kHostInit;
-    }
+  erase_sorted(members_, task.cgroup, pid);
+  erase_sorted(children_, task.parent, pid);
+  const auto entry = children_.find(pid);
+  if (entry == children_.end()) {
+    return;
+  }
+  const std::vector<Pid> orphans = std::move(entry->second);
+  children_.erase(entry);
+  std::vector<Pid>& adopted = children_[kHostInit];
+  const std::size_t before = adopted.size();
+  for (const Pid child : orphans) {
+    get_mutable(child).parent = kHostInit;
+    adopted.push_back(child);
+  }
+  const auto middle = adopted.begin() + static_cast<std::ptrdiff_t>(before);
+  if (before > 0 && *(middle - 1) > *middle) {
+    std::inplace_merge(adopted.begin(), middle, adopted.end());
   }
 }
 
@@ -111,7 +156,12 @@ Task& ProcessTable::get_mutable(Pid pid) {
 }
 
 void ProcessTable::set_cgroup(Pid pid, cgroup::CgroupId id) {
-  get_mutable(pid).cgroup = id;
+  Task& task = get_mutable(pid);
+  if (task.state == TaskState::kRunning && task.cgroup != id) {
+    erase_sorted(members_, task.cgroup, pid);
+    insert_sorted(members_[id], pid);
+  }
+  task.cgroup = id;
 }
 
 void ProcessTable::set_namespace(Pid pid, std::shared_ptr<Namespace> ns) {
@@ -136,31 +186,13 @@ bool ProcessTable::in_container(Pid pid) const {
 }
 
 std::vector<Pid> ProcessTable::tasks_in_cgroup(cgroup::CgroupId id) const {
-  std::vector<Pid> out;
-  for (const auto& [pid, task] : tasks_) {
-    if (task.cgroup == id && task.state == TaskState::kRunning) {
-      out.push_back(pid);
-    }
-  }
-  return out;
+  const auto it = members_.find(id);
+  return it == members_.end() ? std::vector<Pid>{} : it->second;
 }
 
 std::vector<Pid> ProcessTable::children_of(Pid pid) const {
-  std::vector<Pid> out;
-  for (const auto& [child_pid, task] : tasks_) {
-    if (task.parent == pid && child_pid != pid &&
-        task.state == TaskState::kRunning) {
-      out.push_back(child_pid);
-    }
-  }
-  return out;
-}
-
-std::size_t ProcessTable::live_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(tasks_.begin(), tasks_.end(), [](const auto& entry) {
-        return entry.second.state == TaskState::kRunning;
-      }));
+  const auto it = children_.find(pid);
+  return it == children_.end() ? std::vector<Pid>{} : it->second;
 }
 
 }  // namespace arv::proc

@@ -8,12 +8,24 @@
 // ProcessTable::execve(): when a task exec()s and the owning init of a
 // namespace is TASK_DEAD, ownership transfers to the exec()ing task, which
 // becomes the container's new init.
+//
+// Cost. The table keeps every task ever forked, dead ones included, so that
+// exists(), get() and namespace_of() keep answering for pids a caller still
+// holds. Nothing else walks that history: a live counter answers
+// live_count(), each cgroup's live member pids and each task's live children
+// are kept in ascending pid order, and fork(), set_cgroup() and exit() update
+// them. So tasks_in_cgroup() and children_of() cost the size of their
+// answer, and exit() costs its cgroup's and its parent's lists, plus host
+// init's list when it has live children to hand over — not the number of
+// tasks the host has ever forked. A cgroup's list is dropped when it empties, so the
+// index holds only cgroups with a live member.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/cgroup/cgroup.h"
@@ -94,7 +106,7 @@ class ProcessTable {
   void execve(Pid pid, const std::string& comm);
 
   /// Exit: marks the task dead, removes it from its PID namespace, and
-  /// reparents its children to the host init.
+  /// reparents its live children to the host init.
   void exit(Pid pid);
 
   bool alive(Pid pid) const;
@@ -115,15 +127,22 @@ class ProcessTable {
   /// predicate the virtual sysfs uses to decide whether to redirect queries.
   bool in_container(Pid pid) const;
 
+  /// Live tasks in cgroup `id`, ascending pid.
   std::vector<Pid> tasks_in_cgroup(cgroup::CgroupId id) const;
+  /// Live children of `pid`, ascending pid (host init is not its own child).
   std::vector<Pid> children_of(Pid pid) const;
-  std::size_t live_count() const;
+  std::size_t live_count() const { return live_; }
 
  private:
   Task& get_mutable(Pid pid);
 
   Pid next_pid_ = kHostInit;
   std::map<Pid, Task> tasks_;
+  std::size_t live_ = 0;
+  /// Live member pids per cgroup, ascending; no entry for an empty cgroup.
+  std::unordered_map<cgroup::CgroupId, std::vector<Pid>> members_;
+  /// Live children per task, ascending; no entry for a childless task.
+  std::unordered_map<Pid, std::vector<Pid>> children_;
 };
 
 }  // namespace arv::proc

@@ -252,6 +252,16 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
       entity.quota_remaining = std::max<CpuTime>(0, entity.quota_remaining - grant);
     }
 
+    // A sole consumer takes the whole grant, if it is still runnable: an
+    // earlier consume() this tick may have changed its count. Copy the
+    // pointer, since its own consume() may detach it.
+    if (entity.consumers.size() == 1) {
+      Schedulable* const consumer = entity.consumers.front();
+      if (consumer->runnable_threads() > 0) {
+        consumer->consume(now, dt, grant);
+      }
+      continue;
+    }
     // Split the grant across consumers proportionally to runnable threads,
     // remainder to the first hungry consumer (deterministic).
     CpuTime left = grant;

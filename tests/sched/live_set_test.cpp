@@ -1,5 +1,6 @@
-// FairScheduler's cached live set and reused fill: cache invalidation,
-// consumers that change the topology from inside consume(), and a seeded
+// FairScheduler's cached live set, reused fill and single-consumer delivery:
+// cache invalidation, consumers that change the topology or another
+// consumer's runnable count from inside consume(), and a seeded
 // differential test against a reference copy of the straightforward tick that
 // scans every attached cgroup, re-derives its claim inputs from the tree and
 // water-fills on every tick.
@@ -785,6 +786,98 @@ TEST(LiveSet, ConsumeMayDestroyALaterClaimsCgroup) {
   EXPECT_EQ(hook.total(), 2 * msec);
   EXPECT_EQ(f.sched.nr_running(), 1);
   EXPECT_EQ(f.sched.total_usage(b), 1 * msec);
+}
+
+// --- single-consumer delivery ---------------------------------------------
+//
+// A cgroup with one consumer is paid without the consumer snapshot, but its
+// runnable count is still read again at delivery time, after every earlier
+// consume() of the tick has run. Each case runs once on FairScheduler and once
+// on the reference scheduler and compares what the consumers and stats saw.
+
+struct DeliveryRecord {
+  std::vector<EntityStats> stats;  // per cgroup, per tick
+  std::vector<int> calls;          // the watched consumer's consume() count, per tick
+  std::vector<CpuTime> slack;      // per tick
+};
+
+void expect_same(const DeliveryRecord& got, const DeliveryRecord& want) {
+  ASSERT_EQ(got.stats.size(), want.stats.size());
+  for (std::size_t i = 0; i < got.stats.size(); ++i) {
+    EXPECT_EQ(got.stats[i].total_usage, want.stats[i].total_usage) << "entry " << i;
+    EXPECT_EQ(got.stats[i].throttled_time, want.stats[i].throttled_time) << "entry " << i;
+    EXPECT_EQ(got.stats[i].last_tick_grant, want.stats[i].last_tick_grant) << "entry " << i;
+  }
+  EXPECT_EQ(got.calls, want.calls);
+  EXPECT_EQ(got.slack, want.slack);
+}
+
+/// Cgroups a < b, one consumer each; a's first consume() sets b's consumer
+/// to 0 runnable threads after b's claim was formed.
+template <typename Scheduler>
+DeliveryRecord run_runnable_drop() {
+  cgroup::Tree tree(4);
+  Scheduler sched(tree, 4);
+  const auto a = tree.create("a");
+  const auto b = tree.create("b");
+  FakeConsumer later(2);
+  HookConsumer hook(1, [&] { later.set_threads(0); });
+  sched.attach(a, &hook);
+  sched.attach(b, &later);
+  DeliveryRecord record;
+  for (int t = 0; t < 3; ++t) {
+    sched.tick(t * kTick, kTick);
+    record.stats.push_back(sched.stats(a));
+    record.stats.push_back(sched.stats(b));
+    record.calls.push_back(later.consume_calls());
+    record.slack.push_back(sched.last_tick_slack());
+  }
+  return record;
+}
+
+/// A sole consumer detaches itself inside consume(); a later cgroup's sole
+/// consumer must still be paid that tick.
+template <typename Scheduler>
+DeliveryRecord run_self_detach() {
+  cgroup::Tree tree(4);
+  Scheduler sched(tree, 4);
+  const auto a = tree.create("a");
+  const auto b = tree.create("b");
+  FakeConsumer later(1);
+  HookConsumer* self = nullptr;
+  HookConsumer hook(2, [&] { sched.detach(a, self); });
+  self = &hook;
+  sched.attach(a, &hook);
+  sched.attach(b, &later);
+  DeliveryRecord record;
+  for (int t = 0; t < 3; ++t) {
+    sched.tick(t * kTick, kTick);
+    record.stats.push_back(sched.stats(a));
+    record.stats.push_back(sched.stats(b));
+    record.calls.push_back(later.consume_calls());
+    record.slack.push_back(sched.last_tick_slack());
+  }
+  EXPECT_EQ(hook.total(), 2 * msec);  // paid once, then detached
+  return record;
+}
+
+TEST(FairScheduler, SingleConsumerRereadsRunnableAtDelivery) {
+  const DeliveryRecord got = run_runnable_drop<FairScheduler>();
+  // b's claim was granted and accounted in tick 0, but its consumer had
+  // nothing left to run when delivery reached it, so it got no consume().
+  EXPECT_EQ(got.calls, (std::vector<int>{0, 0, 0}));
+  EXPECT_EQ(got.stats[1].total_usage, 2 * msec);
+  EXPECT_EQ(got.stats[1].last_tick_grant, 2 * msec);
+  EXPECT_EQ(got.stats[3].last_tick_grant, 0);
+  expect_same(got, run_runnable_drop<ReferenceScheduler>());
+}
+
+TEST(FairScheduler, SingleConsumerMayDetachItselfInConsume) {
+  const DeliveryRecord got = run_self_detach<FairScheduler>();
+  EXPECT_EQ(got.calls, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(got.stats[4].total_usage, 2 * msec);  // a: tick 0 only
+  EXPECT_EQ(got.stats[4].last_tick_grant, 0);
+  expect_same(got, run_self_detach<ReferenceScheduler>());
 }
 
 }  // namespace
