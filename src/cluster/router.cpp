@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/cluster/overload.h"
 #include "src/server/server_runtime.h"
@@ -70,9 +71,12 @@ void RequestRouter::inject_batch(SimTime now, const CpuTime* costs,
   // while running, so a stopped, crashed or in-flight replica — even one
   // that stopped earlier this round — is out of rotation for the batch.
   table_.clear();
+  level_ = std::numeric_limits<std::size_t>::max();
+  cursor_ = 0;
   for (const int pod : replicas_) {
     if (server::WorkerPoolServer* s = sink(pod)) {
       table_.push_back(Replica{s, s->queue_depth(), 0});
+      level_ = std::min(level_, s->queue_depth());
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -97,10 +101,17 @@ void RequestRouter::route_one(SimTime now, CpuTime cost) {
     if (attempt > 0 && admission_ != nullptr && !admission_->allow_retry()) {
       break;  // budget exhausted: give up instead of amplifying
     }
+    // Attempt 0 has tried nothing yet, so the level cursor's entry is the
+    // JSQ pick; a retry scans the untried entries.
     Replica* best = nullptr;
-    for (Replica& r : table_) {
-      if (r.tried != generated_ && (best == nullptr || r.depth < best->depth)) {
-        best = &r;
+    if (attempt == 0) {
+      best = &lowest();
+    } else {
+      for (Replica& r : table_) {
+        if (r.tried != generated_ &&
+            (best == nullptr || r.depth < best->depth)) {
+          best = &r;
+        }
       }
     }
     ++attempts_;
@@ -119,6 +130,23 @@ void RequestRouter::route_one(SimTime now, CpuTime cost) {
     --untried;
   }
   ++dropped_;  // every allowed attempt was refused (or the budget ran dry)
+}
+
+RequestRouter::Replica& RequestRouter::lowest() {
+  // See "Level cursor" in router.h. A request adds one to at most one
+  // depth, so the lowest depth is level_ or level_ + 1 here: one level up
+  // must find it.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (; cursor_ < table_.size(); ++cursor_) {
+      if (table_[cursor_].depth == level_) {
+        return table_[cursor_];
+      }
+    }
+    ++level_;
+    cursor_ = 0;
+  }
+  ARV_ASSERT_MSG(false, "the level cursor lost the lowest depth");
+  return table_.front();
 }
 
 void RequestRouter::tick(SimTime now, SimDuration dt) {

@@ -29,6 +29,16 @@
 // once. It cannot go stale: batches run in the serial component phase, and
 // inside one nothing mutates a pod (inject_request only queues and counts,
 // the admission gates only do token arithmetic).
+//
+// Level cursor: a request's first attempt takes the first entry at the
+// table's lowest depth without a scan. The table keeps that depth (the
+// level) and a cursor; entries before the cursor are deeper than the level.
+// The cursor moves on past deeper entries and, at the end of the table,
+// restarts at 0 one level up. Inside a batch depths only grow, by one per
+// success, so the pick is JSQ's "first lowest depth in rotation order" at
+// amortised O(1). A refusing entry keeps its depth, so the cursor stays on
+// it and the next request tries it first too, as JSQ would. Retries after a
+// refusal scan the untried entries as before.
 #pragma once
 
 #include <cstdint>
@@ -133,19 +143,24 @@ class RequestRouter : public sim::TickComponent {
   std::uint64_t shed() const { return 0; }
 
  private:
-  server::WorkerPoolServer* sink(int pod_id) const;
-  void route_one(SimTime now, CpuTime cost = 0);
-
-  Cluster& cluster_;
-  RouterConfig config_;
-  AdmissionController* admission_ = nullptr;
-  std::vector<int> replicas_;  ///< pod ids; rotation order = add order
   struct Replica {
     server::WorkerPoolServer* sink;
     std::size_t depth;    ///< == sink->queue_depth() throughout the batch
     std::uint64_t tried;  ///< generated_ of the last request refused here
   };
+
+  server::WorkerPoolServer* sink(int pod_id) const;
+  void route_one(SimTime now, CpuTime cost = 0);
+  /// The first table entry at the lowest depth (the level cursor's pick).
+  Replica& lowest();
+
+  Cluster& cluster_;
+  RouterConfig config_;
+  AdmissionController* admission_ = nullptr;
+  std::vector<int> replicas_;  ///< pod ids; rotation order = add order
   std::vector<Replica> table_;  ///< this batch's live replicas, in rotation
+  std::size_t level_ = 0;   ///< no table entry is shallower
+  std::size_t cursor_ = 0;  ///< entries before it are deeper than level_
   double accumulator_ = 0;
   std::uint64_t generated_ = 0;
   std::uint64_t routed_ = 0;

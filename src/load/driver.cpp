@@ -75,15 +75,16 @@ std::uint64_t OpenLoopDriver::injected(const std::string& tenant) const {
 }
 
 void OpenLoopDriver::tick(SimTime now, SimDuration dt) {
-  // Wall accounting charges only the driver's own bookkeeping; the clock is
-  // paused around inject_batch (routing + service are the simulated
-  // workload, not generator overhead).
-  auto mark = std::chrono::steady_clock::now();
-  const auto charge = [this, &mark] {
-    const auto t = std::chrono::steady_clock::now();
-    wall_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(t - mark)
+  // Wall accounting charges only the driver's own bookkeeping: every
+  // binding's costs are drawn first, between the tick's two clock reads,
+  // and the batches are injected after the second (routing + service are
+  // the simulated workload, not generator overhead). Each binding draws
+  // from its own cost_rng, so drawing ahead changes no cost.
+  const auto start = std::chrono::steady_clock::now();
+  const auto charge = [this, start] {
+    wall_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - start)
                     .count();
-    mark = t;
   };
   ARV_ASSERT(dt > 0 && trace_.slot % dt == 0);
   const auto ticks_per_slot = static_cast<std::uint64_t>(trace_.slot / dt);
@@ -97,31 +98,33 @@ void OpenLoopDriver::tick(SimTime now, SimDuration dt) {
   }
   const auto s = static_cast<std::size_t>(cursor / ticks_per_slot);
   const std::uint64_t k = cursor % ticks_per_slot;
+  cost_batch_.clear();
   for (Binding& binding : bindings_) {
     const std::uint64_t a = binding.schedule->arrivals[s];
     // Exact spreading: tick k of T gets A(k+1)/T - Ak/T arrivals, which
     // telescopes to exactly A over the slot — no request is ever created
     // or lost by the tick subdivision.
-    const std::uint64_t n =
-        a * (k + 1) / ticks_per_slot - a * k / ticks_per_slot;
-    if (n == 0) {
-      continue;
-    }
-    cost_batch_.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
+    binding.batch = a * (k + 1) / ticks_per_slot - a * k / ticks_per_slot;
+    for (std::uint64_t i = 0; i < binding.batch; ++i) {
       const auto q = static_cast<std::size_t>(binding.cost_rng.uniform_int(
           0, static_cast<std::int64_t>(kCostQuantiles) - 1));
       cost_batch_.push_back(binding.cost_table[q]);
     }
-    charge();
-    binding.router->inject_batch(now, cost_batch_.data(), cost_batch_.size());
-    mark = std::chrono::steady_clock::now();  // injection is off the clock
-    binding.injected += n;
   }
   if (cursor + 1 == ticks_per_cycle) {
     ++cycles_;
   }
   charge();
+  const CpuTime* costs = cost_batch_.data();
+  for (Binding& binding : bindings_) {
+    if (binding.batch == 0) {
+      continue;
+    }
+    binding.router->inject_batch(now, costs,
+                                 static_cast<std::size_t>(binding.batch));
+    costs += binding.batch;
+    binding.injected += binding.batch;
+  }
 }
 
 }  // namespace arv::load

@@ -11,13 +11,14 @@
 // `!in_host_phase_` ordering pin every mutator relies on), reads the slot
 // table compiled ahead of time, and spreads each slot's integer count across
 // the slot's ticks exactly (sum of per-tick shares == the slot count). Costs
-// are drawn per request from a per-tenant rng stream at injection time —
-// deterministic, because injection order is fixed by (tenant registration
-// order, tick). Traces are therefore byte-identical run to run.
+// are drawn per request from a per-tenant rng stream at the top of the tick —
+// deterministic, because draw and injection order are fixed by (tenant
+// registration order, tick). Traces are therefore byte-identical run to run.
 //
-// Fast path: per tick the driver fills one pooled cost buffer per tenant and
-// hands it to RequestRouter::inject_batch, which routes it against one table
-// of live replicas built per batch (no per-request allocation or pod lookup).
+// Fast path: per tick the driver fills one pooled cost buffer with every
+// tenant's batch and hands each to its RequestRouter::inject_batch, which
+// routes it against one table of live replicas built per batch (no
+// per-request allocation or pod lookup).
 // The driver times itself (wall clock) so benchmarks can report generator
 // overhead against the step loop.
 #pragma once
@@ -63,8 +64,10 @@ class OpenLoopDriver : public sim::TickComponent {
   /// slot spreading, cost sampling, batch fill. The inject_batch call itself
   /// is excluded: routing and service are the *workload being simulated*,
   /// not driver overhead, and they happen identically whatever generates the
-  /// arrivals. For the bench's driver-vs-step accounting. Not traced (wall
-  /// time is machine-dependent; it must never enter the trace contract).
+  /// arrivals. A tick reads the clock twice: it draws every binding's costs
+  /// between the reads and injects the batches after the second. For the
+  /// bench's driver-vs-step accounting. Not traced (wall time is
+  /// machine-dependent; it must never enter the trace contract).
   std::int64_t wall_us() const { return wall_ns_ / 1000; }
 
   const CompiledTrace& trace() const { return trace_; }
@@ -80,6 +83,7 @@ class OpenLoopDriver : public sim::TickComponent {
     /// costing ~50% and <10% of step wall-clock at 1M+ requests/day.
     std::vector<CpuTime> cost_table;
     std::uint64_t injected = 0;
+    std::uint64_t batch = 0;  ///< this tick's arrivals; costs in cost_batch_
   };
   static constexpr std::size_t kCostQuantiles = 1024;
 
@@ -95,8 +99,9 @@ class OpenLoopDriver : public sim::TickComponent {
   /// Nanosecond accumulator: per-tick bookkeeping is often sub-microsecond,
   /// so accumulating truncated microseconds would undercount to ~zero.
   std::int64_t wall_ns_ = 0;
-  /// Pooled per-tick cost batch (capacity persists across ticks, so steady
-  /// state injects with zero allocation).
+  /// Pooled per-tick costs, every binding's batch back to back in bind
+  /// order (capacity persists across ticks, so steady state injects with
+  /// zero allocation).
   std::vector<CpuTime> cost_batch_;
   cluster::Telemetry telemetry_;  ///< load.* trace series
 };

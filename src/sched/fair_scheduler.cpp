@@ -310,10 +310,16 @@ void FairScheduler::accrue_idle(SimDuration dt, SimDuration tick_length) {
   }
   nr_running_ = 0;
   // Sample-by-sample, not pow(decay, n): repeated multiplication is what a
-  // tick-by-tick run produces, and traces compare bit-for-bit.
-  const SimDuration ticks = dt / tick_length;
-  for (SimDuration i = 0; i < ticks; ++i) {
-    loadavg_.add(0.0);
+  // tick-by-tick run produces, and traces compare bit-for-bit. A zero
+  // average stays +0.0 under decay * 0 + 0, so it needs no replay; priming
+  // matches the first add() of an unprimed average.
+  if (loadavg_.value() == 0.0) {
+    loadavg_.prime(0.0);
+  } else {
+    const SimDuration ticks = dt / tick_length;
+    for (SimDuration i = 0; i < ticks; ++i) {
+      loadavg_.add(0.0);
+    }
   }
   last_tick_slack_ = static_cast<CpuTime>(online_cpus_) * tick_length;
   total_slack_ += static_cast<CpuTime>(online_cpus_) * dt;

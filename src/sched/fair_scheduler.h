@@ -129,8 +129,9 @@ class FairScheduler : public sim::TickComponent {
   /// Apply the cumulative effect of `dt / tick_length` consecutive idle
   /// ticks in one call — the catch-up half of the cluster's skipped-host
   /// fast path. Reproduces tick()'s idle behaviour exactly (slack accrual,
-  /// loadavg decay sample-by-sample so floating point matches a real
-  /// tick-by-tick run, grant zeroing); quota refills are skipped because
+  /// grant zeroing, loadavg decay sample-by-sample so floating point matches
+  /// a real tick-by-tick run; a zero average, which decay keeps at zero,
+  /// skips the samples); quota refills are skipped because
   /// refill_quota realigns to the period grid on the next active tick
   /// anyway. Asserts idle().
   void accrue_idle(SimDuration dt, SimDuration tick_length);

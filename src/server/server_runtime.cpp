@@ -94,16 +94,19 @@ int WorkerPoolServer::runnable_threads() const {
   // The listener/event thread is always schedulable — it is what admits
   // new connections (and in this model, what receives the tick).
   return std::max(1, static_cast<int>(std::min<std::size_t>(
-                         static_cast<std::size_t>(workers_), queue_.size())));
+                         static_cast<std::size_t>(workers_), queue_depth())));
 }
 
 void WorkerPoolServer::admit_arrivals(SimTime now, SimDuration dt) {
+  if (config_.arrivals_per_sec == 0) {
+    return;  // router-fed: adding 0 * dt would leave the accumulator as is
+  }
   arrival_accumulator_ += config_.arrivals_per_sec * static_cast<double>(dt) /
                           static_cast<double>(units::sec);
   while (arrival_accumulator_ >= 1.0) {
     arrival_accumulator_ -= 1.0;
     ++stats_.arrived;
-    if (queue_.size() >= queue_limit_) {
+    if (queue_depth() >= queue_limit_) {
       ++stats_.dropped;  // listen backlog overflow
       continue;
     }
@@ -113,7 +116,7 @@ void WorkerPoolServer::admit_arrivals(SimTime now, SimDuration dt) {
 
 bool WorkerPoolServer::inject_request(SimTime now, CpuTime cost) {
   ++stats_.arrived;
-  if (queue_.size() >= queue_limit_) {
+  if (queue_depth() >= queue_limit_) {
     ++stats_.dropped;
     return false;
   }
@@ -135,7 +138,7 @@ void WorkerPoolServer::consume(SimTime now, SimDuration dt, CpuTime grant) {
       worker_trace_.push_back(workers_);
     }
   }
-  if (grant <= 0 || queue_.empty()) {
+  if (grant <= 0 || queue_depth() == 0) {
     return;
   }
   const int active = runnable_threads();
@@ -145,15 +148,22 @@ void WorkerPoolServer::consume(SimTime now, SimDuration dt, CpuTime grant) {
                            efficiency(std::max(1, active), granted_cpus)) +
       current_request_progress_;
   current_request_progress_ = 0;
-  while (useful > 0 && !queue_.empty()) {
-    if (useful >= queue_.front().cost) {
-      useful -= queue_.front().cost;
-      record_latency(stats_, now, queue_.front().arrival);
-      queue_.pop_front();
+  while (useful > 0 && head_ < queue_.size()) {
+    const QueuedRequest& front = queue_[head_];
+    if (useful >= front.cost) {
+      useful -= front.cost;
+      record_latency(stats_, now, front.arrival);
+      ++head_;
     } else {
       current_request_progress_ = useful;
       useful = 0;
     }
+  }
+  if (2 * head_ > queue_.size()) {
+    // Moves fewer requests than were popped since the last compaction.
+    queue_.erase(queue_.begin(), queue_.begin() +
+                                     static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
 }
 

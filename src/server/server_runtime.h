@@ -95,7 +95,7 @@ class WorkerPoolServer : public sched::Schedulable {
   std::size_t queue_limit() const { return queue_limit_; }
 
   int workers() const { return workers_; }
-  std::size_t queue_depth() const { return queue_.size(); }
+  std::size_t queue_depth() const { return queue_.size() - head_; }
   std::uint64_t dropped() const { return stats_.dropped; }
   const RequestStats& stats() const { return stats_; }
   const std::vector<int>& worker_trace() const { return worker_trace_; }
@@ -117,7 +117,11 @@ class WorkerPoolServer : public sched::Schedulable {
   WebConfig config_;
   int workers_;
   std::size_t queue_limit_;
-  std::deque<QueuedRequest> queue_;
+  /// The accept queue: queue_[head_..] in arrival order. consume() pops by
+  /// advancing head_ and drops the served prefix once it passes half the
+  /// vector, so the depth is one subtraction and a pop moves nothing.
+  std::vector<QueuedRequest> queue_;
+  std::size_t head_ = 0;
   CpuTime current_request_progress_ = 0;
   SimTime next_resize_ = 0;
   double arrival_accumulator_ = 0;

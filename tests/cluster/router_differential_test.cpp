@@ -133,6 +133,16 @@ void expect_same_replicas(Cluster& a, Cluster& b,
   }
 }
 
+void expect_same_counters(const RequestRouter& router,
+                          const ReferenceRouter& ref) {
+  EXPECT_EQ(router.generated(), ref.generated);
+  EXPECT_EQ(router.routed(), ref.routed);
+  EXPECT_EQ(router.unroutable(), ref.unroutable);
+  EXPECT_EQ(router.dropped(), ref.dropped);
+  EXPECT_EQ(router.attempts(), ref.attempts);
+  EXPECT_EQ(router.retries(), ref.retries);
+}
+
 /// What a trial exercised, summed over the sweep.
 struct Coverage {
   std::uint64_t retries = 0;
@@ -251,12 +261,7 @@ void run_trial(std::uint64_t seed, Coverage& coverage) {
       }
     }
 
-    EXPECT_EQ(router.generated(), ref.generated);
-    EXPECT_EQ(router.routed(), ref.routed);
-    EXPECT_EQ(router.unroutable(), ref.unroutable);
-    EXPECT_EQ(router.dropped(), ref.dropped);
-    EXPECT_EQ(router.attempts(), ref.attempts);
-    EXPECT_EQ(router.retries(), ref.retries);
+    expect_same_counters(router, ref);
     EXPECT_EQ(under_test.admission.retries_allowed(),
               reference.admission.retries_allowed());
     EXPECT_EQ(under_test.admission.retries_denied(),
@@ -303,6 +308,142 @@ TEST(RouterDifferential, TableMatchesPerRequestRescanUnderChurn) {
   EXPECT_GT(coverage.unroutable, 0u);
   EXPECT_GT(coverage.crashes, 0u);
   EXPECT_GT(coverage.landings, 0u);
+}
+
+/// A hand-set fleet for the level cursor's edge cases: `replicas` running
+/// replicas spread over the hosts, no admission controller, routed by
+/// RequestRouter on one fleet and the reference on its twin.
+class Twin {
+ public:
+  Twin(int replicas, int max_retries)
+      : router_(under_test_.cluster, config(max_retries)),
+        ref_(reference_.cluster, max_retries, nullptr) {
+    server::WebConfig web;
+    web.service_cpu = 2 * msec;
+    for (int i = 0; i < replicas; ++i) {
+      container::K8sResources res;
+      res.request_millicpu = 500;
+      res.request_memory = 256 * MiB;
+      const int pod = under_test_.cluster.create_pod(i % kHosts, {"", res},
+                                                     web_replica(web));
+      EXPECT_EQ(pod, reference_.cluster.create_pod(i % kHosts, {"", res},
+                                                   web_replica(web)));
+      router_.add_replica(pod);
+      ref_.add_replica(pod);
+      pods_.push_back(pod);
+    }
+  }
+
+  /// Queue `depth` requests on replica `i` directly, then bound it at
+  /// `limit`, on both fleets.
+  void fill(std::size_t i, std::size_t depth, std::size_t limit) {
+    for (Cluster* c : {&under_test_.cluster, &reference_.cluster}) {
+      server::WorkerPoolServer* s = live_sink(*c, pods_[i]);
+      s->set_queue_limit(depth);
+      for (std::size_t d = s->queue_depth(); d < depth; ++d) {
+        ASSERT_TRUE(s->inject_request(c->now(), 0));
+      }
+      s->set_queue_limit(limit);
+    }
+  }
+
+  /// One inject_batch of `n` requests of mixed cost, routed by both; then
+  /// every counter and every replica must match.
+  void batch(std::size_t n) {
+    costs_.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      costs_.push_back(static_cast<CpuTime>(i % 5) * msec);
+    }
+    const SimTime now = under_test_.cluster.now();
+    router_.inject_batch(now, costs_.data(), costs_.size());
+    for (const CpuTime cost : costs_) {
+      ref_.route_one(now, cost);
+    }
+    expect_same_counters(router_, ref_);
+    expect_same_replicas(under_test_.cluster, reference_.cluster, pods_);
+  }
+
+  void step(int ticks) {
+    for (int t = 0; t < ticks; ++t) {
+      under_test_.cluster.step();
+      reference_.cluster.step();
+    }
+  }
+
+  const RequestRouter& router() const { return router_; }
+
+ private:
+  static RouterConfig config(int max_retries) {
+    RouterConfig config;
+    config.arrivals_per_sec = 0;
+    config.max_retries = max_retries;
+    return config;
+  }
+
+  Fleet under_test_;
+  Fleet reference_;
+  RequestRouter router_;
+  ReferenceRouter ref_;
+  std::vector<int> pods_;
+  std::vector<CpuTime> costs_;
+};
+
+TEST(RouterDifferential, EveryFirstPickRefusesAndFallsBack) {
+  // Every replica is full at limit 1, so each request's first pick refuses
+  // and the fallback decides the rest. The first lowest depth must take
+  // every first attempt: the cursor stays on a refusing entry.
+  for (const int max_retries : {0, 1, 2, 6}) {
+    SCOPED_TRACE(max_retries);
+    Twin twin(6, max_retries);
+    const std::size_t depths[] = {2, 1, 3, 1, 2, 1};
+    for (std::size_t i = 0; i < 6; ++i) {
+      twin.fill(i, depths[i], 1);
+    }
+    twin.batch(40);
+    EXPECT_EQ(twin.router().dropped(), 40u);
+    // Free one slot behind the refusing entries: later first picks still
+    // refuse there, and the fallback finds the free one.
+    twin.fill(3, 1, 3);
+    twin.batch(40);
+    EXPECT_EQ(twin.router().routed() > 0, max_retries > 0);
+  }
+}
+
+TEST(RouterDifferential, LevelClimbsOneEntryAtATime) {
+  // One replica far below the rest: the level rises by one per request
+  // until it meets the others, then the batch rotates over all five.
+  Twin twin(5, 2);
+  for (std::size_t i = 0; i < 5; ++i) {
+    twin.fill(i, i == 2 ? 0 : 40, 1000);
+  }
+  twin.batch(200);
+  EXPECT_EQ(twin.router().routed(), 200u);
+  // A second batch after service drained some of every queue.
+  twin.step(7);
+  twin.fill(4, 0, 1000);
+  twin.batch(200);
+}
+
+TEST(RouterDifferential, LargeBatchesOverTwoReplicas) {
+  // 200 requests a batch over 2 replicas, with the queues draining between
+  // batches: each batch starts from a lower level than the last one ended.
+  for (const int max_retries : {0, 2}) {
+    SCOPED_TRACE(max_retries);
+    Twin twin(2, max_retries);
+    Rng rng(static_cast<std::uint64_t>(max_retries) + 11);
+    for (int round = 0; round < 12; ++round) {
+      for (std::size_t i = 0; i < 2; ++i) {
+        twin.fill(i, 0, static_cast<std::size_t>(rng.uniform_int(20, 160)));
+      }
+      twin.batch(200);
+      twin.step(static_cast<int>(rng.uniform_int(0, 30)));
+      if (testing::Test::HasFailure()) {
+        return;
+      }
+    }
+    EXPECT_GT(twin.router().routed(), 0u);
+    EXPECT_GT(twin.router().dropped(), 0u);
+  }
 }
 
 }  // namespace

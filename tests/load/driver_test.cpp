@@ -182,5 +182,28 @@ TEST(OpenLoopDriver, InjectedCostsDriveHeterogeneousService) {
   EXPECT_GT(pareto.percentile_ms(99.0), fixed.percentile_ms(99.0));
 }
 
+TEST(OpenLoopDriver, EachTenantIsServedItsOwnCosts) {
+  // Both tenants draw their costs in one tick before either batch is
+  // injected; each router must still receive its own tenant's costs.
+  TraceSpec spec = two_tenant_spec(ArrivalProcess::kDeterministic);
+  spec.tenants[0].cost_min = spec.tenants[0].cost_max = 1 * msec;
+  spec.tenants[1].cost_min = spec.tenants[1].cost_max = 20 * msec;
+  harness::FleetScenario fleet;
+  fleet.add_host(small_host());
+  fleet.add_host(small_host());
+  fleet.add_tenant("api");
+  fleet.add_tenant("batch");
+  ASSERT_GE(fleet.place_tenant_web_pod("api", web_res()), 0);
+  ASSERT_GE(fleet.place_tenant_web_pod("batch", web_res()), 0);
+  fleet.use_trace(compile(spec));
+  fleet.run(2 * sec);
+  const server::RequestStats api = fleet.tenant_router("api")->aggregate();
+  const server::RequestStats batch = fleet.tenant_router("batch")->aggregate();
+  ASSERT_GT(api.completed, 0u);
+  ASSERT_GT(batch.completed, 0u);
+  EXPECT_LT(api.percentile_ms(50.0), 5.0);
+  EXPECT_GE(batch.percentile_ms(50.0), 15.0);
+}
+
 }  // namespace
 }  // namespace arv::load

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <iterator>
+
 #include "src/sim/engine.h"
 #include "tests/testing/fake_consumer.h"
 
@@ -234,6 +238,49 @@ TEST(FairScheduler, LoadavgTracksRunnableCount) {
   ca.set_threads(0);
   run_ticks(f.engine, 6000);
   EXPECT_NEAR(f.sched.loadavg(), 0.0, 0.2);
+}
+
+TEST(FairScheduler, AccrueIdleOnAZeroLoadAverageMatchesTickByTick) {
+  // One scheduler ticks through idle gaps, the other jumps them with
+  // accrue_idle; busy ticks afterwards would expose an average left
+  // unprimed. Bits, not values: -0.0 == 0.0 would hide a sign slip.
+  const auto bits = [](const FairScheduler& s) {
+    return std::bit_cast<std::uint64_t>(s.loadavg());
+  };
+  struct Start {
+    bool seeded;
+    double value;
+    double decay;
+  };
+  const Start starts[] = {
+      {false, 0.0, 0.99993}, {true, 0.0, 0.99993}, {true, -0.0, 0.99993},
+      {true, 2.5, 0.99993},  {true, 1.0, 0.5},  // the last decays to 0 mid-gap
+  };
+  for (std::size_t i = 0; i < std::size(starts); ++i) {
+    SCOPED_TRACE(i);
+    const Start& start = starts[i];
+    Fixture stepped(4);
+    Fixture jumped(4);
+    for (Fixture* f : {&stepped, &jumped}) {
+      f->sched.set_loadavg_decay(start.decay);
+      if (start.seeded) {
+        f->sched.seed_loadavg(start.value);
+      }
+    }
+    for (const int gap : {1, 2000, 2000}) {
+      run_ticks(stepped.engine, gap);
+      jumped.sched.accrue_idle(gap * kTick, kTick);
+      ASSERT_EQ(bits(stepped.sched), bits(jumped.sched)) << gap;
+    }
+    FakeConsumer busy_stepped(3);
+    FakeConsumer busy_jumped(3);
+    stepped.sched.attach(stepped.tree.create("a"), &busy_stepped);
+    jumped.sched.attach(jumped.tree.create("a"), &busy_jumped);
+    run_ticks(stepped.engine, 5);
+    run_ticks(jumped.engine, 5);
+    EXPECT_NE(stepped.sched.loadavg(), 0.0);
+    EXPECT_EQ(bits(stepped.sched), bits(jumped.sched));
+  }
 }
 
 TEST(FairScheduler, UnknownCgroupReportsZero) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
+#include "src/util/rng.h"
 #include "src/workloads/hogs.h"
 
 namespace arv::server {
@@ -130,6 +134,133 @@ TEST(WorkerPoolServer, GracefulReloadTracksFreedCpus) {
   f.host.run_for(30 * sec);  // hog retires around t=4s
   EXPECT_GT(srv.workers(), initial);
   EXPECT_GE(srv.worker_trace().size(), 2u);
+}
+
+/// WorkerPoolServer's accept queue as a plain std::deque: admission,
+/// drops, FIFO service with carried partial progress, latency recording.
+/// One fixed worker with a grant of at least one CPU keeps the efficiency
+/// factor at exactly 1, so served CPU is grant + carried progress.
+struct DequeServerModel {
+  explicit DequeServerModel(const WebConfig& web)
+      : config(web), limit(web.max_queue) {}
+
+  struct Request {
+    SimTime arrival;
+    CpuTime cost;
+  };
+
+  void inject(SimTime now, CpuTime cost) {
+    ++stats.arrived;
+    if (queue.size() >= limit) {
+      ++stats.dropped;
+      return;
+    }
+    queue.push_back({now, cost > 0 ? cost : config.service_cpu});
+  }
+
+  void consume(SimTime now, SimDuration dt, CpuTime grant) {
+    if (config.arrivals_per_sec > 0) {
+      accumulator += config.arrivals_per_sec * static_cast<double>(dt) /
+                     static_cast<double>(sec);
+      while (accumulator >= 1.0) {
+        accumulator -= 1.0;
+        inject(now, 0);
+      }
+    }
+    if (grant <= 0 || queue.empty()) {
+      return;
+    }
+    CpuTime useful = grant + progress;
+    progress = 0;
+    while (useful > 0 && !queue.empty()) {
+      if (useful >= queue.front().cost) {
+        useful -= queue.front().cost;
+        stats.latency_hist.record(now - queue.front().arrival);
+        ++stats.completed;
+        queue.pop_front();
+      } else {
+        progress = useful;
+        useful = 0;
+      }
+    }
+  }
+
+  WebConfig config;
+  std::size_t limit;
+  std::deque<Request> queue;
+  CpuTime progress = 0;
+  double accumulator = 0;
+  RequestStats stats;
+};
+
+void expect_same_stats(const RequestStats& a, const RequestStats& b) {
+  EXPECT_EQ(a.arrived, b.arrived);
+  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.latency_hist.count(), b.latency_hist.count());
+  EXPECT_EQ(a.latency_hist.sum(), b.latency_hist.sum());
+  EXPECT_EQ(a.latency_hist.min(), b.latency_hist.min());
+  EXPECT_EQ(a.latency_hist.max(), b.latency_hist.max());
+  for (int p = 0; p <= 100; p += 5) {
+    EXPECT_EQ(a.latency_hist.percentile(p), b.latency_hist.percentile(p)) << p;
+  }
+}
+
+TEST(WorkerPoolServer, AcceptQueueMatchesADequeModel) {
+  constexpr SimDuration kDt = 1 * msec;
+  std::uint64_t compactions = 0;  // served more than half of a queue
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Fixture f;
+    auto& c = f.runtime.run({});
+    WebConfig web;
+    web.sizing = Sizing::kFixed;
+    web.fixed_workers = 1;
+    web.service_cpu = 2 * msec;
+    // Half the seeds are router-fed; the rest also generate arrivals.
+    web.arrivals_per_sec = seed % 2 == 0 ? 0.0 : 1500.0;
+    constexpr std::size_t kMaxQueues[] = {8, 64, 3000};
+    web.max_queue = kMaxQueues[seed % 3];
+    WorkerPoolServer srv(f.host, c, web);
+    DequeServerModel model(web);
+    SimTime now = 0;
+    for (int op = 0; op < 20000; ++op) {
+      // Offered CPU about matches the grants, so the depth wanders between
+      // empty and the limit instead of pinning at either.
+      const std::int64_t kind = rng.uniform_int(0, 9);
+      if (kind < 4) {  // a burst of injections, mixed costs (0 = default)
+        const std::int64_t n = rng.uniform_int(1, 6);
+        for (std::int64_t i = 0; i < n; ++i) {
+          const CpuTime cost = rng.uniform_int(0, 6) * msec / 2;
+          const bool accepted = srv.inject_request(now, cost);
+          const std::uint64_t dropped = model.stats.dropped;
+          model.inject(now, cost);
+          EXPECT_EQ(accepted, model.stats.dropped == dropped);
+        }
+      } else if (kind == 4) {  // a new limit, clamped into [1, max_queue]
+        const auto limit = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(web.max_queue) + 4));
+        srv.set_queue_limit(limit);
+        model.limit = std::clamp<std::size_t>(limit, 1, web.max_queue);
+        EXPECT_EQ(srv.queue_limit(), model.limit);
+      } else {  // a tick granting 0 or 1-4 CPUs, mostly not whole ones
+        now += kDt;
+        const CpuTime grant =
+            rng.chance(0.2) ? 0 : rng.uniform_int(kDt, 4 * kDt);
+        const std::size_t before = model.queue.size();
+        srv.consume(now, kDt, grant);
+        model.consume(now, kDt, grant);
+        compactions += 2 * (before - std::min(before, model.queue.size())) >
+                               before
+                           ? 1
+                           : 0;
+      }
+      ASSERT_EQ(srv.queue_depth(), model.queue.size()) << "op " << op;
+    }
+    expect_same_stats(srv.stats(), model.stats);
+  }
+  EXPECT_GT(compactions, 1000u);
 }
 
 TEST(CacheServer, DetectsHostRamInStockContainer) {
