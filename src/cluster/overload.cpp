@@ -5,6 +5,7 @@
 #include "src/container/host.h"
 #include "src/server/server_runtime.h"
 #include "src/util/assert.h"
+#include "src/util/latency_histogram.h"
 
 namespace arv::cluster {
 
@@ -91,19 +92,19 @@ void AdmissionController::update_limits() {
       server::WorkerPoolServer* sink =
           pod.workload == nullptr ? nullptr : pod.workload->request_sink();
       LimitState& st = limits_[pod_id];
-      // Per-pod cumulative latency stream: archived history + live sink.
-      // Monotone across restarts/migrations by the harvest contract, so the
-      // round delta is exact and an unmoved count means unmoved buckets.
-      const std::uint64_t live =
-          sink == nullptr ? 0 : sink->stats().latency_hist.count();
+      server::RequestStats& round = t.router->replica_round(i);
       std::int64_t round_p50 = -1;
-      if (pod.archived.latency_hist.count() + live != st.prev.count()) {
-        util::LatencyHistogram hist = pod.archived.latency_hist;
-        if (sink != nullptr) {
-          hist.merge(sink->stats().latency_hist);
-        }
-        round_p50 = hist.percentile_since(st.prev, 50.0);
-        st.prev = hist;
+      if (round.latency_hist.count() > 0) {
+        // The p50's bucket clamped to the pod's lifetime max, not the
+        // round's: a percentile over the round's part of the lifetime stream.
+        const std::int64_t lifetime_max =
+            std::max(pod.archived.latency_hist.max(),
+                     sink == nullptr ? 0 : sink->stats().latency_hist.max());
+        const std::size_t bucket = util::LatencyHistogram::bucket_of(
+            round.latency_hist.percentile(50.0));
+        round_p50 = std::min(util::LatencyHistogram::bucket_upper(bucket),
+                             lifetime_max);
+        round = {};
       }
       if (st.limit == 0) {
         st.limit = kInitialLimit;

@@ -21,6 +21,11 @@
 //      actually serve. The bounded queue is what turns overload into the
 //      fast, local refusals that JSQ and the router's retries react to —
 //      instead of a 10k-deep queue silently absorbing minutes of doomed work.
+//      The round p50 reads the replica's round record, which its sink fills
+//      as requests complete and the controller clears each round
+//      (RequestRouter::replica_round): no copy and no merge. It is the p50
+//      bucket's upper bound clamped to the pod's lifetime max, which is what
+//      a percentile over the round's part of the lifetime stream reads.
 //
 // The controller admits every request: nothing is refused at the front door
 // before a replica is tried.
@@ -46,7 +51,6 @@
 #include "src/cluster/router.h"
 #include "src/cluster/telemetry.h"
 #include "src/sim/engine.h"
-#include "src/util/latency_histogram.h"
 
 namespace arv::cluster {
 
@@ -99,9 +103,8 @@ class AdmissionController : public sim::TickComponent {
 
   /// AIMD state for one replica pod.
   struct LimitState {
-    util::LatencyHistogram prev;  ///< last round's cumulative snapshot
     std::deque<std::int64_t> window;  ///< trailing round-p50 minim window
-    int limit = 0;                ///< 0 = not yet initialised
+    int limit = 0;                    ///< 0 = not yet initialised
   };
 
   void update_limits();

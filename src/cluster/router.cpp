@@ -40,13 +40,24 @@ RequestRouter::RequestRouter(Cluster& cluster, RouterConfig config,
 
 bool RequestRouter::add_replica(int pod_id) {
   server::WorkerPoolServer* s = sink(pod_id);
-  ARV_ASSERT_MSG(s != nullptr || cluster_.pod(pod_id).in_flight(),
+  const Pod& pod = cluster_.pod(pod_id);
+  ARV_ASSERT_MSG(s != nullptr || pod.in_flight(),
                  "replica pod has no request sink");
   if (std::find(replicas_.begin(), replicas_.end(), pod_id) !=
       replicas_.end()) {
     return false;  // already in rotation; double arrivals would corrupt JSQ
   }
   replicas_.push_back(pod_id);
+  server::RequestStats& round = rounds_.emplace_back();
+  for (server::RequestStats* into : {&record_, &round}) {
+    into->merge(pod.archived);
+    if (s != nullptr) {
+      into->merge(s->stats());
+    }
+  }
+  if (s != nullptr) {
+    s->report_to(&record_, &round);
+  }
   return true;
 }
 
@@ -73,8 +84,9 @@ void RequestRouter::inject_batch(SimTime now, const CpuTime* costs,
   table_.clear();
   level_ = std::numeric_limits<std::size_t>::max();
   cursor_ = 0;
-  for (const int pod : replicas_) {
-    if (server::WorkerPoolServer* s = sink(pod)) {
+  for (std::size_t i = 0; i < replicas_.size(); ++i) {
+    if (server::WorkerPoolServer* s = sink(replicas_[i])) {
+      s->report_to(&record_, &rounds_[i]);  // wires a sink that just landed
       table_.push_back(Replica{s, s->queue_depth(), 0});
       level_ = std::min(level_, s->queue_depth());
     }
@@ -158,17 +170,6 @@ void RequestRouter::tick(SimTime now, SimDuration dt) {
     accumulator_ -= whole;
     inject_batch(now, nullptr, static_cast<std::size_t>(whole));
   }
-}
-
-server::RequestStats RequestRouter::aggregate() const {
-  server::RequestStats total;
-  for (const int pod : replicas_) {
-    total.merge(cluster_.pod(pod).archived);
-    if (const server::WorkerPoolServer* s = sink(pod)) {
-      total.merge(s->stats());
-    }
-  }
-  return total;
 }
 
 std::uint64_t RequestRouter::queued() const {

@@ -13,6 +13,16 @@
 // while *no* replica is up counts as unroutable (the fleet-level error the
 // paper's per-host metrics cannot see).
 //
+// Running record: one RequestStats for the tenant, plus a round record per
+// replica for the overload controller. Each live sink counts every arrival,
+// drop and completion into the record, and every completion into its round
+// record, as it happens (report_to). The router wires a sink at enrollment
+// and whenever a batch finds it live, so a sink that landed is wired before
+// its first request, and folds a pod's history in once, at enrollment. So
+// the record equals the merge of every replica's Pod::archived and live
+// stats. The router must outlive the cluster's stepping: its sinks write
+// into its records.
+//
 // Failure handling (see docs/FAULTS.md): a refused injection (accept-queue
 // overflow) is retried on the next-best replica, up to `max_retries` extra
 // attempts per request, never on a replica already tried for it. Every
@@ -42,6 +52,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -80,6 +91,7 @@ class RequestRouter : public sim::TickComponent {
   /// request_sink (see PodWorkload); pods without one are rejected.
   /// Duplicate pod ids are rejected (false): enrolling the same replica
   /// twice would double its arrivals and corrupt JSQ + aggregate stats.
+  /// The pod's history (archived + live) folds into both records.
   bool add_replica(int pod_id);
 
   /// Change the open-loop arrival rate mid-run (diurnal curves, flash
@@ -106,6 +118,12 @@ class RequestRouter : public sim::TickComponent {
   int replica_pod(int index) const {
     return replicas_.at(static_cast<std::size_t>(index));
   }
+  /// The i-th replica's round record: the completions its sinks counted
+  /// since the overload controller last cleared it (it clears each round
+  /// that saw one). Before the first clear it also holds the pod's history.
+  server::RequestStats& replica_round(int index) {
+    return rounds_.at(static_cast<std::size_t>(index));
+  }
   /// Bind the overload controller (see overload.h): retries draw on its
   /// fleet-wide budget, and every routed request refills it.
   void attach_admission(AdmissionController* admission);
@@ -127,9 +145,8 @@ class RequestRouter : public sim::TickComponent {
   std::uint64_t attempts() const { return attempts_; }
   std::uint64_t retries() const { return retries_; }
 
-  /// Fleet-wide request stats: every replica's live sink merged with the
-  /// history harvested across migrations (Pod::archived).
-  server::RequestStats aggregate() const;
+  /// Fleet-wide request stats: the running record (see above).
+  const server::RequestStats& aggregate() const { return record_; }
 
   /// Sum of the live replicas' accept-queue depths (requests routed but not
   /// yet completed and not lost to a teardown).
@@ -158,6 +175,9 @@ class RequestRouter : public sim::TickComponent {
   RouterConfig config_;
   AdmissionController* admission_ = nullptr;
   std::vector<int> replicas_;  ///< pod ids; rotation order = add order
+  /// replica_round(i); a deque never moves a record a sink points at.
+  std::deque<server::RequestStats> rounds_;
+  server::RequestStats record_;  ///< the running tenant record
   std::vector<Replica> table_;  ///< this batch's live replicas, in rotation
   std::size_t level_ = 0;   ///< no table entry is shallower
   std::size_t cursor_ = 0;  ///< entries before it are deeper than level_

@@ -247,14 +247,14 @@ void FleetScenario::use_trace(load::CompiledTrace trace,
   cluster_.add_component(driver_.get());
 }
 
-void FleetScenario::declare_slo(const std::string& tenant, load::SloTarget target,
-                                load::SloConfig config) {
+void FleetScenario::declare_slo(const std::string& tenant,
+                                load::SloTarget target) {
   Tenant* t = find_tenant(tenant);
   ARV_ASSERT_MSG(t != nullptr, "unknown tenant");
   if (slo_ == nullptr) {
     // Registered after the driver (use_trace first), so every accounting
     // round reads post-injection state of the same tick.
-    slo_ = std::make_unique<load::SloAccountant>(cluster_, config);
+    slo_ = std::make_unique<load::SloAccountant>(cluster_);
     cluster_.add_component(slo_.get());
   }
   slo_->declare(tenant, *t->router, target);

@@ -209,8 +209,7 @@ class FleetScenario {
 
   /// Declare a tenant's SLO (creates the SloAccountant on first use). Call
   /// after use_trace() so the accountant reads post-injection rounds.
-  void declare_slo(const std::string& tenant, load::SloTarget target = {},
-                   load::SloConfig config = {});
+  void declare_slo(const std::string& tenant, load::SloTarget target = {});
 
   /// Arm the overload control plane (see overload.h): the plain router and
   /// every tenant declared so far (and later) enroll under one

@@ -8,16 +8,18 @@
 namespace arv::load {
 namespace {
 
+/// Accounting-round length.
+constexpr SimDuration kPeriod = 100 * units::msec;
 /// Trailing window for the burn rate.
 constexpr SimDuration kBurnWindow = 10 * units::sec;
+static_assert(kBurnWindow >= kPeriod);
 
 }  // namespace
 
-SloAccountant::SloAccountant(cluster::Cluster& cluster, SloConfig config)
-    : cluster_(cluster), config_(config), telemetry_(cluster, "slo") {
-  ARV_ASSERT(config_.period > 0);
-  ARV_ASSERT(kBurnWindow >= config_.period);
-}
+SloAccountant::SloAccountant(cluster::Cluster& cluster, SloConfig)
+    : telemetry_(cluster, "slo") {}
+
+SimDuration SloAccountant::tick_period() const { return kPeriod; }
 
 void SloAccountant::declare(const std::string& tenant,
                             cluster::RequestRouter& router, SloTarget target) {
@@ -29,6 +31,7 @@ void SloAccountant::declare(const std::string& tenant,
   Tenant& t = tenants_.back();
   t.name = tenant;
   t.router = &router;
+  t.record = &router.aggregate();
   t.target = target;
 
   const std::string scope = "slo." + tenant;
@@ -108,11 +111,9 @@ void SloAccountant::refresh(Tenant& t, SimTime now) {
     burn = 1000000;  // zero tolerance, nonzero failures: off the chart
   }
 
-  // p99 over the tenant's aggregate latency distribution (live sinks merged
-  // with migration-archived history — the user's view, not one replica's).
-  const server::RequestStats agg = t.router->aggregate();
-  const std::int64_t p99 =
-      agg.latency_hist.count() == 0 ? 0 : agg.latency_hist.percentile(99.0);
+  // p99 over the router's running record: every replica's requests, archived
+  // history included — the user's view, not one replica's.
+  const std::int64_t p99 = t.record->latency_hist.percentile(99.0);
 
   t.generated = generated;
   t.good = good;

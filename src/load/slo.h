@@ -14,8 +14,8 @@
 //                  sustainable rate: 1000 = burning exactly at budget pace,
 //                  higher = the budget dies before the day does (the
 //                  multi-window alert signal from the SRE workbook).
-//   p99            the tenant's aggregate latency histogram percentile
-//                  against the declared target.
+//   p99            the percentile of the router's running latency record
+//                  (RequestRouter::aggregate) against the declared target.
 //
 // All arithmetic is integer permille over counters the serial phase already
 // maintains, so the accountant sits inside the byte-identical-trace
@@ -45,14 +45,13 @@ struct SloTarget {
   SimDuration p99_target = 250 * units::msec;
 };
 
-struct SloConfig {
-  /// Accounting-round length.
-  SimDuration period = 100 * units::msec;
-};
+/// Compatibility: delete in the benchmark PR. perfbench/src/fleet.cpp still
+/// passes `SloConfig{}` to the constructor; it holds nothing.
+struct SloConfig {};
 
 class SloAccountant : public sim::TickComponent {
  public:
-  explicit SloAccountant(cluster::Cluster& cluster, SloConfig config = {});
+  explicit SloAccountant(cluster::Cluster& cluster, SloConfig = {});
 
   /// Declare one tenant's objective over the router fronting its replicas.
   /// Registers the tenant's trace series and /sys/arv/slo/<tenant>/ files.
@@ -62,7 +61,7 @@ class SloAccountant : public sim::TickComponent {
   // --- sim::TickComponent ---------------------------------------------------
   void tick(SimTime now, SimDuration dt) override;
   std::string name() const override { return "cluster.slo"; }
-  SimDuration tick_period() const override { return config_.period; }
+  SimDuration tick_period() const override;
 
   // --- per-tenant queries (last completed round) ----------------------------
   int tenant_count() const { return static_cast<int>(tenants_.size()); }
@@ -79,6 +78,7 @@ class SloAccountant : public sim::TickComponent {
   struct Tenant {
     std::string name;
     cluster::RequestRouter* router = nullptr;
+    const server::RequestStats* record = nullptr;  ///< the router's record
     SloTarget target;
     // Last-round snapshot (what queries, series, and files serve).
     std::uint64_t generated = 0;
@@ -96,8 +96,6 @@ class SloAccountant : public sim::TickComponent {
   const Tenant* find(const std::string& tenant) const;
   void refresh(Tenant& tenant, SimTime now);
 
-  cluster::Cluster& cluster_;
-  SloConfig config_;
   /// Deque: declare() must never move an already-registered tenant (its
   /// trace probes and file providers capture references to its fields).
   std::deque<Tenant> tenants_;

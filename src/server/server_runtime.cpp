@@ -105,23 +105,27 @@ void WorkerPoolServer::admit_arrivals(SimTime now, SimDuration dt) {
                           static_cast<double>(units::sec);
   while (arrival_accumulator_ >= 1.0) {
     arrival_accumulator_ -= 1.0;
-    ++stats_.arrived;
-    if (queue_depth() >= queue_limit_) {
-      ++stats_.dropped;  // listen backlog overflow
-      continue;
-    }
-    queue_.push_back({now, config_.service_cpu});
+    arrive(now, config_.service_cpu);
   }
 }
 
 bool WorkerPoolServer::inject_request(SimTime now, CpuTime cost) {
+  return arrive(now, cost > 0 ? cost : config_.service_cpu);
+}
+
+bool WorkerPoolServer::arrive(SimTime now, CpuTime cost) {
+  const bool accepted = queue_depth() < queue_limit_;  // else backlog overflow
+  const std::uint64_t drop = accepted ? 0 : 1;
   ++stats_.arrived;
-  if (queue_depth() >= queue_limit_) {
-    ++stats_.dropped;
-    return false;
+  stats_.dropped += drop;
+  if (record_ != nullptr) {
+    ++record_->arrived;
+    record_->dropped += drop;
   }
-  queue_.push_back({now, cost > 0 ? cost : config_.service_cpu});
-  return true;
+  if (accepted) {
+    queue_.push_back({now, cost});
+  }
+  return accepted;
 }
 
 void WorkerPoolServer::set_queue_limit(std::size_t limit) {
@@ -152,8 +156,13 @@ void WorkerPoolServer::consume(SimTime now, SimDuration dt, CpuTime grant) {
     const QueuedRequest& front = queue_[head_];
     if (useful >= front.cost) {
       useful -= front.cost;
-      record_latency(stats_, now, front.arrival);
+      const SimTime arrival = front.arrival;
       ++head_;
+      record_latency(stats_, now, arrival);
+      if (record_ != nullptr) {
+        record_latency(*record_, now, arrival);
+        record_latency(*round_, now, arrival);
+      }
     } else {
       current_request_progress_ = useful;
       useful = 0;

@@ -37,8 +37,8 @@ struct RequestStats {
   std::uint64_t completed = 0;
   std::uint64_t arrived = 0;
   /// Arrivals refused at the accept queue. Lives in the stats block (not a
-  /// bare server counter) so drops survive the archive/merge pipeline that
-  /// carries a replica's history across migrations and crashes.
+  /// bare server counter) so drops survive the archive that carries a
+  /// replica's history across migrations and crashes.
   std::uint64_t dropped = 0;
   /// Per-request latency distribution. A bounded log-bucket sketch (<= 6.25%
   /// relative error, exact merge) instead of a raw sample vector: at the
@@ -52,8 +52,8 @@ struct RequestStats {
   double percentile_ms(double p) const;
   double throughput_per_sec(SimDuration elapsed) const;
 
-  /// Fold another stats block into this one (cluster-level aggregation and
-  /// carrying a migrated replica's history forward).
+  /// Fold another stats block into this one: a torn-down sink into its
+  /// pod's archive, and a pod's history into a router at enrollment.
   void merge(const RequestStats& other);
 };
 
@@ -88,6 +88,15 @@ class WorkerPoolServer : public sched::Schedulable {
   /// (the open-loop workload engine injects heavy-tailed per-request costs).
   bool inject_request(SimTime now, CpuTime cost = 0);
 
+  /// Also count every arrival, drop and completion from now on into
+  /// `record` (a RequestRouter's running tenant record), and every
+  /// completion into `round` (this replica's round record; see router.h).
+  /// Both or neither: null counts into stats() only.
+  void report_to(RequestStats* record, RequestStats* round) {
+    record_ = record;
+    round_ = round;
+  }
+
   /// Adaptive accept-queue bound (the overload controller's AIMD knob).
   /// Clamped to [1, config.max_queue]; starts at max_queue, so without a
   /// controller the behaviour is the static bound.
@@ -110,6 +119,8 @@ class WorkerPoolServer : public sched::Schedulable {
 
   int detect_workers() const;
   void admit_arrivals(SimTime now, SimDuration dt);
+  /// One arrival into stats_ and the router's record; false = dropped.
+  bool arrive(SimTime now, CpuTime cost);
 
   container::Host& host_;
   container::Container& container_;
@@ -126,6 +137,8 @@ class WorkerPoolServer : public sched::Schedulable {
   SimTime next_resize_ = 0;
   double arrival_accumulator_ = 0;
   RequestStats stats_;
+  RequestStats* record_ = nullptr;  ///< see report_to()
+  RequestStats* round_ = nullptr;
   std::vector<int> worker_trace_;
   bool attached_ = false;
 };

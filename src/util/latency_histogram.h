@@ -12,8 +12,9 @@
 //   * Bounded — at most kBucketCount counters whatever the value range
 //     (full non-negative int64), so memory is O(1) per stream.
 //   * Mergeable — merge() adds counters element-wise; it is exact,
-//     commutative, and associative, so per-replica histograms can be folded
-//     across migrations, crashes, and fleet-level aggregation in any order.
+//     commutative, and associative, so a replica's histogram folds into its
+//     pod's archive at teardown, and a pod's history into a router's
+//     running record at enrollment, with nothing lost either way.
 //
 // Everything is integer, so percentiles are bit-identical across platforms
 // — the histogram sits inside the byte-identical-trace
@@ -21,7 +22,9 @@
 // never below the true nearest-rank sample, at most 1/kSubBuckets above).
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 
 namespace arv::util {
@@ -36,10 +39,24 @@ class LatencyHistogram {
       static_cast<std::size_t>(kSubBuckets) * (62 - kSubBucketBits + 1) +
       static_cast<std::size_t>(kSubBuckets);
 
-  /// Record one sample (negative values clamp to 0).
-  void record(std::int64_t value);
-  /// Record `n` samples of the same value (batch injection fast path).
-  void record_n(std::int64_t value, std::uint64_t n);
+  /// Record one sample (negative values clamp to 0). Inline, with
+  /// bucket_of(): a routed request's completion is recorded three times
+  /// (its sink, the router's record, the replica's round record).
+  void record(std::int64_t value) {
+    if (value < 0) {
+      value = 0;
+    }
+    ++counts_[bucket_of(value)];
+    if (count_ == 0) {
+      min_ = value;
+      max_ = value;
+    } else {
+      min_ = std::min(min_, value);
+      max_ = std::max(max_, value);
+    }
+    ++count_;
+    sum_ += value;
+  }
 
   /// Fold `other` into this histogram. Exact: bucket counts, count, sum,
   /// min and max all combine losslessly.
@@ -64,23 +81,20 @@ class LatencyHistogram {
   /// most the one straddling bucket) — the SLO latency-violation probe.
   std::uint64_t count_above(std::int64_t threshold) const;
 
-  // --- windowed (delta) views ------------------------------------------------
-  // A cumulative histogram snapshotted at round boundaries gives an exact
-  // per-round distribution: bucket counts only ever grow, so subtracting the
-  // previous round's snapshot bucket-wise isolates the samples recorded in
-  // between. `baseline` must be an earlier snapshot of the same (possibly
-  // merged) stream — every bucket of `baseline` must be <= this one's.
-
-  /// Samples recorded since `baseline` was captured.
-  std::uint64_t count_since(const LatencyHistogram& baseline) const;
-  /// Nearest-rank percentile over only the samples recorded since
-  /// `baseline` — the overload controller's round-latency signal. 0 when no
-  /// samples landed in between.
-  std::int64_t percentile_since(const LatencyHistogram& baseline,
-                                double p) const;
-
-  // --- bucket geometry (exposed for the error-bound tests) -------------------
-  static std::size_t bucket_of(std::int64_t value);
+  // --- bucket geometry (the error-bound tests; admission's round p50) -------
+  static std::size_t bucket_of(std::int64_t value) {
+    if (value < 0) {
+      value = 0;
+    }
+    if (value < 2 * kSubBuckets) {
+      return static_cast<std::size_t>(value);  // width-1 buckets: exact
+    }
+    const int msb = 63 - std::countl_zero(static_cast<std::uint64_t>(value));
+    const int shift = msb - kSubBucketBits;
+    return static_cast<std::size_t>(
+        (static_cast<std::int64_t>(msb - kSubBucketBits) * kSubBuckets) +
+        (value >> shift));
+  }
   /// Smallest / largest value mapping to bucket `index`.
   static std::int64_t bucket_lower(std::size_t index);
   static std::int64_t bucket_upper(std::size_t index);

@@ -108,18 +108,6 @@ TEST(LatencyHistogram, PercentileIsClampedToObservedMax) {
   EXPECT_EQ(h.percentile(100.0), 1000000);
 }
 
-TEST(LatencyHistogram, RecordNMatchesRepeatedRecord) {
-  LatencyHistogram a;
-  LatencyHistogram b;
-  for (int i = 0; i < 10; ++i) {
-    a.record(5000);
-  }
-  b.record_n(5000, 10);
-  EXPECT_EQ(a.count(), b.count());
-  EXPECT_EQ(a.sum(), b.sum());
-  EXPECT_EQ(a.percentile(99.0), b.percentile(99.0));
-}
-
 /// Structural equality through the public surface: aggregates plus the
 /// cumulative distribution probed at every bucket boundary.
 void expect_same_distribution(const LatencyHistogram& a,
@@ -192,46 +180,6 @@ TEST(LatencyHistogram, CountAboveUndercountsByAtMostOneBucket) {
   // One straddling bucket at ~500k is at most 500k/16 wide => <= ~32 samples
   // at 1k spacing.
   EXPECT_GE(sketch + 40, exact);
-}
-
-TEST(LatencyHistogram, DeltaViewIsolatesTheWindow) {
-  // count_since/percentile_since against an older snapshot of the same
-  // cumulative stream must see exactly the samples recorded in between —
-  // the windowed-p99 primitive the overload controller's pressure signal
-  // uses on round-over-round snapshots.
-  LatencyHistogram h;
-  for (int i = 0; i < 1000; ++i) {
-    h.record(1000);  // old regime: 1ms
-  }
-  const LatencyHistogram baseline = h;
-  LatencyHistogram window_only;
-  Rng rng(47);
-  for (int i = 0; i < 500; ++i) {
-    const std::int64_t v = rng.uniform_int(50000, 400000);  // new: 50-400ms
-    h.record(v);
-    window_only.record(v);
-  }
-  EXPECT_EQ(h.count_since(baseline), 500u);
-  for (const double p : {50.0, 90.0, 99.0}) {
-    EXPECT_EQ(h.percentile_since(baseline, p), window_only.percentile(p))
-        << "p" << p;
-  }
-  // The cumulative percentile is still dominated by the old regime; the
-  // delta view is what sees the shift.
-  EXPECT_LT(h.percentile(50.0), 2000);
-  EXPECT_GT(h.percentile_since(baseline, 50.0), 50000);
-}
-
-TEST(LatencyHistogram, DeltaAgainstSelfOrEmptyIsConsistent) {
-  LatencyHistogram h;
-  h.record(123);
-  h.record(456789);
-  // Against itself: an empty window.
-  EXPECT_EQ(h.count_since(h), 0u);
-  // Against an empty baseline: the whole stream.
-  const LatencyHistogram empty;
-  EXPECT_EQ(h.count_since(empty), h.count());
-  EXPECT_EQ(h.percentile_since(empty, 99.0), h.percentile(99.0));
 }
 
 TEST(LatencyHistogram, ResetClears) {
