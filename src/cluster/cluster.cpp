@@ -14,6 +14,7 @@ namespace {
 /// strategy and the rebalancer (the observed-idle signal).
 constexpr SimDuration kObserveWindow = 100 * units::msec;
 /// Migration cost model: freeze = base + committed_bytes / bandwidth.
+constexpr SimDuration kMigrationFreeze = 50 * units::msec;
 constexpr Bytes kMigrationBandwidthPerSec = 256 * units::MiB;
 
 }  // namespace
@@ -314,8 +315,7 @@ void Cluster::migrate_pod(int pod_id, int target_host) {
   const Bytes state_bytes =
       source.host->memory().committed(pod.container->cgroup());
   const SimDuration freeze =
-      config_.migration_freeze +
-      state_bytes * units::sec / kMigrationBandwidthPerSec;
+      kMigrationFreeze + state_bytes * units::sec / kMigrationBandwidthPerSec;
 
   harvest_stats(pod);
   pod.workload.reset();

@@ -84,8 +84,6 @@ struct ClusterConfig {
   SimDuration tick = 1 * units::msec;
   /// Seeds the rng used for placement score tie-breaks.
   std::uint64_t seed = 42;
-  /// Migration cost model: freeze = base + committed_bytes / bandwidth.
-  SimDuration migration_freeze = 50 * units::msec;
   /// Record the cluster-wide trace (per-host slack/free-mem/pods, migration
   /// and routing counters). Observation-only, like host tracing.
   bool enable_tracing = false;

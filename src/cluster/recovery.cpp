@@ -6,6 +6,13 @@
 #include "src/util/log.h"
 
 namespace arv::cluster {
+namespace {
+
+/// A pod that stays up this long after a restart leaves the crash loop (its
+/// next crash backs off from `backoff_base` again).
+constexpr SimDuration kResetAfter = 10 * units::sec;
+
+}  // namespace
 
 // --- FailureDetector ----------------------------------------------------------
 
@@ -128,7 +135,7 @@ void RestartManager::tick(SimTime now, SimDuration /*dt*/) {
     const Pod& pod = cluster_.pod(id);
     PodTrack& state = track(id);
     if (pod.running()) {
-      if (state.streak > 0 && now - pod.placed_at >= config_.reset_after) {
+      if (state.streak > 0 && now - pod.placed_at >= kResetAfter) {
         state.streak = 0;  // stable: the next crash is a fresh incident
       }
       if (!cluster_.pod_counters(id).oom_killed) {

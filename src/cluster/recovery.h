@@ -14,9 +14,9 @@
 //   * RestartManager — the kubelet side: failed pods whose host is up are
 //     restarted in place after a capped exponential backoff
 //     (CrashLoopBackOff), with the backoff counter reset once a pod stays
-//     up long enough. It also turns OOM kills into crashes: a running pod
-//     whose cgroup was OOM-killed by the memory manager is marked failed
-//     and enters the same backoff loop.
+//     up 10 s (`kResetAfter` in recovery.cpp). It also turns OOM kills
+//     into crashes: a running pod whose cgroup was OOM-killed by the
+//     memory manager is marked failed and enters the same backoff loop.
 //
 // Both components are counter-driven and consume no randomness beyond what
 // the placement strategy draws on score ties, so recovery preserves the
@@ -82,9 +82,6 @@ struct RestartConfig {
   /// Backoff after the Nth consecutive crash: base * 2^(N-1), capped.
   SimDuration backoff_base = 100 * units::msec;
   SimDuration backoff_cap = 5 * units::sec;
-  /// A pod that stays up this long after a restart leaves the crash loop
-  /// (its next crash backs off from `backoff_base` again).
-  SimDuration reset_after = 10 * units::sec;
 };
 
 class RestartManager : public sim::TickComponent {

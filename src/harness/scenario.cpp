@@ -76,7 +76,7 @@ std::size_t OmpScenario::add(const OmpInstanceConfig& config) {
   container::Container& target = runtime_->run(config.container, "omp");
   containers_.push_back(&target);
   processes_.push_back(std::make_unique<omp::OmpProcess>(
-      *host_, target, config.strategy, config.workload, config.fixed_threads));
+      *host_, target, config.strategy, config.workload));
   return processes_.size() - 1;
 }
 

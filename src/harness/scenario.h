@@ -89,7 +89,6 @@ struct OmpInstanceConfig {
   container::ContainerConfig container;
   omp::TeamStrategy strategy = omp::TeamStrategy::kStatic;
   omp::OmpWorkload workload;
-  int fixed_threads = 0;
 };
 
 struct OmpRunResult {

@@ -28,10 +28,8 @@ void FairScheduler::attach(cgroup::CgroupId id, Schedulable* consumer) {
   ARV_ASSERT(consumer != nullptr);
   auto [it, inserted] = entities_.try_emplace(id);
   auto& entity = it->second;
-  ARV_ASSERT_MSG(std::find(entity.consumers.begin(), entity.consumers.end(),
-                           consumer) == entity.consumers.end(),
-                 "consumer attached twice");
-  entity.consumers.push_back(consumer);
+  ARV_ASSERT_MSG(entity.consumer == nullptr, "a cgroup has at most one consumer");
+  entity.consumer = consumer;
   if (inserted) {
     live_.push_back(LiveEntity{id, &entity, {}, 0, 0.0, {}});
     live_stale_ = true;
@@ -40,18 +38,15 @@ void FairScheduler::attach(cgroup::CgroupId id, Schedulable* consumer) {
 
 void FairScheduler::detach(cgroup::CgroupId id, Schedulable* consumer) {
   const auto it = entities_.find(id);
-  if (it == entities_.end()) {
-    return;
-  }
-  auto& consumers = it->second.consumers;
-  consumers.erase(std::remove(consumers.begin(), consumers.end(), consumer),
-                  consumers.end());
   // Keep the entity: its cumulative stats stay readable after detach.
+  if (it != entities_.end() && it->second.consumer == consumer) {
+    it->second.consumer = nullptr;
+  }
 }
 
 bool FairScheduler::attached(cgroup::CgroupId id) const {
   const auto it = entities_.find(id);
-  return it != entities_.end() && !it->second.consumers.empty();
+  return it != entities_.end() && it->second.consumer != nullptr;
 }
 
 const std::vector<FairScheduler::LiveEntity>& FairScheduler::live_set() const {
@@ -198,10 +193,8 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
     Entity& entity = *entry.entity;
     refill_quota(entry, now);
     entity.stats.last_tick_grant = 0;
-    int runnable = 0;
-    for (const Schedulable* consumer : entity.consumers) {
-      runnable += consumer->runnable_threads();
-    }
+    const Schedulable* const consumer = entity.consumer;
+    const int runnable = consumer == nullptr ? 0 : consumer->runnable_threads();
     if (runnable <= 0) {
       continue;
     }
@@ -220,7 +213,6 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
     claim.weight = entry.weight;
     claim.demand = quota_cap;
     claim.throttled = thread_cap - quota_cap;
-    claim.runnable = runnable;
   }
 
   nr_running_ = runnable_total;
@@ -252,31 +244,12 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
       entity.quota_remaining = std::max<CpuTime>(0, entity.quota_remaining - grant);
     }
 
-    // A sole consumer takes the whole grant, if it is still runnable: an
-    // earlier consume() this tick may have changed its count. Copy the
-    // pointer, since its own consume() may detach it.
-    if (entity.consumers.size() == 1) {
-      Schedulable* const consumer = entity.consumers.front();
-      if (consumer->runnable_threads() > 0) {
-        consumer->consume(now, dt, grant);
-      }
-      continue;
-    }
-    // Split the grant across consumers proportionally to runnable threads,
-    // remainder to the first hungry consumer (deterministic).
-    CpuTime left = grant;
-    delivery_.assign(entity.consumers.begin(), entity.consumers.end());
-    for (std::size_t k = 0; k < delivery_.size(); ++k) {
-      const int threads = delivery_[k]->runnable_threads();
-      if (threads <= 0) {
-        continue;
-      }
-      CpuTime piece = k + 1 == delivery_.size()
-                          ? left
-                          : grant * threads / std::max(1, claim.runnable);
-      piece = std::min(piece, left);
-      left -= piece;
-      delivery_[k]->consume(now, dt, piece);
+    // The consumer takes the whole grant if it is still attached and
+    // runnable: an earlier consume() this tick may have detached it or
+    // changed its count.
+    Schedulable* const consumer = entity.consumer;
+    if (consumer != nullptr && consumer->runnable_threads() > 0) {
+      consumer->consume(now, dt, grant);
     }
   }
 
@@ -293,10 +266,9 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
 
 bool FairScheduler::idle() const {
   for (const LiveEntity& entry : live_set()) {
-    for (const Schedulable* consumer : entry.entity->consumers) {
-      if (consumer->runnable_threads() > 0) {
-        return false;
-      }
+    const Schedulable* const consumer = entry.entity->consumer;
+    if (consumer != nullptr && consumer->runnable_threads() > 0) {
+      return false;
     }
   }
   return true;

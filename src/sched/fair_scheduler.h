@@ -70,8 +70,9 @@ class TraceRecorder;
 
 namespace arv::sched {
 
-/// A CPU-time consumer attached to a cgroup (a container's thread
-/// population). Grants arrive once per tick via consume().
+/// A CPU-time consumer attached to a cgroup: the container's whole thread
+/// population, so a cgroup has at most one. Grants arrive once per tick via
+/// consume().
 class Schedulable {
  public:
   virtual ~Schedulable() = default;
@@ -96,6 +97,7 @@ class FairScheduler : public sim::TickComponent {
   FairScheduler(cgroup::Tree& tree, int online_cpus);
 
   // --- topology -----------------------------------------------------------
+  /// Contract: a cgroup has at most one consumer; a second attach() aborts.
   void attach(cgroup::CgroupId id, Schedulable* consumer);
   void detach(cgroup::CgroupId id, Schedulable* consumer);
   bool attached(cgroup::CgroupId id) const;
@@ -121,7 +123,7 @@ class FairScheduler : public sim::TickComponent {
   /// Runnable-thread count observed at the last tick (system-wide).
   int nr_running() const { return nr_running_; }
 
-  /// True when no live cgroup has a runnable consumer: a tick right now
+  /// True when no live cgroup's consumer is runnable: a tick right now
   /// would grant nothing and bank one full tick of slack. One leg of
   /// Host::quiescent(), which gates the cluster's idle-host skip.
   bool idle() const;
@@ -157,7 +159,7 @@ class FairScheduler : public sim::TickComponent {
 
  private:
   struct Entity {
-    std::vector<Schedulable*> consumers;
+    Schedulable* consumer = nullptr;  // null while detached
     CpuTime quota_remaining = kUnlimited;
     SimTime next_refill = 0;
     /// Sub-microsecond allocation remainder carried across ticks, so very
@@ -189,7 +191,6 @@ class FairScheduler : public sim::TickComponent {
     double alloc = 0.0;
     double offer = 0.0;      // this claim's offer on the last CPU filled
     double throttled = 0.0;  // demand clipped by quota
-    int runnable = 0;
   };
 
   /// One claim of the last fill: exactly what water_fill() reads of it (the
@@ -224,7 +225,6 @@ class FairScheduler : public sim::TickComponent {
   std::vector<Claim> claims_;
   std::vector<std::size_t> hungry_;  // indices of claims with unmet demand
   std::vector<double> cpu_capacity_;
-  std::vector<Schedulable*> delivery_;  // consumer snapshot: consume() may detach
   std::vector<Filled> last_fill_;  // in claim (id) order
   SimDuration last_fill_dt_ = -1;  // no fill yet
   CpuTime total_slack_ = 0;

@@ -207,10 +207,6 @@ CacheServer::~CacheServer() {
 }
 
 Bytes CacheServer::detect_cache_bytes() const {
-  if (config_.sizing == Sizing::kFixed) {
-    ARV_ASSERT_MSG(config_.fixed_cache > 0, "kFixed requires fixed_cache");
-    return config_.fixed_cache;
-  }
   const Bytes detected_ram =
       static_cast<Bytes>(host_.sysfs().sysconf(pid_, vfs::Sysconf::kPhysPages)) *
       units::page;

@@ -144,8 +144,6 @@ class WorkerPoolServer : public sched::Schedulable {
 };
 
 struct CacheConfig {
-  Sizing sizing = Sizing::kDetected;
-  Bytes fixed_cache = 0;  ///< for kFixed
   double arrivals_per_sec = 400;
   SimDuration service_cpu = 2 * units::msec;  ///< CPU per request (hit)
   Bytes dataset = 8 * units::GiB;  ///< hot data the cache covers

@@ -69,9 +69,8 @@ TEST(Cluster, LedgerTracksPodLifecycle) {
 }
 
 TEST(Cluster, MigrationPaysFreezeThenLands) {
-  ClusterConfig config;
-  config.migration_freeze = 50 * msec;
-  Cluster cluster(config);
+  constexpr SimDuration kMigrationFreeze = 50 * msec;  // cluster.cpp's base
+  Cluster cluster;
   cluster.add_host(small_host(4, 8 * GiB));
   cluster.add_host(small_host(4, 8 * GiB));
   PodSpec spec;
@@ -89,7 +88,7 @@ TEST(Cluster, MigrationPaysFreezeThenLands) {
   EXPECT_EQ(cluster.migrations(), 1u);
 
   // Freeze = base + committed/bandwidth > base; not landed after base alone.
-  cluster.run_for(config.migration_freeze);
+  cluster.run_for(kMigrationFreeze);
   EXPECT_TRUE(cluster.pod(pod).in_flight());
   cluster.run_for(5 * sec);
   EXPECT_TRUE(cluster.pod(pod).running());

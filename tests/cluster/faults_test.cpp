@@ -93,9 +93,7 @@ TEST(Cluster, CrashHostFailsItsPodsAndBlocksPlacement) {
 }
 
 TEST(Cluster, CrashHostLosesInFlightMigrationTowardIt) {
-  ClusterConfig config;
-  config.migration_freeze = 100 * msec;
-  Cluster cluster(config);
+  Cluster cluster;
   cluster.add_host(small_host(4, 8 * GiB));
   cluster.add_host(small_host(4, 8 * GiB));
   const int pod = cluster.create_pod(0, {"p", res(500, 512 * MiB)},
@@ -268,9 +266,7 @@ TEST(FaultPlan, RandomPlanIsDeterministicInTheSeed) {
 // Satellite regression: stopping a pod mid-flight used to double-book the
 // target ledger (the reservation leaked) and crash on the null container.
 TEST(Cluster, StopPodInFlightReleasesTargetReservation) {
-  ClusterConfig config;
-  config.migration_freeze = 100 * msec;
-  Cluster cluster(config);
+  Cluster cluster;
   cluster.add_host(small_host(4, 8 * GiB));
   cluster.add_host(small_host(4, 8 * GiB));
   const int pod = cluster.create_pod(0, {"p", res(700, 512 * MiB)},

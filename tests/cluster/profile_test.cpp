@@ -170,9 +170,7 @@ TEST(ProfileStore, StoppedPodsArePruned) {
 }
 
 TEST(ProfileStore, MigrationResetsTheBaselineNotTheWindow) {
-  ClusterConfig config;
-  config.migration_freeze = 10 * msec;  // land within one profile round
-  Cluster cluster(config);
+  Cluster cluster;
   cluster.add_host(small_host());
   cluster.add_host(small_host());
   const int pod = cluster.create_pod(0, {"hog", res(500, 512 * MiB)},

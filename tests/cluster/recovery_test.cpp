@@ -166,12 +166,12 @@ TEST(RestartManager, CrashLoopBacksOffExponentially) {
   config.period = 10 * msec;
   config.backoff_base = 100 * msec;
   config.backoff_cap = 2 * sec;
-  config.reset_after = 600 * sec;  // never resets within this test
   RestartManager manager(cluster, config);
   cluster.add_component(&manager);
 
   // Crash the pod the moment it comes back, five times over; each recovery
-  // must take longer than the last.
+  // must take longer than the last. The loop stays well inside the 10 s
+  // stable run (recovery.cpp's kResetAfter) that would clear the streak.
   SimTime last_recovery = 0;
   SimDuration last_outage = 0;
   for (int round = 0; round < 5; ++round) {
@@ -202,15 +202,19 @@ TEST(RestartManager, StableRunResetsTheStreak) {
   RestartConfig config;
   config.period = 10 * msec;
   config.backoff_base = 100 * msec;
-  config.reset_after = 1 * sec;
   RestartManager manager(cluster, config);
   cluster.add_component(&manager);
 
+  // recovery.cpp's kResetAfter: the stable run that clears the streak.
+  constexpr SimDuration kResetAfter = 10 * sec;
   cluster.crash_pod(pod);
   cluster.run_for(500 * msec);
   ASSERT_TRUE(cluster.pod(pod).running());
+  const SimTime placed = cluster.pod(pod).placed_at;
   ASSERT_EQ(manager.crash_streak(pod), 1);
-  cluster.run_for(2 * sec);  // stable past reset_after
+  cluster.run_for(placed + kResetAfter - 100 * msec - cluster.now());
+  EXPECT_EQ(manager.crash_streak(pod), 1);  // not yet stable long enough
+  cluster.run_for(200 * msec);  // stable past kResetAfter
   EXPECT_EQ(manager.crash_streak(pod), 0);
 }
 

@@ -14,9 +14,13 @@ namespace {
 
 using namespace arv::units;
 
+// gtest names each instance after a byte dump of its parameter, so the
+// padding is a zeroed field: left implicit, it would hold stack garbage and
+// the test names would change from one build to the next.
 struct RandomScenarioParam {
   std::uint64_t seed;
   int containers;
+  std::int32_t pad = 0;
 };
 
 class RandomizedStack : public ::testing::TestWithParam<RandomScenarioParam> {};
@@ -53,8 +57,13 @@ TEST_P(RandomizedStack, GlobalInvariantsHoldUnderRandomConfigs) {
     hogs.push_back(std::make_unique<workloads::CpuHog>(
         host, c, static_cast<int>(rng.uniform_int(1, 8)), 3600 * sec));
     if (rng.chance(0.5)) {
+      // A cgroup has one consumer: the memory hog runs in a container of
+      // its own with the same limits.
+      config.name += "m";
+      auto& m = runtime.run(config);
+      containers.push_back(&m);
       mem_hogs.push_back(std::make_unique<workloads::MemHog>(
-          host, c, rng.uniform_int(64, 2048) * MiB, 1 * GiB));
+          host, m, rng.uniform_int(64, 2048) * MiB, 1 * GiB));
     }
   }
 
@@ -130,9 +139,13 @@ TEST_P(RandomizedTrace, TraceInvariantsHoldUnderRandomConfigs) {
     hogs.push_back(std::make_unique<workloads::CpuHog>(
         host, c, static_cast<int>(rng.uniform_int(1, 8)), 3600 * sec));
     // Memory hogs sized against the whole host, so several of them drive
-    // free memory through the kswapd watermarks.
+    // free memory through the kswapd watermarks. Each runs in a container
+    // of its own with the same limits: a cgroup has one consumer.
+    config.name += "m";
+    auto& m = runtime.run(config);
+    names.push_back(m.name());
     mem_hogs.push_back(std::make_unique<workloads::MemHog>(
-        host, c, rng.uniform_int(256, 3072) * MiB, 1 * GiB));
+        host, m, rng.uniform_int(256, 3072) * MiB, 1 * GiB));
   }
 
   host.run_for(2 * units::sec);

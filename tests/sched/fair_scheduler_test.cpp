@@ -187,17 +187,23 @@ TEST(FairScheduler, NoSlackWhenSaturated) {
   EXPECT_EQ(f.sched.last_tick_slack(), 0);
 }
 
-TEST(FairScheduler, MultipleConsumersSplitByThreads) {
+TEST(FairSchedulerDeath, SecondAttachToOneCgroupAborts) {
+  // A cgroup's consumer is its container's whole thread population.
   Fixture f(4);
   const auto a = f.tree.create("a");
-  FakeConsumer c1(3);
-  FakeConsumer c2(1);
-  f.sched.attach(a, &c1);
-  f.sched.attach(a, &c2);
-  run_ticks(f.engine, 100);
-  const double ratio =
-      static_cast<double>(c1.total()) / static_cast<double>(c2.total());
-  EXPECT_NEAR(ratio, 3.0, 0.05);
+  FakeConsumer first(3);
+  FakeConsumer second(1);
+  f.sched.attach(a, &first);
+  EXPECT_DEATH(f.sched.attach(a, &second), "at most one consumer");
+  EXPECT_DEATH(f.sched.attach(a, &first), "at most one consumer");
+  // Once the first consumer detaches, another may take its place.
+  f.sched.detach(a, &second);  // not a's consumer: no effect
+  EXPECT_TRUE(f.sched.attached(a));
+  f.sched.detach(a, &first);
+  f.sched.attach(a, &second);
+  run_ticks(f.engine, 10);
+  EXPECT_EQ(first.total(), 0);
+  EXPECT_EQ(second.total(), 10 * msec);
 }
 
 TEST(FairScheduler, DetachStopsGrants) {

@@ -41,28 +41,23 @@ class ReferenceScheduler {
       : tree_(tree), online_cpus_(online_cpus) {}
 
   void attach(cgroup::CgroupId id, Schedulable* consumer) {
-    entities_[id].consumers.push_back(consumer);
+    Entity& entity = entities_[id];
+    EXPECT_EQ(entity.consumer, nullptr) << "cgroup " << id << " has a consumer";
+    entity.consumer = consumer;
   }
 
   void detach(cgroup::CgroupId id, Schedulable* consumer) {
     const auto it = entities_.find(id);
-    if (it == entities_.end()) {
-      return;
+    if (it != entities_.end() && it->second.consumer == consumer) {
+      it->second.consumer = nullptr;
     }
-    auto& consumers = it->second.consumers;
-    consumers.erase(std::remove(consumers.begin(), consumers.end(), consumer),
-                    consumers.end());
   }
 
   bool idle() const {
     for (const auto& [id, entity] : entities_) {
-      if (!tree_.exists(id)) {
-        continue;
-      }
-      for (const Schedulable* consumer : entity.consumers) {
-        if (consumer->runnable_threads() > 0) {
-          return false;
-        }
+      if (tree_.exists(id) && entity.consumer != nullptr &&
+          entity.consumer->runnable_threads() > 0) {
+        return false;
       }
     }
     return true;
@@ -76,7 +71,6 @@ class ReferenceScheduler {
       double demand = 0.0;
       double alloc = 0.0;
       double throttled = 0.0;
-      int runnable = 0;
     };
     constexpr int kMaxRounds = 16;
     constexpr double kEpsilonUs = 1e-6;
@@ -89,10 +83,8 @@ class ReferenceScheduler {
       }
       refill_quota(id, entity, now);
       entity.stats.last_tick_grant = 0;
-      int runnable = 0;
-      for (const Schedulable* consumer : entity.consumers) {
-        runnable += consumer->runnable_threads();
-      }
+      const int runnable =
+          entity.consumer == nullptr ? 0 : entity.consumer->runnable_threads();
       if (runnable <= 0) {
         continue;
       }
@@ -101,7 +93,6 @@ class ReferenceScheduler {
       claim.entity = &entity;
       claim.mask = tree_.effective_cpuset(id);
       claim.weight = static_cast<double>(tree_.get(id).cpu().shares);
-      claim.runnable = runnable;
       const double thread_cap =
           static_cast<double>(std::min(runnable, claim.mask.count())) *
           static_cast<double>(dt);
@@ -167,19 +158,9 @@ class ReferenceScheduler {
       if (entity.quota_remaining != kUnlimited) {
         entity.quota_remaining = std::max<CpuTime>(0, entity.quota_remaining - grant);
       }
-      CpuTime left = grant;
-      const auto consumers = entity.consumers;
-      for (std::size_t k = 0; k < consumers.size(); ++k) {
-        const int threads = consumers[k]->runnable_threads();
-        if (threads <= 0) {
-          continue;
-        }
-        CpuTime piece = k + 1 == consumers.size()
-                            ? left
-                            : grant * threads / std::max(1, claim.runnable);
-        piece = std::min(piece, left);
-        left -= piece;
-        consumers[k]->consume(now, dt, piece);
+      Schedulable* const consumer = entity.consumer;
+      if (consumer != nullptr && consumer->runnable_threads() > 0) {
+        consumer->consume(now, dt, grant);
       }
     }
     const CpuTime capacity_total = static_cast<CpuTime>(online_cpus_) * dt;
@@ -198,7 +179,7 @@ class ReferenceScheduler {
 
  private:
   struct Entity {
-    std::vector<Schedulable*> consumers;
+    Schedulable* consumer = nullptr;
     CpuTime quota_remaining = kUnlimited;
     SimTime next_refill = 0;
     double fraction_carry = 0.0;
@@ -331,8 +312,8 @@ TEST_P(LiveSetDifferential, BitIdenticalToReferenceUnderRandomChurn) {
     ref.attach(id, &pair->live[1]);
   };
 
-  // Churn: cgroups come and go, nest, change knobs and gain and lose
-  // consumers while thread counts drift.
+  // Churn: cgroups come and go, nest, change knobs and gain and lose their
+  // consumer while thread counts drift.
   const auto churn = [&](int t) {
     const auto ids = tree.all_ids();
     // Create: top level or nested up to depth 3.
@@ -391,8 +372,17 @@ TEST_P(LiveSetDifferential, BitIdenticalToReferenceUnderRandomChurn) {
           break;
       }
     }
-    // Attach and detach consumers.
+    // Attach and detach consumers; a cgroup has at most one.
+    std::vector<cgroup::CgroupId> free_ids;
     if (!now_ids.empty() && rng.chance(0.1)) {
+      for (const auto id : now_ids) {
+        if (std::none_of(pairs.begin(), pairs.end(),
+                         [id](const auto& pair) { return pair->cgroup == id; })) {
+          free_ids.push_back(id);
+        }
+      }
+    }
+    if (!free_ids.empty()) {
       Pair* pair = nullptr;
       for (auto& candidate : pairs) {
         if (candidate->cgroup < 0) {
@@ -403,7 +393,7 @@ TEST_P(LiveSetDifferential, BitIdenticalToReferenceUnderRandomChurn) {
       if (pair == nullptr || rng.chance(0.2)) {
         pair = new_pair();
       }
-      attach(pair, pick(now_ids));
+      attach(pair, pick(free_ids));
     }
     if (!pairs.empty() && rng.chance(0.05)) {
       auto& pair = *pairs[static_cast<std::size_t>(
@@ -788,11 +778,10 @@ TEST(LiveSet, ConsumeMayDestroyALaterClaimsCgroup) {
   EXPECT_EQ(f.sched.total_usage(b), 1 * msec);
 }
 
-// --- single-consumer delivery ---------------------------------------------
+// --- delivery to a cgroup's one consumer ----------------------------------
 //
-// A cgroup with one consumer is paid without the consumer snapshot, but its
-// runnable count is still read again at delivery time, after every earlier
-// consume() of the tick has run. Each case runs once on FairScheduler and once
+// A cgroup's consumer takes its whole grant, but its runnable count is read
+// again at delivery time, after every earlier consume() of the tick has run. Each case runs once on FairScheduler and once
 // on the reference scheduler and compares what the consumers and stats saw.
 
 struct DeliveryRecord {

@@ -153,17 +153,5 @@ TEST(SchedDynamics, NestedCgroupInheritsParentConstraints) {
               static_cast<double>(1 * sec), static_cast<double>(50 * msec));
 }
 
-TEST(SchedDynamics, ZeroThreadConsumerCoexistsWithBusyOne) {
-  Fixture f(2);
-  const auto a = f.tree.create("a");
-  FakeConsumer idle(0);
-  FakeConsumer busy(2);
-  f.sched.attach(a, &idle);
-  f.sched.attach(a, &busy);
-  f.engine.run_for(100 * msec);
-  EXPECT_EQ(idle.total(), 0);
-  EXPECT_EQ(busy.total(), 2 * 100 * msec);
-}
-
 }  // namespace
 }  // namespace arv::sched

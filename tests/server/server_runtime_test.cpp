@@ -289,9 +289,10 @@ TEST(CacheServer, WarmCacheImprovesHitRatio) {
   auto& c = f.runtime.run({});
   CacheConfig config;
   config.dataset = 4 * GiB;
-  config.sizing = Sizing::kFixed;
-  config.fixed_cache = 4 * GiB;
   CacheServer srv(f.host, c, config);
+  // Without limits the container sees the host's RAM: the cache target is
+  // far above the dataset, so the cache can come to cover all of it.
+  EXPECT_EQ(srv.cache_target(), (128 * GiB - 1 * GiB) / 2);
   EXPECT_EQ(srv.hit_ratio(), 0.0);
   f.host.run_for(20 * sec);
   EXPECT_GT(srv.hit_ratio(), 0.9);
@@ -331,9 +332,9 @@ TEST(CacheServer, ResizeFollowsEffectiveMemory) {
   EXPECT_EQ(initial_target, (2 * GiB - 1 * GiB) / 2);
   // The 50% rule alone never crosses Algorithm 2's 90% usage trigger, so
   // effective memory stays put — until something else in the container
-  // (application data) builds real pressure. Then the view expands and the
-  // resize loop follows it upward.
-  workloads::MemHog app_data(f.host, c, 1700 * MiB, 1 * GiB);
+  // (application data, charged here directly) builds real pressure. Then
+  // the view expands and the resize loop follows it upward.
+  ASSERT_EQ(f.host.memory().charge(c.cgroup(), 1700 * MiB), mem::ChargeResult::kOk);
   f.host.run_for(60 * sec);
   EXPECT_GT(srv.cache_target(), initial_target);
 }
